@@ -197,7 +197,6 @@ def close_action(
                     if len(order) > cap:
                         raise OrderCapExceeded(f"closure exceeded cap of {cap}")
         queue = nxt
-    keys = set(seen)
     for a in order:
         if not any((a.compose(b))._key() == ident._key() and (b.compose(a))._key() == ident._key() for b in order):
             raise InconsistentAction("closure contains an element with no inverse")

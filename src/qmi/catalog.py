@@ -13,9 +13,9 @@ trees, so a catalog file can be audited line by line against its source
 material. Every case carries a `source` string saying, in words, which
 displayed claim it encodes.
 
-Payload shapes per kind are documented in docs/catalog-schema.md and
-enforced here by validate_catalog, which reports a JSON-pointer-ish
-path with every complaint.
+Payload shapes per kind are fixed by _PAYLOAD_KEYS and the per-kind
+checks of validate_catalog, which reports a JSON-pointer-ish path with
+every complaint.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from .context import Context
 from .errors import SchemaError, UnknownCase
-from .field import QQ, PrimeField, BaseField
+from .field import field_from_name
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
 
 KINDS = (
@@ -151,9 +151,9 @@ def word_matrix(word: str, alphabet: Mapping[str, Matrix]) -> Matrix:
     """Evaluate a generator word over named matrices.
 
     Grammar: factors joined by '*'; each factor is [-]name[^k] with k a
-    positive integer; the whole word "1" (or "-1") is the (negated)
-    identity. The leading '-' negates the powered factor, so "-x^2"
-    means -(x^2), not (-x)^2.
+    positive integer, and the name "1" is the identity of the alphabet's
+    size. The leading '-' negates the powered factor, so "-x^2" means
+    -(x^2), not (-x)^2.
     """
     word = word.strip()
     if not word:
@@ -172,7 +172,7 @@ def word_matrix(word: str, alphabet: Mapping[str, Matrix]) -> Matrix:
         else:
             base, k = factor, 1
         if base == "1":
-            m = identity(3)
+            m = identity(len(next(iter(alphabet.values()), ())))
         elif base in alphabet:
             m = mat(alphabet[base])
         else:
@@ -189,17 +189,9 @@ def word_matrix(word: str, alphabet: Mapping[str, Matrix]) -> Matrix:
 # -- construction helpers (used by the runner) --------------------------------
 
 
-def build_field(name: str) -> BaseField:
-    if name == "Q":
-        return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
-    raise SchemaError(f"unknown field {name!r}")
-
-
 def build_context(spec: Mapping[str, Any]) -> Context:
     return Context(
-        build_field(spec.get("field", "Q")),
+        field_from_name(spec.get("field", "Q")),
         variables=spec.get("variables", ()),
         parameters=spec.get("parameters", ()),
         roots=spec.get("roots", ()),
@@ -512,7 +504,7 @@ def validate_catalog(data: Any, known_group_ids: set[str] | None = None) -> None
         _check_payload(kind, _need(c, "payload", path), path + "/payload", group_ids)
 
 
-# -- building, loading, serializing -------------------------------------------
+# -- building and loading -----------------------------------------------------
 
 
 def _catalog_from_data(data: Mapping[str, Any], base: "Catalog | None" = None) -> Catalog:
@@ -547,15 +539,3 @@ def load_catalog(path: str, merge_builtin: bool = False) -> Catalog:
             raise SchemaError(f"not valid JSON: {exc}", "") from None
     return _catalog_from_data(data, base=builtin_catalog() if merge_builtin else None)
 
-
-def serialize_catalog(catalog: Catalog) -> str:
-    """Stable JSON text; parses back to an equal Catalog."""
-    data = {
-        "groups": catalog.groups,
-        "cases": [c.to_dict() for c in catalog.cases],
-    }
-    return json.dumps(data, indent=1, sort_keys=True)
-
-
-def parse_catalog_text(text: str) -> Catalog:
-    return _catalog_from_data(json.loads(text))

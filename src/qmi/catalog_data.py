@@ -1,9 +1,10 @@
 """Builtin catalog content.
 
 Everything here is plain data: named integer matrices, the 73-group
-table with structure labels, and the case list. Expressions are grammar
-strings (see docs/catalog-schema.md). Each case's `source` is a short
-content gloss saying what the claim is about; ids are stable and
+table with structure labels, and the case list. Expressions are strings
+in the parser's grammar; catalog.validate_catalog and
+catalog._PAYLOAD_KEYS enforce the payload shapes. Each case's `source` is
+a short content gloss saying what the claim is about; ids are stable and
 referenced by tests.
 
 Variable naming: inputs are always x1,x2,x3; derived bases reuse the

@@ -43,7 +43,7 @@ class Context:
         "index",
         "root_index",
         "constants",
-        "rewrite",
+        "folds",
         "var_start",
         "_key",
     )
@@ -91,19 +91,23 @@ class Context:
         # Bare names of specialized parameters resolve to field constants.
         self.constants = {name: field.of(v) for name, v in spec.items()}
 
-        # rewrite[i] for a root symbol i: where its square goes.
-        # Either (param_index, None) or (None, constant).
-        self.rewrite: list[tuple[int | None, Any]] = []
-        for p in self.rooted:
+        # folds[i] for root symbol i: (i, parameter index, None) when its
+        # square folds into the parameter, (i, None, constant) when the
+        # parameter is specialized. An integral constant is kept as an int,
+        # so that products lifted to integer coefficients stay integral.
+        self.folds: list[tuple[int, int | None, Any]] = []
+        for i, p in enumerate(self.rooted):
             if p in spec:
                 value = field.of(spec[p])
                 if value == field.zero:
                     raise ValueError(
                         f"rooted parameter {p!r} specialized to 0 in {field.name}"
                     )
-                self.rewrite.append((None, value))
+                if value.denominator == 1:
+                    value = value.numerator
+                self.folds.append((i, None, value))
             else:
-                self.rewrite.append((self.index[p], None))
+                self.folds.append((i, self.index[p], None))
 
         self._key = (
             field.name,

@@ -22,7 +22,6 @@ class BaseField:
     zero: Any
     one: Any
     add: Callable[[Any, Any], Any]
-    sub: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     inv: Callable[[Any], Any]
@@ -30,9 +29,6 @@ class BaseField:
 
     def of(self, value: Any) -> Any:
         raise NotImplementedError
-
-    def div(self, a: Any, b: Any) -> Any:
-        return self.mul(a, self.inv(b))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BaseField) and self.name == other.name
@@ -51,7 +47,6 @@ class Rationals(BaseField):
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.add = lambda a, b: a + b
-        self.sub = lambda a, b: a - b
         self.mul = lambda a, b: a * b
         self.neg = lambda a: -a
         self.pow = lambda a, n: a**n
@@ -88,7 +83,6 @@ class PrimeField(BaseField):
         self.zero = 0
         self.one = 1
         self.add = lambda a, b: (a + b) % p
-        self.sub = lambda a, b: (a - b) % p
         self.mul = lambda a, b: (a * b) % p
         self.neg = lambda a: (-a) % p
         self.pow = lambda a, n: pow(a, n, p)

@@ -11,14 +11,24 @@ parameter slot is folded into the root slot via
 realizing the isomorphism k[p, r]/(r^2 - p) ~ k[r]. In eliminated form the
 root behaves as a free symbol and ordinary primitive-PRS gcd applies.
 Roots of *specialized* parameters (square roots of explicit constants)
-cannot be eliminated; they keep exponent 0/1 with the constant rewrite, are
-never chosen as PRS main symbols, and make gcd canonical only up to units
-of the corresponding quadratic extension. Every consumer that needs exact
-equality uses cross-multiplied zero tests, which are unaffected.
+cannot be eliminated; they keep exponent 0/1 with the constant fold and
+are never chosen as PRS main symbols: their polynomials are elements of
+the quadratic extension of the coefficient field.
 
-Over Q without constant roots the gcd runs in an integer model (clear
-denominators once, primitive PRS over Z); other coefficient setups stay
-in the base field throughout.
+There is one primitive PRS. It runs over a coefficient domain picked once
+per context: the integers for Q without constant roots (denominators are
+cleared once, which avoids per-operation Fraction normalization), and
+otherwise the context's field. The domain supplies only what differs:
+how a product or difference is reduced, the gcd when no main symbol is
+left (the integer content over Z, 1 over a field), the exact quotient of
+two coefficients, and the unit normalization (sign over Z, monic over a
+field). Products go through poly._convolve_ints. Exact division always
+runs over the field, since a quotient over Q need not be integral.
+
+unit_normal fixes the one free unit of a canonical form: it divides by
+the leading coefficient, taken with constant roots as the whole element
+of the extension that multiplies the leading bare monomial. Associates
+over the extension therefore share one normal form.
 """
 
 from __future__ import annotations
@@ -29,17 +39,18 @@ from typing import Any
 
 from .context import Context
 from .errors import DivisionByZero, NotDivisible
-from .poly import Poly
+from .field import BaseField
+from .poly import Poly, _convolve_ints, _lift_ints
 
 EDict = dict[tuple[int, ...], Any]
 
 
 class _ElimInfo:
-    """Per-context tables for the eliminated form."""
+    """Per-context tables for the eliminated form, and its domains."""
 
     __slots__ = (
         "ctx", "keep", "nslots", "root_pairs", "const_roots", "eligible",
-        "croot_slots",
+        "croot_slots", "field", "prs",
     )
 
     def __init__(self, ctx: Context) -> None:
@@ -47,7 +58,7 @@ class _ElimInfo:
         dropped = set()
         root_pairs = []  # (root slot, original parameter index)
         const_roots = []  # (root slot, constant value)
-        for r, (pidx, value) in enumerate(ctx.rewrite):
+        for r, pidx, value in ctx.folds:
             if pidx is None:
                 const_roots.append((r, value))
             else:
@@ -61,6 +72,11 @@ class _ElimInfo:
         self.croot_slots = tuple(slot for slot, _ in self.const_roots)
         ineligible = set(self.croot_slots)
         self.eligible = tuple(i for i in range(self.nslots) if i not in ineligible)
+        self.field = _Field(self, ctx.field)
+        if ctx.field.char == 0 and not self.croot_slots:
+            self.prs: _Domain = _Integers(self)
+        else:
+            self.prs = self.field
 
 
 _ELIM_CACHE: dict[Context, _ElimInfo] = {}
@@ -99,6 +115,78 @@ def _from_elim(E: _ElimInfo, d: EDict) -> Poly:
     return Poly(ctx, out)
 
 
+# -- coefficient domains ------------------------------------------------------
+
+
+class _Domain:
+    """Coefficient arithmetic of the PRS over one context's eliminated form."""
+
+    def __init__(self, E: _ElimInfo) -> None:
+        self.E = E
+        self.folds = [(slot, None, value) for slot, value in E.const_roots]
+        self.unit: EDict = {(0,) * E.nslots: 1}
+
+    def reduce(self, d: EDict) -> EDict:
+        """Canonical terms of an unreduced sum or product."""
+        return {e: c for e, c in d.items() if c}
+
+
+class _Integers(_Domain):
+    """Z; entered from Q by clearing denominators, which a gcd ignores."""
+
+    def enter(self, d: EDict) -> EDict:
+        return _lift_ints(d)[1]
+
+    def leave(self, d: EDict) -> EDict:
+        return {e: Fraction(c) for e, c in d.items()}
+
+    def const_gcd(self, a: EDict, b: EDict) -> EDict:
+        return {(0,) * self.E.nslots: math.gcd(*a.values(), *b.values())}
+
+    def quo(self, a: int, b: int) -> int:
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisible("integer division left a remainder")
+        return q
+
+    def normal(self, d: EDict) -> EDict:
+        if _elead(d)[1] < 0:
+            return {e: -c for e, c in d.items()}
+        return d
+
+
+class _Field(_Domain):
+    """The context's field: Q (Fractions) or F_p (ints reduced mod p)."""
+
+    def __init__(self, E: _ElimInfo, field: BaseField) -> None:
+        super().__init__(E)
+        self.f = field
+
+    def enter(self, d: EDict) -> EDict:
+        return d
+
+    leave = enter
+
+    def reduce(self, d: EDict) -> EDict:
+        p = self.f.char
+        if not p:
+            return super().reduce(d)
+        return {e: c % p for e, c in d.items() if c % p}
+
+    def const_gcd(self, a: EDict, b: EDict) -> EDict:
+        return self.unit
+
+    def quo(self, a: Any, b: Any) -> Any:
+        return self.f.mul(a, self.f.inv(b))
+
+    def normal(self, d: EDict) -> EDict:
+        lc = _elead(d)[1]
+        if lc == 1:
+            return d
+        inv = self.f.inv(lc)
+        return {e: self.f.mul(c, inv) for e, c in d.items()}
+
+
 # -- arithmetic on eliminated dicts --------------------------------------
 
 
@@ -111,46 +199,16 @@ def _elead(d: EDict) -> tuple[tuple[int, ...], Any]:
     return e, d[e]
 
 
-def _eadd_into(E: _ElimInfo, out: EDict, key: tuple[int, ...], c: Any) -> None:
-    add = E.ctx.field.add
-    if key in out:
-        s = add(out[key], c)
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    elif c:
-        out[key] = c
+def _mul(D: _Domain, a: EDict, b: EDict) -> EDict:
+    return D.reduce(_convolve_ints(a, b, D.folds))
 
 
-def _emul(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
-    f = E.ctx.field
-    mulc, powc = f.mul, f.pow
-    const_roots = E.const_roots
-    out: EDict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            c = mulc(c1, c2)
-            merged = [x + y for x, y in zip(e1, e2)]
-            for slot, value in const_roots:
-                if merged[slot] > 1:
-                    k, merged[slot] = divmod(merged[slot], 2)
-                    c = mulc(c, powc(value, k))
-            _eadd_into(E, out, tuple(merged), c)
-    return out
-
-
-def _escale(E: _ElimInfo, a: EDict, c: Any) -> EDict:
-    mul = E.ctx.field.mul
-    return {e: mul(v, c) for e, v in a.items()}
-
-
-def _esub(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
-    neg = E.ctx.field.neg
-    out = dict(a)
+def _sub(D: _Domain, a: EDict, b: EDict) -> EDict:
+    """a - b, reduced. a must be a fresh dict: it is consumed."""
+    get = a.get
     for e, c in b.items():
-        _eadd_into(E, out, e, neg(c))
-    return out
+        a[e] = get(e, 0) - c
+    return D.reduce(a)
 
 
 def _edeg_in(d: EDict, m: int) -> int:
@@ -179,7 +237,7 @@ def _eshift(d: EDict, m: int, k: int) -> EDict:
     return out
 
 
-def _kinv(E: _ElimInfo, d: EDict) -> EDict:
+def _kinv(D: _Field, d: EDict) -> EDict:
     """Invert an element supported on the constant-root slots only.
 
     Works by conjugation: for d = u + v*r with r^2 a known constant,
@@ -189,22 +247,21 @@ def _kinv(E: _ElimInfo, d: EDict) -> EDict:
     """
     if not d:
         raise DivisionByZero("inverting zero in a root extension")
-    f = E.ctx.field
-    for slot, value in E.const_roots:
+    for slot, value in D.E.const_roots:
         if not any(e[slot] for e in d):
             continue
         u = _ecoeff_of(d, slot, 0)
         v = _ecoeff_of(d, slot, 1)
-        norm = _esub(E, _emul(E, u, u), _escale(E, _emul(E, v, v), value))
-        ninv = _kinv(E, norm)
+        vv = {e: c * value for e, c in _convolve_ints(v, v, D.folds).items()}
+        norm = _sub(D, _convolve_ints(u, u, D.folds), vv)
         conj = dict(u)
         for e, c in v.items():
             z = list(e)
             z[slot] = 1
-            _eadd_into(E, conj, tuple(z), f.neg(c))
-        return _emul(E, conj, ninv)
+            conj[tuple(z)] = -c
+        return _mul(D, conj, _kinv(D, norm))
     (e, c), = d.items()
-    return {e: f.inv(c)}
+    return {e: D.quo(1, c)}
 
 
 def _mono_groups(E: _ElimInfo, d: EDict) -> dict[tuple[int, ...], EDict]:
@@ -224,7 +281,7 @@ def _mono_groups(E: _ElimInfo, d: EDict) -> dict[tuple[int, ...], EDict]:
     return groups
 
 
-def _exact_div_rooted(E: _ElimInfo, num: EDict, den: EDict) -> EDict:
+def _exact_div_rooted(D: _Field, num: EDict, den: EDict) -> EDict:
     """Division when the divisor involves roots of constants.
 
     Those symbols square to constants, so they are coefficient-field
@@ -232,149 +289,57 @@ def _exact_div_rooted(E: _ElimInfo, num: EDict, den: EDict) -> EDict:
     is a whole element of the quadratic extension and has to be
     inverted as such, or exact quotients get missed.
     """
-    dgroups = _mono_groups(E, den)
+    dgroups = _mono_groups(D.E, den)
     lm = max(dgroups, key=_ekey)
-    linv = _kinv(E, dgroups[lm])
+    linv = _kinv(D, dgroups[lm])
     quot: EDict = {}
     rem = dict(num)
     while rem:
-        rgroups = _mono_groups(E, rem)
+        rgroups = _mono_groups(D.E, rem)
         rm = max(rgroups, key=_ekey)
         qe = [a - b for a, b in zip(rm, lm)]
         if any(x < 0 for x in qe):
             raise NotDivisible("leading monomial not divisible")
-        step = _emul(E, rgroups[rm], linv)
+        step = _mul(D, rgroups[rm], linv)
         step = {tuple(a + b for a, b in zip(qe, e)): c for e, c in step.items()}
-        for key, c in step.items():
-            _eadd_into(E, quot, key, c)
-        rem = _esub(E, rem, _emul(E, step, den))
+        quot.update(step)
+        rem = _sub(D, rem, _convolve_ints(step, den, D.folds))
     return quot
 
 
-def _exact_div_elim(E: _ElimInfo, num: EDict, den: EDict) -> EDict:
+def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
     """Exact long division in eliminated form; raises NotDivisible."""
-    if not den:
-        raise DivisionByZero("division by the zero polynomial")
-    if E.croot_slots and any(e[s] for e in den for s in E.croot_slots):
-        return _exact_div_rooted(E, num, den)
-    f = E.ctx.field
+    if D.E.croot_slots and any(e[s] for e in den for s in D.E.croot_slots):
+        return _exact_div_rooted(D, num, den)
     le, lc = _elead(den)
-    lc_inv = f.inv(lc)
     quot: EDict = {}
     rem = dict(num)
     while rem:
         re, rc = _elead(rem)
-        qe = [a - b for a, b in zip(re, le)]
+        qe = tuple(a - b for a, b in zip(re, le))
         if any(x < 0 for x in qe):
             raise NotDivisible("leading monomial not divisible")
-        qc = f.mul(rc, lc_inv)
-        qkey = tuple(qe)
-        _eadd_into(E, quot, qkey, qc)
-        rem = _esub(E, rem, _emul(E, {qkey: qc}, den))
-    return quot
-
-
-def _is_unit(E: _ElimInfo, d: EDict) -> bool:
-    return len(d) == 1 and not any(next(iter(d)))
-
-
-def _eone(E: _ElimInfo) -> EDict:
-    return {(0,) * E.nslots: E.ctx.field.one}
-
-
-def _prim_monic(E: _ElimInfo, d: EDict, m: int) -> EDict:
-    """Divide out the content w.r.t. m, then scale to leading coefficient 1."""
-    coeffs = [_ecoeff_of(d, m, k) for k in range(_edeg_in(d, m) + 1)]
-    cont = _egcd_list(E, [c for c in coeffs if c])
-    out = d if _is_unit(E, cont) else _exact_div_elim(E, d, cont)
-    _, lc = _elead(out)
-    if lc != E.ctx.field.one:
-        out = _escale(E, out, E.ctx.field.inv(lc))
-    return out
-
-
-def _pseudo_rem(E: _ElimInfo, f: EDict, g: EDict, m: int) -> EDict:
-    dg = _edeg_in(g, m)
-    lcg = _ecoeff_of(g, m, dg)
-    r = f
-    while r:
-        dr = _edeg_in(r, m)
-        if dr < dg:
-            break
-        lcr = _ecoeff_of(r, m, dr)
-        r = _esub(E, _emul(E, lcg, r), _emul(E, lcr, _eshift(g, m, dr - dg)))
-    return r
-
-
-# -- integer-model PRS ------------------------------------------------------
-#
-# Over Q with no constant-root slots the whole computation embeds in Z:
-# clear denominators once, run a primitive PRS on integer coefficients,
-# and let the caller rescale.  This avoids per-operation Fraction
-# normalization, which otherwise dominates large reductions.  Contents
-# over Z include the integer gcd of the coefficients, so the no-slots
-# base case returns that gcd rather than 1.
-
-
-def _imul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _isub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _icontent(d: dict) -> int:
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-def _idiv_exact(d: dict, den: dict) -> dict:
-    """Long division over Z, assuming exactness (used for contents)."""
-    le = max(den, key=_ekey)
-    lc = den[le]
-    quot: dict[tuple[int, ...], int] = {}
-    rem = dict(d)
-    while rem:
-        re = max(rem, key=_ekey)
-        rc = rem[re]
-        qe = tuple(x - y for x, y in zip(re, le))
-        if any(x < 0 for x in qe) or rc % lc:
-            raise NotDivisible("integer content division left a remainder")
-        qc = rc // lc
+        qc = D.quo(rc, lc)
         quot[qe] = qc
-        rem = _isub(rem, _imul({qe: qc}, den))
+        rem = _sub(D, rem, _convolve_ints({qe: qc}, den, D.folds))
     return quot
 
 
-def _iprim(E: _ElimInfo, d: dict, m: int) -> dict:
-    """Primitive part w.r.t. m over Z, sign-normalized."""
+# -- the primitive PRS --------------------------------------------------------
+
+
+def _content_prim(D: _Domain, d: EDict, m: int) -> tuple[EDict, EDict]:
+    """Content w.r.t. m (the gcd of the coefficients) and primitive part."""
     coeffs = [c for k in range(_edeg_in(d, m) + 1) if (c := _ecoeff_of(d, m, k))]
-    cont = _igcd_list(E, coeffs)
-    out = d if cont == {(0,) * E.nslots: 1} else _idiv_exact(d, cont)
-    if out[max(out, key=_ekey)] < 0:
-        out = {e: -c for e, c in out.items()}
-    return out
+    cont = _gcd_list(D, coeffs)
+    return cont, (d if cont == D.unit else _div(D, d, cont))
 
 
-def _ipseudo_rem(E: _ElimInfo, f: dict, g: dict, m: int) -> dict:
+def _prim(D: _Domain, d: EDict, m: int) -> EDict:
+    return D.normal(_content_prim(D, d, m)[1])
+
+
+def _pseudo_rem(D: _Domain, f: EDict, g: EDict, m: int) -> EDict:
     dg = _edeg_in(g, m)
     lcg = _ecoeff_of(g, m, dg)
     r = f
@@ -383,154 +348,100 @@ def _ipseudo_rem(E: _ElimInfo, f: dict, g: dict, m: int) -> dict:
         if dr < dg:
             break
         lcr = _ecoeff_of(r, m, dr)
-        r = _isub(_imul(lcg, r), _imul(lcr, _eshift(g, m, dr - dg)))
+        r = _sub(
+            D,
+            _convolve_ints(lcg, r, D.folds),
+            _convolve_ints(lcr, _eshift(g, m, dr - dg), D.folds),
+        )
     return r
 
 
-def _igcd(E: _ElimInfo, a: dict, b: dict) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
+def _gcd(D: _Domain, a: EDict, b: EDict) -> EDict:
+    """Gcd of two nonzero dicts, up to a unit of D."""
     used: set[int] = set()
     for d in (a, b):
         for e in d:
             for i, k in enumerate(e):
                 if k:
                     used.add(i)
-    slots = [m for m in E.eligible if m in used]
+    slots = [m for m in D.E.eligible if m in used]
     if not slots:
-        return {(0,) * E.nslots: math.gcd(_icontent(a), _icontent(b))}
+        return D.const_gcd(a, b)
     m = min(slots, key=lambda s: (max(_edeg_in(a, s), _edeg_in(b, s)), s))
 
-    ca = _igcd_list(E, [c for k in range(_edeg_in(a, m) + 1) if (c := _ecoeff_of(a, m, k))])
-    cb = _igcd_list(E, [c for k in range(_edeg_in(b, m) + 1) if (c := _ecoeff_of(b, m, k))])
-    one = {(0,) * E.nslots: 1}
-    pa = a if ca == one else _idiv_exact(a, ca)
-    pb = b if cb == one else _idiv_exact(b, cb)
-    cont = _igcd(E, ca, cb)
+    ca, pa = _content_prim(D, a, m)
+    cb, pb = _content_prim(D, b, m)
+    cont = _gcd(D, ca, cb)
 
     if _edeg_in(pa, m) < _edeg_in(pb, m):
         pa, pb = pb, pa
     f, g = pa, pb
     while True:
-        r = _ipseudo_rem(E, f, g, m)
+        r = _pseudo_rem(D, f, g, m)
         if not r:
-            main = _iprim(E, g, m)
+            main = _prim(D, g, m)
             break
         if _edeg_in(r, m) == 0:
-            main = one
-            break
-        f, g = g, _iprim(E, r, m)
-    if main == one:
+            return cont
+        f, g = g, _prim(D, r, m)
+    if main == D.unit:
         return cont
-    if cont == one:
+    if cont == D.unit:
         return main
-    return _imul(cont, main)
+    return _mul(D, cont, main)
 
 
-def _igcd_list(E: _ElimInfo, items: list[dict]) -> dict:
-    one = {(0,) * E.nslots: 1}
+def _gcd_list(D: _Domain, items: list[EDict]) -> EDict:
     if not items:
-        return one
+        return D.unit
     acc = items[0]
     for d in items[1:]:
-        if acc == one:
+        if acc == D.unit:
             return acc
-        acc = _igcd(E, acc, d)
-    return acc
-
-
-def _int_lift_elim(d: EDict) -> dict:
-    """Clear Fraction denominators; the scale is irrelevant for a gcd."""
-    L = 1
-    for c in d.values():
-        q = c.denominator
-        if q != 1:
-            L = L * q // math.gcd(L, q)
-    return {e: c.numerator * (L // c.denominator) for e, c in d.items()}
-
-
-# -- field-model PRS ---------------------------------------------------------
-
-
-def _egcd(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    if E.ctx.field.char == 0 and not E.croot_slots:
-        g = _igcd(E, _int_lift_elim(a), _int_lift_elim(b))
-        return {e: Fraction(c) for e, c in g.items()}
-    used: set[int] = set()
-    for d in (a, b):
-        for e in d:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-    slots = [m for m in E.eligible if m in used]
-    if not slots:
-        return _eone(E)
-    m = min(slots, key=lambda s: (max(_edeg_in(a, s), _edeg_in(b, s)), s))
-
-    ca = _egcd_list(E, [c for k in range(_edeg_in(a, m) + 1) if (c := _ecoeff_of(a, m, k))])
-    cb = _egcd_list(E, [c for k in range(_edeg_in(b, m) + 1) if (c := _ecoeff_of(b, m, k))])
-    pa = a if _is_unit(E, ca) else _exact_div_elim(E, a, ca)
-    pb = b if _is_unit(E, cb) else _exact_div_elim(E, b, cb)
-    cont = _egcd(E, ca, cb)
-
-    if _edeg_in(pa, m) < _edeg_in(pb, m):
-        pa, pb = pb, pa
-    f, g = pa, pb
-    while True:
-        r = _pseudo_rem(E, f, g, m)
-        if not r:
-            main = _prim_monic(E, g, m)
-            break
-        if _edeg_in(r, m) == 0:
-            main = _eone(E)
-            break
-        f, g = g, _prim_monic(E, r, m)
-    if _is_unit(E, main):
-        return cont
-    return _emul(E, cont, main)
-
-
-def _egcd_list(E: _ElimInfo, items: list[EDict]) -> EDict:
-    if not items:
-        return _eone(E)
-    acc = items[0]
-    for d in items[1:]:
-        if _is_unit(E, acc):
-            return acc
-        acc = _egcd(E, acc, d)
+        acc = _gcd(D, acc, d)
     return acc
 
 
 # -- public entry points --------------------------------------------------
 
 
-def monic(p: Poly) -> Poly:
-    """Scale so the leading coefficient (graded order) is 1."""
+def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
+    """(p, *rest), all divided by the unit that normalizes p.
+
+    That unit is p's leading coefficient (graded order). With constant
+    roots it is the root-extension coefficient of p's leading bare
+    monomial, inverted with _kinv. A zero p is returned as it is.
+    """
     if p.is_zero():
-        return p
-    _, lc = p.leading()
-    if lc == p.ctx.field.one:
-        return p
-    return p.scale(p.ctx.field.inv(lc))
+        return (p, *rest)
+    ctx = p.ctx
+    if all(pidx is not None for _, pidx, _ in ctx.folds):
+        _, lc = p.leading()
+        if lc == ctx.field.one:
+            return (p, *rest)
+        inv = ctx.field.inv(lc)
+        return tuple(q.scale(inv) for q in (p, *rest))
+    E = _elim_info(ctx)
+    groups = _mono_groups(E, _to_elim(E, p))
+    lead = groups[max(groups, key=_ekey)]
+    if lead == E.field.unit:
+        return (p, *rest)
+    inv = _from_elim(E, _kinv(E.field, lead))
+    return tuple(q * inv for q in (p, *rest))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; see the module docstring for the constant-root caveat."""
+    """Gcd, normalized by unit_normal."""
     if a.ctx != b.ctx:
         raise ValueError("mixed contexts")
     if a.is_zero():
-        return monic(b)
+        return unit_normal(b)[0]
     if b.is_zero():
-        return monic(a)
+        return unit_normal(a)[0]
     E = _elim_info(a.ctx)
-    g = _egcd(E, _to_elim(E, a), _to_elim(E, b))
-    return monic(_from_elim(E, g))
+    D = E.prs
+    g = _gcd(D, D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b)))
+    return unit_normal(_from_elim(E, D.leave(g)))[0]
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:
@@ -542,5 +453,5 @@ def exact_div(num: Poly, den: Poly) -> Poly:
     if num.is_zero():
         return num
     E = _elim_info(num.ctx)
-    q = _exact_div_elim(E, _to_elim(E, num), _to_elim(E, den))
+    q = _div(E.field, _to_elim(E, num), _to_elim(E, den))
     return _from_elim(E, q)

@@ -162,10 +162,10 @@ def prime_support(n, bound=DEFAULT_FACTOR_BOUND):
     return found
 
 
-def bad_places(q, bound=DEFAULT_FACTOR_BOUND):
-    """Places where the symbol could be -1: 2, odd support of a and b, inf."""
+def _candidate_places(numbers, bound):
+    """2, the odd primes of the numerators and denominators, then infinity."""
     odd = set()
-    for x in (q.a, q.b):
+    for x in numbers:
         for n in (abs(x.numerator), x.denominator):
             if n > 1:
                 odd |= prime_support(n, bound)
@@ -174,6 +174,11 @@ def bad_places(q, bound=DEFAULT_FACTOR_BOUND):
     places.extend(Place(p) for p in sorted(odd))
     places.append(Place())
     return places
+
+
+def bad_places(q, bound=DEFAULT_FACTOR_BOUND):
+    """Places where the symbol could be -1: 2, odd support of a and b, inf."""
+    return _candidate_places((q.a, q.b), bound)
 
 
 def hilbert_profile(q, bound=DEFAULT_FACTOR_BOUND):
@@ -219,19 +224,6 @@ def _hasse_invariant(coeffs, v):
     return s
 
 
-def _coeff_places(coeffs, bound):
-    odd = set()
-    for c in coeffs:
-        for n in (abs(c.numerator), c.denominator):
-            if n > 1:
-                odd |= prime_support(n, bound)
-    odd.discard(2)
-    places = [Place(2)]
-    places.extend(Place(p) for p in sorted(odd))
-    places.append(Place())
-    return places
-
-
 def quadric_isotropic(coeffs, bound=DEFAULT_FACTOR_BOUND):
     """Whether sum(c_i * x_i^2) = 0 has a nontrivial rational solution.
 
@@ -259,7 +251,7 @@ def quadric_isotropic(coeffs, bound=DEFAULT_FACTOR_BOUND):
         for c in cs:
             d *= c
         minus_one = SymbolQuery(-1, -1)
-        for v in _coeff_places(cs, bound):
+        for v in _candidate_places(cs, bound):
             if is_local_square(d, v) and \
                     _hasse_invariant(cs, v) != hilbert_local(minus_one, v):
                 return False

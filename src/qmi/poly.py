@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from .context import Context
 
@@ -30,29 +30,29 @@ def _lift_ints(terms: dict) -> tuple[int, dict]:
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
-def _convolve_ints(
-    rewrite: tuple, a: dict, b: dict, root_vals: list
-) -> dict[tuple[int, ...], int]:
-    """Multiply two integer-coefficient term dicts, folding roots.
+def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
+    """Multiply two term dicts: the one loop over term pairs in qmi.
 
-    root_vals mirrors the rewrite table with the squared-root constants
-    as plain ints (None in the parameter-fold positions).
+    Each fold (root slot, parameter slot, constant) halves a root
+    exponent above 1, moving the pairs into the parameter slot, or, when
+    the parameter slot is None, into the coefficient as a power of the
+    constant. Coefficients may be any numbers; callers lift to ints where
+    they can, which is what keeps the loop fast. Sums are left unreduced
+    (zeros included, no modulus applied) for the caller to normalize.
     """
-    nroots = len(rewrite)
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[tuple[int, ...], Any] = {}
     get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             c = c1 * c2
             merged = [x + y for x, y in zip(e1, e2)]
-            for r in range(nroots):
+            for r, pidx, value in folds:
                 if merged[r] > 1:
                     k, merged[r] = divmod(merged[r], 2)
-                    v = root_vals[r]
-                    if v is None:
-                        merged[rewrite[r][0]] += k
+                    if pidx is None:
+                        c *= value**k
                     else:
-                        c *= v**k
+                        merged[pidx] += k
             key = tuple(merged)
             out[key] = get(key, 0) + c
     return out
@@ -159,65 +159,22 @@ class Poly:
         mul = self.ctx.field.mul
         return Poly(self.ctx, {e: mul(c, coeff) for e, c in self.terms.items()})
 
-    def mono_times(self, exps: tuple[int, ...], coeff: Any) -> "Poly":
-        """Multiply by a single monomial (with root rewriting)."""
-        return self * Poly(self.ctx, {exps: coeff})
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         ctx = self.ctx
-        f = ctx.field
-        rew = ctx.rewrite
+        p = ctx.field.char
         # Fraction/mod-p arithmetic normalizes on every operation, which
         # dominates large products.  Both fields embed in the integers
         # after clearing denominators, so convolve there and normalize
         # once per surviving term.
-        if f.char == 0 and all(
-            pidx is not None or value.denominator == 1 for pidx, value in rew
-        ):
-            root_vals = [
-                None if pidx is not None else value.numerator
-                for pidx, value in rew
-            ]
-            la, a = _lift_ints(self.terms)
-            lb, b = _lift_ints(other.terms)
-            out = _convolve_ints(rew, a, b, root_vals)
-            d = la * lb
-            return Poly(ctx, {e: Fraction(v, d) for e, v in out.items() if v})
-        if f.char:
-            p = f.char
-            root_vals = [
-                None if pidx is not None else value for pidx, value in rew
-            ]
-            out = _convolve_ints(rew, self.terms, other.terms, root_vals)
-            return Poly(
-                ctx, {e: v % p for e, v in out.items() if v % p}
-            )
-        mulc, addc, powc = f.mul, f.add, f.pow
-        nroots = len(rew)
-        acc: dict[tuple[int, ...], Any] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = mulc(c1, c2)
-                merged = [a + b for a, b in zip(e1, e2)]
-                for r in range(nroots):
-                    if merged[r] > 1:
-                        k, merged[r] = divmod(merged[r], 2)
-                        pidx, value = rew[r]
-                        if pidx is None:
-                            c = mulc(c, powc(value, k))
-                        else:
-                            merged[pidx] += k
-                key = tuple(merged)
-                if key in acc:
-                    s = addc(acc[key], c)
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-                elif c:
-                    acc[key] = c
-        return Poly(ctx, acc)
+        if p:
+            out = _convolve_ints(self.terms, other.terms, ctx.folds)
+            return Poly(ctx, {e: v % p for e, v in out.items() if v % p})
+        la, a = _lift_ints(self.terms)
+        lb, b = _lift_ints(other.terms)
+        out = _convolve_ints(a, b, ctx.folds)
+        d = la * lb
+        return Poly(ctx, {e: Fraction(v, d) for e, v in out.items() if v})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -251,10 +208,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def poly_sum(ctx: Context, items: Iterable[Poly]) -> Poly:
-    total = Poly(ctx, {})
-    for p in items:
-        total = total + p
-    return total

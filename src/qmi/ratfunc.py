@@ -1,10 +1,10 @@
 """Rational functions in canonical form, plus the raw substitution engine.
 
 Canonical form: numerator and denominator share no factor (after gcd
-reduction) and the denominator's leading coefficient is 1. Equality is
-nevertheless decided by cross-multiplication, which stays exact even in
-the constant-root regime where reduction is unique only up to quadratic
-units (see gcd module docstring).
+reduction) and the denominator is normalized by gcd.unit_normal (its
+leading coefficient is 1, read in the root extension when there are
+constant roots). Equal rational functions therefore have equal parts and
+equal hashes. Equality itself is decided by cross-multiplication.
 
 The module-level *_raw helpers work on plain (num, den) polynomial pairs
 without reduction. The verification engine composes large expressions
@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
-from .gcd import exact_div, poly_gcd
+from .gcd import exact_div, poly_gcd, unit_normal
 from .poly import Poly
 
 Pair = tuple[Poly, Poly]
@@ -123,12 +123,10 @@ class RatFunc:
 
     def apply_root_signs(self, signs: Mapping[str, int]) -> "RatFunc":
         """Flip declared roots by the given +-1 signs (a field automorphism)."""
-        num = apply_root_signs_poly(self.num, signs)
-        den = apply_root_signs_poly(self.den, signs)
-        _, lc = den.leading()
-        if lc != den.ctx.field.one:
-            inv = den.ctx.field.inv(lc)
-            num, den = num.scale(inv), den.scale(inv)
+        den, num = unit_normal(
+            apply_root_signs_poly(self.den, signs),
+            apply_root_signs_poly(self.num, signs),
+        )
         return RatFunc._make(num, den)
 
     def __str__(self) -> str:
@@ -150,10 +148,7 @@ def _reduce(num: Poly, den: Poly) -> Pair:
     if not g.is_one():
         num = exact_div(num, g)
         den = exact_div(den, g)
-    _, lc = den.leading()
-    if lc != ctx.field.one:
-        inv = ctx.field.inv(lc)
-        num, den = num.scale(inv), den.scale(inv)
+    den, num = unit_normal(den, num)
     return num, den
 
 

@@ -1,10 +1,8 @@
 """Case execution: run catalog entries and report outcomes.
 
-A report's status is one of Pass, Fail, Skipped, Error. Fail means the
+A report's status is one of Pass, Fail, Error. Fail means the
 mathematical check ran and produced a nonzero witness; Error means the
 case never got to a verdict (bad data, a resource cap, a timeout).
-Nothing in the builtin catalog is skipped; the status exists for
-callers that add cases guarded by features this build lacks.
 
 Reports keep wall-clock time for humans, but the machine-readable form
 omits it so that identical runs serialize to identical bytes no matter
@@ -32,8 +30,6 @@ from .catalog import (
     build_action,
     build_context,
     build_env,
-    parse_catalog_text,
-    serialize_catalog,
     word_matrix,
 )
 from .catalog_data import MATRICES
@@ -51,7 +47,7 @@ from .ratfunc import RatFunc
 
 DEFAULT_TIMEOUT = 60.0
 
-STATUSES = ("Pass", "Fail", "Skipped", "Error")
+STATUSES = ("Pass", "Fail", "Error")
 
 
 class VerificationReport:
@@ -338,9 +334,9 @@ def run_case(
 _WORKER_CATALOG: Catalog | None = None
 
 
-def _init_worker(text: str) -> None:
+def _init_worker(catalog: Catalog) -> None:
     global _WORKER_CATALOG
-    _WORKER_CATALOG = parse_catalog_text(text)
+    _WORKER_CATALOG = catalog
 
 
 def _worker_run(case_id: str, timeout: float | None) -> VerificationReport:
@@ -362,9 +358,10 @@ def run_all(
     cases = catalog.select(filters)
     if jobs <= 1:
         return [run_case(catalog, c.id, timeout) for c in cases]
-    text = serialize_catalog(catalog)
+    # The catalog itself travels to the workers: payload dict order, which
+    # orders multi-failure witnesses, must survive the trip.
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(text,)
+        max_workers=jobs, initializer=_init_worker, initargs=(catalog,)
     ) as pool:
         futures = [pool.submit(_worker_run, c.id, timeout) for c in cases]
         return [f.result() for f in futures]

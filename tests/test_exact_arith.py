@@ -111,6 +111,25 @@ class TestArithmetic:
     def test_gcd_of_constants_is_one(self, ctx):
         assert poly_gcd(Poly.const(ctx, 6), Poly.const(ctx, 4)).is_one()
 
+    def test_gcd_and_division_over_constant_root(self):
+        c = Context(QQ, variables=["x", "y"], parameters=["m"], roots=["m"], specialize={"m": -3})
+        f, g, h = P(c, "x+sqrt(m)"), P(c, "x*y+2"), P(c, "y-1")
+        common = poly_gcd(f * g, f * h)
+        assert common == f
+        assert exact_div(f * g, common) * common == f * g
+        d, q = P(c, "sqrt(m)*x+1"), P(c, "x^2+y")
+        assert exact_div(d * q, d) == q
+        with pytest.raises(NotDivisible):
+            exact_div(d * q + Poly.const(c, 1), d)
+
+    def test_product_with_non_integer_constant_root(self):
+        c = Context(QQ, variables=["x"], parameters=["m"], roots=["m"], specialize={"m": "1/2"})
+        # Symbols are (sqrt(m), x); sqrt(m)^2 = 1/2 and sqrt(m)^3 = sqrt(m)/2.
+        expected = Poly(c, {
+            (1, 3): Fraction(1, 2), (0, 2): Fraction(3, 2), (1, 1): Fraction(3), (0, 0): Fraction(1),
+        })
+        assert P(c, "sqrt(m)*x+1") ** 3 == expected
+
     def test_mod3_arithmetic(self):
         c = Context(PrimeField(3), variables=["s"])
         assert parse(c, "s^3+s^3") == parse(c, "2*s^3")

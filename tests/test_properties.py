@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, parse, poly_gcd
+from qmi.actions import Automorphism
 
 CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
 F3CTX = Context(PrimeField(3), variables=["s", "t"])
+# A constant root: sqrt(m) is an element of Q(sqrt(-3)), not a free symbol.
+M3CTX = Context(QQ, variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": -3})
 
 RELAXED = settings(
     max_examples=30,
@@ -135,3 +138,17 @@ def test_root_sign_multiplicative(f, g):
 @RELAXED
 def test_frobenius_in_char3(p, q):
     assert (p + q) ** 3 == p**3 + q**3
+
+
+@given(ratfuncs(M3CTX), polys(M3CTX, max_terms=2, max_exp=1))
+@RELAXED
+def test_equal_implies_equal_hash_with_constant_roots(f, h):
+    assume(not f.is_zero() and not h.is_zero())
+    g = RatFunc(f.num * h, f.den * h)
+    assert g == f
+    assert hash(g) == hash(f)
+    x2 = RatFunc.named(M3CTX, "x2")
+    a = Automorphism(M3CTX, {"x1": f, "x2": x2})
+    b = Automorphism(M3CTX, {"x1": g, "x2": x2})
+    assert a == b
+    assert a._key() == b._key() and hash(a) == hash(b)
