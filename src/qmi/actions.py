@@ -175,7 +175,10 @@ def close_action(
     """Closure under composition, identity first, breadth-first order.
 
     Raises OrderCapExceeded past the cap and InconsistentAction if the
-    closure is not a group (some element without a two-sided inverse).
+    closure M is not a group. The BFS forms a.compose(g) for every a in M
+    and every generator g. If those images are distinct, right composition
+    with g is a bijection of the finite M, so g has a left inverse there;
+    then g^n = g^m (n < m) cancels to g^(m-n) = id, and M is a group.
     """
     if not generators:
         raise ValueError("no generators")
@@ -183,13 +186,15 @@ def close_action(
     ident = Automorphism.identity(ctx)
     seen: dict[Any, Automorphism] = {ident._key(): ident}
     order: list[Automorphism] = [ident]
+    images: list[set] = [set() for _ in generators]
     queue = [ident]
     while queue:
         nxt = []
         for a in queue:
-            for g in generators:
+            for g, keys in zip(generators, images):
                 b = a.compose(g)
                 k = b._key()
+                keys.add(k)
                 if k not in seen:
                     seen[k] = b
                     order.append(b)
@@ -197,9 +202,8 @@ def close_action(
                     if len(order) > cap:
                         raise OrderCapExceeded(f"closure exceeded cap of {cap}")
         queue = nxt
-    for a in order:
-        if not any((a.compose(b))._key() == ident._key() and (b.compose(a))._key() == ident._key() for b in order):
-            raise InconsistentAction("closure contains an element with no inverse")
+    if any(len(keys) != len(order) for keys in images):
+        raise InconsistentAction("a generator does not act injectively on the closure")
     return order
 
 

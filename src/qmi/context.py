@@ -21,6 +21,7 @@ remaining exact.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -29,6 +30,14 @@ from .errors import UnknownSymbol
 from .field import BaseField
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+
+
+def _is_square(field: BaseField, value: Any) -> bool:
+    """Is the nonzero field element a square (Euler's criterion mod p)?"""
+    if field.char:
+        return pow(value, (field.char - 1) // 2, field.char) == 1
+    num, den = value.numerator, value.denominator
+    return num > 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
 class Context:
@@ -102,6 +111,11 @@ class Context:
                 if value == field.zero:
                     raise ValueError(
                         f"rooted parameter {p!r} specialized to 0 in {field.name}"
+                    )
+                if _is_square(field, value):
+                    raise ValueError(
+                        f"rooted parameter {p!r} specialized to a square in "
+                        f"{field.name}; its root ring has zero divisors"
                     )
                 if value.denominator == 1:
                     value = value.numerator

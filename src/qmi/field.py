@@ -54,7 +54,7 @@ class Rationals(BaseField):
     def inv(self, a: Fraction) -> Fraction:
         if not a:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return Fraction(1) / a
 
     def of(self, value: Any) -> Fraction:
         return Fraction(value)

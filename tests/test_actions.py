@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qmi import QQ, Context, RatFunc, parse
+from qmi import QQ, Context, InconsistentAction, RatFunc, parse
 from qmi.actions import (
     Automorphism,
     check_identity,
@@ -13,6 +13,8 @@ from qmi.actions import (
     check_inverse_pair,
     close_action,
 )
+from qmi.catalog import builtin_catalog, word_matrix
+from qmi.catalog_data import MATRICES
 from qmi.matgroup import close_group, mat, mat_mul
 
 CTX3 = Context(QQ, variables=["x1", "x2", "x3"])
@@ -88,6 +90,44 @@ class TestClosure:
 
     def test_identity_alone(self):
         assert len(close_action([Automorphism.identity(CTX3)])) == 1
+
+    def test_non_injective_generator_raises(self):
+        ctx = Context(QQ, variables=["x1", "x2"])
+        collapse = Automorphism(ctx, {"x1": parse(ctx, "x1"), "x2": parse(ctx, "x1")})
+        # {id, collapse} is closed, but collapse.compose(collapse) == collapse.
+        with pytest.raises(InconsistentAction):
+            close_action([collapse])
+        collapse3 = Automorphism(CTX3, [parse(CTX3, v) for v in ("x1", "x1", "x3")])
+        with pytest.raises(InconsistentAction):
+            close_action([Automorphism.monomial(CTX3, CB), collapse3])
+
+    def test_root_sign_flip_of_finite_order(self):
+        ctx = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
+        # x1 -> sqrt(a)/x1 with sqrt(a) -> -sqrt(a): its square is x1 -> -x1.
+        sigma = Automorphism(ctx, {"x1": parse(ctx, "sqrt(a)/x1"), "x2": parse(ctx, "x2")},
+                             {"a": -1})
+        tau = Automorphism.monomial(ctx, [[1, 0], [0, -1]])  # x2 -> 1/x2, commutes
+        assert len(close_action([sigma])) == 4
+        got = close_action([sigma, tau])
+        assert len(got) == 8
+
+    @pytest.mark.parametrize("gid", ["G_5_2_1", "G_5_5_1", "G_4_7_1", "G_6_7_1", "G_7_5_1"])
+    def test_builtin_groups_close_with_one_compose_per_element_and_generator(
+        self, gid, monkeypatch
+    ):
+        calls = []
+        original = Automorphism.compose
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Automorphism, "compose", counting)
+        mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
+        gens = [Automorphism.monomial(CTX3, m) for m in mats]
+        got = close_action(gens)
+        assert len(got) == close_group(mats).order
+        assert len(calls) == len(got) * len(gens)
 
 
 class TestChecks:

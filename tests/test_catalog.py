@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import copy
 
-from qmi.catalog import Catalog, CaseRecord, builtin_catalog
-from qmi.runner import run_all, summarize, to_jsonl
+import pytest
+
+from qmi.catalog import KINDS, Catalog, CaseRecord, builtin_catalog
+from qmi.runner import run_all, run_case, summarize, to_jsonl
 
 
 def test_every_builtin_case_passes():
@@ -34,3 +36,67 @@ def test_jsonl_bytes_do_not_depend_on_jobs():
     assert '"status": "Fail"' in serial
     assert serial.index("expr xn") < serial.index("expr yn") < serial.index("expr x1fix")
     assert to_jsonl(run_all(catalog, jobs=2)) == serial
+
+
+def _neg(text: str) -> str:
+    return f"-({text})"
+
+
+def _bump(via: list) -> list:
+    return [[via[0][0] + 1] + via[0][1:]] + via[1:]
+
+
+# One light builtin case per kind, the payload path to perturb, and how.
+NEGATIVE_CONTROLS = [
+    ("lemma_tau1", ("actions", "tau", "bindings", "x1"), _neg),
+    ("sys3_xtable", ("claimed", "tau1", "x1"), _neg),
+    ("sys7iii_case2", ("backward", "u1"), _neg),
+    ("sys7iii_case6_b", ("rhs",), _neg),
+    ("order_G_2_1_1", ("order",), lambda n: n + 1),
+    ("iso_G_2_1_1", ("label",), lambda label: "C1"),
+    ("normals_G_4_3_1", ("subgroups",), lambda subgroups: subgroups[:-1]),
+    ("conj_G_3_1_1_G_3_1_3", ("via",), _bump),
+    ("qred_G_1_1_1", ("reducible",), lambda b: not b),
+    ("crit_c4_neg", ("expect_rational",), lambda b: not b),
+]
+
+
+def test_negative_controls_cover_every_kind():
+    base = builtin_catalog()
+    kinds = {base.case(cid).kind for cid, _, _ in NEGATIVE_CONTROLS}
+    assert kinds == set(KINDS)
+
+
+@pytest.mark.parametrize("case_id,path,change", NEGATIVE_CONTROLS,
+                         ids=[c[0] for c in NEGATIVE_CONTROLS])
+def test_negative_control_fails(case_id, path, change):
+    base = builtin_catalog()
+    case = base.case(case_id)
+    payload = copy.deepcopy(case.payload)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    old = node[path[-1]]
+    node[path[-1]] = change(old)
+    assert node[path[-1]] != old
+    control = CaseRecord(case_id + "_control", case.kind, case.section, case.source, payload)
+    report = run_case(Catalog(base.groups, [control]), control.id)
+    assert report.status == "Fail", report.witness
+    assert report.witness
+
+
+def test_non_injective_orbit_sum_group_is_an_error():
+    # Without the group check the orbit sum of x1 over {id, collapse} is
+    # 2*x1, which collapse fixes, so the claim below would wrongly Pass.
+    payload = {
+        "context": {"variables": ["x1", "x2"]},
+        "actions": {"collapse": {"bindings": {"x1": "x1", "x2": "x1"}}},
+        "forward": {"u": {"orbit_sum": {"of": "x1", "group": ["collapse"]}}},
+        "claimed": {"collapse": {"u": "u"}},
+        "claimed_context": {"variables": ["u"]},
+    }
+    case = CaseRecord("collapse_orbit_sum", "InducedAction", "test",
+                      "non-injective substitution in an orbit sum", payload)
+    report = run_case(Catalog({}, [case]), case.id)
+    assert report.status == "Error"
+    assert "InconsistentAction" in report.witness

@@ -64,6 +64,22 @@ class TestContext:
         with pytest.raises(ValueError):
             Context(PrimeField(3), parameters=["m"], roots=["m"], specialize={"m": -3})
 
+    @pytest.mark.parametrize("field,value", [(QQ, 4), (QQ, "9/4"), (PrimeField(7), 2)])
+    def test_rooted_parameter_cannot_specialize_to_square(self, field, value):
+        # sqrt(4) - 2 would be a zero divisor: (sqrt(m)-2)*(sqrt(m)+2) == 0.
+        with pytest.raises(ValueError, match="square"):
+            Context(field, parameters=["m"], roots=["m"], specialize={"m": value})
+
+    def test_rooted_parameter_may_specialize_to_nonresidue(self):
+        c = Context(PrimeField(7), variables=["x"], parameters=["m"], roots=["m"],
+                    specialize={"m": 3})
+        r = P(c, "sqrt(m)")
+        assert r * r == P(c, "3")
+
+    def test_rational_inverse_of_int_is_exact(self):
+        inv = QQ.inv(2)
+        assert inv == Fraction(1, 2) and isinstance(inv, Fraction)
+
 
 class TestArithmetic:
     def test_add_zero_is_identity(self, ctx):
