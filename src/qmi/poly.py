@@ -7,6 +7,17 @@ monomial never carries a root exponent above 1: whenever a product stacks
 two copies of a root, the pair collapses to the underlying parameter (or
 to the specialized constant).
 
+Every product goes through _convolve_ints, which takes one of two paths
+with equal sums. Large dense integer products are packed into one
+integer each (Kronecker substitution: one byte-aligned coefficient slot
+per monomial of the product's exponent box) and multiplied with one
+big-int multiply: when both operands have at least 2 terms, at least
+_PACK_MIN_PAIRS term pairs, int coefficients only, and at most
+_PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair. A slot holds
+a bound on the product's coefficients, which is at most
+max|a|*max|b|*min(|a|, |b|), plus a sign bit (see _pack_layout). Every
+other product is a loop over term pairs.
+
 Polynomials are immutable by convention; every operation returns a fresh
 dict. Equality and hashing are structural.
 """
@@ -15,6 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, product
+from operator import add, mul
 from typing import Any
 
 from .context import Context
@@ -30,32 +43,147 @@ def _lift_ints(terms: dict) -> tuple[int, dict]:
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
+# The packed path of _convolve_ints pays off from about this many term
+# pairs, and only while the packed product has at most this many bytes per
+# term pair (the density guard): its multiply and decode cost grow with
+# the bytes, the loop's with the pairs.
+_PACK_MIN_PAIRS = 300
+_PACK_MAX_BYTES_PER_PAIR = 6
+
+
 def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
-    """Multiply two term dicts: the one loop over term pairs in qmi.
+    """Multiply two term dicts: the one multiplication kernel in qmi.
 
     Each fold (root slot, parameter slot, constant) halves a root
     exponent above 1, moving the pairs into the parameter slot, or, when
     the parameter slot is None, into the coefficient as a power of the
     constant. Coefficients may be any numbers; callers lift to ints where
-    they can, which is what keeps the loop fast. Sums are left unreduced
-    (zeros included, no modulus applied) for the caller to normalize.
+    they can. Sums are left unreduced (zeros may remain, no modulus is
+    applied) for the caller to normalize. Exponents are nonnegative.
+
+    The unfolded product takes one of two paths with equal sums. It goes
+    through one big-int multiply (_convolve_packed) when both operands
+    have at least 2 terms, |a|*|b| is at least _PACK_MIN_PAIRS, every
+    coefficient is an int, and the packed product, K slots of w bytes
+    (see _pack_layout), has at most _PACK_MAX_BYTES_PER_PAIR bytes per
+    term pair. Otherwise it takes the loop over term pairs
+    (_convolve_loop). The folds act on the result.
     """
+    pairs = len(a) * len(b)
+    if (
+        pairs >= _PACK_MIN_PAIRS
+        and len(a) > 1
+        and len(b) > 1
+        and all(type(c) is int for c in a.values())
+        and all(type(c) is int for c in b.values())
+    ):
+        radices, w = _pack_layout(a, b)
+        if math.prod(radices) * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
+            return _fold(_convolve_packed(a, b, radices, w), folds)
+    return _fold(_convolve_loop(a, b), folds)
+
+
+def _fold(terms: dict, folds) -> dict[tuple[int, ...], Any]:
+    """Apply the root folds to a product; terms that meet are summed."""
+    if not folds:
+        return terms
+    out: dict[tuple[int, ...], Any] = {}
+    get = out.get
+    for e, c in terms.items():
+        merged = list(e)
+        for r, pidx, value in folds:
+            if merged[r] > 1:
+                k, merged[r] = divmod(merged[r], 2)
+                if pidx is None:
+                    c *= value**k
+                else:
+                    merged[pidx] += k
+        key = tuple(merged)
+        out[key] = get(key, 0) + c
+    return out
+
+
+def _convolve_loop(a: dict, b: dict) -> dict[tuple[int, ...], Any]:
+    """The unfolded product, one step per term pair (any coefficients)."""
     out: dict[tuple[int, ...], Any] = {}
     get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            c = c1 * c2
-            merged = [x + y for x, y in zip(e1, e2)]
-            for r, pidx, value in folds:
-                if merged[r] > 1:
-                    k, merged[r] = divmod(merged[r], 2)
-                    if pidx is None:
-                        c *= value**k
-                    else:
-                        merged[pidx] += k
-            key = tuple(merged)
-            out[key] = get(key, 0) + c
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
     return out
+
+
+def _pack_layout(a: dict, b: dict) -> tuple[list[int], int]:
+    """(radices, w) of the packed product of two int term dicts.
+
+    The radix of a slot is one more than its largest exponent in the
+    product, so the product has K = prod(radices) slots. A product
+    coefficient sums at most one pair per term of either operand, so its
+    size is at most min(max|a|*sum|b|, max|b|*sum|a|), which is at most
+    max|a|*max|b|*min(|a|, |b|). Each slot has w bytes: the fewest that
+    hold that bound, and every operand coefficient, plus a sign bit.
+    """
+    radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    av, bv = a.values(), b.values()
+    ma, mb = max(map(abs, av)), max(map(abs, bv))
+    bound = max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
+    return radices, (bound.bit_length() + 8) // 8
+
+
+def _convolve_packed(
+    a: dict, b: dict, radices: list[int], w: int
+) -> dict[tuple[int, ...], int]:
+    """The unfolded product of int coefficients through one big-int multiply.
+
+    This is Kronecker substitution, laid out by _pack_layout. A
+    monomial's index is its exponent vector read in mixed radix (last
+    slot fastest); index k owns bytes [k*w, (k+1)*w) of an integer. An
+    operand packs as the integer of its positive coefficients minus that
+    of its negative ones. Adding half a slot to every slot of the product
+    leaves each slot in [0, 2^(8w)) with no borrow from its neighbours. A
+    slot equal to that bias is a zero: such slots are found with
+    whole-integer operations and skipped, and each other slot decodes
+    from one byte slice.
+    """
+    weights = []
+    nslots = 1
+    for r in reversed(radices):
+        weights.append(nslots)
+        nslots *= r
+    weights.reverse()
+    size = nslots * w
+    bias = 1 << (8 * w - 1)
+    biases = int.from_bytes(bias.to_bytes(w, "little") * nslots, "little")
+    lows = int.from_bytes((bias - 1).to_bytes(w, "little") * nslots, "little")
+    shifted = _pack(a, weights, w) * _pack(b, weights, w) + biases
+    buf = shifted.to_bytes(size, "little")
+    # Per slot x = shifted ^ bias, which is 0 exactly for a zero
+    # coefficient: ((x & low) + low) | x has its top bit set iff x != 0,
+    # and no slot carries into the next. The top bytes are the flags.
+    changed = shifted ^ biases
+    marks = (((changed & lows) + lows) | changed) & biases
+    flags = marks.to_bytes(size, "little")[w - 1 :: w]
+    from_bytes = int.from_bytes
+    return dict(zip(
+        compress(product(*map(range, radices)), flags),
+        [from_bytes(buf[i : i + w], "little") - bias for i in compress(range(0, size, w), flags)],
+    ))
+
+
+def _pack(terms: dict, weights: list[int], w: int) -> int:
+    """One operand as the sum of c * 256^(w * index) over its terms."""
+    index = [sum(map(mul, e, weights)) for e in terms]
+    size = (max(index) + 1) * w
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for k, c in zip(index, terms.values()):
+        i = k * w
+        if c > 0:
+            pos[i : i + w] = c.to_bytes(w, "little")
+        else:
+            neg[i : i + w] = (-c).to_bytes(w, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class Poly:
@@ -174,6 +302,9 @@ class Poly:
         lb, b = _lift_ints(other.terms)
         out = _convolve_ints(a, b, ctx.folds)
         d = la * lb
+        if d == 1:
+            # Fraction(v, 1) would still pay a gcd per term.
+            return Poly(ctx, {e: Fraction(v) for e, v in out.items() if v})
         return Poly(ctx, {e: Fraction(v, d) for e, v in out.items() if v})
 
     def __pow__(self, n: int) -> "Poly":

@@ -278,3 +278,84 @@ class TestParsing:
         f = parse(ctx, text)
         again = parse(ctx, str(f))
         assert again.num == f.num and again.den == f.den
+
+
+class TestKernelDispatch:
+    """Which path of poly._convolve_ints a product takes, counted by call."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from qmi import poly
+
+        counts = {"packed": 0, "loop": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(poly, "_convolve_packed", counted("packed", poly._convolve_packed))
+        monkeypatch.setattr(poly, "_convolve_loop", counted("loop", poly._convolve_loop))
+        return counts
+
+    @staticmethod
+    def box(ctx, sides, coeff):
+        """Dense operand: every monomial below `sides`, in the last slots."""
+        from itertools import product
+
+        pad = (0,) * (ctx.nsym - len(sides))
+        return Poly(ctx, {
+            pad + e: ctx.field.of(coeff(i))
+            for i, e in enumerate(product(*(range(s) for s in sides)))
+        })
+
+    @pytest.mark.parametrize("ctx", [
+        Context(QQ, variables=["x", "y", "z"]),
+        # Root folds into a parameter slot, into a constant, and mod p.
+        Context(QQ, variables=["x", "y"], parameters=["a"], roots=["a"]),
+        Context(QQ, variables=["x", "y"], parameters=["m"], roots=["m"], specialize={"m": -3}),
+        Context(PrimeField(10007), variables=["x", "y"], parameters=["m"], roots=["m"],
+                specialize={"m": 5}),
+    ], ids=["plain", "root-to-parameter", "root-to-constant", "mod-p"])
+    def test_dense_product_is_packed(self, ctx, calls, monkeypatch):
+        from qmi import poly
+
+        sides = (3, 5, 5) if ctx.nsym == 3 else (2, 5, 5, 3)[-ctx.nsym :]
+        f = self.box(ctx, sides, lambda i: Fraction((-1) ** i * (i + 2**70), 3))
+        g = self.box(ctx, sides, lambda i: i % 7 - 3)
+        packed = f * g
+        assert calls == {"packed": 1, "loop": 0}
+        monkeypatch.setattr(poly, "_PACK_MIN_PAIRS", float("inf"))
+        assert f * g == packed
+        assert calls == {"packed": 1, "loop": 1}
+
+    def test_one_term_operand_stays_on_the_loop(self, calls):
+        ctx = Context(QQ, variables=["x", "y", "z"])
+        big = self.box(ctx, (11, 11, 11), lambda i: i + 1)
+        Poly(ctx, {(1, 0, 0): Fraction(2)}) * big
+        assert calls == {"packed": 0, "loop": 1}
+
+    def test_sparse_pair_stays_on_the_loop(self, calls):
+        from qmi import poly
+
+        ctx = Context(QQ, variables=["x", "y"])
+        f = Poly(ctx, {(100 * i, 0): Fraction(i + 1) for i in range(40)})
+        g = Poly(ctx, {(0, 100 * j): Fraction(j + 1) for j in range(40)})
+        assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
+        f * g
+        assert calls == {"packed": 0, "loop": 1}
+
+    def test_fraction_coefficients_stay_on_the_loop(self, calls):
+        # The PRS over Q with constant roots runs over Fractions (gcd._Field).
+        from qmi import gcd, poly
+
+        ctx = Context(QQ, variables=["x", "y"], parameters=["m"], roots=["m"], specialize={"m": -3})
+        D = gcd._elim_info(ctx).prs
+        assert isinstance(D, gcd._Field)
+        f = self.box(ctx, (2, 6, 6), lambda i: Fraction(i + 1, 2))
+        g = self.box(ctx, (2, 6, 6), lambda i: Fraction(1, i + 1))
+        assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
+        terms = gcd._mul(D, f.terms, g.terms)
+        assert calls == {"packed": 0, "loop": 1}
+        assert Poly(ctx, terms) == f * g

@@ -152,3 +152,53 @@ def test_equal_implies_equal_hash_with_constant_roots(f, h):
     b = Automorphism(M3CTX, {"x1": g, "x2": x2})
     assert a == b
     assert a._key() == b._key() and hash(a) == hash(b)
+
+
+# -- the multiplication kernel: packed path against the pair loop -------------
+
+KERNEL_PRIME = 10007
+# (folds, modulus) on term dicts whose slot 0 is a root: no fold; the root
+# folding into parameter slot 1; into the integral constant -3; into 1/2;
+# and into the constant 5 over F_p, with residue coefficients.
+KERNEL_CASES = [
+    ([], 0),
+    ([(0, 1, None)], 0),
+    ([(0, None, -3)], 0),
+    ([(0, None, Fraction(1, 2))], 0),
+    ([(0, None, 5)], KERNEL_PRIME),
+]
+
+
+@st.composite
+def kernel_operands(draw):
+    folds, p = draw(st.sampled_from(KERNEL_CASES))
+    nsym = draw(st.integers(2, 4))
+    exps = st.tuples(st.integers(0, 1), *[st.integers(0, 3)] * (nsym - 1))
+    if p:
+        coeffs = st.integers(0, p - 1)
+    else:
+        # Small values (zeros included) and values far above 64 bits.
+        coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**100), 2**100))
+    a = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
+    b = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        # b is a with some signs flipped, so that products cancel, as in
+        # (x + y) * (x - y); an all-zero operand cancels the whole product.
+        flips = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = {e: (-c % p if p else -c) if f else c for (e, c), f in zip(a.items(), flips)}
+    return a, b, folds, p
+
+
+def _nonzero(terms, p):
+    return {e: c % p if p else c for e, c in terms.items() if (c % p if p else c)}
+
+
+@given(kernel_operands())
+@settings(max_examples=200, deadline=None)
+def test_packed_product_equals_pair_loop(case):
+    from qmi import poly
+
+    a, b, folds, p = case
+    packed = poly._fold(poly._convolve_packed(a, b, *poly._pack_layout(a, b)), folds)
+    loop = poly._fold(poly._convolve_loop(a, b), folds)
+    assert _nonzero(packed, p) == _nonzero(loop, p)
