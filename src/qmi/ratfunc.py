@@ -11,18 +11,29 @@ without reduction. The verification engine composes large expressions
 through them and only ever asks "is this identically zero", so no gcd is
 paid on hot paths; the public RatFunc methods always return canonical
 objects.
+
+substitute_raw builds the powers of every binding's numerator and
+denominator once per call, as integer term dicts shared by both parts,
+and expands both parts over one common denominator. So the pair carries
+no power of a binding denominator that both parts share and that the
+degrees do not need. compose_poly_raw sums the terms in place over the
+integers and normalizes each coefficient once.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Any, Mapping
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import exact_div, poly_gcd, unit_normal
-from .poly import Poly
+from .poly import Poly, _convolve_ints, _lift_ints
 
 Pair = tuple[Poly, Poly]
+# Variable index -> {exponent k: (scale, integer term dict)}; see _power_tables.
+Tables = dict[int, dict[int, tuple[int, dict]]]
 
 
 class RatFunc:
@@ -215,48 +226,116 @@ def _binding_pairs(
     return out
 
 
-def compose_poly_raw(
-    p: Poly,
+def _times(a: dict, b: dict, folds, char: int) -> dict:
+    """Integer product of two term dicts, reduced mod char over F_p."""
+    out = _convolve_ints(a, b, folds)
+    if char:
+        return {e: v % char for e, v in out.items() if v % char}
+    return {e: v for e, v in out.items() if v}
+
+
+def _power_tables(
+    parts: tuple[Poly, ...],
     binds: dict[int, Pair],
     target: Context,
-    const_map: dict[int, int],
-) -> Pair:
-    """p with variables substituted; returns an unreduced (num, den) pair."""
-    ctx = p.ctx
-    if p.is_zero():
-        return Poly.const(target, 0), Poly.const(target, 1)
-    maxdeg = {v: 0 for v in binds}
-    for e in p.terms:
-        for v in maxdeg:
-            if e[v] > maxdeg[v]:
-                maxdeg[v] = e[v]
-    active = [v for v, d in maxdeg.items() if d > 0]
-    # Power tables for each active variable's numerator and denominator.
-    pw: dict[int, tuple[list[Poly], list[Poly]]] = {}
-    for v in active:
-        n, d = binds[v]
-        pn = [Poly.const(target, 1)]
-        pd = [Poly.const(target, 1)]
-        for _ in range(maxdeg[v]):
-            pn.append(pn[-1] * n)
-            pd.append(pd[-1] * d)
-        pw[v] = (pn, pd)
+) -> Tables:
+    """Variable -> {k: (scale, ints)} with ints / scale = n^k * d^(M - k).
 
-    num = Poly(target, {})
+    (n, d) is the variable's binding and M its largest exponent in any
+    of the parts; only the exponents k that occur are tabulated. Each
+    binding part is lifted to integers once (_lift_ints) and its powers
+    are taken over the integers, reduced mod p over F_p.
+    """
+    folds = target.folds
+    char = target.field.char
+    one = {(0,) * target.nsym: 1}
+    tables: Tables = {}
+    for v, (n, d) in binds.items():
+        used = {e[v] for part in parts for e in part.terms}
+        top = max(used, default=0)
+        if not top:
+            continue
+        powers = []
+        for base, upto in ((n, top), (d, top - min(used))):
+            scale, ints = _lift_ints(base.terms)
+            row = [(1, one)]
+            for _ in range(upto):
+                s, t = row[-1]
+                row.append((s * scale, _times(t, ints, folds, char)))
+            powers.append(row)
+        npow, dpow = powers
+        table = {}
+        for k in used:
+            (sn, tn), (sd, td) = npow[k], dpow[top - k]
+            table[k] = (sn * sd, _times(tn, td, folds, char))
+        tables[v] = table
+    return tables
+
+
+def compose_poly_raw(
+    p: Poly,
+    tables: Tables,
+    target: Context,
+    const_map: dict[int, int],
+) -> Poly:
+    """p with its variables substituted, times the tables' denominator.
+
+    With (n_v, d_v) the binding of v and M_v the top of its table, the
+    result is the sum over the terms c * x^e of p of c * x^e' times the
+    product over v of n_v^e_v * d_v^(M_v - e_v), where e' keeps the roots
+    and parameters of e (mapped by const_map). One common scale is taken
+    up front from the term exponents, so every term becomes an integer
+    leaf; the leaves accumulate in place over the integers (_horner), and
+    each surviving coefficient is normalized once at the end.
+    """
+    char = target.field.char
+    items = list(tables.items())
+    scales = []
     for e, c in p.terms.items():
+        s = c.denominator
+        for v, table in items:
+            s *= table[e[v]][0]
+        scales.append(s)
+    common = 1
+    for s in scales:
+        common = common * s // math.gcd(common, s)
+    leaves = []
+    for (e, c), s in zip(p.terms.items(), scales):
         mono = [0] * target.nsym
-        for i, k in enumerate(e):
-            if k and i in const_map:
-                mono[const_map[i]] = k
-        term = Poly(target, {tuple(mono): c})
-        for v in active:
-            pn, pd = pw[v]
-            term = term * pn[e[v]] * pd[maxdeg[v] - e[v]]
-        num = num + term
-    den = Poly.const(target, 1)
-    for v in active:
-        den = den * pw[v][1][maxdeg[v]]
-    return num, den
+        for i, j in const_map.items():
+            mono[j] = e[i]
+        leaves.append((e, tuple(mono), c.numerator * (common // s)))
+    acc = _horner(leaves, items, target.folds)
+    if char:
+        return Poly(target, {e: v % char for e, v in acc.items() if v % char})
+    if common == 1:
+        return Poly(target, {e: Fraction(v) for e, v in acc.items() if v})
+    return Poly(target, {e: Fraction(v, common) for e, v in acc.items() if v})
+
+
+def _horner(leaves: list, items: list, folds) -> dict[tuple[int, ...], Any]:
+    """Sum of k * x^mono * prod of table[e[v]] over the leaves (e, mono, k).
+
+    The sum is nested by variable: the leaves are grouped by their
+    exponent of the first variable, and each group's sum over the other
+    variables is multiplied by that variable's table entry once. Products
+    are added into one dict per level; nothing is normalized.
+    """
+    acc: dict[tuple[int, ...], Any] = {}
+    get = acc.get
+    if not items:
+        for _, mono, k in leaves:
+            acc[mono] = get(mono, 0) + k
+        return acc
+    (v, table), rest = items[0], items[1:]
+    groups: dict[int, list] = {}
+    for leaf in leaves:
+        groups.setdefault(leaf[0][v], []).append(leaf)
+    for ev, group in groups.items():
+        inner = _horner(group, rest, folds)
+        for key, val in _convolve_ints(table[ev][1], inner, folds).items():
+            acc[key] = get(key, 0) + val
+    return acc
 
 
 def substitute_raw(
@@ -264,15 +343,24 @@ def substitute_raw(
     bindings: Mapping[str, Any],
     target: Context | None = None,
 ) -> Pair:
-    """Unreduced substitution of a (num, den) pair; raises SubstitutionPole."""
+    """Unreduced substitution of a (num, den) pair; raises SubstitutionPole.
+
+    Both parts are expanded over one common denominator, the product of
+    d_v^M_v with M_v the larger of the two parts' degrees in v, from
+    power tables built once per call. The pair is therefore
+    (P * prod d_v^(M_q,v - M_p,v)+, Q * prod d_v^(M_p,v - M_q,v)+) for P
+    and Q each over its own prod d_v^M: no power of d_v common to both
+    parts is formed.
+    """
     sctx = f[0].ctx
     tctx = target if target is not None else sctx
     if tctx.field != sctx.field:
         raise ValueError("substitution cannot change the coefficient field")
     const_map = sctx.constant_map_into(tctx)
     binds = _binding_pairs(sctx, bindings, tctx)
-    pn, pd = compose_poly_raw(f[0], binds, tctx, const_map)
-    qn, qd = compose_poly_raw(f[1], binds, tctx, const_map)
-    if qn.is_zero():
+    tables = _power_tables(f, binds, tctx)
+    num = compose_poly_raw(f[0], tables, tctx, const_map)
+    den = compose_poly_raw(f[1], tables, tctx, const_map)
+    if den.is_zero():
         raise SubstitutionPole("denominator vanished under substitution")
-    return pn * qd, pd * qn
+    return num, den

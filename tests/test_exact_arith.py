@@ -22,6 +22,7 @@ from qmi import (
     parse,
     poly_gcd,
 )
+from qmi.ratfunc import substitute_raw
 
 
 @pytest.fixture()
@@ -200,6 +201,61 @@ class TestRatFunc:
     def test_binding_non_variable_rejected(self, ctx):
         with pytest.raises(ValueError):
             parse(ctx, "x1").substitute({"a": parse(ctx, "1")})
+
+
+class TestSubstituteRaw:
+    """The raw substitution engine: one power table, one common denominator."""
+
+    @pytest.fixture()
+    def qx(self):
+        return Context(QQ, variables=["x1"])
+
+    def test_no_spurious_denominator_power(self, qx):
+        f = parse(qx, "(x1^2+1)/(x1+2)")
+        num, den = substitute_raw((f.num, f.den), {"x1": parse(qx, "x1/(x1+1)")})
+        # Both parts are taken over (x1+1)^2, the power that the degree 2
+        # of the numerator needs, and not multiplied by each other's.
+        assert den.degree() == 2
+        with pytest.raises(NotDivisible):
+            exact_div(den, P(qx, "(x1+1)^2"))
+        assert RatFunc(num, den) == parse(qx, "(2*x1^2+2*x1+1)/((x1+1)*(3*x1+2))")
+
+    def test_zero_numerator(self, qx):
+        num, den = substitute_raw((Poly.const(qx, 0), P(qx, "x1+2")), {"x1": parse(qx, "x1/(x1+1)")})
+        assert num.is_zero()
+        assert not den.is_zero()
+
+    def test_pole_through_binding_denominator(self):
+        ctx = Context(QQ, variables=["x1", "x2"])
+        f = parse(ctx, "x2/(x1^2-1)")
+        one = (P(ctx, "x2+1"), P(ctx, "x2+1"))
+        with pytest.raises(SubstitutionPole):
+            substitute_raw((f.num, f.den), {"x1": one})
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+    def test_fifty_term_polynomial(self, field):
+        from itertools import product
+        from random import Random
+
+        ctx = Context(field, variables=["x1", "x2"], parameters=["a"], roots=["a"])
+        rnd = Random(50)
+        exps = list(product(range(2), range(2), range(5), range(5)))[::2]
+        p = Poly(ctx, {
+            e: field.of(Fraction(rnd.choice([-7, -2, 1, 3, 5]), rnd.randint(1, 6))) for e in exps
+        })
+        assert len(p.terms) == 50
+        n1, d1 = P(ctx, "x1+sqrt(a)"), P(ctx, "2/3*x2-1/5")
+        n2, d2 = P(ctx, "a*x1-x2"), P(ctx, "3/4*x1*x2+7")
+        binds = {"x1": (n1, d1), "x2": (n2, d2)}
+        num, den = substitute_raw((p, Poly.const(ctx, 1)), binds)
+        # A polynomial has degree 0 in its denominator, so the pair is
+        # exactly the term-by-term expansion over d1^4 * d2^4.
+        expected = Poly.const(ctx, 0)
+        for (r, s, i, j), c in p.terms.items():
+            mono = Poly(ctx, {(r, s, 0, 0): c})
+            expected = expected + mono * n1**i * d1 ** (4 - i) * n2**j * d2 ** (4 - j)
+        assert num == expected
+        assert den == d1**4 * d2**4
 
 
 class TestRootSigns:

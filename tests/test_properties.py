@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,9 @@ CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
 F3CTX = Context(PrimeField(3), variables=["s", "t"])
 # A constant root: sqrt(m) is an element of Q(sqrt(-3)), not a free symbol.
 M3CTX = Context(QQ, variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": -3})
+# A constant root whose square is not an integer: products carry Fractions.
+MHALFCTX = Context(QQ, variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": "1/2"})
+F7CTX = Context(PrimeField(7), variables=["x1", "x2"], parameters=["a"], roots=["a"])
 
 RELAXED = settings(
     max_examples=30,
@@ -152,6 +156,62 @@ def test_equal_implies_equal_hash_with_constant_roots(f, h):
     b = Automorphism(M3CTX, {"x1": g, "x2": x2})
     assert a == b
     assert a._key() == b._key() and hash(a) == hash(b)
+
+
+# -- the substitution engine against the per-part formula ---------------------
+
+
+def _per_part_substitute(f, binds):
+    """(pn * qd, pd * qn): each part expanded over its own power of d.
+
+    pn / pd is f[0] with x_v -> n_v / d_v, as the sum over its terms of
+    c * x^e' * prod n_v^e_v * d_v^(M_v - e_v) over prod d_v^M_v, with M_v
+    the part's own degree in v; likewise qn / qd for f[1].
+    """
+    ctx = f[0].ctx
+    pairs = {ctx.symbol_index(x): b for x, b in binds.items()}
+
+    def expand(p):
+        top = {v: max(p.degree_in(v), 0) for v in pairs}
+        num = Poly.const(ctx, 0)
+        for e, c in p.terms.items():
+            term = Poly(ctx, {tuple(0 if ctx.is_variable(i) else k for i, k in enumerate(e)): c})
+            for v, (n, d) in pairs.items():
+                term = term * n ** e[v] * d ** (top[v] - e[v])
+            num = num + term
+        den = Poly.const(ctx, 1)
+        for v, (n, d) in pairs.items():
+            den = den * d ** top[v]
+        return num, den
+
+    pn, pd = expand(f[0])
+    qn, qd = expand(f[1])
+    return pn * qd, pd * qn
+
+
+@pytest.mark.parametrize(
+    "ctx", [CTX, M3CTX, MHALFCTX, F7CTX], ids=["rooted-parameter", "root-of-minus-3", "root-of-half", "F7"]
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+def test_substitute_raw_matches_per_part_formula(ctx, data):
+    from qmi.ratfunc import substitute_raw
+
+    nonzero = polys(ctx).filter(lambda p: not p.is_zero())
+    f = (data.draw(polys(ctx)), data.draw(nonzero))
+    # Raw binding pairs: denominators are not made monic and keep their
+    # Fraction coefficients.
+    binds = {x: (data.draw(polys(ctx, max_terms=2)), data.draw(nonzero)) for x in ctx.variables}
+    ref = _per_part_substitute(f, binds)
+    if ref[1].is_zero():
+        with pytest.raises(SubstitutionPole):
+            substitute_raw(f, binds)
+        return
+    num, den = substitute_raw(f, binds)
+    assert _raw_eq((num, den), ref)
+    # The pair is the reference with a common polynomial factor divided out.
+    common = exact_div(ref[1], den)
+    assert num * common == ref[0]
 
 
 # -- the multiplication kernel: packed path against the pair loop -------------
