@@ -15,15 +15,48 @@ cannot be eliminated; they keep exponent 0/1 with the constant fold and
 are never chosen as PRS main symbols: their polynomials are elements of
 the quadratic extension of the coefficient field.
 
-There is one primitive PRS. It runs over a coefficient domain picked once
-per context: the integers for Q without constant roots (denominators are
-cleared once, which avoids per-operation Fraction normalization), and
-otherwise the context's field. The domain supplies only what differs:
-how a product or difference is reduced, the gcd when no main symbol is
-left (the integer content over Z, 1 over a field), the exact quotient of
-two coefficients, and the unit normalization (sign over Z, monic over a
-field). Products go through poly._convolve_ints. Exact division always
-runs over the field, since a quotient over Q need not be integral.
+poly_gcd has two algorithms. The coefficient domain is picked once per
+context: the integers (_Integers) for Q without constant roots, rooted
+parameters included (denominators are cleared once, which avoids
+per-operation Fraction normalization), and otherwise the context's field
+(_Field: F_p, or Q with constant roots).
+
+Over the integers the heuristic gcd runs first (_heu_gcd, GCDHEU: Char,
+Geddes & Gonnet 1989, in the recursive form of Liao & Fateman 1995). It
+evaluates one slot at an integer xi, recurses down to math.gcd, and
+interpolates the image gcd back from its balanced xi-adic digits. It
+rests on this theorem. Let a, b be nonzero with integer content 1, let
+xi >= 2*min(|a|, |b|) + 2 (|.| the largest absolute coefficient), let
+a(xi) and b(xi) (slot m set to xi) be nonzero, and let h be the primitive
+part of the interpolant H of their gcd. If h divides a and b, then h is
+their gcd up to sign. Proof: h divides g = gcd(a, b); say g = h*q.
+Since g(xi) divides H(xi) = c*h(xi), with c the content of H and h(xi)
+nonzero, q(xi) divides c; so q(xi) is an integer, and |c| <= xi/2, as
+every digit is. Write q, a and b as polynomials in the other slots with
+coefficients in Z[x_m]; a root of a nonzero coefficient of a has
+absolute value below 1 + |a| (Cauchy's bound), likewise for b, so below
+xi/2 for the one of smaller norm. If q involved another slot, the
+coefficient of its leading monomial there (any monomial order) would
+vanish at xi, yet divide the leading coefficient of a and of b: a
+contradiction. So q lies in Z[x_m] and divides every coefficient of a
+and of b; if it had degree d >= 1, its roots would give |q(xi)| >
+(xi/2)^d >= xi/2 >= |c|. Thus q is a constant, and +-1 as g is
+primitive. The heuristic starts at xi = 2*min(|a|, |b|) + 29,
+so the bound holds at every level, and every result it returns has
+passed the exact division (_div) of both primitive inputs. It grows xi
+after a failed check, and after _HEU_ATTEMPTS points in one slot it
+gives up; poly_gcd then runs the PRS on the same inputs, which is the
+only path for _Field domains. The choice follows from the context
+alone: no parameter or setting selects it.
+
+The PRS (_gcd) is one primitive pseudo-remainder sequence over either
+domain. The domain supplies only what differs: how a product or
+difference is reduced, the gcd when no main symbol is left (the integer
+content over Z, 1 over a field), the exact quotient of two coefficients,
+and the unit normalization (sign over Z, monic over a field). Products
+go through poly._convolve_ints. exact_div over the integers divides
+by the primitive part of the divisor, whose quotients are integral by
+Gauss's lemma, and rescales once; otherwise it runs over the field.
 
 unit_normal fixes the one free unit of a canonical form: it divides by
 the leading coefficient, taken with constant roots as the whole element
@@ -35,6 +68,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 from typing import Any
 
 from .context import Context
@@ -121,6 +156,8 @@ def _from_elim(E: _ElimInfo, d: EDict) -> Poly:
 class _Domain:
     """Coefficient arithmetic of the PRS over one context's eliminated form."""
 
+    modulus = 0  # p over F_p: sums are reduced mod p
+
     def __init__(self, E: _ElimInfo) -> None:
         self.E = E
         self.folds = [(slot, None, value) for slot, value in E.const_roots]
@@ -161,6 +198,7 @@ class _Field(_Domain):
     def __init__(self, E: _ElimInfo, field: BaseField) -> None:
         super().__init__(E)
         self.f = field
+        self.modulus = field.char
 
     def enter(self, d: EDict) -> EDict:
         return d
@@ -168,7 +206,7 @@ class _Field(_Domain):
     leave = enter
 
     def reduce(self, d: EDict) -> EDict:
-        p = self.f.char
+        p = self.modulus
         if not p:
             return super().reduce(d)
         return {e: c % p for e, c in d.items() if c % p}
@@ -308,21 +346,51 @@ def _exact_div_rooted(D: _Field, num: EDict, den: EDict) -> EDict:
 
 
 def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
-    """Exact long division in eliminated form; raises NotDivisible."""
+    """Exact long division in eliminated form; raises NotDivisible.
+
+    Without constant roots in den, the degree of each slot adds up in a
+    product, so a quotient term above deg(num) - deg(den) in some slot
+    proves a remainder; this stops a failed division early.
+    """
     if D.E.croot_slots and any(e[s] for e in den for s in D.E.croot_slots):
         return _exact_div_rooted(D, num, den)
     le, lc = _elead(den)
+    rest = [(e, c) for e, c in den.items() if e != le]
+    room = [x - y for x, y in zip(map(max, zip(*num)), map(max, zip(*den)))]
+    p = D.modulus
     quot: EDict = {}
     rem = dict(num)
-    while rem:
-        re, rc = _elead(rem)
-        qe = tuple(a - b for a, b in zip(re, le))
-        if any(x < 0 for x in qe):
+    # The remainder's monomials in a heap, largest first; an entry whose
+    # monomial has since cancelled is skipped when it comes up.
+    heap = [(_heap_key(e), e) for e in rem]
+    heapify(heap)
+    while heap:
+        re = heappop(heap)[1]
+        rc = rem.pop(re, 0)
+        if not rc:
+            continue
+        qe = tuple(map(sub, re, le))
+        if any(x < 0 or x > r for x, r in zip(qe, room)):
             raise NotDivisible("leading monomial not divisible")
         qc = D.quo(rc, lc)
         quot[qe] = qc
-        rem = _sub(D, rem, _convolve_ints({qe: qc}, den, D.folds))
+        for e, c in rest:
+            key = tuple(map(add, qe, e))
+            v = rem.get(key, 0) - qc * c
+            if p:
+                v %= p
+            if not v:
+                del rem[key]
+                continue
+            if key not in rem:
+                heappush(heap, (_heap_key(key), key))
+            rem[key] = v
     return quot
+
+
+def _heap_key(e: tuple[int, ...]) -> tuple:
+    """Sorts as _ekey in reverse, so heapq pops the leading monomial."""
+    return (-sum(e), tuple(-x for x in reversed(e)))
 
 
 # -- the primitive PRS --------------------------------------------------------
@@ -391,6 +459,99 @@ def _gcd(D: _Domain, a: EDict, b: EDict) -> EDict:
     return _mul(D, cont, main)
 
 
+# -- the heuristic gcd over Z -------------------------------------------------
+
+# Evaluation points the heuristic tries in each slot before it gives up.
+_HEU_ATTEMPTS = 6
+
+
+def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> EDict | None:
+    """GCDHEU: the gcd of two nonzero integer dicts, or None if it gives up.
+
+    Splits off the integer contents (if either primitive part is a
+    constant, the gcd of the contents is the answer), evaluates them at
+    x_m = xi in their lowest used slot m, recurses on the images, and
+    interpolates the image gcd back in slot m from its balanced xi-adic
+    digits. The primitive part h of that interpolant is accepted only if
+    _div divides both primitive parts by it exactly; then, since xi is at
+    least 2*min(|a|, |b|) + 2 (see the module docstring), h is their gcd.
+    Otherwise xi grows, _HEU_ATTEMPTS times at most. The result is the
+    content gcd times h, with a positive leading coefficient.
+    """
+    zero = (0,) * D.E.nslots
+    ca = math.gcd(*a.values())
+    cb = math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    if (len(a) == 1 and zero in a) or (len(b) == 1 and zero in b):
+        return {zero: c}
+    a = _scale_down(a, ca)
+    b = _scale_down(b, cb)
+    m = min(i for d in (a, b) for e in d for i, k in enumerate(e) if k)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(_HEU_ATTEMPTS):
+        ea = _eval_slot(a, m, xi)
+        eb = _eval_slot(b, m, xi)
+        if ea and eb:
+            g = _heu_gcd(D, ea, eb)
+            if g is None:
+                return None
+            h = _interpolate(g, m, xi)
+            h = D.normal(_scale_down(h, math.gcd(*h.values())))
+            if _divides(D, h, a) and _divides(D, h, b):
+                return h if c == 1 else {e: v * c for e, v in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _scale_down(d: EDict, c: int) -> EDict:
+    return d if c == 1 else {e: v // c for e, v in d.items()}
+
+
+def _eval_slot(d: EDict, m: int, xi: int) -> EDict:
+    """d at x_m = xi: same width, slot m zeroed."""
+    powers = [1]
+    out: EDict = {}
+    get = out.get
+    for e, c in d.items():
+        k = e[m]
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * xi)
+            c *= powers[k]
+            z = list(e)
+            z[m] = 0
+            e = tuple(z)
+        out[e] = get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(g: EDict, m: int, xi: int) -> EDict:
+    """The dict in slot m whose balanced xi-adic digits spell g's values."""
+    half = xi // 2
+    out: EDict = {}
+    for e, v in g.items():
+        z = list(e)
+        k = 0
+        while v:
+            v, digit = divmod(v, xi)
+            if digit > half:
+                digit -= xi
+                v += 1
+            if digit:
+                z[m] = k
+                out[tuple(z)] = digit
+            k += 1
+    return out
+
+
+def _divides(D: _Domain, h: EDict, d: EDict) -> bool:
+    try:
+        _div(D, d, h)
+    except NotDivisible:
+        return False
+    return True
+
+
 def _gcd_list(D: _Domain, items: list[EDict]) -> EDict:
     if not items:
         return D.unit
@@ -440,7 +601,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return unit_normal(a)[0]
     E = _elim_info(a.ctx)
     D = E.prs
-    g = _gcd(D, D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b)))
+    ea, eb = D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b))
+    g = _heu_gcd(D, ea, eb) if isinstance(D, _Integers) else None
+    if g is None:
+        g = _gcd(D, ea, eb)
     return unit_normal(_from_elim(E, D.leave(g)))[0]
 
 
@@ -453,5 +617,13 @@ def exact_div(num: Poly, den: Poly) -> Poly:
     if num.is_zero():
         return num
     E = _elim_info(num.ctx)
-    q = _div(E.field, _to_elim(E, num), _to_elim(E, den))
-    return _from_elim(E, q)
+    if not isinstance(E.prs, _Integers):
+        return _from_elim(E, _div(E.field, _to_elim(E, num), _to_elim(E, den)))
+    # num/den = (N/ln) / (c*P/ld) with P primitive: P divides N over Z
+    # (Gauss's lemma), and the quotient is rescaled once per term.
+    ln, n = _lift_ints(_to_elim(E, num))
+    ld, d = _lift_ints(_to_elim(E, den))
+    c = math.gcd(*d.values())
+    q = _div(E.prs, n, _scale_down(d, c))
+    scale = ln * c
+    return _from_elim(E, {e: Fraction(v * ld, scale) for e, v in q.items()})

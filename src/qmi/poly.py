@@ -43,6 +43,27 @@ def _lift_ints(terms: dict) -> tuple[int, dict]:
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
+def _lifted_product(a: dict, b: dict, folds) -> tuple[int, dict]:
+    """(scale, integer terms) of a*b: the product is the terms over scale."""
+    la, ia = _lift_ints(a)
+    lb, ib = _lift_ints(b)
+    return la * lb, _convolve_ints(ia, ib, folds)
+
+
+def _from_ints(ctx: Context, scale: int, terms: dict) -> "Poly":
+    """The Poly of terms / scale, each surviving coefficient normalized once.
+
+    Over F_p the terms are integers with scale 1, reduced mod p here.
+    """
+    p = ctx.field.char
+    if p:
+        return Poly(ctx, {e: v % p for e, v in terms.items() if v % p})
+    if scale == 1:
+        # Fraction(v, 1) would still pay a gcd per term.
+        return Poly(ctx, {e: Fraction(v) for e, v in terms.items() if v})
+    return Poly(ctx, {e: Fraction(v, scale) for e, v in terms.items() if v})
+
+
 # The packed path of _convolve_ints pays off from about this many term
 # pairs, and only while the packed product has at most this many bytes per
 # term pair (the density guard): its multiply and decode cost grow with
@@ -289,23 +310,11 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        ctx = self.ctx
-        p = ctx.field.char
         # Fraction/mod-p arithmetic normalizes on every operation, which
         # dominates large products.  Both fields embed in the integers
         # after clearing denominators, so convolve there and normalize
         # once per surviving term.
-        if p:
-            out = _convolve_ints(self.terms, other.terms, ctx.folds)
-            return Poly(ctx, {e: v % p for e, v in out.items() if v % p})
-        la, a = _lift_ints(self.terms)
-        lb, b = _lift_ints(other.terms)
-        out = _convolve_ints(a, b, ctx.folds)
-        d = la * lb
-        if d == 1:
-            # Fraction(v, 1) would still pay a gcd per term.
-            return Poly(ctx, {e: Fraction(v) for e, v in out.items() if v})
-        return Poly(ctx, {e: Fraction(v, d) for e, v in out.items() if v})
+        return _from_ints(self.ctx, *_lifted_product(self.terms, other.terms, self.ctx.folds))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

@@ -23,13 +23,12 @@ integers and normalizes each coefficient once.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Any, Mapping
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import exact_div, poly_gcd, unit_normal
-from .poly import Poly, _convolve_ints, _lift_ints
+from .poly import Poly, _convolve_ints, _from_ints, _lift_ints
 
 Pair = tuple[Poly, Poly]
 # Variable index -> {exponent k: (scale, integer term dict)}; see _power_tables.
@@ -288,7 +287,6 @@ def compose_poly_raw(
     leaf; the leaves accumulate in place over the integers (_horner), and
     each surviving coefficient is normalized once at the end.
     """
-    char = target.field.char
     items = list(tables.items())
     scales = []
     for e, c in p.terms.items():
@@ -305,12 +303,7 @@ def compose_poly_raw(
         for i, j in const_map.items():
             mono[j] = e[i]
         leaves.append((e, tuple(mono), c.numerator * (common // s)))
-    acc = _horner(leaves, items, target.folds)
-    if char:
-        return Poly(target, {e: v % char for e, v in acc.items() if v % char})
-    if common == 1:
-        return Poly(target, {e: Fraction(v) for e, v in acc.items() if v})
-    return Poly(target, {e: Fraction(v, common) for e, v in acc.items() if v})
+    return _from_ints(target, common, _horner(leaves, items, target.folds))
 
 
 def _horner(leaves: list, items: list, folds) -> dict[tuple[int, ...], Any]:

@@ -1,0 +1,91 @@
+"""Microbenchmarks of the heuristic gcd against the primitive PRS.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest tests/bench_gcd.py --benchmark-only
+
+Both algorithms take the eliminated integer form that poly_gcd hands them
+(gcd._heu_gcd and gcd._gcd over the context's _Integers domain).
+actg-25: the first poly_gcd call of sys7iii_case1_actg on 65 and 60
+terms; their gcd has 25 terms.
+actg-trivial: the first call of that case on 21 and 3 terms; their gcd
+is 1.
+fifty: the pair of test_fifty_term_polynomial over Q (525 and 25 terms
+in sqrt(a), a, x1, x2; gcd 1). The PRS is left out there: it runs for
+minutes on this pair.
+The file name keeps these out of the tier-1 run, which collects test_*.py.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+from itertools import product
+from random import Random
+
+import pytest
+
+from qmi import QQ, Context, Poly, gcd, parse, ratfunc
+from qmi.catalog import builtin_catalog
+from qmi.ratfunc import substitute_raw
+from qmi.runner import run_case
+
+
+@cache
+def actg_calls() -> tuple:
+    """(a, b, gcd) of every poly_gcd call of sys7iii_case1_actg, in order."""
+    calls = []
+    inner = ratfunc.poly_gcd
+
+    def record(a, b):
+        g = inner(a, b)
+        calls.append((a, b, g))
+        return g
+
+    ratfunc.poly_gcd = record
+    try:
+        assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
+    finally:
+        ratfunc.poly_gcd = inner
+    return tuple(calls)
+
+
+def actg_pair(sizes: tuple[int, int, int]):
+    for a, b, g in actg_calls():
+        if (len(a.terms), len(b.terms), len(g.terms)) == sizes:
+            return a, b, g
+    raise LookupError(f"no poly_gcd call of sizes {sizes}")
+
+
+def fifty_pair():
+    ctx = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
+    rnd = Random(50)
+    exps = list(product(range(2), range(2), range(5), range(5)))[::2]
+    p = Poly(ctx, {e: Fraction(rnd.choice([-7, -2, 1, 3, 5]), rnd.randint(1, 6)) for e in exps})
+    binds = {
+        "x1": (parse(ctx, "x1+sqrt(a)").num, parse(ctx, "2/3*x2-1/5").num),
+        "x2": (parse(ctx, "a*x1-x2").num, parse(ctx, "3/4*x1*x2+7").num),
+    }
+    num, den = substitute_raw((p, Poly.const(ctx, 1)), binds)
+    return num, den, Poly.const(ctx, 1)
+
+
+INPUTS = {
+    "actg-25": lambda: actg_pair((65, 60, 25)),
+    "actg-trivial": lambda: actg_pair((21, 3, 1)),
+    "fifty": fifty_pair,
+}
+ALGORITHMS = {"heuristic": gcd._heu_gcd, "prs": gcd._gcd}
+
+
+@pytest.mark.parametrize(
+    "name, algorithm",
+    [(n, g) for n in INPUTS for g in ALGORITHMS if (n, g) != ("fifty", "prs")],
+)
+def test_gcd(benchmark, name, algorithm):
+    a, b, expected = INPUTS[name]()
+    E = gcd._elim_info(a.ctx)
+    D = E.prs
+    ea, eb = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+    g = benchmark(ALGORITHMS[algorithm], D, ea, eb)
+    assert gcd.unit_normal(gcd._from_elim(E, D.leave(g)))[0] == expected

@@ -256,6 +256,15 @@ class TestSubstituteRaw:
             expected = expected + mono * n1**i * d1 ** (4 - i) * n2**j * d2 ** (4 - j)
         assert num == expected
         assert den == d1**4 * d2**4
+        if field.char == 0:
+            # Over Q the reduced pair is the canonical substitution result.
+            # Over F_p the gcd is still the PRS, which does not reduce this
+            # pair in reasonable time.
+            reduced = RatFunc(num, den)
+            canonical = RatFunc(p, Poly.const(ctx, 1)).substitute(
+                {"x1": RatFunc(n1, d1), "x2": RatFunc(n2, d2)}
+            )
+            assert (reduced.num, reduced.den) == (canonical.num, canonical.den)
 
 
 class TestRootSigns:

@@ -262,3 +262,65 @@ def test_packed_product_equals_pair_loop(case):
     packed = poly._fold(poly._convolve_packed(a, b, *poly._pack_layout(a, b)), folds)
     loop = poly._fold(poly._convolve_loop(a, b), folds)
     assert _nonzero(packed, p) == _nonzero(loop, p)
+
+
+# -- the heuristic gcd against the PRS ----------------------------------------
+
+ZCTX = Context(QQ, variables=["x1", "x2", "x3"])
+
+
+@st.composite
+def gcd_factors(draw, ctx):
+    """A small polynomial with int coefficients, some far above 64 bits."""
+    coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80)).filter(bool)
+    exps = st.tuples(*[st.integers(0, 1 if i < len(ctx.rooted) else 2) for i in range(ctx.nsym)])
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    return Poly(ctx, {e: Fraction(c) for e, c in terms.items()})
+
+
+def _normal_gcd(ctx, g):
+    from qmi.gcd import _elim_info, _from_elim, unit_normal
+
+    E = _elim_info(ctx)
+    return unit_normal(_from_elim(E, E.prs.leave(g)))[0]
+
+
+@pytest.mark.parametrize("ctx", [ZCTX, CTX], ids=["Z", "rooted-parameter"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+def test_heuristic_gcd_matches_prs(ctx, data):
+    from unittest import mock
+
+    from qmi import gcd
+
+    f, g, h = (data.draw(gcd_factors(ctx)) for _ in range(3))
+    a, b = f * g, f * h
+    E = gcd._elim_info(ctx)
+    D = E.prs
+    ea, eb = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+    heu = gcd._heu_gcd(D, ea, eb)
+    assert heu is not None
+    common = _normal_gcd(ctx, heu)
+    assert common == _normal_gcd(ctx, gcd._gcd(D, ea, eb))
+    exact_div(common, f)  # the built-in common factor divides the gcd
+    assert poly_gcd(a, b) == common
+    with mock.patch.object(gcd, "_HEU_ATTEMPTS", 0):
+        assert poly_gcd(a, b) == common
+
+
+def test_field_laws_seed_9_input_without_fallback(monkeypatch):
+    # Hypothesis seed 9 drew this input for test_field_laws; the PRS alone
+    # did not reduce f * (g + h) within minutes.
+    from qmi import gcd
+
+    def no_fallback(*args):
+        raise AssertionError("the heuristic gcd fell back to the PRS")
+
+    monkeypatch.setattr(gcd, "_gcd", no_fallback)
+    f = parse(CTX, "(-9/4*sqrt(a)*x2^2 - 1/2*sqrt(a)*x1^2)/(sqrt(a)*a*x1^2*x2 + 5/4*x2^2)")
+    g = parse(CTX, "(-4/3*a^2*x1*x2^2 - 10/3)/(sqrt(a)*a^2*x2 + 4/9*sqrt(a)*x1)")
+    h = parse(CTX, "(-5/4*x1)/(a*x2 + 3/16*x1)")
+    lhs = f * (g + h)
+    rhs = f * g + f * h
+    assert lhs == rhs
+    assert (lhs.num, lhs.den) == (rhs.num, rhs.den)
