@@ -6,6 +6,18 @@ closure is breadth-first, so every element carries a shortest word in the
 generators. Element ordering inside a group is lexicographic on the
 flattened entries, which keeps every downstream listing deterministic.
 
+Structure (inverses, center, element orders, conjugacy classes, derived
+subgroup, normal subgroups, the Cayley table) is read from integer index
+tables, not from further matrix products. The closure forms m·g for every
+element m and generator g anyway; MatrixGroup keeps those products as one
+permutation of element indices per generator, and keeps each element's
+BFS parent p and letter i, with element = p·g_i. The multiplication table
+follows column by column down the BFS tree: a·(p·g_i) = (a·p)·g_i, so
+column b is column p looked up in generator i's permutation. Every entry
+therefore names a product that mat_mul formed exactly during the closure,
+chained by associativity alone; no entry is guessed or hashed. The table
+costs |G|² list lookups, once per group and only when structure is asked.
+
 Isomorphism-type recognition is deliberately unsophisticated: each
 candidate label owns a small built-in model group, and a group is
 recognized by comparing a structural fingerprint (order, element-order
@@ -17,7 +29,7 @@ distinct, otherwise recognition would be ambiguous and we refuse to run.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd as int_gcd
 from typing import Any, Iterable, Sequence
 
@@ -118,24 +130,47 @@ def element_order(m: Matrix, guard: int = 12) -> int:
 
 
 class MatrixGroup:
-    """A finite matrix group produced by close_group."""
+    """A finite matrix group produced by close_group.
+
+    `bfs` lists the elements in the order the closure found them, the
+    identity first. `products[i][j]` is the position in `bfs` of
+    bfs[j]·generators[i], and `parents[j]` is the pair (k, i) with
+    bfs[j] = bfs[k]·generators[i] (None for the identity), so every
+    parent comes before its children. All structure is read from these
+    products through the index table of `_table`.
+    """
 
     def __init__(
         self,
         generators: Sequence[Matrix],
         gen_names: Sequence[str],
-        elements: Sequence[Matrix],
+        bfs: Sequence[Matrix],
         words: dict[Matrix, tuple[int, ...]],
+        products: Sequence[Sequence[int]],
+        parents: Sequence[tuple[int, int] | None],
     ) -> None:
         self.generators = tuple(generators)
         self.gen_names = tuple(gen_names)
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(bfs))
         self.order = len(self.elements)
         self.words = words
         self.dim = len(self.elements[0])
         self._index = {m: i for i, m in enumerate(self.elements)}
-        self._inv: dict[Matrix, Matrix] | None = None
-        self._classes: tuple[tuple[Matrix, ...], ...] | None = None
+        pos = [self._index[m] for m in bfs]
+        self._e = pos[0]
+        # _right[i][a]: index of elements[a]·generators[i].
+        self._right: list[list[int]] = []
+        for col in products:
+            row = [0] * self.order
+            for j, k in enumerate(col):
+                row[pos[j]] = pos[k]
+            self._right.append(row)
+        # BFS tree edges (b, a, i) with elements[b] = elements[a]·generators[i],
+        # parents first.
+        self._tree = [(pos[b], pos[a], i) for b, (a, i) in enumerate(parents[1:], 1)]
+        self._mul: tuple[tuple[int, ...], ...] | None = None
+        self._inv: list[int] | None = None
+        self._classes: tuple[tuple[int, ...], ...] | None = None
 
     def __contains__(self, m: Matrix) -> bool:
         return m in self._index
@@ -163,67 +198,103 @@ class MatrixGroup:
         name = self.gen_names[letter]
         return name if k == 1 else f"{name}^{k}"
 
-    # -- structure -------------------------------------------------------
+    # -- index tables ----------------------------------------------------
 
-    def inverse(self, m: Matrix) -> Matrix:
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """table[a][b]: index of elements[a]·elements[b].
+
+        Column b is built from its parent's: if b = p·g_i then
+        a·b = (a·p)·g_i, one lookup in _right[i] per entry.
+        """
+        if self._mul is None:
+            cols: list[list[int]] = [[]] * self.order
+            cols[self._e] = list(range(self.order))
+            for b, a, i in self._tree:
+                right = self._right[i]
+                cols[b] = [right[x] for x in cols[a]]
+            self._mul = tuple(zip(*cols))
+        return self._mul
+
+    def _inverses(self) -> list[int]:
         if self._inv is None:
-            self._inv = {}
-            for g in self.elements:
-                h = intify(mat_inv(g))
-                assert h is not None and h in self._index
-                self._inv[g] = h
-        return self._inv[m]
+            e = self._e
+            self._inv = [row.index(e) for row in self._table()]
+        return self._inv
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            mat_mul(a, b) == mat_mul(b, a) for a, b in combinations(gens, 2)
-        )
+    def _generator_indices(self) -> list[int]:
+        return [right[self._e] for right in self._right]
 
-    def center(self) -> tuple[Matrix, ...]:
-        return tuple(
-            z
-            for z in self.elements
-            if all(mat_mul(z, g) == mat_mul(g, z) for g in self.generators)
-        )
-
-    def derived_order(self) -> int:
-        comms = []
-        for a in self.elements:
-            for b in self.elements:
-                c = mat_mul(mat_mul(a, b), mat_mul(self.inverse(a), self.inverse(b)))
-                comms.append(c)
-        sub = close_group(sorted(set(comms)), cap=self.order)
-        return sub.order
-
-    def element_orders(self) -> dict[int, int]:
-        """Map order -> how many elements have it."""
-        out: dict[int, int] = {}
-        for m in self.elements:
-            k = element_order(m, guard=self.order)
-            out[k] = out.get(k, 0) + 1
-        return dict(sorted(out.items()))
-
-    def conjugacy_classes(self) -> tuple[tuple[Matrix, ...], ...]:
+    def _class_indices(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
-            seen: set[Matrix] = set()
-            classes: list[tuple[Matrix, ...]] = []
-            for m in self.elements:
+            table, inv = self._table(), self._inverses()
+            seen: set[int] = set()
+            classes: list[tuple[int, ...]] = []
+            for m in range(self.order):
                 if m in seen:
                     continue
-                orbit = {
-                    mat_mul(mat_mul(g, m), self.inverse(g)) for g in self.elements
-                }
+                orbit = {table[table[g][m]][inv[g]] for g in range(self.order)}
                 seen |= orbit
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
 
+    # -- structure -------------------------------------------------------
+
+    def inverse(self, m: Matrix) -> Matrix:
+        return self.elements[self._inverses()[self._index[m]]]
+
+    def is_abelian(self) -> bool:
+        right, gens = self._right, self._generator_indices()
+        return all(
+            right[j][gens[i]] == right[i][gens[j]]
+            for i, j in combinations(range(len(gens)), 2)
+        )
+
+    def center(self) -> tuple[Matrix, ...]:
+        table, gens = self._table(), self._generator_indices()
+        return tuple(
+            self.elements[z]
+            for z in range(self.order)
+            if all(table[z][g] == table[g][z] for g in gens)
+        )
+
+    def derived_order(self) -> int:
+        table, inv = self._table(), self._inverses()
+        n = self.order
+        comms = {
+            table[table[a][b]][table[inv[a]][inv[b]]]
+            for a in range(n)
+            for b in range(n)
+        }
+        # In a finite group the right multiples of the identity by the
+        # commutators already make up the subgroup they generate.
+        derived, queue = {self._e}, [self._e]
+        for x in queue:
+            row = table[x]
+            for c in comms:
+                if row[c] not in derived:
+                    derived.add(row[c])
+                    queue.append(row[c])
+        return len(derived)
+
+    def element_orders(self) -> dict[int, int]:
+        """Map order -> how many elements have it."""
+        table, e = self._table(), self._e
+        out: dict[int, int] = {}
+        for a in range(self.order):
+            k, power = 1, a
+            while power != e:
+                power = table[power][a]
+                k += 1
+            out[k] = out.get(k, 0) + 1
+        return dict(sorted(out.items()))
+
+    def conjugacy_classes(self) -> tuple[tuple[Matrix, ...], ...]:
+        els = self.elements
+        return tuple(tuple(els[i] for i in c) for c in self._class_indices())
+
     def cayley(self) -> list[list[int]]:
-        idx = self._index
-        return [
-            [idx[mat_mul(a, b)] for b in self.elements] for a in self.elements
-        ]
+        return [list(row) for row in self._table()]
 
     def fingerprint(self) -> tuple:
         return (
@@ -242,26 +313,25 @@ class MatrixGroup:
         under multiplication; with at most ~2^16 candidate unions this is
         a plain filter.
         """
-        classes = self.conjugacy_classes()
-        e = identity(self.dim)
+        classes = self._class_indices()
+        e = self._e
         rest = [c for c in classes if e not in c]
         if len(rest) > 16:
             raise OrderCapExceeded(
                 f"too many conjugacy classes ({len(classes)}) for subset enumeration"
             )
-        idx = self._index
-        table = self.cayley()
+        table = self._table()
         found: list[tuple[Matrix, ...]] = []
         for r in range(len(rest) + 1):
             for combo in combinations(rest, r):
                 size = 1 + sum(len(c) for c in combo)
                 if self.order % size:
                     continue
-                members = {idx[e]}
+                members = {e}
                 for c in combo:
-                    members.update(idx[m] for m in c)
+                    members.update(c)
                 if all(table[a][b] in members for a in members for b in members):
-                    found.append(tuple(sorted(self.elements[i] for i in members)))
+                    found.append(tuple(self.elements[i] for i in sorted(members)))
         found.sort(key=lambda s: (len(s), s))
         return found
 
@@ -297,22 +367,26 @@ def close_group(
 
     e = identity(n)
     words: dict[Matrix, tuple[int, ...]] = {e: ()}
-    queue = [e]
-    while queue:
-        nxt: list[Matrix] = []
-        for m in queue:
-            w = words[m]
-            for i, g in enumerate(gens):
-                prod_m = mat_mul(m, g)
-                if prod_m not in words:
-                    words[prod_m] = w + (i,)
-                    nxt.append(prod_m)
-                    if len(words) > cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-        queue = nxt
-    return MatrixGroup(gens, names, list(words), words)
+    found = {e: 0}
+    bfs = [e]
+    parents: list[tuple[int, int] | None] = [None]
+    products: list[list[int]] = [[] for _ in gens]
+    for j, m in enumerate(bfs):
+        w = words[m]
+        for i, g in enumerate(gens):
+            prod_m = mat_mul(m, g)
+            k = found.get(prod_m)
+            if k is None:
+                k = found[prod_m] = len(bfs)
+                bfs.append(prod_m)
+                words[prod_m] = w + (i,)
+                parents.append((j, i))
+                if len(bfs) > cap:
+                    raise OrderCapExceeded(
+                        f"closure exceeded cap of {cap} elements"
+                    )
+            products[i].append(k)
+    return MatrixGroup(gens, names, bfs, words, products, parents)
 
 
 # -- rational reducibility -------------------------------------------------
@@ -381,17 +455,32 @@ def q_reducible(generators: Sequence[Matrix]) -> tuple[bool, dict | None]:
     n = len(gens[0])
 
     def search(ms: list[Matrix]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        for signs in product((1, -1), repeat=len(ms)):
-            rows: list[list[Fraction]] = []
-            for s, g in zip(signs, ms):
-                for i in range(n):
-                    rows.append(
-                        [Fraction(g[i][j] - (s if i == j else 0)) for j in range(n)]
-                    )
-            basis = _kernel_basis(rows, n)
-            if basis:
-                return signs, _primitive_int_vector(basis[0])
-        return None
+        """First sign tuple, in the order of product((1, -1), ...), whose
+        stacked rows g - s*I have a common kernel.
+
+        Depth first over the generators, +1 before -1. More rows only
+        shrink a kernel, so a prefix whose rows already have a trivial
+        kernel is dropped with all its extensions.
+        """
+
+        def descend(rows: list[list[Fraction]], depth: int):
+            g = ms[depth]
+            for s in (1, -1):
+                stacked = rows + [
+                    [Fraction(g[i][j] - (s if i == j else 0)) for j in range(n)]
+                    for i in range(n)
+                ]
+                basis = _kernel_basis(stacked, n)
+                if not basis:
+                    continue
+                if depth + 1 == len(ms):
+                    return (s,), _primitive_int_vector(basis[0])
+                hit = descend(stacked, depth + 1)
+                if hit is not None:
+                    return (s,) + hit[0], hit[1]
+            return None
+
+        return descend([], 0)
 
     hit = search(gens)
     if hit is not None:

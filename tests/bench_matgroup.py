@@ -1,0 +1,53 @@
+"""Microbenchmarks of MatrixGroup structure and q_reducible on the order-48 groups.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest tests/bench_matgroup.py --benchmark-only
+
+The four order-48 groups are the catalog groups G_7_5_1, G_7_5_2 and
+G_7_5_3 and the model S4xC2 of identify_iso_type. fingerprint and
+normal_subgroups run on a group closed afresh before each round, outside
+the timed call, so every round pays for the structure it reads (the first
+structure call of a catalog run does too). q_reducible takes the
+generators alone.
+The file name keeps these out of the tier-1 run, which collects test_*.py.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from qmi.catalog import builtin_catalog, word_matrix
+from qmi.catalog_data import MATRICES
+from qmi.matgroup import _MODEL_GENERATORS, close_group, q_reducible
+
+GROUPS = ["G_7_5_1", "G_7_5_2", "G_7_5_3", "S4xC2"]
+ROUNDS = 20
+
+
+def generators(name: str) -> list:
+    if name in _MODEL_GENERATORS:
+        return list(_MODEL_GENERATORS[name])
+    words = builtin_catalog().group(name)["generators"]
+    return [word_matrix(w, MATRICES) for w in words]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("method", ["fingerprint", "normal_subgroups"])
+def test_structure(benchmark, name, method):
+    gens = generators(name)
+
+    def fresh_group():
+        return (close_group(gens),), {}
+
+    result = benchmark.pedantic(
+        lambda g: getattr(g, method)(), setup=fresh_group, rounds=ROUNDS
+    )
+    assert result
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_q_reducible(benchmark, name):
+    reducible, _ = benchmark(q_reducible, generators(name))
+    # The catalog groups act irreducibly on Q^3; the model is a block sum.
+    assert reducible == (name == "S4xC2")

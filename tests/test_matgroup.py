@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, product
+
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.named_groups import (
@@ -11,23 +15,60 @@ from sympy.combinatorics.named_groups import (
 )
 
 from qmi import NotFiniteOrder, OrderCapExceeded, UnknownFingerprint
+from qmi.catalog import builtin_catalog, word_matrix
+from qmi.catalog_data import MATRICES
 from qmi.matgroup import (
     close_group,
     element_order,
     identify_iso_type,
     identity,
+    intify,
     mat,
     mat_inv,
     mat_mul,
     q_reducible,
     verify_conjugation,
+    _kernel_basis,
+    _primitive_int_vector,
     _MODEL_GENERATORS,
     _model_fingerprints,
 )
+from qmi.runner import build_group
 
 ROT4 = mat([[0, -1], [1, 0]])
 FLIP = mat([[1, 0], [0, -1]])
 SHEAR = mat([[1, 1], [0, 1]])
+
+
+@cache
+def catalog():
+    return builtin_catalog()
+
+
+CATALOG_GROUPS = sorted(catalog().groups)
+# One catalog group of each order 16, 24 and 48.
+LARGE_CATALOG_GROUPS = ["G_4_7_1", "G_6_7_1", "G_7_5_1"]
+
+
+def group_for(name: str):
+    """A catalog group by id, or a model group by its label."""
+    if name in _MODEL_GENERATORS:
+        return close_group(_MODEL_GENERATORS[name], cap=200)
+    return build_group(catalog(), name)
+
+
+def generators_for(name: str) -> list:
+    if name in _MODEL_GENERATORS:
+        return list(_MODEL_GENERATORS[name])
+    return [word_matrix(w, MATRICES) for w in catalog().group(name)["generators"]]
+
+
+def regular_permutations(g) -> PermutationGroup:
+    """The right regular representation, formed by mat_mul on the elements."""
+    index = {m: i for i, m in enumerate(g.elements)}
+    return PermutationGroup(
+        [Permutation([index[mat_mul(m, s)] for m in g.elements]) for s in g.generators]
+    )
 
 
 def perm_group_profile(g: PermutationGroup):
@@ -43,6 +84,16 @@ def perm_group_profile(g: PermutationGroup):
         g.center().order(),
         g.derived_subgroup().order(),
     )
+
+
+NAMED_ORACLES = {
+    "S4": SymmetricGroup(4),
+    "A4": AlternatingGroup(4),
+    "S3": SymmetricGroup(3),
+    "D4": DihedralGroup(4),
+    "D6": DihedralGroup(6),
+    "C6": PermutationGroup([Permutation([1, 2, 3, 4, 5, 0])]),
+}
 
 
 class TestClosure:
@@ -82,20 +133,12 @@ class TestRecognition:
         for label, gens in _MODEL_GENERATORS.items():
             assert identify_iso_type(close_group(gens, cap=200)) == label
 
-    @pytest.mark.parametrize(
-        "label,oracle",
-        [
-            ("S4", SymmetricGroup(4)),
-            ("A4", AlternatingGroup(4)),
-            ("S3", SymmetricGroup(3)),
-            ("D4", DihedralGroup(4)),
-            ("D6", DihedralGroup(6)),
-            ("C6", PermutationGroup([Permutation([1, 2, 3, 4, 5, 0])])),
-        ],
-    )
-    def test_model_profile_matches_sympy(self, label, oracle):
-        g = close_group(_MODEL_GENERATORS[label], cap=200)
-        assert g.fingerprint() == perm_group_profile(oracle)
+    @pytest.mark.parametrize("name", list(_MODEL_GENERATORS) + LARGE_CATALOG_GROUPS)
+    def test_model_profile_matches_sympy(self, name):
+        g = group_for(name)
+        assert g.fingerprint() == perm_group_profile(regular_permutations(g))
+        if name in NAMED_ORACLES:
+            assert g.fingerprint() == perm_group_profile(NAMED_ORACLES[name])
 
     def test_unknown_fingerprint(self):
         # C5 does not embed in any built-in model.
@@ -179,3 +222,143 @@ class TestReducibility:
     def test_full_cube_group_irreducible(self):
         red, wit = q_reducible(_MODEL_GENERATORS["S4"])
         assert not red
+
+
+# -- reference structure by matrix products ----------------------------------
+# These are the mat_mul / mat_inv computations that the index tables of
+# MatrixGroup replace, kept here as an independent reference.
+
+
+def ref_inverses(g):
+    out = {}
+    for m in g.elements:
+        h = intify(mat_inv(m))
+        assert h is not None and h in g
+        out[m] = h
+    return out
+
+
+def ref_center(g):
+    return tuple(
+        z
+        for z in g.elements
+        if all(mat_mul(z, s) == mat_mul(s, z) for s in g.generators)
+    )
+
+
+def ref_derived_order(g):
+    inv = ref_inverses(g)
+    comms = set()
+    for a in g.elements:
+        for b in g.elements:
+            comms.add(mat_mul(mat_mul(a, b), mat_mul(inv[a], inv[b])))
+    return close_group(sorted(comms), cap=g.order).order
+
+
+def ref_element_orders(g):
+    out: dict[int, int] = {}
+    for m in g.elements:
+        k = element_order(m, guard=g.order)
+        out[k] = out.get(k, 0) + 1
+    return dict(sorted(out.items()))
+
+
+def ref_conjugacy_classes(g):
+    inv = ref_inverses(g)
+    seen: set = set()
+    classes = []
+    for m in g.elements:
+        if m in seen:
+            continue
+        orbit = {mat_mul(mat_mul(x, m), inv[x]) for x in g.elements}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def ref_cayley(g):
+    idx = {m: i for i, m in enumerate(g.elements)}
+    return [[idx[mat_mul(a, b)] for b in g.elements] for a in g.elements]
+
+
+def ref_normal_subgroups(g):
+    e = identity(g.dim)
+    rest = [c for c in ref_conjugacy_classes(g) if e not in c]
+    found = []
+    for r in range(len(rest) + 1):
+        for combo in combinations(rest, r):
+            members = {e}.union(*combo)
+            if g.order % len(members):
+                continue
+            if all(mat_mul(a, b) in members for a in members for b in members):
+                found.append(tuple(sorted(members)))
+    found.sort(key=lambda s: (len(s), s))
+    return found
+
+
+@pytest.mark.parametrize("name", CATALOG_GROUPS + list(_MODEL_GENERATORS))
+def test_index_tables_match_matrix_products(name):
+    g = group_for(name)
+    assert {m: g.inverse(m) for m in g.elements} == ref_inverses(g)
+    assert g.center() == ref_center(g)
+    assert g.element_orders() == ref_element_orders(g)
+    assert g.derived_order() == ref_derived_order(g)
+    assert g.conjugacy_classes() == ref_conjugacy_classes(g)
+    assert g.cayley() == ref_cayley(g)
+    assert g.normal_subgroups() == ref_normal_subgroups(g)
+
+
+def test_table_is_associative_on_order_48():
+    g = group_for("G_7_5_1")
+    t = g.cayley()
+    assert g.order == 48
+    n = range(g.order)
+    assert all(t[t[a][b]][c] == t[a][t[b][c]] for a in n for b in n for c in n)
+
+
+# -- pruned sign search against the exhaustive one ---------------------------
+
+
+def exhaustive_q_reducible(generators):
+    """q_reducible with every sign tuple tried in product((1, -1), ...) order."""
+    gens = [mat(g) for g in generators]
+    n = len(gens[0])
+
+    def search(ms):
+        for signs in product((1, -1), repeat=len(ms)):
+            rows = []
+            for s, g in zip(signs, ms):
+                for i in range(n):
+                    rows.append([Fraction(g[i][j] - (s if i == j else 0)) for j in range(n)])
+            basis = _kernel_basis(rows, n)
+            if basis:
+                return signs, _primitive_int_vector(basis[0])
+        return None
+
+    hit = search(gens)
+    if hit is not None:
+        return True, {"dim": 1, "vector": hit[1], "signs": hit[0]}
+    hit = search([tuple(zip(*g)) for g in gens])
+    if hit is not None:
+        return True, {"dim": 2, "normal": hit[1], "signs": hit[0]}
+    return False, None
+
+
+# Affine maps x -> Ax + b of Z^2 written as 3x3 matrices: a quarter turn
+# and a translation fix no common line, but both keep the plane z = 0
+# of the transposes' common eigenvector, so only the dim-2 search hits.
+AFFINE_ROTATION_AND_SHIFT = [
+    mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+]
+
+
+def test_pruned_sign_search_matches_exhaustive():
+    inputs = [generators_for(name) for name in CATALOG_GROUPS + list(_MODEL_GENERATORS)]
+    inputs.append(AFFINE_ROTATION_AND_SHIFT)
+    seen = set()
+    for gens in inputs:
+        got = q_reducible(gens)
+        assert got == exhaustive_q_reducible(gens)
+        seen.add(got[1]["dim"] if got[0] else None)
+    assert seen == {1, 2, None}
