@@ -19,10 +19,11 @@ records (empty means verified) whose witnesses are nonzero differences.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .context import Context
-from .errors import InconsistentAction, OrderCapExceeded
+from .errors import InconsistentAction
+from .matgroup import _closure, mat_det
 from .poly import Poly, _from_ints, _lifted_product
 from .ratfunc import Pair, RatFunc, apply_root_signs_poly, substitute_raw
 
@@ -79,8 +80,6 @@ class Automorphism:
         multipliers: Sequence[RatFunc] | None = None,
     ) -> "Automorphism":
         """Quasi-monomial action; column j is the image exponents of var j."""
-        from .matgroup import mat_det
-
         n = len(ctx.variables)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"matrix must be {n}x{n}")
@@ -177,35 +176,22 @@ def close_action(
 
     Raises OrderCapExceeded past the cap and InconsistentAction if the
     closure M is not a group. The BFS forms a.compose(g) for every a in M
-    and every generator g. If those images are distinct, right composition
-    with g is a bijection of the finite M, so g has a left inverse there;
-    then g^n = g^m (n < m) cancels to g^(m-n) = id, and M is a group.
+    and every generator g, and records where each lands. If every such
+    column of positions is a permutation of M, right composition with g is
+    a bijection of the finite M, so g has a left inverse there; then
+    g^n = g^m (n < m) cancels to g^(m-n) = id, and M is a group.
+    Elements are told apart by `_key`, the canonical forms of the
+    bindings, since `__eq__` cross-multiplies.
     """
     if not generators:
         raise ValueError("no generators")
-    ctx = generators[0].ctx
-    ident = Automorphism.identity(ctx)
-    seen: dict[Any, Automorphism] = {ident._key(): ident}
-    order: list[Automorphism] = [ident]
-    images: list[set] = [set() for _ in generators]
-    queue = [ident]
-    while queue:
-        nxt = []
-        for a in queue:
-            for g, keys in zip(generators, images):
-                b = a.compose(g)
-                k = b._key()
-                keys.add(k)
-                if k not in seen:
-                    seen[k] = b
-                    order.append(b)
-                    nxt.append(b)
-                    if len(order) > cap:
-                        raise OrderCapExceeded(f"closure exceeded cap of {cap}")
-        queue = nxt
-    if any(len(keys) != len(order) for keys in images):
+    ident = Automorphism.identity(generators[0].ctx)
+    elements, products, _ = _closure(
+        ident, generators, Automorphism.compose, Automorphism._key, cap
+    )
+    if any(len(set(col)) != len(elements) for col in products):
         raise InconsistentAction("a generator does not act injectively on the closure")
-    return order
+    return elements
 
 
 # -- verification primitives ----------------------------------------------

@@ -25,7 +25,6 @@ class BaseField:
     mul: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     inv: Callable[[Any], Any]
-    pow: Callable[[Any, int], Any]
 
     def of(self, value: Any) -> Any:
         raise NotImplementedError
@@ -49,7 +48,6 @@ class Rationals(BaseField):
         self.add = lambda a, b: a + b
         self.mul = lambda a, b: a * b
         self.neg = lambda a: -a
-        self.pow = lambda a, n: a**n
 
     def inv(self, a: Fraction) -> Fraction:
         if not a:
@@ -85,7 +83,6 @@ class PrimeField(BaseField):
         self.add = lambda a, b: (a + b) % p
         self.mul = lambda a, b: (a * b) % p
         self.neg = lambda a: (-a) % p
-        self.pow = lambda a, n: pow(a, n, p)
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

@@ -3,8 +3,11 @@
 Matrices are immutable tuples of tuples of ints (Fractions appear only
 transiently, e.g. in conjugation by a non-unimodular matrix). Group
 closure is breadth-first, so every element carries a shortest word in the
-generators. Element ordering inside a group is lexicographic on the
-flattened entries, which keeps every downstream listing deterministic.
+generators; its one routine, `_closure`, also closes the automorphism
+groups of `actions.close_action`. Element ordering inside a group is
+lexicographic on the flattened entries, which keeps every downstream
+listing deterministic. One Gauss–Jordan pass over Q, `_row_reduce`, gives
+determinants, inverses and kernels.
 
 Structure (inverses, center, element orders, conjugacy classes, derived
 subgroup, normal subgroups, the Cayley table) is read from integer index
@@ -17,6 +20,10 @@ column b is column p looked up in generator i's permutation. Every entry
 therefore names a product that mat_mul formed exactly during the closure,
 chained by associativity alone; no entry is guessed or hashed. The table
 costs |G|² list lookups, once per group and only when structure is asked.
+
+Rational reducibility is decided in dimension <= 3, where by Maschke's
+theorem a reducible finite group keeps a line. Conjugacy of two groups is
+decided from the generators of one and the two orders.
 
 Isomorphism-type recognition is deliberately unsophisticated: each
 candidate label owns a small built-in model group, and a group is
@@ -31,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import NotFiniteOrder, OrderCapExceeded, UnknownFingerprint
 
@@ -59,42 +66,50 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_det(a: Matrix) -> Fraction:
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
+def _row_reduce(rows: Sequence[Sequence[Any]], ncols: int) -> tuple[list, list[int], Fraction]:
+    """Gauss–Jordan over Q on the first `ncols` columns, whole rows carried.
+
+    Returns (rows, pivots, det): row r has its leading 1 in column
+    pivots[r], and det is the product of the pivots times the sign of the
+    row swaps, the determinant at full rank. Stops once every row holds a
+    pivot.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+        pivot = m[r][c]
+        det *= pivot
+        m[r] = [x / pivot for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots, det
+
+
+def mat_det(a: Matrix) -> Fraction:
+    _, pivots, det = _row_reduce(a, len(a))
+    return det if len(pivots) == len(a) else Fraction(0)
 
 
 def mat_inv(a: Matrix) -> Matrix:
     """Inverse with Fraction entries; raises ValueError if singular."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots, _ = _row_reduce(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
 
 
@@ -132,11 +147,9 @@ def element_order(m: Matrix, guard: int = 12) -> int:
 class MatrixGroup:
     """A finite matrix group produced by close_group.
 
-    `bfs` lists the elements in the order the closure found them, the
-    identity first. `products[i][j]` is the position in `bfs` of
-    bfs[j]·generators[i], and `parents[j]` is the pair (k, i) with
-    bfs[j] = bfs[k]·generators[i] (None for the identity), so every
-    parent comes before its children. All structure is read from these
+    `bfs`, `products` and `parents` are the output of `_closure`. Every
+    parent comes before its children, so each element's shortest word is
+    its parent's word plus one letter. All structure is read from the
     products through the index table of `_table`.
     """
 
@@ -145,7 +158,6 @@ class MatrixGroup:
         generators: Sequence[Matrix],
         gen_names: Sequence[str],
         bfs: Sequence[Matrix],
-        words: dict[Matrix, tuple[int, ...]],
         products: Sequence[Sequence[int]],
         parents: Sequence[tuple[int, int] | None],
     ) -> None:
@@ -153,7 +165,10 @@ class MatrixGroup:
         self.gen_names = tuple(gen_names)
         self.elements = tuple(sorted(bfs))
         self.order = len(self.elements)
-        self.words = words
+        words: list[tuple[int, ...]] = [()]
+        for k, i in parents[1:]:
+            words.append(words[k] + (i,))
+        self.words = dict(zip(bfs, words))
         self.dim = len(self.elements[0])
         self._index = {m: i for i, m in enumerate(self.elements)}
         pos = [self._index[m] for m in bfs]
@@ -336,6 +351,36 @@ class MatrixGroup:
         return found
 
 
+def _closure(
+    ident: Any, generators: Sequence[Any], multiply: Callable, key: Callable, cap: int
+) -> tuple[list, list[list[int]], list[tuple[int, int] | None]]:
+    """Breadth-first closure of `generators` under right multiplication.
+
+    Returns (elements, products, parents): the elements in BFS order, the
+    identity first, told apart by key(element); products[i][j], the
+    position of multiply(elements[j], generators[i]); and parents[j], the
+    pair (k, i) that first formed elements[j] (None for the identity).
+    Raises OrderCapExceeded past `cap` elements.
+    """
+    found = {key(ident): 0}
+    elements = [ident]
+    parents: list[tuple[int, int] | None] = [None]
+    products: list[list[int]] = [[] for _ in generators]
+    for j, a in enumerate(elements):
+        for i, g in enumerate(generators):
+            b = multiply(a, g)
+            kb = key(b)
+            k = found.get(kb)
+            if k is None:
+                k = found[kb] = len(elements)
+                elements.append(b)
+                parents.append((j, i))
+                if len(elements) > cap:
+                    raise OrderCapExceeded(f"closure exceeded cap of {cap} elements")
+            products[i].append(k)
+    return elements, products, parents
+
+
 def close_group(
     generators: Sequence[Matrix],
     gen_names: Sequence[str] | None = None,
@@ -365,60 +410,23 @@ def close_group(
     if len(names) != len(gens):
         raise ValueError("one name per generator required")
 
-    e = identity(n)
-    words: dict[Matrix, tuple[int, ...]] = {e: ()}
-    found = {e: 0}
-    bfs = [e]
-    parents: list[tuple[int, int] | None] = [None]
-    products: list[list[int]] = [[] for _ in gens]
-    for j, m in enumerate(bfs):
-        w = words[m]
-        for i, g in enumerate(gens):
-            prod_m = mat_mul(m, g)
-            k = found.get(prod_m)
-            if k is None:
-                k = found[prod_m] = len(bfs)
-                bfs.append(prod_m)
-                words[prod_m] = w + (i,)
-                parents.append((j, i))
-                if len(bfs) > cap:
-                    raise OrderCapExceeded(
-                        f"closure exceeded cap of {cap} elements"
-                    )
-            products[i].append(k)
-    return MatrixGroup(gens, names, bfs, words, products, parents)
+    # A matrix is a tuple, hashable as it stands: its own closure key.
+    bfs, products, parents = _closure(identity(n), gens, mat_mul, lambda m: m, cap)
+    return MatrixGroup(gens, names, bfs, products, parents)
 
 
 # -- rational reducibility -------------------------------------------------
 
 
-def _kernel_basis(rows: list[list[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
+def _kernel_basis(rows: Sequence[Sequence[Any]], width: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the stacked row matrix."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(width) if c not in pivots]
+    m, pivots, _ = _row_reduce(rows, width)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(width) if c not in pivots):
         v = [Fraction(0)] * width
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -442,19 +450,23 @@ def _primitive_int_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def q_reducible(generators: Sequence[Matrix]) -> tuple[bool, dict | None]:
-    """Decide reducibility of the rational representation.
+def q_reducible(group: MatrixGroup) -> tuple[bool, dict | None]:
+    """Decide reducibility of the rational representation of a finite group.
 
-    Searches a common eigenvector with eigenvalues +-1 per generator (a
-    1-dimensional invariant subspace; rational eigenvalues of
-    finite-order matrices are +-1), then the same for the transposes,
-    whose eigenvectors are normals of 2-dimensional invariant subspaces.
-    Returns (True, witness) or (False, None).
+    By Maschke's theorem a proper invariant subspace has an invariant
+    complement; in dimension 2 or 3 one of them is a line, spanned by a
+    common eigenvector of the generators with rational eigenvalues, so
+    +-1. A line has no proper nonzero subspace, and above dimension 3 both
+    parts can be planes (ValueError). Returns (True, witness) or
+    (False, None).
     """
-    gens = [mat(g) for g in generators]
-    n = len(gens[0])
+    n, gens = group.dim, group.generators
+    if n > 3:
+        raise ValueError(f"q_reducible decides dimension <= 3, not {n}")
+    if n == 1:
+        return False, None
 
-    def search(ms: list[Matrix]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    def descend(rows: list[list[int]], depth: int):
         """First sign tuple, in the order of product((1, -1), ...), whose
         stacked rows g - s*I have a common kernel.
 
@@ -462,35 +474,26 @@ def q_reducible(generators: Sequence[Matrix]) -> tuple[bool, dict | None]:
         shrink a kernel, so a prefix whose rows already have a trivial
         kernel is dropped with all its extensions.
         """
+        g = gens[depth]
+        for s in (1, -1):
+            stacked = rows + [
+                [g[i][j] - (s if i == j else 0) for j in range(n)] for i in range(n)
+            ]
+            basis = _kernel_basis(stacked, n)
+            if not basis:
+                continue
+            if depth + 1 == len(gens):
+                return (s,), _primitive_int_vector(basis[0])
+            hit = descend(stacked, depth + 1)
+            if hit is not None:
+                return (s,) + hit[0], hit[1]
+        return None
 
-        def descend(rows: list[list[Fraction]], depth: int):
-            g = ms[depth]
-            for s in (1, -1):
-                stacked = rows + [
-                    [Fraction(g[i][j] - (s if i == j else 0)) for j in range(n)]
-                    for i in range(n)
-                ]
-                basis = _kernel_basis(stacked, n)
-                if not basis:
-                    continue
-                if depth + 1 == len(ms):
-                    return (s,), _primitive_int_vector(basis[0])
-                hit = descend(stacked, depth + 1)
-                if hit is not None:
-                    return (s,) + hit[0], hit[1]
-            return None
-
-        return descend([], 0)
-
-    hit = search(gens)
-    if hit is not None:
-        signs, vec = hit
-        return True, {"dim": 1, "vector": vec, "signs": signs}
-    hit = search([tuple(zip(*g)) for g in gens])
-    if hit is not None:
-        signs, vec = hit
-        return True, {"dim": 2, "normal": vec, "signs": signs}
-    return False, None
+    hit = descend([], 0)
+    if hit is None:
+        return False, None
+    signs, vec = hit
+    return True, {"dim": 1, "vector": vec, "signs": signs}
 
 
 def verify_conjugation(
@@ -498,22 +501,24 @@ def verify_conjugation(
 ) -> bool:
     """Does P^-1 * left * P equal right as a set?
 
-    A non-integral conjugate makes the answer False (not an error): the
-    conjugating matrix simply fails to carry one lattice group onto the
-    other.
+    Conjugation by P is an injective homomorphism, so the image of left is
+    generated by the conjugates of left's generators. If those lie in
+    right and the orders agree, the image is all of right. A non-integral
+    conjugate makes the answer False (not an error): the conjugating
+    matrix simply fails to carry one lattice group onto the other.
     """
+    if left.order != right.order:
+        return False
     p = mat(p)
     try:
         pinv = mat_inv(p)
     except ValueError:
         return False
-    out = set()
-    for g in left.elements:
+    for g in left.generators:
         h = intify(mat_mul(mat_mul(pinv, g), p))
-        if h is None:
+        if h is None or h not in right:
             return False
-        out.add(h)
-    return out == set(right.elements)
+    return True
 
 
 # -- isomorphism-type recognition ------------------------------------------

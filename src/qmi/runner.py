@@ -224,9 +224,7 @@ def _run_conjugacy(catalog: Catalog, p: Mapping) -> list[dict]:
 
 
 def _run_q_reducibility(catalog: Catalog, p: Mapping) -> list[dict]:
-    rec = catalog.group(p["group"])
-    gens = [word_matrix(w, MATRICES) for w in rec["generators"]]
-    got, _ = q_reducible(gens)
+    got, _ = q_reducible(build_group(catalog, p["group"]))
     if got != p["reducible"]:
         return _mismatch(
             f"representation is {'' if got else 'ir'}reducible over Q, "

@@ -8,8 +8,9 @@ The four order-48 groups are the catalog groups G_7_5_1, G_7_5_2 and
 G_7_5_3 and the model S4xC2 of identify_iso_type. fingerprint and
 normal_subgroups run on a group closed afresh before each round, outside
 the timed call, so every round pays for the structure it reads (the first
-structure call of a catalog run does too). q_reducible takes the
-generators alone.
+structure call of a catalog run does too). q_reducible runs on a closed
+group; it decides dimension <= 3 only, so the 4-dimensional S4xC2 gives
+way there to the 3-dimensional D4xC2, a reducible block sum of order 16.
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -46,8 +47,8 @@ def test_structure(benchmark, name, method):
     assert result
 
 
-@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("name", GROUPS[:3] + ["D4xC2"])
 def test_q_reducible(benchmark, name):
-    reducible, _ = benchmark(q_reducible, generators(name))
+    reducible, _ = benchmark(q_reducible, close_group(generators(name)))
     # The catalog groups act irreducibly on Q^3; the model is a block sum.
-    assert reducible == (name == "S4xC2")
+    assert reducible == (name == "D4xC2")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qmi import QQ, Context, InconsistentAction, RatFunc, parse
+from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, parse
 from qmi.actions import (
     Automorphism,
     check_identity,
@@ -90,6 +90,12 @@ class TestClosure:
 
     def test_identity_alone(self):
         assert len(close_action([Automorphism.identity(CTX3)])) == 1
+
+    def test_cap(self):
+        sigma = Automorphism.monomial(CTX3, CAA)  # order 4
+        assert len(close_action([sigma], cap=4)) == 4
+        with pytest.raises(OrderCapExceeded):
+            close_action([sigma], cap=3)
 
     def test_non_injective_generator_raises(self):
         ctx = Context(QQ, variables=["x1", "x2"])
