@@ -18,14 +18,13 @@ records (empty means verified) whose witnesses are nonzero differences.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 from .context import Context
 from .errors import InconsistentAction
 from .matgroup import _closure, mat_det
-from .poly import Poly, _from_ints, _lifted_product
-from .ratfunc import Pair, RatFunc, apply_root_signs_poly, substitute_raw
+from .poly import Poly
+from .ratfunc import Pair, RatFunc, _raw_difference, apply_root_signs_poly, substitute_raw
 
 
 class Automorphism:
@@ -200,26 +199,6 @@ def close_action(
 def _witness(num: Poly, limit: int = 400) -> str:
     text = str(num)
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _raw_difference(a: Pair, b: Pair) -> Poly:
-    """a[0]*b[1] - b[0]*a[1], subtracted over the integers.
-
-    Both products are lifted to integers (denominators cleared, as in
-    Poly.__mul__) and brought to one common scale, so only the surviving
-    coefficients are normalized, once each.
-    """
-    ctx = a[0].ctx
-    sl, left = _lifted_product(a[0].terms, b[1].terms, ctx.folds)
-    sr, right = _lifted_product(b[0].terms, a[1].terms, ctx.folds)
-    scale = math.lcm(sl, sr)
-    ml, mr = scale // sl, scale // sr
-    if ml != 1:
-        left = {e: v * ml for e, v in left.items()}
-    get = left.get
-    for e, v in right.items():
-        left[e] = get(e, 0) - v * mr
-    return _from_ints(ctx, scale, left)
 
 
 def check_invariance(

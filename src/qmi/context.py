@@ -104,7 +104,11 @@ class Context:
         # square folds into the parameter, (i, None, constant) when the
         # parameter is specialized. An integral constant is kept as an int,
         # so that products lifted to integer coefficients stay integral.
+        # Every nonempty subset of the constants must multiply to a
+        # nonsquare: if c*d = s^2, sqrt(c)*sqrt(d) - s is a zero divisor.
+        # Over F_p this allows at most one constant root.
         self.folds: list[tuple[int, int | None, Any]] = []
+        subset_products: list[Any] = []
         for i, p in enumerate(self.rooted):
             if p in spec:
                 value = field.of(spec[p])
@@ -112,11 +116,14 @@ class Context:
                     raise ValueError(
                         f"rooted parameter {p!r} specialized to 0 in {field.name}"
                     )
-                if _is_square(field, value):
+                new = [value] + [field.mul(value, q) for q in subset_products]
+                if any(_is_square(field, v) for v in new):
                     raise ValueError(
                         f"rooted parameter {p!r} specialized to a square in "
-                        f"{field.name}; its root ring has zero divisors"
+                        f"{field.name}, alone or times other specialized roots; "
+                        "its root ring has zero divisors"
                     )
+                subset_products += new
                 if value.denominator == 1:
                     value = value.numerator
                 self.folds.append((i, None, value))

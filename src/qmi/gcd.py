@@ -12,8 +12,9 @@ realizing the isomorphism k[p, r]/(r^2 - p) ~ k[r]. In eliminated form the
 root behaves as a free symbol and ordinary primitive-PRS gcd applies.
 Roots of *specialized* parameters (square roots of explicit constants)
 cannot be eliminated; they keep exponent 0/1 with the constant fold and
-are never chosen as PRS main symbols: their polynomials are elements of
-the quadratic extension of the coefficient field.
+are never chosen as PRS main symbols: they are elements of the extension
+k(sqrt(c_1), ...), a field because Context rejects constant roots whose
+product over any nonempty subset is a square.
 
 poly_gcd has two algorithms. The coefficient domain is picked once per
 context: the integers (_Integers) for Q without constant roots, rooted
@@ -58,10 +59,17 @@ go through poly._convolve_ints. exact_div over the integers divides
 by the primitive part of the divisor, whose quotients are integral by
 Gauss's lemma, and rescales once; otherwise it runs over the field.
 
+_div is the only long division. A divisor d that uses a constant root r
+is first replaced by its norm d * conj_r(d) (conj_r flips the sign of r),
+and the dividend is multiplied by the same conjugate: as the extension is
+a field, conj_r(d) != 0, so the quotient is unchanged. The norm is free
+of r and of every root done before it.
+
 unit_normal fixes the one free unit of a canonical form: it divides by
 the leading coefficient, taken with constant roots as the whole element
-of the extension that multiplies the leading bare monomial. Associates
-over the extension therefore share one normal form.
+of the extension that multiplies the leading bare monomial, inverted
+by _div through the same conjugates. Associates over the extension
+therefore share one normal form.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from typing import Any
 from .context import Context
 from .errors import DivisionByZero, NotDivisible
 from .field import BaseField
-from .poly import Poly, _convolve_ints, _lift_ints
+from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product
 
 EDict = dict[tuple[int, ...], Any]
 
@@ -84,8 +92,8 @@ class _ElimInfo:
     """Per-context tables for the eliminated form, and its domains."""
 
     __slots__ = (
-        "ctx", "keep", "nslots", "root_pairs", "const_roots", "eligible",
-        "croot_slots", "field", "prs",
+        "ctx", "keep", "nslots", "root_pairs", "folds", "croot_slots",
+        "eligible", "field", "prs",
     )
 
     def __init__(self, ctx: Context) -> None:
@@ -103,10 +111,10 @@ class _ElimInfo:
         self.nslots = len(self.keep)
         pos = {orig: new for new, orig in enumerate(self.keep)}
         self.root_pairs = [(pos[r], orig_p) for r, orig_p in root_pairs]
-        self.const_roots = [(pos[r], v) for r, v in const_roots]
-        self.croot_slots = tuple(slot for slot, _ in self.const_roots)
-        ineligible = set(self.croot_slots)
-        self.eligible = tuple(i for i in range(self.nslots) if i not in ineligible)
+        # The constant folds of ctx.folds, on eliminated slots.
+        self.folds = [(pos[r], None, v) for r, v in const_roots]
+        self.croot_slots = tuple(r for r, _, _ in self.folds)
+        self.eligible = tuple(i for i in range(self.nslots) if i not in self.croot_slots)
         self.field = _Field(self, ctx.field)
         if ctx.field.char == 0 and not self.croot_slots:
             self.prs: _Domain = _Integers(self)
@@ -160,7 +168,7 @@ class _Domain:
 
     def __init__(self, E: _ElimInfo) -> None:
         self.E = E
-        self.folds = [(slot, None, value) for slot, value in E.const_roots]
+        self.folds = E.folds
         self.unit: EDict = {(0,) * E.nslots: 1}
 
     def reduce(self, d: EDict) -> EDict:
@@ -238,7 +246,11 @@ def _elead(d: EDict) -> tuple[tuple[int, ...], Any]:
 
 
 def _mul(D: _Domain, a: EDict, b: EDict) -> EDict:
-    return D.reduce(_convolve_ints(a, b, D.folds))
+    """a * b, reduced; over Q through integers, as in Poly.__mul__."""
+    if D.modulus or isinstance(D, _Integers):
+        return D.reduce(_convolve_ints(a, b, D.folds))
+    scale, ints = _lifted_product(a, b, D.folds)
+    return {e: Fraction(v, scale) for e, v in ints.items() if v}
 
 
 def _sub(D: _Domain, a: EDict, b: EDict) -> EDict:
@@ -275,85 +287,18 @@ def _eshift(d: EDict, m: int, k: int) -> EDict:
     return out
 
 
-def _kinv(D: _Field, d: EDict) -> EDict:
-    """Invert an element supported on the constant-root slots only.
-
-    Works by conjugation: for d = u + v*r with r^2 a known constant,
-    d^-1 = (u - v*r) / (u^2 - r^2 v^2), recursing on the remaining
-    root slots.  A vanishing norm means the extension has zero
-    divisors, which no valid context should produce.
-    """
-    if not d:
-        raise DivisionByZero("inverting zero in a root extension")
-    for slot, value in D.E.const_roots:
-        if not any(e[slot] for e in d):
-            continue
-        u = _ecoeff_of(d, slot, 0)
-        v = _ecoeff_of(d, slot, 1)
-        vv = {e: c * value for e, c in _convolve_ints(v, v, D.folds).items()}
-        norm = _sub(D, _convolve_ints(u, u, D.folds), vv)
-        conj = dict(u)
-        for e, c in v.items():
-            z = list(e)
-            z[slot] = 1
-            conj[tuple(z)] = -c
-        return _mul(D, conj, _kinv(D, norm))
-    (e, c), = d.items()
-    return {e: D.quo(1, c)}
-
-
-def _mono_groups(E: _ElimInfo, d: EDict) -> dict[tuple[int, ...], EDict]:
-    """Split terms by exponents outside the constant-root slots.
-
-    Maps each bare monomial to its coefficient in the root extension,
-    the latter kept as a same-width dict supported on root slots.
-    """
-    groups: dict[tuple[int, ...], EDict] = {}
-    for e, c in d.items():
-        z = list(e)
-        root = [0] * len(e)
-        for s in E.croot_slots:
-            root[s] = z[s]
-            z[s] = 0
-        groups.setdefault(tuple(z), {})[tuple(root)] = c
-    return groups
-
-
-def _exact_div_rooted(D: _Field, num: EDict, den: EDict) -> EDict:
-    """Division when the divisor involves roots of constants.
-
-    Those symbols square to constants, so they are coefficient-field
-    elements rather than true monomial slots; the leading coefficient
-    is a whole element of the quadratic extension and has to be
-    inverted as such, or exact quotients get missed.
-    """
-    dgroups = _mono_groups(D.E, den)
-    lm = max(dgroups, key=_ekey)
-    linv = _kinv(D, dgroups[lm])
-    quot: EDict = {}
-    rem = dict(num)
-    while rem:
-        rgroups = _mono_groups(D.E, rem)
-        rm = max(rgroups, key=_ekey)
-        qe = [a - b for a, b in zip(rm, lm)]
-        if any(x < 0 for x in qe):
-            raise NotDivisible("leading monomial not divisible")
-        step = _mul(D, rgroups[rm], linv)
-        step = {tuple(a + b for a, b in zip(qe, e)): c for e, c in step.items()}
-        quot.update(step)
-        rem = _sub(D, rem, _convolve_ints(step, den, D.folds))
-    return quot
-
-
 def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
     """Exact long division in eliminated form; raises NotDivisible.
 
-    Without constant roots in den, the degree of each slot adds up in a
-    product, so a quotient term above deg(num) - deg(den) in some slot
-    proves a remainder; this stops a failed division early.
+    A den that uses constant roots is first made free of them by its
+    conjugates (module docstring). Then the degree of each slot adds up
+    in a product, so a quotient term above deg(num) - deg(den) in some
+    slot proves a remainder; this stops a failed division early.
     """
-    if D.E.croot_slots and any(e[s] for e in den for s in D.E.croot_slots):
-        return _exact_div_rooted(D, num, den)
+    for s in D.E.croot_slots:
+        if any(e[s] for e in den):
+            conj = {e: -c if e[s] else c for e, c in den.items()}
+            num, den = _mul(D, num, conj), _mul(D, den, conj)
     le, lc = _elead(den)
     rest = [(e, c) for e, c in den.items() if e != le]
     room = [x - y for x, y in zip(map(max, zip(*num)), map(max, zip(*den)))]
@@ -571,7 +516,8 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
 
     That unit is p's leading coefficient (graded order). With constant
     roots it is the root-extension coefficient of p's leading bare
-    monomial, inverted with _kinv. A zero p is returned as it is.
+    monomial (exponents with the constant-root slots zeroed), whose
+    inverse is one _div of 1 by it. A zero p is returned as it is.
     """
     if p.is_zero():
         return (p, *rest)
@@ -583,11 +529,13 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
         inv = ctx.field.inv(lc)
         return tuple(q.scale(inv) for q in (p, *rest))
     E = _elim_info(ctx)
-    groups = _mono_groups(E, _to_elim(E, p))
-    lead = groups[max(groups, key=_ekey)]
+    d = _to_elim(E, p)
+    bare = {e: tuple(0 if i in E.croot_slots else k for i, k in enumerate(e)) for e in d}
+    lm = max(bare.values(), key=_ekey)
+    lead = {tuple(map(sub, e, lm)): c for e, c in d.items() if bare[e] == lm}
     if lead == E.field.unit:
         return (p, *rest)
-    inv = _from_elim(E, _kinv(E.field, lead))
+    inv = _from_elim(E, _div(E.field, E.field.unit, lead))
     return tuple(q * inv for q in (p, *rest))
 
 

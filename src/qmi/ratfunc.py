@@ -4,7 +4,9 @@ Canonical form: numerator and denominator share no factor (after gcd
 reduction) and the denominator is normalized by gcd.unit_normal (its
 leading coefficient is 1, read in the root extension when there are
 constant roots). Equal rational functions therefore have equal parts and
-equal hashes. Equality itself is decided by cross-multiplication.
+equal hashes. Equality itself is decided by cross-multiplication,
+through _raw_difference, the zero test the check_* functions of
+qmi.actions use too.
 
 The module-level *_raw helpers work on plain (num, den) polynomial pairs
 without reduction. The verification engine composes large expressions
@@ -28,7 +30,7 @@ from typing import Any, Mapping
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import exact_div, poly_gcd, unit_normal
-from .poly import Poly, _convolve_ints, _from_ints, _lift_ints
+from .poly import Poly, _convolve_ints, _from_ints, _lift_ints, _lifted_product
 
 Pair = tuple[Poly, Poly]
 # Variable index -> {exponent k: (scale, integer term dict)}; see _power_tables.
@@ -110,7 +112,9 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        if self.ctx != other.ctx:
+            raise ValueError("mixed contexts")
+        return _raw_difference((self.num, self.den), (other.num, other.den)).is_zero()
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -357,3 +361,23 @@ def substitute_raw(
     if den.is_zero():
         raise SubstitutionPole("denominator vanished under substitution")
     return num, den
+
+
+def _raw_difference(a: Pair, b: Pair) -> Poly:
+    """a[0]*b[1] - b[0]*a[1], subtracted over the integers.
+
+    Both products are lifted to integers (denominators cleared, as in
+    Poly.__mul__) and brought to one common scale, so only the surviving
+    coefficients are normalized, once each.
+    """
+    ctx = a[0].ctx
+    sl, left = _lifted_product(a[0].terms, b[1].terms, ctx.folds)
+    sr, right = _lifted_product(b[0].terms, a[1].terms, ctx.folds)
+    scale = math.lcm(sl, sr)
+    ml, mr = scale // sl, scale // sr
+    if ml != 1:
+        left = {e: v * ml for e, v in left.items()}
+    get = left.get
+    for e, v in right.items():
+        left[e] = get(e, 0) - v * mr
+    return _from_ints(ctx, scale, left)

@@ -13,6 +13,9 @@ is 1.
 fifty: the pair of test_fifty_term_polynomial over Q (525 and 25 terms
 in sqrt(a), a, x1, x2; gcd 1). The PRS is left out there: it runs for
 minutes on this pair.
+two-roots: exact_div and unit_normal over Q(sqrt(5), sqrt(-3)), the
+context with two constant roots, on seeded random polynomials whose
+leading coefficients use both roots.
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -25,7 +28,7 @@ from random import Random
 
 import pytest
 
-from qmi import QQ, Context, Poly, gcd, parse, ratfunc
+from qmi import QQ, Context, Poly, exact_div, gcd, parse, ratfunc
 from qmi.catalog import builtin_catalog
 from qmi.ratfunc import substitute_raw
 from qmi.runner import run_case
@@ -89,3 +92,27 @@ def test_gcd(benchmark, name, algorithm):
     ea, eb = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
     g = benchmark(ALGORITHMS[algorithm], D, ea, eb)
     assert gcd.unit_normal(gcd._from_elim(E, D.leave(g)))[0] == expected
+
+
+def two_root_polys():
+    """(f, g, h) over Q(sqrt(5), sqrt(-3)): 24, 24 and 8 terms in x1, x2."""
+    ctx = Context(QQ, variables=["x1", "x2"], parameters=["c", "m"], roots=["c", "m"],
+                  specialize={"c": 5, "m": -3})
+    rnd = Random(53)
+
+    def box(*sides):
+        """Every monomial in both roots and below `sides` in x1, x2."""
+        exps = product(range(2), range(2), *map(range, sides))
+        return Poly(ctx, {e: Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 5)) for e in exps})
+
+    return box(2, 3), box(3, 2), box(2, 1)
+
+
+@pytest.mark.parametrize("op", ["exact_div", "unit_normal"])
+def test_two_roots(benchmark, op):
+    f, g, h = two_root_polys()
+    if op == "exact_div":
+        assert benchmark(exact_div, f * h, h) == f
+    else:
+        u, v = benchmark(gcd.unit_normal, g, f)
+        assert u * f == v * g and gcd.unit_normal(u)[0] == u

@@ -71,6 +71,22 @@ class TestContext:
         with pytest.raises(ValueError, match="square"):
             Context(field, parameters=["m"], roots=["m"], specialize={"m": value})
 
+    @pytest.mark.parametrize("field,c,d", [(QQ, 2, 8), (PrimeField(7), 3, 5)])
+    def test_constant_roots_cannot_multiply_to_square(self, field, c, d):
+        # Both are nonsquares, but c*d is a square (16; 15 = 1 mod 7), so
+        # sqrt(c)*sqrt(d) - 4 (resp. - 1) would be a zero divisor.
+        with pytest.raises(ValueError, match="square"):
+            Context(field, variables=["x"], parameters=["c", "d"], roots=["c", "d"],
+                    specialize={"c": c, "d": d})
+
+    def test_two_constant_roots_with_nonsquare_product(self):
+        c = Context(QQ, variables=["x"], parameters=["c", "m"], roots=["c", "m"],
+                    specialize={"c": 5, "m": -3})
+        r = P(c, "sqrt(c)*sqrt(m)")
+        assert r * r == P(c, "-15")
+        f = parse(c, "1/(sqrt(c)*sqrt(m) - 4)")
+        assert f * parse(c, "sqrt(c)*sqrt(m) - 4") == parse(c, "1")
+
     def test_rooted_parameter_may_specialize_to_nonresidue(self):
         c = Context(PrimeField(7), variables=["x"], parameters=["m"], roots=["m"],
                     specialize={"m": 3})
@@ -177,6 +193,11 @@ class TestRatFunc:
 
     def test_equality_by_cross_multiplication(self, ctx):
         assert parse(ctx, "(x1^2-1)/(x1+1)") == parse(ctx, "x1-1")
+
+    def test_equality_across_contexts_rejected(self, ctx):
+        other = Context(QQ, variables=["x1", "x2", "x3"], parameters=["a", "b"])
+        with pytest.raises(ValueError, match="mixed contexts"):
+            parse(ctx, "x1") == parse(other, "x1")
 
     def test_substitute_identity_fixed_point(self, ctx):
         t1 = parse(ctx, "(x1*x2+1)/(x1+x2)")
@@ -412,7 +433,8 @@ class TestKernelDispatch:
         assert calls == {"packed": 0, "loop": 1}
 
     def test_fraction_coefficients_stay_on_the_loop(self, calls):
-        # The PRS over Q with constant roots runs over Fractions (gcd._Field).
+        # The PRS over Q with constant roots runs over Fractions (gcd._Field):
+        # its pseudo-remainders call the kernel on Fraction coefficients.
         from qmi import gcd, poly
 
         ctx = Context(QQ, variables=["x", "y"], parameters=["m"], roots=["m"], specialize={"m": -3})
@@ -421,6 +443,6 @@ class TestKernelDispatch:
         f = self.box(ctx, (2, 6, 6), lambda i: Fraction(i + 1, 2))
         g = self.box(ctx, (2, 6, 6), lambda i: Fraction(1, i + 1))
         assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
-        terms = gcd._mul(D, f.terms, g.terms)
+        terms = D.reduce(poly._convolve_ints(f.terms, g.terms, D.folds))
         assert calls == {"packed": 0, "loop": 1}
         assert Poly(ctx, terms) == f * g

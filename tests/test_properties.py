@@ -22,6 +22,12 @@ M3CTX = Context(QQ, variables=["x1", "x2"], parameters=["m"], roots=["m"], speci
 # A constant root whose square is not an integer: products carry Fractions.
 MHALFCTX = Context(QQ, variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": "1/2"})
 F7CTX = Context(PrimeField(7), variables=["x1", "x2"], parameters=["a"], roots=["a"])
+# Two constant roots at once: Q(sqrt(5), sqrt(-3)), a field of degree 4 over Q.
+C5M3CTX = Context(
+    QQ, variables=["x1", "x2"], parameters=["c", "m"], roots=["c", "m"], specialize={"c": 5, "m": -3}
+)
+# A constant root over F_7: 3 is a nonsquare mod 7, so this is F_49.
+F7M3CTX = Context(PrimeField(7), variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": 3})
 
 RELAXED = settings(
     max_examples=30,
@@ -71,15 +77,23 @@ def test_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@given(polys(max_terms=2, max_exp=1), polys(max_terms=2, max_exp=1), polys(max_terms=2, max_exp=1))
+@pytest.mark.parametrize(
+    "ctx", [CTX, C5M3CTX, F7M3CTX], ids=["rooted-parameter", "two-constant-roots", "F7-constant-root"]
+)
+@given(data=st.data())
 @settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
-def test_gcd_divisible_by_planted_factor(p, q, h):
+def test_gcd_divisible_by_planted_factor(ctx, data):
+    p, q, h = (data.draw(polys(ctx, max_terms=2, max_exp=1)) for _ in range(3))
     assume(not h.is_zero() and h.degree() >= 1)
     assume(not p.is_zero() and not q.is_zero())
     g = poly_gcd(p * h, q * h)
     quot = exact_div(g, h)  # raises NotDivisible on failure
     assert quot * h == g
     assert exact_div(p * h, h) == p
+    # Canonical parts are unique, so the planted factor leaves no trace;
+    # with constant roots this runs unit_normal in the extension.
+    planted, plain = RatFunc(p * h, q * h), RatFunc(p, q)
+    assert (planted.num, planted.den) == (plain.num, plain.den)
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
