@@ -1,4 +1,4 @@
-"""Polynomial gcd and exact division.
+"""Polynomial gcd, cofactors and exact division.
 
 The stored form keeps a rooted parameter and its root as separate symbols
 with the rewrite (root)^2 -> parameter. That form is not a UFD presentation
@@ -16,11 +16,14 @@ are never chosen as PRS main symbols: they are elements of the extension
 k(sqrt(c_1), ...), a field because Context rejects constant roots whose
 product over any nonempty subset is a square.
 
-poly_gcd has two algorithms. The coefficient domain is picked once per
-context: the integers (_Integers) for Q without constant roots, rooted
-parameters included (denominators are cleared once, which avoids
-per-operation Fraction normalization), and otherwise the context's field
-(_Field: F_p, or Q with constant roots).
+poly_gcd and cancel share one path (_gcd_cofactors), which yields the
+gcd g of two polynomials and both cofactors a/g and b/g; poly_gcd keeps
+g, cancel keeps the cofactors. It has two algorithms. The coefficient
+domain is picked once per context: the integers (_Integers) for Q
+without constant roots, rooted parameters included (each part is lifted
+to integers once, which avoids per-operation Fraction normalization,
+and each cofactor goes back over its own part's scale), and otherwise
+the context's field (_Field: F_p, or Q with constant roots).
 
 Over the integers the heuristic gcd runs first (_heu_gcd, GCDHEU: Char,
 Geddes & Gonnet 1989, in the recursive form of Liao & Fateman 1995). It
@@ -44,11 +47,15 @@ and of b; if it had degree d >= 1, its roots would give |q(xi)| >
 (xi/2)^d >= xi/2 >= |c|. Thus q is a constant, and +-1 as g is
 primitive. The heuristic starts at xi = 2*min(|a|, |b|) + 29,
 so the bound holds at every level, and every result it returns has
-passed the exact division (_div) of both primitive inputs. It grows xi
-after a failed check, and after _HEU_ATTEMPTS points in one slot it
-gives up; poly_gcd then runs the PRS on the same inputs, which is the
-only path for _Field domains. The choice follows from the context
-alone: no parameter or setting selects it.
+passed the exact division (_div) of both primitive inputs. The
+quotients of that check are kept: scaled by the contents, they are the
+cofactors, so the heuristic returns (g, a/g, b/g) with no further
+division, and none at all when h is the unit. It grows xi after a
+failed check, and after _HEU_ATTEMPTS points in one slot it gives up;
+the PRS then runs on the same inputs, which is the only path for _Field
+domains, and one _div of each input by its gcd gives the cofactors. The
+choice follows from the context alone: no parameter or setting selects
+it.
 
 The PRS (_gcd) is one primitive pseudo-remainder sequence over either
 domain. The domain supplies only what differs: how a product or
@@ -177,13 +184,16 @@ class _Domain:
 
 
 class _Integers(_Domain):
-    """Z; entered from Q by clearing denominators, which a gcd ignores."""
+    """Z; entered from Q by clearing denominators into one scale per dict.
 
-    def enter(self, d: EDict) -> EDict:
-        return _lift_ints(d)[1]
+    A gcd ignores the scale; a cofactor leaves over its dividend's scale.
+    """
 
-    def leave(self, d: EDict) -> EDict:
-        return {e: Fraction(c) for e, c in d.items()}
+    def enter(self, d: EDict) -> tuple[int, EDict]:
+        return _lift_ints(d)
+
+    def leave(self, d: EDict, scale: int = 1) -> EDict:
+        return {e: Fraction(c, scale) for e, c in d.items()}
 
     def const_gcd(self, a: EDict, b: EDict) -> EDict:
         return {(0,) * self.E.nslots: math.gcd(*a.values(), *b.values())}
@@ -208,10 +218,11 @@ class _Field(_Domain):
         self.f = field
         self.modulus = field.char
 
-    def enter(self, d: EDict) -> EDict:
-        return d
+    def enter(self, d: EDict) -> tuple[int, EDict]:
+        return 1, d
 
-    leave = enter
+    def leave(self, d: EDict, scale: int = 1) -> EDict:
+        return d
 
     def reduce(self, d: EDict) -> EDict:
         p = self.modulus
@@ -410,25 +421,28 @@ def _gcd(D: _Domain, a: EDict, b: EDict) -> EDict:
 _HEU_ATTEMPTS = 6
 
 
-def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> EDict | None:
-    """GCDHEU: the gcd of two nonzero integer dicts, or None if it gives up.
+def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | None:
+    """GCDHEU: (g, a/g, b/g) for two nonzero integer dicts, or None.
 
-    Splits off the integer contents (if either primitive part is a
-    constant, the gcd of the contents is the answer), evaluates them at
-    x_m = xi in their lowest used slot m, recurses on the images, and
-    interpolates the image gcd back in slot m from its balanced xi-adic
-    digits. The primitive part h of that interpolant is accepted only if
-    _div divides both primitive parts by it exactly; then, since xi is at
-    least 2*min(|a|, |b|) + 2 (see the module docstring), h is their gcd.
-    Otherwise xi grows, _HEU_ATTEMPTS times at most. The result is the
-    content gcd times h, with a positive leading coefficient.
+    g is the gcd of a and b, with a positive leading coefficient; None
+    means the heuristic gave up. Splits off the integer contents (if
+    either primitive part is a constant, the gcd c of the contents is the
+    answer), evaluates them at x_m = xi in their lowest used slot m,
+    recurses on the images, and interpolates the image gcd back in slot m
+    from its balanced xi-adic digits. The primitive part h of that
+    interpolant is accepted only if _div divides both primitive parts by
+    it exactly; then, since xi is at least 2*min(|a|, |b|) + 2 (see the
+    module docstring), h is their gcd, and the two quotients of that
+    check, scaled by ca/c and cb/c, are the cofactors. A unit h divides
+    with no division: the quotients are the primitive parts. Otherwise
+    xi grows, _HEU_ATTEMPTS times at most.
     """
     zero = (0,) * D.E.nslots
     ca = math.gcd(*a.values())
     cb = math.gcd(*b.values())
     c = math.gcd(ca, cb)
     if (len(a) == 1 and zero in a) or (len(b) == 1 and zero in b):
-        return {zero: c}
+        return {zero: c}, _scale_down(a, c), _scale_down(b, c)
     a = _scale_down(a, ca)
     b = _scale_down(b, cb)
     m = min(i for d in (a, b) for e in d for i, k in enumerate(e) if k)
@@ -437,19 +451,28 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> EDict | None:
         ea = _eval_slot(a, m, xi)
         eb = _eval_slot(b, m, xi)
         if ea and eb:
-            g = _heu_gcd(D, ea, eb)
-            if g is None:
+            found = _heu_gcd(D, ea, eb)
+            if found is None:
                 return None
-            h = _interpolate(g, m, xi)
+            h = _interpolate(found[0], m, xi)
             h = D.normal(_scale_down(h, math.gcd(*h.values())))
-            if _divides(D, h, a) and _divides(D, h, b):
-                return h if c == 1 else {e: v * c for e, v in h.items()}
+            if h == D.unit:
+                qa, qb = a, b
+            else:
+                qa = _quotient(D, a, h)
+                qb = None if qa is None else _quotient(D, b, h)
+            if qb is not None:
+                return _scale_up(h, c), _scale_up(qa, ca // c), _scale_up(qb, cb // c)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
 def _scale_down(d: EDict, c: int) -> EDict:
     return d if c == 1 else {e: v // c for e, v in d.items()}
+
+
+def _scale_up(d: EDict, c: int) -> EDict:
+    return d if c == 1 else {e: v * c for e, v in d.items()}
 
 
 def _eval_slot(d: EDict, m: int, xi: int) -> EDict:
@@ -489,12 +512,12 @@ def _interpolate(g: EDict, m: int, xi: int) -> EDict:
     return out
 
 
-def _divides(D: _Domain, h: EDict, d: EDict) -> bool:
+def _quotient(D: _Domain, d: EDict, h: EDict) -> EDict | None:
+    """d / h if h divides d exactly, else None."""
     try:
-        _div(D, d, h)
+        return _div(D, d, h)
     except NotDivisible:
-        return False
-    return True
+        return None
 
 
 def _gcd_list(D: _Domain, items: list[EDict]) -> EDict:
@@ -539,6 +562,30 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
     return tuple(q * inv for q in (p, *rest))
 
 
+def _gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for nonzero a, b of one context; g is a gcd up to a unit.
+
+    Each part enters the PRS domain once (over the integers: one lift
+    that clears its denominators). There the heuristic gives all three;
+    if it gives up, or the domain is a field, the PRS gives g and one
+    _div each gives the cofactors (none for a unit g). Each result
+    leaves the domain once.
+    """
+    E = _elim_info(a.ctx)
+    D = E.prs
+    (sa, ea), (sb, eb) = D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b))
+    found = _heu_gcd(D, ea, eb) if isinstance(D, _Integers) else None
+    if found is None:
+        g = _gcd(D, ea, eb)
+        found = (g, ea, eb) if g == D.unit else (g, _div(D, ea, g), _div(D, eb, g))
+    g, qa, qb = found
+    return (
+        _from_elim(E, D.leave(g)),
+        _from_elim(E, D.leave(qa, sa)),
+        _from_elim(E, D.leave(qb, sb)),
+    )
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd, normalized by unit_normal."""
     if a.ctx != b.ctx:
@@ -547,13 +594,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return unit_normal(b)[0]
     if b.is_zero():
         return unit_normal(a)[0]
-    E = _elim_info(a.ctx)
-    D = E.prs
-    ea, eb = D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b))
-    g = _heu_gcd(D, ea, eb) if isinstance(D, _Integers) else None
-    if g is None:
-        g = _gcd(D, ea, eb)
-    return unit_normal(_from_elim(E, D.leave(g)))[0]
+    return unit_normal(_gcd_cofactors(a, b)[0])[0]
+
+
+def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num/g, den/g) with g = gcd(num, den), up to one common unit.
+
+    A zero num gives (num, 1). The pair is coprime; unit_normal of the
+    denominator turns it into canonical parts.
+    """
+    if num.ctx != den.ctx:
+        raise ValueError("mixed contexts")
+    if den.is_zero():
+        raise DivisionByZero("zero denominator")
+    if num.is_zero():
+        return num, Poly.const(num.ctx, 1)
+    return _gcd_cofactors(num, den)[1:]
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:

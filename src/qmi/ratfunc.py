@@ -1,12 +1,14 @@
 """Rational functions in canonical form, plus the raw substitution engine.
 
-Canonical form: numerator and denominator share no factor (after gcd
-reduction) and the denominator is normalized by gcd.unit_normal (its
+Canonical form: numerator and denominator share no factor (gcd.cancel
+divides both by their gcd, with the cofactors the gcd computation
+yields) and the denominator is normalized by gcd.unit_normal (its
 leading coefficient is 1, read in the root extension when there are
-constant roots). Equal rational functions therefore have equal parts and
-equal hashes. Equality itself is decided by cross-multiplication,
-through _raw_difference, the zero test the check_* functions of
-qmi.actions use too.
+constant roots). When either part is a nonzero constant the gcd is a
+unit, so no gcd is computed. Equal rational functions therefore have
+equal parts and equal hashes. Equality itself is decided by
+cross-multiplication, through _raw_difference, the zero test the
+check_* functions of qmi.actions use too.
 
 The module-level *_raw helpers work on plain (num, den) polynomial pairs
 without reduction. The verification engine composes large expressions
@@ -29,7 +31,7 @@ from typing import Any, Mapping
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
-from .gcd import exact_div, poly_gcd, unit_normal
+from .gcd import cancel, unit_normal
 from .poly import Poly, _convolve_ints, _from_ints, _lift_ints, _lifted_product
 
 Pair = tuple[Poly, Poly]
@@ -153,15 +155,18 @@ class RatFunc:
 
 
 def _reduce(num: Poly, den: Poly) -> Pair:
+    """Canonical parts of num / den.
+
+    gcd.cancel divides out the gcd, then unit_normal fixes the unit. If
+    either part is a nonzero constant the gcd is a unit, so cancel is
+    skipped: unit_normal alone gives the same parts.
+    """
     if den.is_zero():
         raise DivisionByZero("zero denominator")
-    ctx = num.ctx
     if num.is_zero():
-        return num, Poly.const(ctx, 1)
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num = exact_div(num, g)
-        den = exact_div(den, g)
+        return num, Poly.const(num.ctx, 1)
+    if not (num.is_constant() or den.is_constant()):
+        num, den = cancel(num, den)
     den, num = unit_normal(den, num)
     return num, den
 

@@ -4,18 +4,23 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_gcd.py --benchmark-only
 
-Both algorithms take the eliminated integer form that poly_gcd hands them
-(gcd._heu_gcd and gcd._gcd over the context's _Integers domain).
-actg-25: the first poly_gcd call of sys7iii_case1_actg on 65 and 60
-terms; their gcd has 25 terms.
-actg-trivial: the first call of that case on 21 and 3 terms; their gcd
-is 1.
+Both algorithms take the eliminated integer form that the gcd path hands
+them and give (g, a/g, b/g): gcd._heu_gcd directly, and gcd._gcd over the
+context's _Integers domain followed by one _div of each input, as when
+the heuristic gives up.
+actg-25: the first reduction of sys7iii_case1_actg on 65 and 60 terms;
+their gcd has 25 terms.
+actg-trivial: the first reduction of that case on 21 and 3 terms; their
+gcd is 1.
 fifty: the pair of test_fifty_term_polynomial over Q (525 and 25 terms
 in sqrt(a), a, x1, x2; gcd 1). The PRS is left out there: it runs for
 minutes on this pair.
 two-roots: exact_div and unit_normal over Q(sqrt(5), sqrt(-3)), the
 context with two constant roots, on seeded random polynomials whose
 leading coefficients use both roots.
+reduce: ratfunc._reduce over every (num, den) pair that
+sys7iii_case1_actg reduces, in order; it needs only ratfunc._reduce, so
+it runs on older checkouts too (-k reduce).
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -28,36 +33,37 @@ from random import Random
 
 import pytest
 
-from qmi import QQ, Context, Poly, exact_div, gcd, parse, ratfunc
+from qmi import QQ, Context, Poly, exact_div, gcd, parse, poly_gcd, ratfunc
 from qmi.catalog import builtin_catalog
 from qmi.ratfunc import substitute_raw
 from qmi.runner import run_case
 
 
 @cache
-def actg_calls() -> tuple:
-    """(a, b, gcd) of every poly_gcd call of sys7iii_case1_actg, in order."""
-    calls = []
-    inner = ratfunc.poly_gcd
+def actg_pairs() -> tuple:
+    """(num, den) of every ratfunc._reduce call of sys7iii_case1_actg, in order."""
+    pairs = []
+    inner = ratfunc._reduce
 
-    def record(a, b):
-        g = inner(a, b)
-        calls.append((a, b, g))
-        return g
+    def record(num, den):
+        pairs.append((num, den))
+        return inner(num, den)
 
-    ratfunc.poly_gcd = record
+    ratfunc._reduce = record
     try:
         assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
     finally:
-        ratfunc.poly_gcd = inner
-    return tuple(calls)
+        ratfunc._reduce = inner
+    return tuple(pairs)
 
 
 def actg_pair(sizes: tuple[int, int, int]):
-    for a, b, g in actg_calls():
-        if (len(a.terms), len(b.terms), len(g.terms)) == sizes:
-            return a, b, g
-    raise LookupError(f"no poly_gcd call of sizes {sizes}")
+    for a, b in actg_pairs():
+        if (len(a.terms), len(b.terms)) == sizes[:2] and not a.is_zero():
+            g = poly_gcd(a, b)
+            if len(g.terms) == sizes[2]:
+                return a, b, g
+    raise LookupError(f"no reduction of sizes {sizes}")
 
 
 def fifty_pair():
@@ -78,7 +84,12 @@ INPUTS = {
     "actg-trivial": lambda: actg_pair((21, 3, 1)),
     "fifty": fifty_pair,
 }
-ALGORITHMS = {"heuristic": gcd._heu_gcd, "prs": gcd._gcd}
+def prs_cofactors(D, a, b):
+    g = gcd._gcd(D, a, b)
+    return g, gcd._div(D, a, g), gcd._div(D, b, g)
+
+
+ALGORITHMS = {"heuristic": gcd._heu_gcd, "prs": prs_cofactors}
 
 
 @pytest.mark.parametrize(
@@ -89,9 +100,17 @@ def test_gcd(benchmark, name, algorithm):
     a, b, expected = INPUTS[name]()
     E = gcd._elim_info(a.ctx)
     D = E.prs
-    ea, eb = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
-    g = benchmark(ALGORITHMS[algorithm], D, ea, eb)
+    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+    g, qa, qb = benchmark(ALGORITHMS[algorithm], D, ea, eb)
     assert gcd.unit_normal(gcd._from_elim(E, D.leave(g)))[0] == expected
+    assert gcd._mul(D, g, qa) == ea and gcd._mul(D, g, qb) == eb
+
+
+def test_reduce(benchmark):
+    pairs = actg_pairs()
+    reduce = ratfunc._reduce
+    parts = benchmark(lambda: [reduce(num, den) for num, den in pairs])
+    assert all(den * n == num * d for (num, den), (n, d) in zip(pairs, parts))
 
 
 def two_root_polys():

@@ -7,13 +7,15 @@ every test invocation. The sympy oracle file covers bigger inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, parse, poly_gcd
+from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd
 from qmi.actions import Automorphism
+from qmi.gcd import unit_normal
 
 CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
 F3CTX = Context(PrimeField(3), variables=["s", "t"])
@@ -94,6 +96,54 @@ def test_gcd_divisible_by_planted_factor(ctx, data):
     # with constant roots this runs unit_normal in the extension.
     planted, plain = RatFunc(p * h, q * h), RatFunc(p, q)
     assert (planted.num, planted.den) == (plain.num, plain.den)
+
+
+# Q(sqrt(5)): one constant root, whose square is an integer.
+C5CTX = Context(QQ, variables=["x1", "x2"], parameters=["c"], roots=["c"], specialize={"c": 5})
+QCTX = Context(QQ, variables=["x1", "x2"])
+
+
+def _reduce_by_gcd(num, den):
+    """Canonical parts by the gcd, two exact divisions, then unit_normal."""
+    g = poly_gcd(num, den)
+    num, den = exact_div(num, g), exact_div(den, g)
+    den, num = unit_normal(den, num)
+    return num, den
+
+
+@pytest.mark.parametrize(
+    "ctx", [QCTX, CTX, F7CTX, C5CTX], ids=["Q", "rooted-parameter", "F7", "constant-root-5"]
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+def test_canonical_parts_match_gcd_and_division(ctx, data):
+    p, q, h = (data.draw(polys(ctx, max_terms=3, max_exp=2)) for _ in range(3))
+    assume(not p.is_zero() and not q.is_zero() and not h.is_zero())
+    f = RatFunc(p * h, q * h)
+    assert (f.num, f.den) == _reduce_by_gcd(p * h, q * h)
+    # Over the integers, the PRS and its two divisions give the same parts.
+    with mock.patch.object(gcd, "_HEU_ATTEMPTS", 0):
+        g = RatFunc(p * h, q * h)
+    assert (g.num, g.den) == (f.num, f.den)
+
+
+@pytest.mark.parametrize(
+    "num, den, parts",
+    [
+        ("6*x1+4", "2", ("3*x1+2", "1")),
+        ("2", "4*x1", ("1/2", "x1")),
+        ("-3", "6*x1*x2-3", ("-1/2", "x1*x2-1/2")),
+        ("0", "x1+1", ("0", "1")),
+    ],
+)
+def test_canonical_parts_with_a_constant_part(num, den, parts):
+    def P(text):
+        return parse(QCTX, text).num
+
+    f = RatFunc(P(num), P(den))
+    assert (f.num, f.den) == tuple(map(P, parts))
+    if num != "0":
+        assert (f.num, f.den) == _reduce_by_gcd(P(num), P(den))
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
@@ -303,18 +353,17 @@ def _normal_gcd(ctx, g):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
 def test_heuristic_gcd_matches_prs(ctx, data):
-    from unittest import mock
-
-    from qmi import gcd
-
     f, g, h = (data.draw(gcd_factors(ctx)) for _ in range(3))
     a, b = f * g, f * h
     E = gcd._elim_info(ctx)
     D = E.prs
-    ea, eb = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
     heu = gcd._heu_gcd(D, ea, eb)
     assert heu is not None
-    common = _normal_gcd(ctx, heu)
+    eg, qa, qb = heu
+    # The cofactors are exact over Z: g * (a/g) is a, term for term.
+    assert gcd._mul(D, eg, qa) == ea and gcd._mul(D, eg, qb) == eb
+    common = _normal_gcd(ctx, eg)
     assert common == _normal_gcd(ctx, gcd._gcd(D, ea, eb))
     exact_div(common, f)  # the built-in common factor divides the gcd
     assert poly_gcd(a, b) == common
@@ -325,8 +374,6 @@ def test_heuristic_gcd_matches_prs(ctx, data):
 def test_field_laws_seed_9_input_without_fallback(monkeypatch):
     # Hypothesis seed 9 drew this input for test_field_laws; the PRS alone
     # did not reduce f * (g + h) within minutes.
-    from qmi import gcd
-
     def no_fallback(*args):
         raise AssertionError("the heuristic gcd fell back to the PRS")
 
