@@ -10,15 +10,17 @@ list and show read the builtin catalog, and so does run without
 cases use). Filter keys are those of Catalog.select: kind, section,
 group, id and prefix; repeated filters must all match. `run` exits with
 runner.exit_code: 0 when every case passes, 1 when one fails, 2 when
-one ends in Error. Bad arguments, an unreadable catalog, an unknown
-case or a filter that matches nothing exit with 2 and a message on
-standard error.
+one ends in Error. Bad arguments (a --jobs below 1 or a negative
+--timeout among them), an unreadable catalog, an unknown case or a
+filter that matches nothing exit with 2 and a message on standard
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -69,6 +71,10 @@ def _show(args) -> int:
 
 
 def _run(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if not 0 <= args.timeout < math.inf:
+        raise _UsageError(f"--timeout must be a finite number of seconds >= 0, got {args.timeout:g}")
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
     filters, _ = _select(catalog, args.filter)
     reports = run_all(catalog, filters, jobs=args.jobs, timeout=args.timeout)

@@ -16,14 +16,13 @@ are never chosen as PRS main symbols: they are elements of the extension
 k(sqrt(c_1), ...), a field because Context rejects constant roots whose
 product over any nonempty subset is a square.
 
-poly_gcd and cancel share one path (_gcd_cofactors), which yields the
-gcd g of two polynomials and both cofactors a/g and b/g; poly_gcd keeps
-g, cancel keeps the cofactors. It has two algorithms. The coefficient
-domain is picked once per context: the integers (_Integers) for Q
-without constant roots, rooted parameters included (each part is lifted
-to integers once, which avoids per-operation Fraction normalization,
-and each cofactor goes back over its own part's scale), and otherwise
-the context's field (_Field: F_p, or Q with constant roots).
+cancel yields the gcd g of two polynomials and both cofactors a/g and
+b/g; poly_gcd keeps g. It has two algorithms. The coefficient domain
+is picked once per context: the integers (_Integers) for Q without
+constant roots, rooted parameters included (each part is lifted to
+integers once, which avoids per-operation Fraction normalization, and
+each cofactor goes back over its own part's scale), and otherwise the
+context's field (_Field: F_p, or Q with constant roots).
 
 Over the integers the heuristic gcd runs first (_heu_gcd, GCDHEU: Char,
 Geddes & Gonnet 1989, in the recursive form of Liao & Fateman 1995). It
@@ -562,18 +561,40 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
     return tuple(q * inv for q in (p, *rest))
 
 
-def _gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, a/g, b/g) for nonzero a, b of one context; g is a gcd up to a unit.
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Gcd, normalized by unit_normal."""
+    if a.ctx != b.ctx:
+        raise ValueError("mixed contexts")
+    if a.is_zero():
+        return unit_normal(b)[0]
+    if b.is_zero():
+        return unit_normal(a)[0]
+    return unit_normal(cancel(a, b)[0])[0]
 
-    Each part enters the PRS domain once (over the integers: one lift
-    that clears its denominators). There the heuristic gives all three;
-    if it gives up, or the domain is a field, the PRS gives g and one
-    _div each gives the cofactors (none for a unit g). Each result
-    leaves the domain once.
+
+def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, num/g, den/g) with g a gcd of num and den, up to a unit.
+
+    The quotients are exact for the g returned: num/den equals their
+    ratio, and they are coprime. A zero num gives (den, num, 1). When
+    either part is a nonzero constant, g is a unit: (1, num, den) comes
+    back with no gcd computed. Otherwise each part enters the PRS domain
+    once (over the integers: one lift that clears its denominators).
+    There the heuristic gives all three; if it gives up, or the domain
+    is a field, the PRS gives g and one _div each gives the cofactors
+    (none for a unit g). Each result leaves the domain once.
     """
-    E = _elim_info(a.ctx)
+    if num.ctx != den.ctx:
+        raise ValueError("mixed contexts")
+    if den.is_zero():
+        raise DivisionByZero("zero denominator")
+    if num.is_zero():
+        return den, num, Poly.const(num.ctx, 1)
+    if num.is_constant() or den.is_constant():
+        return Poly.const(num.ctx, 1), num, den
+    E = _elim_info(num.ctx)
     D = E.prs
-    (sa, ea), (sb, eb) = D.enter(_to_elim(E, a)), D.enter(_to_elim(E, b))
+    (sa, ea), (sb, eb) = D.enter(_to_elim(E, num)), D.enter(_to_elim(E, den))
     found = _heu_gcd(D, ea, eb) if isinstance(D, _Integers) else None
     if found is None:
         g = _gcd(D, ea, eb)
@@ -584,32 +605,6 @@ def _gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         _from_elim(E, D.leave(qa, sa)),
         _from_elim(E, D.leave(qb, sb)),
     )
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd, normalized by unit_normal."""
-    if a.ctx != b.ctx:
-        raise ValueError("mixed contexts")
-    if a.is_zero():
-        return unit_normal(b)[0]
-    if b.is_zero():
-        return unit_normal(a)[0]
-    return unit_normal(_gcd_cofactors(a, b)[0])[0]
-
-
-def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """(num/g, den/g) with g = gcd(num, den), up to one common unit.
-
-    A zero num gives (num, 1). The pair is coprime; unit_normal of the
-    denominator turns it into canonical parts.
-    """
-    if num.ctx != den.ctx:
-        raise ValueError("mixed contexts")
-    if den.is_zero():
-        raise DivisionByZero("zero denominator")
-    if num.is_zero():
-        return num, Poly.const(num.ctx, 1)
-    return _gcd_cofactors(num, den)[1:]
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:

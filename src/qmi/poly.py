@@ -305,11 +305,17 @@ class Poly:
     def scale(self, coeff: Any) -> "Poly":
         if not coeff:
             return Poly(self.ctx, {})
+        if coeff == self.ctx.field.one:
+            return Poly(self.ctx, dict(self.terms))
         mul = self.ctx.field.mul
         return Poly(self.ctx, {e: mul(c, coeff) for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
+        if len(other.terms) <= 1 and other.is_constant():
+            return self.scale(next(iter(other.terms.values()), 0))
+        if len(self.terms) <= 1 and self.is_constant():
+            return other.scale(next(iter(self.terms.values()), 0))
         # Fraction/mod-p arithmetic normalizes on every operation, which
         # dominates large products.  Both fields embed in the integers
         # after clearing denominators, so convolve there and normalize

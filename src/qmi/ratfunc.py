@@ -5,10 +5,32 @@ divides both by their gcd, with the cofactors the gcd computation
 yields) and the denominator is normalized by gcd.unit_normal (its
 leading coefficient is 1, read in the root extension when there are
 constant roots). When either part is a nonzero constant the gcd is a
-unit, so no gcd is computed. Equal rational functions therefore have
-equal parts and equal hashes. Equality itself is decided by
+unit, and gcd.cancel computes none. Equal rational functions therefore
+have equal parts and equal hashes. Equality itself is decided by
 cross-multiplication, through _raw_difference, the zero test the
 check_* functions of qmi.actions use too.
+
+The operators cancel across their operands before they multiply, as in
+Henrici (1956; Knuth, TAOCP Vol. 2, 4.5.1), so the full product or sum
+is never formed and then reduced. Take f = a/b and g = c/d canonical;
+gcd.cancel gives cofactors that are exact for the gcd it returns.
+
+- f * g cancels (a, d) to (a', d') and (c, b) to (c', b'); the result
+  is a'c' / (b'd'). The cancels make a' prime to d' and c' to b'; a'
+  and b' divide the coprime a and b, and c' and d' the coprime c and d.
+  f / g is f * (d/c).
+- f + g adds the numerators when b = d = 1. Otherwise it cancels (b, d)
+  to (g0, b', d'), so that f + g = t / (g0 b'd') with t = a d' + c b'.
+  Modulo b', t is a d', a product of two factors prime to b'; so t is
+  prime to b', and likewise to d'. Only g0 can share a factor with t:
+  cancelling (t, g0) to (t', g0') gives t' / (g0' b'd'), coprime. f - g
+  is f + (-c/d).
+- f ** n takes the n-th powers of the coprime parts (for n < 0, of the
+  swapped parts), which stay coprime.
+
+Each result ends with unit_normal of its denominator. A sum or product
+of two polynomials, and any operation with a constant operand, takes no
+gcd at all.
 
 The module-level *_raw helpers work on plain (num, den) polynomial pairs
 without reduction. The verification engine composes large expressions
@@ -83,31 +105,26 @@ class RatFunc:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self, other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self, -other.num, other.den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._make(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self, other.num, other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self, other.den, other.num)
 
     def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            if self.num.is_zero():
-                raise DivisionByZero("negative power of zero")
-            inv = RatFunc(self.den, self.num)
-            return inv ** (-n)
-        # Parts stay coprime, but a constant-root collapse in den**n can
-        # shift the leading coefficient, so renormalize through __init__.
-        return RatFunc(self.num**n, self.den**n)
+        if n >= 0:
+            return _coprime(self.num**n, self.den**n)
+        if self.num.is_zero():
+            raise DivisionByZero("negative power of zero")
+        return _coprime(self.den**-n, self.num**-n)
 
     # -- comparisons -----------------------------------------------------
 
@@ -155,20 +172,47 @@ class RatFunc:
 
 
 def _reduce(num: Poly, den: Poly) -> Pair:
-    """Canonical parts of num / den.
+    """Canonical parts of num / den: gcd.cancel, then unit_normal."""
+    _, num, den = cancel(num, den)
+    return _normal(num, den)
 
-    gcd.cancel divides out the gcd, then unit_normal fixes the unit. If
-    either part is a nonzero constant the gcd is a unit, so cancel is
-    skipped: unit_normal alone gives the same parts.
-    """
-    if den.is_zero():
-        raise DivisionByZero("zero denominator")
+
+def _normal(num: Poly, den: Poly) -> Pair:
+    """Canonical parts of num / den for coprime num and den."""
     if num.is_zero():
         return num, Poly.const(num.ctx, 1)
-    if not (num.is_constant() or den.is_constant()):
-        num, den = cancel(num, den)
     den, num = unit_normal(den, num)
     return num, den
+
+
+def _coprime(num: Poly, den: Poly) -> RatFunc:
+    """The RatFunc of coprime num and den."""
+    return RatFunc._make(*_normal(num, den))
+
+
+def _sum(f: RatFunc, c: Poly, d: Poly) -> RatFunc:
+    """f + c/d, for coprime c and d: Henrici's sum (module docstring)."""
+    a, b = f.num, f.den
+    if a.ctx != c.ctx:
+        raise ValueError("mixed contexts")
+    if b.is_one() and d.is_one():
+        return RatFunc._make(a + c, b)
+    g0, b1, d1 = cancel(b, d)
+    t = a * d1 + c * b1
+    _, t1, g1 = cancel(t, g0)
+    return _coprime(t1, g1 * b1 * d1)
+
+
+def _product(f: RatFunc, c: Poly, d: Poly) -> RatFunc:
+    """f * c/d, for coprime c and d: Henrici's product."""
+    a, b = f.num, f.den
+    if a.ctx != c.ctx:
+        raise ValueError("mixed contexts")
+    if d.is_zero():
+        raise DivisionByZero("division by zero rational function")
+    _, a1, d1 = cancel(a, d)
+    _, c1, b1 = cancel(c, b)
+    return _coprime(a1 * c1, b1 * d1)
 
 
 def _resolve_sign_keys(ctx: Context, signs: Mapping[str, int]) -> list[int]:

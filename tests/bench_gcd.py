@@ -19,8 +19,9 @@ two-roots: exact_div and unit_normal over Q(sqrt(5), sqrt(-3)), the
 context with two constant roots, on seeded random polynomials whose
 leading coefficients use both roots.
 reduce: ratfunc._reduce over every (num, den) pair that
-sys7iii_case1_actg reduces, in order; it needs only ratfunc._reduce, so
-it runs on older checkouts too (-k reduce).
+sys7iii_case1_actg hands ratfunc.cancel, in order; it needs only
+ratfunc._reduce and ratfunc.cancel, so it runs on older checkouts too
+(-k reduce).
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -41,19 +42,19 @@ from qmi.runner import run_case
 
 @cache
 def actg_pairs() -> tuple:
-    """(num, den) of every ratfunc._reduce call of sys7iii_case1_actg, in order."""
+    """(num, den) of every ratfunc.cancel call of sys7iii_case1_actg, in order."""
     pairs = []
-    inner = ratfunc._reduce
+    inner = ratfunc.cancel
 
     def record(num, den):
         pairs.append((num, den))
         return inner(num, den)
 
-    ratfunc._reduce = record
+    ratfunc.cancel = record
     try:
         assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
     finally:
-        ratfunc._reduce = inner
+        ratfunc.cancel = inner
     return tuple(pairs)
 
 

@@ -79,6 +79,9 @@ def test_show_prints_the_case_and_its_groups():
         ("run", "--filter", "prefix"),
         ("list", "--filter", "prefix=no_such_prefix"),
         ("run", "--catalog", "no_such_file.json"),
+        ("run", "--timeout", "-5"),
+        ("run", "--jobs", "0"),
+        ("run", "--jobs", "-2"),
     ],
 )
 def test_bad_requests_exit_2_with_a_message(args):

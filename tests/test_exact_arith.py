@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,20 @@ class TestArithmetic:
         r = P(c, "sqrt(e)")
         assert r * r == Poly.const(c, 5)
 
+    @pytest.mark.parametrize("left, right", [("x1+1", "2"), ("x1+1", "1"), ("x1+1", "0"), ("3", "2")])
+    def test_product_with_a_constant_across_contexts_rejected(self, ctx, left, right):
+        other = Context(QQ, variables=["x1", "x2", "x3"], parameters=["a", "b"])
+        with pytest.raises(ValueError, match="mixed contexts"):
+            P(ctx, left) * P(other, right)
+        with pytest.raises(ValueError, match="mixed contexts"):
+            P(other, right) * P(ctx, left)
+
+    def test_product_with_a_constant_is_a_scaling(self, ctx):
+        p = P(ctx, "1/2*x1*sqrt(a)+3")
+        assert p * Poly.const(ctx, 4) == P(ctx, "2*x1*sqrt(a)+12")
+        assert Poly.const(ctx, 1) * p == p and (Poly.const(ctx, 1) * p).terms is not p.terms
+        assert (p * Poly.const(ctx, 0)).is_zero()
+
     def test_exact_division(self, ctx):
         assert exact_div(P(ctx, "x1^2-1"), P(ctx, "x1-1")) == P(ctx, "x1+1")
 
@@ -198,6 +213,20 @@ class TestRatFunc:
         other = Context(QQ, variables=["x1", "x2", "x3"], parameters=["a", "b"])
         with pytest.raises(ValueError, match="mixed contexts"):
             parse(ctx, "x1") == parse(other, "x1")
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    @pytest.mark.parametrize(
+        "left, right",
+        [("x1", "x2"), ("2", "3"), ("0", "x1"), ("x1", "1/2"), ("1/x1", "(x1+1)/(x2-1)")],
+    )
+    def test_arithmetic_across_contexts_rejected(self, ctx, op, left, right):
+        # Polynomial, constant and zero operands skip the gcd; they must
+        # not skip the context check.
+        other = Context(QQ, variables=["x1", "x2", "x3"], parameters=["a", "b"])
+        with pytest.raises(ValueError, match="mixed contexts"):
+            op(parse(ctx, left), parse(other, right))
+        with pytest.raises(ValueError, match="mixed contexts"):
+            op(parse(other, right), parse(ctx, left))
 
     def test_substitute_identity_fixed_point(self, ctx):
         t1 = parse(ctx, "(x1*x2+1)/(x1+x2)")

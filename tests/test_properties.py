@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd
@@ -385,3 +385,71 @@ def test_field_laws_seed_9_input_without_fallback(monkeypatch):
     rhs = f * g + f * h
     assert lhs == rhs
     assert (lhs.num, lhs.den) == (rhs.num, rhs.den)
+
+
+# -- Henrici arithmetic against the product-then-cancel pair ------------------
+
+
+@st.composite
+def henrici_operand(draw, ctx):
+    """Zero, a constant, a polynomial, a constant over a polynomial, or a fraction."""
+    kind = draw(st.sampled_from(["zero", "constant", "polynomial", "reciprocal", "fraction"]))
+    if kind == "zero":
+        return RatFunc.const(ctx, 0)
+    nonzero = polys(ctx, max_terms=2).filter(lambda p: not p.is_zero())
+    num = draw(nonzero)
+    den = draw(nonzero)
+    if kind == "constant":
+        return RatFunc.const(ctx, draw(st.integers(-5, 5).filter(bool)))
+    if kind == "polynomial":
+        return RatFunc(num, Poly.const(ctx, 1))
+    if kind == "reciprocal":
+        return RatFunc(Poly.const(ctx, draw(st.integers(-5, 5).filter(bool))), den)
+    return RatFunc(num, den)
+
+
+def _parts(f):
+    """The parts of f term by term, with the type of every coefficient."""
+    return tuple(
+        sorted((e, type(c).__name__, c) for e, c in part.terms.items()) for part in (f.num, f.den)
+    )
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [QCTX, CTX, F7CTX, C5CTX, C5M3CTX],
+    ids=["Q", "rooted-parameter", "F7", "constant-root-5", "two-constant-roots"],
+)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=list(HealthCheck))
+@seed(1956)
+def test_henrici_arithmetic_matches_product_then_cancel(ctx, data):
+    f = data.draw(henrici_operand(ctx))
+    other = data.draw(henrici_operand(ctx))
+    # g may share a denominator factor with f, or cancel across f, or be
+    # +-f itself, so that sums and differences come out zero; with
+    # g = other - f, the sum f + g cancels a factor of the gcd of the
+    # denominators.
+    g = data.draw(st.sampled_from([
+        other,
+        f,
+        -f,
+        RatFunc(other.num, other.den * f.den),
+        RatFunc(other.num * f.den - f.num * other.den, other.den * f.den),
+        RatFunc(other.num * f.den, other.den * (f.num if not f.is_zero() else f.den)),
+    ]))
+    a, b, c, d = f.num, f.den, g.num, g.den
+    naive = {
+        "+": (f + g, a * d + c * b, b * d),
+        "-": (f - g, a * d - c * b, b * d),
+        "*": (f * g, a * c, b * d),
+    }
+    if not g.is_zero():
+        naive["/"] = (f / g, a * d, b * c)
+    for n in range(-3, 4):
+        if n >= 0:
+            naive[n] = (f**n, a**n, b**n)
+        elif not f.is_zero():
+            naive[n] = (f**n, b**-n, a**-n)
+    for op, (result, num, den) in naive.items():
+        assert _parts(result) == _parts(RatFunc(num, den)), op
