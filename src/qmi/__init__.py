@@ -20,7 +20,6 @@ from .errors import (
     SchemaError,
     SubstitutionPole,
     UnknownCase,
-    UnknownFingerprint,
     UnknownRoot,
     UnknownSymbol,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ParseError",
     "OrderCapExceeded",
     "NotFiniteOrder",
-    "UnknownFingerprint",
     "InconsistentAction",
     "SchemaError",
     "UnknownCase",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -71,13 +70,14 @@ def _show(args) -> int:
 
 
 def _run(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if not 0 <= args.timeout < math.inf:
-        raise _UsageError(f"--timeout must be a finite number of seconds >= 0, got {args.timeout:g}")
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
     filters, _ = _select(catalog, args.filter)
-    reports = run_all(catalog, filters, jobs=args.jobs, timeout=args.timeout)
+    try:
+        reports = run_all(catalog, filters, jobs=args.jobs, timeout=args.timeout)
+    except ValueError as exc:
+        # run_all checks jobs and timeout before any case runs; a case's
+        # own exceptions end in its report.
+        raise _UsageError(str(exc)) from None
     sys.stdout.write(to_jsonl(reports) if args.format == "jsonl" else to_text(reports))
     return exit_code(reports)
 

@@ -51,10 +51,6 @@ class NotFiniteOrder(QmiError):
     """A matrix failed to reach the identity within the order guard."""
 
 
-class UnknownFingerprint(QmiError):
-    """A group's fingerprint matches none of the built-in models."""
-
-
 class InconsistentAction(QmiError):
     """An action table failed an internal consistency check."""
 

@@ -2,45 +2,52 @@
 
 Matrices are immutable tuples of tuples of ints (Fractions appear only
 transiently, e.g. in conjugation by a non-unimodular matrix). Group
-closure is breadth-first, so every element carries a shortest word in the
-generators; its one routine, `_closure`, also closes the automorphism
-groups of `actions.close_action`. Element ordering inside a group is
-lexicographic on the flattened entries, which keeps every downstream
-listing deterministic. One Gauss–Jordan pass over Q, `_row_reduce`, gives
-determinants, inverses and kernels.
+closure is breadth-first; its one routine, `_closure`, also closes the
+automorphism groups of `actions.close_action`. Element ordering inside a
+group is lexicographic on the flattened entries, which keeps every
+downstream listing deterministic. One Gauss–Jordan pass over Q,
+`_row_reduce`, gives determinants, inverses and kernels.
 
-Structure (inverses, center, element orders, conjugacy classes, derived
-subgroup, normal subgroups, the Cayley table) is read from integer index
-tables, not from further matrix products. The closure forms m·g for every
-element m and generator g anyway; MatrixGroup keeps those products as one
-permutation of element indices per generator, and keeps each element's
-BFS parent p and letter i, with element = p·g_i. The multiplication table
-follows column by column down the BFS tree: a·(p·g_i) = (a·p)·g_i, so
-column b is column p looked up in generator i's permutation. Every entry
-therefore names a product that mat_mul formed exactly during the closure,
-chained by associativity alone; no entry is guessed or hashed. The table
-costs |G|² list lookups, once per group and only when structure is asked.
+Structure (inverses, element orders, conjugacy classes, normal
+subgroups) is read from integer index tables, not from further matrix
+products. The closure forms m·g for every element m and generator g
+anyway; MatrixGroup keeps those products as one permutation of element
+indices per generator, and keeps each element's BFS parent p and letter
+i, with element = p·g_i. The multiplication table follows column by
+column down the BFS tree: a·(p·g_i) = (a·p)·g_i, so column b is column p
+looked up in generator i's permutation. Every entry therefore names a
+product that mat_mul formed exactly during the closure, chained by
+associativity alone; no entry is guessed or hashed. The table costs |G|²
+list lookups, once per group and only when structure is asked.
 
 Rational reducibility is decided in dimension <= 3, where by Maschke's
 theorem a reducible finite group keeps a line. Conjugacy of two groups is
 decided from the generators of one and the two orders.
 
-Isomorphism-type recognition is deliberately unsophisticated: each
-candidate label owns a small built-in model group, and a group is
-recognized by comparing a structural fingerprint (order, element-order
-multiset, abelianness, center and derived-subgroup sizes). The model
-table is validated once per process: all fingerprints must be pairwise
-distinct, otherwise recognition would be ambiguous and we refuse to run.
+Isomorphism types are recognized by an explicit isomorphism. Each
+candidate label owns a small built-in model group. `isomorphism` tries
+every tuple of images for the model's generators among group elements of
+the same orders, and extends each tuple along every edge a -> a·g_i of
+the model's closure, in BFS order: the first visit of an edge sets the
+image of a·g_i to phi(a)·phi(g_i), and every later visit must agree with
+the group's table. Agreement on every edge gives phi(x·g_i) =
+phi(x)·phi(g_i) for all x and i, so phi(x·y) = phi(x)·phi(y) by
+induction on a word for y: phi is a homomorphism, and an isomorphism
+when it is injective. The search is exhaustive, so no isomorphism means
+none exists. `identify_iso_type` skips a model whose sorted element
+orders differ from the group's; equal orders are necessary, not
+sufficient, and the verdict rests on the checked map alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import gcd as int_gcd
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import NotFiniteOrder, OrderCapExceeded, UnknownFingerprint
+from .errors import NotFiniteOrder, OrderCapExceeded
 
 Matrix = tuple[tuple[Any, ...], ...]
 
@@ -148,27 +155,20 @@ class MatrixGroup:
     """A finite matrix group produced by close_group.
 
     `bfs`, `products` and `parents` are the output of `_closure`. Every
-    parent comes before its children, so each element's shortest word is
-    its parent's word plus one letter. All structure is read from the
+    parent comes before its children. All structure is read from the
     products through the index table of `_table`.
     """
 
     def __init__(
         self,
         generators: Sequence[Matrix],
-        gen_names: Sequence[str],
         bfs: Sequence[Matrix],
         products: Sequence[Sequence[int]],
         parents: Sequence[tuple[int, int] | None],
     ) -> None:
         self.generators = tuple(generators)
-        self.gen_names = tuple(gen_names)
         self.elements = tuple(sorted(bfs))
         self.order = len(self.elements)
-        words: list[tuple[int, ...]] = [()]
-        for k, i in parents[1:]:
-            words.append(words[k] + (i,))
-        self.words = dict(zip(bfs, words))
         self.dim = len(self.elements[0])
         self._index = {m: i for i, m in enumerate(self.elements)}
         pos = [self._index[m] for m in bfs]
@@ -186,32 +186,13 @@ class MatrixGroup:
         self._mul: tuple[tuple[int, ...], ...] | None = None
         self._inv: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._orders: list[int] | None = None
 
     def __contains__(self, m: Matrix) -> bool:
         return m in self._index
 
     def __len__(self) -> int:
         return self.order
-
-    def word_for(self, m: Matrix) -> str:
-        """Shortest generator word reaching m; "1" for the identity."""
-        letters = self.words[m]
-        if not letters:
-            return "1"
-        parts: list[str] = []
-        run_letter, run_len = letters[0], 1
-        for x in letters[1:]:
-            if x == run_letter:
-                run_len += 1
-            else:
-                parts.append(self._fmt(run_letter, run_len))
-                run_letter, run_len = x, 1
-        parts.append(self._fmt(run_letter, run_len))
-        return "*".join(parts)
-
-    def _fmt(self, letter: int, k: int) -> str:
-        name = self.gen_names[letter]
-        return name if k == 1 else f"{name}^{k}"
 
     # -- index tables ----------------------------------------------------
 
@@ -258,67 +239,19 @@ class MatrixGroup:
     def inverse(self, m: Matrix) -> Matrix:
         return self.elements[self._inverses()[self._index[m]]]
 
-    def is_abelian(self) -> bool:
-        right, gens = self._right, self._generator_indices()
-        return all(
-            right[j][gens[i]] == right[i][gens[j]]
-            for i, j in combinations(range(len(gens)), 2)
-        )
-
-    def center(self) -> tuple[Matrix, ...]:
-        table, gens = self._table(), self._generator_indices()
-        return tuple(
-            self.elements[z]
-            for z in range(self.order)
-            if all(table[z][g] == table[g][z] for g in gens)
-        )
-
-    def derived_order(self) -> int:
-        table, inv = self._table(), self._inverses()
-        n = self.order
-        comms = {
-            table[table[a][b]][table[inv[a]][inv[b]]]
-            for a in range(n)
-            for b in range(n)
-        }
-        # In a finite group the right multiples of the identity by the
-        # commutators already make up the subgroup they generate.
-        derived, queue = {self._e}, [self._e]
-        for x in queue:
-            row = table[x]
-            for c in comms:
-                if row[c] not in derived:
-                    derived.add(row[c])
-                    queue.append(row[c])
-        return len(derived)
-
-    def element_orders(self) -> dict[int, int]:
-        """Map order -> how many elements have it."""
-        table, e = self._table(), self._e
-        out: dict[int, int] = {}
-        for a in range(self.order):
-            k, power = 1, a
-            while power != e:
-                power = table[power][a]
-                k += 1
-            out[k] = out.get(k, 0) + 1
-        return dict(sorted(out.items()))
-
-    def conjugacy_classes(self) -> tuple[tuple[Matrix, ...], ...]:
-        els = self.elements
-        return tuple(tuple(els[i] for i in c) for c in self._class_indices())
-
-    def cayley(self) -> list[list[int]]:
-        return [list(row) for row in self._table()]
-
-    def fingerprint(self) -> tuple:
-        return (
-            self.order,
-            tuple(self.element_orders().items()),
-            self.is_abelian(),
-            len(self.center()),
-            self.derived_order(),
-        )
+    def element_orders(self) -> list[int]:
+        """orders[a]: the multiplicative order of elements[a]."""
+        if self._orders is None:
+            table, e = self._table(), self._e
+            orders = []
+            for a in range(self.order):
+                k, power = 1, a
+                while power != e:
+                    power = table[power][a]
+                    k += 1
+                orders.append(k)
+            self._orders = orders
+        return self._orders
 
     def normal_subgroups(self) -> list[tuple[Matrix, ...]]:
         """All normal subgroups (trivial and full group included).
@@ -381,11 +314,7 @@ def _closure(
     return elements, products, parents
 
 
-def close_group(
-    generators: Sequence[Matrix],
-    gen_names: Sequence[str] | None = None,
-    cap: int = 10000,
-) -> MatrixGroup:
+def close_group(generators: Sequence[Matrix], cap: int = 10000) -> MatrixGroup:
     """Breadth-first closure of integer generators under multiplication.
 
     Raises OrderCapExceeded past `cap` elements and NotFiniteOrder if a
@@ -406,13 +335,10 @@ def close_group(
         if mat_det(g) not in (1, -1):
             raise ValueError("generator is not invertible over the integers")
         element_order(g)
-    names = list(gen_names) if gen_names is not None else [f"g{i}" for i in range(len(gens))]
-    if len(names) != len(gens):
-        raise ValueError("one name per generator required")
 
     # A matrix is a tuple, hashable as it stands: its own closure key.
     bfs, products, parents = _closure(identity(n), gens, mat_mul, lambda m: m, cap)
-    return MatrixGroup(gens, names, bfs, products, parents)
+    return MatrixGroup(gens, bfs, products, parents)
 
 
 # -- rational reducibility -------------------------------------------------
@@ -578,28 +504,58 @@ _MODEL_GENERATORS: dict[str, list[Matrix]] = {
     "S4xC2": _direct(_S4, _C2),
 }
 
-_FINGERPRINTS: dict[tuple, str] | None = None
+def isomorphism(model: MatrixGroup, group: MatrixGroup) -> list[int] | None:
+    """An isomorphism from model onto group, or None when there is none.
+
+    phi[a] is the index in group of the image of model.elements[a]. Each
+    tuple of generator images of matching orders is extended along the
+    edges a -> a·g_i of model, parents first, and abandoned at the first
+    edge that disagrees with group's table (see the module docstring).
+    """
+    if model.order != group.order:
+        return None
+    model_orders, group_orders = model.element_orders(), group.element_orders()
+    candidates = [
+        [x for x in range(group.order) if group_orders[x] == model_orders[g]]
+        for g in model._generator_indices()
+    ]
+    table = group._table()
+    walk = [model._e] + [b for b, _, _ in model._tree]
+
+    def extend(images: tuple[int, ...]) -> list[int] | None:
+        phi = [-1] * model.order
+        phi[model._e] = group._e
+        for a in walk:
+            row = table[phi[a]]
+            for right, image in zip(model._right, images):
+                b, pb = right[a], row[image]
+                if phi[b] < 0:
+                    phi[b] = pb
+                elif phi[b] != pb:
+                    return None
+        return phi
+
+    for images in product(*candidates):
+        phi = extend(images)
+        if phi is not None and len(set(phi)) == model.order:
+            return phi
+    return None
 
 
-def _model_fingerprints() -> dict[tuple, str]:
-    global _FINGERPRINTS
-    if _FINGERPRINTS is None:
-        table: dict[tuple, str] = {}
-        for label, gens in _MODEL_GENERATORS.items():
-            fp = close_group(gens, cap=200).fingerprint()
-            if fp in table and table[fp] != label:
-                raise AssertionError(
-                    f"model fingerprints collide: {table[fp]} vs {label}"
-                )
-            table[fp] = label
-        _FINGERPRINTS = table
-    return _FINGERPRINTS
+@cache
+def _models() -> list[tuple[str, list[int], MatrixGroup]]:
+    """(label, sorted element orders, closed model) for each model, once."""
+    out = []
+    for label, gens in _MODEL_GENERATORS.items():
+        model = close_group(gens, cap=200)
+        out.append((label, sorted(model.element_orders()), model))
+    return out
 
 
-def identify_iso_type(group: MatrixGroup) -> str:
-    """Label of the built-in model with the same fingerprint."""
-    fp = group.fingerprint()
-    table = _model_fingerprints()
-    if fp not in table:
-        raise UnknownFingerprint(f"no built-in model matches fingerprint {fp}")
-    return table[fp]
+def identify_iso_type(group: MatrixGroup) -> str | None:
+    """Label of the first built-in model isomorphic to group, or None."""
+    orders = sorted(group.element_orders())
+    for label, model_orders, model in _models():
+        if model_orders == orders and isomorphism(model, group) is not None:
+            return label
+    return None

@@ -12,6 +12,7 @@ how many workers produced them.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -95,10 +96,8 @@ def build_group(catalog: Catalog, gid: str):
         cache = {}
         catalog._group_cache = cache
     if gid not in cache:
-        rec = catalog.group(gid)
-        words = rec["generators"]
-        mats = [word_matrix(w, MATRICES) for w in words]
-        cache[gid] = close_group(mats, gen_names=words)
+        words = catalog.group(gid)["generators"]
+        cache[gid] = close_group([word_matrix(w, MATRICES) for w in words])
     return cache[gid]
 
 
@@ -185,6 +184,8 @@ def _run_group_order(catalog: Catalog, p: Mapping) -> list[dict]:
 def _run_iso_type(catalog: Catalog, p: Mapping) -> list[dict]:
     g = build_group(catalog, p["group"])
     label = identify_iso_type(g)
+    if label is None:
+        return _mismatch(f"no built-in model is isomorphic, catalog says {p['label']}")
     if label != p["label"]:
         return _mismatch(f"recognized {label}, catalog says {p['label']}")
     return []
@@ -284,10 +285,19 @@ class _Timeout(Exception):
     pass
 
 
+def _check_limits(timeout: float | None, jobs: int = 1) -> None:
+    """ValueError unless timeout is None or a finite number of seconds >= 0
+    (None and 0 mean no limit) and jobs is at least 1."""
+    if timeout is not None and not 0 <= timeout < math.inf:
+        raise ValueError(f"timeout must be a finite number of seconds >= 0, got {timeout:g}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _call_with_timeout(fn, seconds: float | None):
     """Run fn under a real-time alarm. Falls back to no limit when alarms
     are unavailable (non-main thread)."""
-    if not seconds or seconds <= 0:
+    if not seconds:
         return fn()
 
     def on_alarm(signum, frame):
@@ -308,7 +318,12 @@ def _call_with_timeout(fn, seconds: float | None):
 def run_case(
     catalog: Catalog, case_id: str, timeout: float | None = DEFAULT_TIMEOUT
 ) -> VerificationReport:
-    """Run one case by id. Raises UnknownCase for an id not in the catalog."""
+    """Run one case by id.
+
+    Raises UnknownCase for an id not in the catalog and ValueError for a
+    negative or non-finite timeout.
+    """
+    _check_limits(timeout)
     case = catalog.case(case_id)
     start = time.perf_counter()
     try:
@@ -351,10 +366,12 @@ def run_all(
     """Run every case matching the filters, reports in catalog order.
 
     The report list is the same for any jobs value; only wall-clock
-    times differ.
+    times differ. Raises ValueError for jobs < 1 and for a negative or
+    non-finite timeout.
     """
+    _check_limits(timeout, jobs)
     cases = catalog.select(filters)
-    if jobs <= 1:
+    if jobs == 1:
         return [run_case(catalog, c.id, timeout) for c in cases]
     # The catalog itself travels to the workers: payload dict order, which
     # orders multi-failure witnesses, must survive the trip.

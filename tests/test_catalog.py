@@ -8,6 +8,7 @@ their order is the part of the report a worker pool could disturb.
 from __future__ import annotations
 
 import copy
+import math
 
 import pytest
 
@@ -54,6 +55,8 @@ NEGATIVE_CONTROLS = [
     ("sys7iii_case6_b", ("rhs",), _neg),
     ("order_G_2_1_1", ("order",), lambda n: n + 1),
     ("iso_G_2_1_1", ("label",), lambda label: "C1"),
+    # The right order but the wrong group.
+    ("iso_G_2_3_1", ("label",), lambda label: "C4"),
     ("normals_G_4_3_1", ("subgroups",), lambda subgroups: subgroups[:-1]),
     ("conj_G_3_1_1_G_3_1_3", ("via",), _bump),
     ("qred_G_1_1_1", ("reducible",), lambda b: not b),
@@ -83,6 +86,37 @@ def test_negative_control_fails(case_id, path, change):
     report = run_case(Catalog(base.groups, [control]), control.id)
     assert report.status == "Fail", report.witness
     assert report.witness
+
+
+def test_iso_label_of_the_right_order_names_the_group_found():
+    base = builtin_catalog()
+    case = base.case("iso_G_2_3_1")
+    assert case.payload["label"] == "C2xC2"
+    payload = dict(case.payload, label="C4")
+    control = CaseRecord("iso_G_2_3_1_c4", case.kind, case.section, case.source, payload)
+    report = run_case(Catalog(base.groups, [control]), control.id)
+    assert report.status == "Fail"
+    assert report.witness == "recognized C2xC2, catalog says C4"
+
+
+@pytest.mark.parametrize("timeout", [-0.05, math.inf, math.nan])
+def test_bad_timeout_is_a_value_error(timeout):
+    catalog = builtin_catalog()
+    with pytest.raises(ValueError, match="timeout"):
+        run_case(catalog, "order_G_2_1_1", timeout=timeout)
+    with pytest.raises(ValueError, match="timeout"):
+        run_all(catalog, {"id": "order_G_2_1_1"}, timeout=timeout)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_a_value_error(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_all(builtin_catalog(), {"id": "order_G_2_1_1"}, jobs=jobs)
+
+
+@pytest.mark.parametrize("timeout", [0, None])
+def test_zero_or_no_timeout_means_no_limit(timeout):
+    assert run_case(builtin_catalog(), "order_G_2_1_1", timeout=timeout).status == "Pass"
 
 
 def test_non_injective_orbit_sum_group_is_an_error():

@@ -1,21 +1,25 @@
-"""Lattice-group closure, structure computations, and recognition."""
+"""Lattice-group closure, structure computations, and recognition by isomorphism."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.combinatorics.group_constructs import DirectProduct
 from sympy.combinatorics.named_groups import (
     AlternatingGroup,
+    CyclicGroup,
     DihedralGroup,
     SymmetricGroup,
 )
 
-from qmi import NotFiniteOrder, OrderCapExceeded, UnknownFingerprint
-from qmi.catalog import builtin_catalog, word_matrix
+from qmi import NotFiniteOrder, OrderCapExceeded
+from qmi import runner
+from qmi.catalog import Catalog, CaseRecord, builtin_catalog, word_matrix
 from qmi.catalog_data import MATRICES
 from qmi.matgroup import (
     close_group,
@@ -23,6 +27,7 @@ from qmi.matgroup import (
     identify_iso_type,
     identity,
     intify,
+    isomorphism,
     mat,
     mat_inv,
     mat_mul,
@@ -31,9 +36,8 @@ from qmi.matgroup import (
     _kernel_basis,
     _primitive_int_vector,
     _MODEL_GENERATORS,
-    _model_fingerprints,
 )
-from qmi.runner import build_group
+from qmi.runner import build_group, run_case
 
 ROT4 = mat([[0, -1], [1, 0]])
 FLIP = mat([[1, 0], [0, -1]])
@@ -86,27 +90,31 @@ def perm_group_profile(g: PermutationGroup):
     )
 
 
-NAMED_ORACLES = {
-    "S4": SymmetricGroup(4),
-    "A4": AlternatingGroup(4),
-    "S3": SymmetricGroup(3),
-    "D4": DihedralGroup(4),
-    "D6": DihedralGroup(6),
-    "C6": PermutationGroup([Permutation([1, 2, 3, 4, 5, 0])]),
-}
+def _oracle(label: str) -> PermutationGroup:
+    """The sympy group a model label names, factor by factor."""
+    named = {"S4": SymmetricGroup(4), "A4": AlternatingGroup(4), "S3": SymmetricGroup(3),
+             "D4": DihedralGroup(4), "D6": DihedralGroup(6)}
+    factors = [named[f] if f in named else CyclicGroup(int(f[1:])) for f in label.split("x")]
+    return factors[0] if len(factors) == 1 else DirectProduct(*factors)
+
+
+NAMED_ORACLES = {label: _oracle(label) for label in _MODEL_GENERATORS}
 
 
 class TestClosure:
     def test_cyclic_four(self):
-        g = close_group([ROT4], ["r"])
+        g = close_group([ROT4])
         assert g.order == 4
-        assert sorted(g.word_for(m) for m in g.elements) == ["1", "r", "r^2", "r^3"]
+        assert sorted(g.element_orders()) == [1, 2, 4, 4]
 
     def test_shortest_words(self):
-        g = close_group([ROT4, FLIP], ["r", "s"])
+        # Depth in the BFS tree that isomorphism walks is word length.
+        g = close_group([ROT4, FLIP])
         assert g.order == 8
-        lengths = sorted(len(g.words[m]) for m in g.elements)
-        assert lengths == [0, 1, 1, 2, 2, 2, 3, 3]
+        depth = {g._e: 0}
+        for b, a, _ in g._tree:
+            depth[b] = depth[a] + 1
+        assert sorted(depth.values()) == [0, 1, 1, 2, 2, 2, 3, 3]
 
     def test_infinite_generator_rejected(self):
         with pytest.raises(NotFiniteOrder):
@@ -126,27 +134,65 @@ class TestClosure:
             element_order(SHEAR, guard=20)
 
 
+def c5_permutation_matrix():
+    """A 5-cycle as a permutation matrix: C5 is none of the built-in models."""
+    c5 = Permutation([1, 2, 3, 4, 0])
+    return mat([[1 if c5(i) == j else 0 for i in range(5)] for j in range(5)])
+
+
+def assert_isomorphism_by_matrix_products(model, group, phi):
+    """phi is a bijection with phi(a·b) = phi(a)·phi(b), by mat_mul on all pairs."""
+    assert sorted(phi) == list(range(group.order))
+    image = {m: group.elements[phi[a]] for a, m in enumerate(model.elements)}
+    for x in model.elements:
+        for y in model.elements:
+            assert image[mat_mul(x, y)] == mat_mul(image[x], image[y])
+
+
 class TestRecognition:
+    @pytest.mark.parametrize("gid", CATALOG_GROUPS)
+    def test_catalog_group_has_a_checked_isomorphism(self, gid):
+        g = group_for(gid)
+        label = identify_iso_type(g)
+        assert label == catalog().group(gid)["label"]
+        model = group_for(label)
+        phi = isomorphism(model, g)
+        assert phi is not None
+        assert_isomorphism_by_matrix_products(model, g, phi)
+
     def test_all_models_distinct_and_self_identifying(self):
-        table = _model_fingerprints()
-        assert len(table) == len(_MODEL_GENERATORS) == 18
-        for label, gens in _MODEL_GENERATORS.items():
-            assert identify_iso_type(close_group(gens, cap=200)) == label
+        assert len(_MODEL_GENERATORS) == 18
+        models = {label: group_for(label) for label in _MODEL_GENERATORS}
+        for label, model in models.items():
+            assert identify_iso_type(model) == label
+        # Distinct by the search alone, without identify_iso_type's
+        # element-order filter.
+        pairs = 0
+        for (l1, m1), (l2, m2) in combinations(models.items(), 2):
+            if m1.order == m2.order:
+                assert isomorphism(m1, m2) is None, (l1, l2)
+                assert isomorphism(m2, m1) is None, (l2, l1)
+                pairs += 1
+        assert pairs == 11
 
     @pytest.mark.parametrize("name", list(_MODEL_GENERATORS) + LARGE_CATALOG_GROUPS)
     def test_model_profile_matches_sympy(self, name):
         g = group_for(name)
-        assert g.fingerprint() == perm_group_profile(regular_permutations(g))
-        if name in NAMED_ORACLES:
-            assert g.fingerprint() == perm_group_profile(NAMED_ORACLES[name])
+        label = name if name in _MODEL_GENERATORS else catalog().group(name)["label"]
+        profile = perm_group_profile(regular_permutations(g))
+        assert profile == perm_group_profile(NAMED_ORACLES[label])
+        assert profile[:2] == (g.order, tuple(sorted(Counter(g.element_orders()).items())))
 
-    def test_unknown_fingerprint(self):
-        # C5 does not embed in any built-in model.
-        c5 = PermutationGroup([Permutation([1, 2, 3, 4, 0])])
-        rows = [[1 if c5[0](i) == j else 0 for i in range(5)] for j in range(5)]
-        g = close_group([mat(rows)], cap=200)
-        with pytest.raises(UnknownFingerprint):
-            identify_iso_type(g)
+    def test_group_without_a_model_is_not_recognized(self, monkeypatch):
+        g = close_group([c5_permutation_matrix()], cap=200)
+        assert identify_iso_type(g) is None
+        assert all(isomorphism(group_for(label), g) is None for label in _MODEL_GENERATORS)
+        monkeypatch.setitem(runner.MATRICES, "p5", c5_permutation_matrix())
+        groups = {"G_C5": {"generators": ["p5"], "label": "C5"}}
+        case = CaseRecord("iso_G_C5", "IsoType", "test", "a 5-cycle", {"group": "G_C5", "label": "C5"})
+        report = run_case(Catalog(groups, [case]), case.id)
+        assert report.status == "Fail"
+        assert report.witness == "no built-in model is isomorphic, catalog says C5"
 
 
 class TestStructure:
@@ -168,7 +214,7 @@ class TestStructure:
 
     def test_conjugacy_class_count_matches_sympy_s4(self):
         g = close_group(_MODEL_GENERATORS["S4"], cap=200)
-        assert len(g.conjugacy_classes()) == len(SymmetricGroup(4).conjugacy_classes())
+        assert len(g._class_indices()) == len(SymmetricGroup(4).conjugacy_classes())
 
 
 class TestConjugation:
@@ -256,29 +302,8 @@ def ref_inverses(g):
     return out
 
 
-def ref_center(g):
-    return tuple(
-        z
-        for z in g.elements
-        if all(mat_mul(z, s) == mat_mul(s, z) for s in g.generators)
-    )
-
-
-def ref_derived_order(g):
-    inv = ref_inverses(g)
-    comms = set()
-    for a in g.elements:
-        for b in g.elements:
-            comms.add(mat_mul(mat_mul(a, b), mat_mul(inv[a], inv[b])))
-    return close_group(sorted(comms), cap=g.order).order
-
-
 def ref_element_orders(g):
-    out: dict[int, int] = {}
-    for m in g.elements:
-        k = element_order(m, guard=g.order)
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    return [element_order(m, guard=g.order) for m in g.elements]
 
 
 def ref_conjugacy_classes(g):
@@ -318,17 +343,16 @@ def ref_normal_subgroups(g):
 def test_index_tables_match_matrix_products(name):
     g = group_for(name)
     assert {m: g.inverse(m) for m in g.elements} == ref_inverses(g)
-    assert g.center() == ref_center(g)
     assert g.element_orders() == ref_element_orders(g)
-    assert g.derived_order() == ref_derived_order(g)
-    assert g.conjugacy_classes() == ref_conjugacy_classes(g)
-    assert g.cayley() == ref_cayley(g)
+    classes = tuple(tuple(g.elements[i] for i in c) for c in g._class_indices())
+    assert classes == ref_conjugacy_classes(g)
+    assert [list(row) for row in g._table()] == ref_cayley(g)
     assert g.normal_subgroups() == ref_normal_subgroups(g)
 
 
 def test_table_is_associative_on_order_48():
     g = group_for("G_7_5_1")
-    t = g.cayley()
+    t = g._table()
     assert g.order == 48
     n = range(g.order)
     assert all(t[t[a][b]][c] == t[a][t[b][c]] for a in n for b in n for c in n)
