@@ -10,6 +10,12 @@ Quasi-monomial actions come from an integer matrix whose column j is the
 exponent vector of the image of variable j, an optional sign per root,
 and an optional constant multiplier per variable.
 
+`close_action` closes a finite group of automorphisms without composing
+any of them. sigma is determined by its signs and the images sigma(x_j),
+so a group G acts faithfully on O, the union of the G-orbits of the
+variables, and sigma is stored as the pair (permutation of O, signs).
+Only the orbits cost substitutions: |O| applications per generator.
+
 The check_* functions are the verification primitives. They work on raw
 (num, den) pairs and decide everything by cross-multiplied zero tests;
 nothing on these paths computes a gcd. Each returns a list of failure
@@ -21,7 +27,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .context import Context
-from .errors import InconsistentAction
+from .errors import InconsistentAction, OrderCapExceeded
 from .matgroup import _closure, mat_det
 from .poly import Poly
 from .ratfunc import Pair, RatFunc, _raw_difference, apply_root_signs_poly, substitute_raw
@@ -140,13 +146,7 @@ class Automorphism:
         )
 
     def _key(self):
-        return (
-            self.signs,
-            tuple(
-                (frozenset(b.num.terms.items()), frozenset(b.den.terms.items()))
-                for b in self.bindings
-            ),
-        )
+        return (self.signs, tuple(_parts_key(b) for b in self.bindings))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -168,29 +168,82 @@ class Automorphism:
         return "Automorphism(" + "; ".join(parts) + ")"
 
 
+def _parts_key(f: RatFunc):
+    """The canonical parts of f as a hashable key; equal values, equal keys."""
+    return frozenset(f.num.terms.items()), frozenset(f.den.terms.items())
+
+
 def close_action(
     generators: Sequence[Automorphism], cap: int = 10000
 ) -> list[Automorphism]:
     """Closure under composition, identity first, breadth-first order.
 
-    Raises OrderCapExceeded past the cap and InconsistentAction if the
-    closure M is not a group. The BFS forms a.compose(g) for every a in M
-    and every generator g, and records where each lands. If every such
-    column of positions is a permutation of M, right composition with g is
-    a bijection of the finite M, so g has a left inverse there; then
-    g^n = g^m (n < m) cancels to g^(m-n) = id, and M is a group.
-    Elements are told apart by `_key`, the canonical forms of the
-    bindings, since `__eq__` cross-multiplies.
+    An automorphism sigma is determined by its root signs and the images
+    sigma(x_j), so the group G acts faithfully on O, the union of the
+    G-orbits of the variables. The closure first searches each variable's
+    orbit breadth-first with `Automorphism.apply`, telling points apart by
+    their canonical parts, and records each generator's index map on O.
+    It then closes the pairs (permutation of O, signs) with
+    `matgroup._closure`: the product is (pi_a . pi_g, s_a * s_g), since
+    (a g)(p) = a(g(p)), and the pair is its own key. Element j is read
+    back as x_k -> O[pi_j(x_k)] with signs s_j. No symbolic compose runs.
+
+    The pairs of two elements are equal exactly when their signs and
+    variable images are, which is when the automorphisms are equal, so
+    the elements and their BFS order are those of closing under
+    `Automorphism.compose` with `Automorphism._key`.
+
+    Raises InconsistentAction if a generator is not injective on O.
+    Otherwise each generator g permutes the finite O, so g^m fixes every
+    point of O and every sign for m twice the order of that permutation:
+    g^m = id, g has finite order, and the closure is a group. Raises
+    OrderCapExceeded once one orbit exceeds `cap` points (an orbit of G
+    has at most |G| points, so an infinite-order generator stops there)
+    or the closure exceeds `cap` elements.
     """
     if not generators:
         raise ValueError("no generators")
-    ident = Automorphism.identity(generators[0].ctx)
-    elements, products, _ = _closure(
-        ident, generators, Automorphism.compose, Automorphism._key, cap
-    )
-    if any(len(set(col)) != len(elements) for col in products):
-        raise InconsistentAction("a generator does not act injectively on the closure")
-    return elements
+    ctx = generators[0].ctx
+    if any(g.ctx != ctx for g in generators):
+        raise ValueError("mixed contexts")
+    points: list[RatFunc] = []
+    index: dict = {}
+    maps: list[list[int]] = [[] for _ in generators]
+    where = []
+    for v in ctx.variables:
+        x = RatFunc.named(ctx, v)
+        kx = _parts_key(x)
+        if kx not in index:
+            start = index[kx] = len(points)
+            points.append(x)
+            j = start
+            while j < len(points):
+                for m, g in zip(maps, generators):
+                    image = g.apply(points[j])
+                    ki = _parts_key(image)
+                    k = index.get(ki)
+                    if k is None:
+                        k = index[ki] = len(points)
+                        points.append(image)
+                        if len(points) - start > cap:
+                            raise OrderCapExceeded(f"orbit exceeded cap of {cap} points")
+                    m.append(k)
+                j += 1
+        where.append(index[kx])
+    if any(len(set(m)) != len(points) for m in maps):
+        raise InconsistentAction("a generator does not act injectively on the variable orbits")
+    ident = (tuple(range(len(points))), (1,) * len(ctx.rooted))
+    gens = [(tuple(m), g.signs) for m, g in zip(maps, generators)]
+    pairs, _, _ = _closure(ident, gens, _pair_product, lambda pair: pair, cap)
+    return [
+        Automorphism(ctx, [points[perm[k]] for k in where], signs) for perm, signs in pairs
+    ]
+
+
+def _pair_product(a, g):
+    """(pi_a . pi_g, s_a * s_g): the pair of a after g."""
+    (pa, sa), (pg, sg) = a, g
+    return tuple(pa[k] for k in pg), tuple(x * y for x, y in zip(sa, sg))
 
 
 # -- verification primitives ----------------------------------------------

@@ -4,9 +4,12 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_substitute.py --benchmark-only
 
-compose: the third substitution of cb.compose(mbe3), the cb/mbe3 closure
-step of sys7iii_case1_actg: mbe3's image of t3 (5 over 4 terms) with t1,
-t2, t3 replaced by cb's images.
+compose: the third substitution of cb.compose(mbe3), the product of the
+two generators of the orbit-sum group of sys7iii_case1_actg: mbe3's image
+of t3 (5 over 4 terms) with t1, t2, t3 replaced by cb's images. This is a
+substitution of the same size as the ones close_action makes, but not one
+of them: close_action composes nothing, it applies each generator to the
+points of the variable orbits.
 backward: the backward-after-forward substitution of v3 in
 sys7iii_case1_vt (14 over 12 terms in t1, t2, t3), with every t replaced
 by its forward expression in v1, v2, v3 (8 or 9 terms over 8 or 9).

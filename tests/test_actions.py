@@ -7,6 +7,7 @@ import pytest
 from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, parse
 from qmi.actions import (
     Automorphism,
+    _parts_key,
     check_identity,
     check_induced_action,
     check_invariance,
@@ -15,7 +16,7 @@ from qmi.actions import (
 )
 from qmi.catalog import builtin_catalog, word_matrix
 from qmi.catalog_data import MATRICES
-from qmi.matgroup import close_group, mat, mat_mul
+from qmi.matgroup import _closure, close_group, mat, mat_mul
 
 CTX3 = Context(QQ, variables=["x1", "x2", "x3"])
 
@@ -117,23 +118,49 @@ class TestClosure:
         got = close_action([sigma, tau])
         assert len(got) == 8
 
-    @pytest.mark.parametrize("gid", ["G_5_2_1", "G_5_5_1", "G_4_7_1", "G_6_7_1", "G_7_5_1"])
-    def test_builtin_groups_close_with_one_compose_per_element_and_generator(
-        self, gid, monkeypatch
-    ):
-        calls = []
-        original = Automorphism.compose
+    def test_sign_flip_alone_has_order_two(self):
+        ctx = Context(QQ, variables=["x1"], parameters=["a"], roots=["a"])
+        flip = Automorphism(ctx, {"x1": parse(ctx, "x1")}, {"a": -1})
+        got = close_action([flip])
+        assert [g.signs for g in got] == [(1,), (-1,)]
+        assert all(g.bindings == (parse(ctx, "x1"),) for g in got)
 
-        def counting(self, other):
-            calls.append(1)
-            return original(self, other)
+    def test_infinite_order_generator_hits_the_cap(self):
+        ctx = Context(QQ, variables=["x1"])
+        double = Automorphism(ctx, {"x1": parse(ctx, "2*x1")})
+        with pytest.raises(OrderCapExceeded):
+            close_action([double], cap=5)
 
-        monkeypatch.setattr(Automorphism, "compose", counting)
+    def test_mixed_contexts_rejected(self):
+        other = Context(QQ, variables=["y1", "y2", "y3"])
+        with pytest.raises(ValueError):
+            close_action([Automorphism.monomial(CTX3, CB), Automorphism.monomial(other, CB)])
+
+    @pytest.mark.parametrize("gid", sorted(builtin_catalog().groups))
+    def test_builtin_groups_close_without_compose(self, gid, monkeypatch):
         mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
         gens = [Automorphism.monomial(CTX3, m) for m in mats]
+        ident = Automorphism.identity(CTX3)
+        reference, _, _ = _closure(ident, gens, Automorphism.compose, Automorphism._key, 10000)
+        # O, the union of the variable orbits: every point is some sigma(x_j).
+        points = {_parts_key(b) for sigma in reference for b in sigma.bindings}
+        counts = {"compose": 0, "apply": 0}
+
+        def counted(name):
+            original = getattr(Automorphism, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(Automorphism, name, counted(name))
         got = close_action(gens)
+        assert [g._key() for g in got] == [r._key() for r in reference]
         assert len(got) == close_group(mats).order
-        assert len(calls) == len(got) * len(gens)
+        assert counts == {"compose": 0, "apply": len(points) * len(gens)}
 
 
 class TestChecks:

@@ -8,11 +8,15 @@ their order is the part of the report a worker pool could disturb.
 from __future__ import annotations
 
 import copy
+import json
 import math
+from collections import Counter
 
 import pytest
 
-from qmi.catalog import KINDS, Catalog, CaseRecord, builtin_catalog
+from qmi.actions import close_action
+from qmi.catalog import KINDS, Catalog, CaseRecord, build_action, build_context, builtin_catalog
+from qmi.catalog_data import MATRICES
 from qmi.runner import run_all, run_case, summarize, to_jsonl
 
 
@@ -37,6 +41,22 @@ def test_jsonl_bytes_do_not_depend_on_jobs():
     assert '"status": "Fail"' in serial
     assert serial.index("expr xn") < serial.index("expr yn") < serial.index("expr x1fix")
     assert to_jsonl(run_all(catalog, jobs=2)) == serial
+
+
+def test_every_action_is_an_automorphism():
+    # The InducedAction and Invariance claims assume each substitution is
+    # invertible. Closing an action alone proves it has finite order.
+    specs = {}
+    for case in builtin_catalog().cases:
+        if case.kind in ("InducedAction", "Invariance"):
+            ctx_spec = case.payload["context"]
+            for spec in case.payload["actions"].values():
+                specs[json.dumps([ctx_spec, spec], sort_keys=True)] = (ctx_spec, spec)
+    orders = Counter()
+    for ctx_spec, spec in specs.values():
+        ctx = build_context(ctx_spec)
+        orders[len(close_action([build_action(ctx, spec, MATRICES)]))] += 1
+    assert orders == {2: 103, 3: 10, 4: 4}
 
 
 def _neg(text: str) -> str:
