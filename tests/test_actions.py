@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, parse
+from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, actions, parse
 from qmi.actions import (
     Automorphism,
     _parts_key,
@@ -135,6 +135,31 @@ class TestClosure:
         other = Context(QQ, variables=["y1", "y2", "y3"])
         with pytest.raises(ValueError):
             close_action([Automorphism.monomial(CTX3, CB), Automorphism.monomial(other, CB)])
+
+    @pytest.mark.parametrize("gid", ["G_5_2_1", "G_5_5_1", "G_4_7_1", "G_6_7_1", "G_7_5_1"])
+    def test_builtin_groups_close_with_one_compose_per_element_and_generator(
+        self, gid, monkeypatch
+    ):
+        # The composes are of (permutation, signs) pairs, none symbolic.
+        calls = {"pair": 0, "symbolic": 0}
+        pair_product = actions._pair_product
+        symbolic = Automorphism.compose
+
+        def counting_pair(a, g):
+            calls["pair"] += 1
+            return pair_product(a, g)
+
+        def counting_symbolic(self, other):
+            calls["symbolic"] += 1
+            return symbolic(self, other)
+
+        monkeypatch.setattr(actions, "_pair_product", counting_pair)
+        monkeypatch.setattr(Automorphism, "compose", counting_symbolic)
+        mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
+        gens = [Automorphism.monomial(CTX3, m) for m in mats]
+        got = close_action(gens)
+        assert len(got) == close_group(mats).order
+        assert calls == {"pair": len(got) * len(gens), "symbolic": 0}
 
     @pytest.mark.parametrize("gid", sorted(builtin_catalog().groups))
     def test_builtin_groups_close_without_compose(self, gid, monkeypatch):
