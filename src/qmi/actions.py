@@ -5,6 +5,8 @@ the declared roots by the signs, then substitutes each variable by its
 binding. Flipping happens to the *argument*, never to the bindings
 themselves, so composition reads (sigma tau)(f) = sigma(tau(f)) and the
 matrix of a composed quasi-monomial action is the product of matrices.
+Equality and the hash read (context, signs, bindings); the bindings are
+canonical RatFuncs, so equal automorphisms have equal triples.
 
 Quasi-monomial actions come from an integer matrix whose column j is the
 exponent vector of the image of variable j, an optional sign per root,
@@ -30,7 +32,14 @@ from .context import Context
 from .errors import InconsistentAction, OrderCapExceeded
 from .matgroup import _closure, mat_det
 from .poly import Poly
-from .ratfunc import Pair, RatFunc, _raw_difference, apply_root_signs_poly, substitute_raw
+from .ratfunc import (
+    Pair,
+    RatFunc,
+    _raw_difference,
+    _resolve_sign_keys,
+    apply_root_signs_poly,
+    substitute_raw,
+)
 
 
 class Automorphism:
@@ -61,8 +70,6 @@ class Automorphism:
         if signs is None:
             self.signs = (1,) * len(ctx.rooted)
         elif isinstance(signs, Mapping):
-            from .ratfunc import _resolve_sign_keys
-
             flips = set(_resolve_sign_keys(ctx, signs))
             self.signs = tuple(-1 if i in flips else 1 for i in range(len(ctx.rooted)))
         else:
@@ -110,15 +117,12 @@ class Automorphism:
 
     # -- application and composition ----------------------------------------
 
-    def _sign_map(self) -> dict[str, int]:
-        return {p: s for p, s in zip(self.ctx.rooted, self.signs)}
-
     def apply_raw(self, f: Pair) -> Pair:
         num, den = f
-        if any(s < 0 for s in self.signs):
-            smap = self._sign_map()
-            num = apply_root_signs_poly(num, smap)
-            den = apply_root_signs_poly(den, smap)
+        flips = [r for r, s in enumerate(self.signs) if s < 0]
+        if flips:
+            num = apply_root_signs_poly(num, flips)
+            den = apply_root_signs_poly(den, flips)
         binds = {v: b for v, b in zip(self.ctx.variables, self.bindings)}
         return substitute_raw((num, den), binds)
 
@@ -138,27 +142,16 @@ class Automorphism:
         return self.compose(other)
 
     def is_identity(self) -> bool:
-        if any(s < 0 for s in self.signs):
-            return False
-        return all(
-            b == RatFunc.named(self.ctx, v)
-            for v, b in zip(self.ctx.variables, self.bindings)
-        )
-
-    def _key(self):
-        return (self.signs, tuple(_parts_key(b) for b in self.bindings))
+        return self == Automorphism.identity(self.ctx)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.signs == other.signs
-            and all(a == b for a, b in zip(self.bindings, other.bindings))
-        )
+        # ctx first: bindings of different contexts are never compared.
+        return (self.ctx, self.signs, self.bindings) == (other.ctx, other.signs, other.bindings)
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self._key()))
+        return hash((self.ctx, self.signs, self.bindings))
 
     def __repr__(self) -> str:
         parts = [f"{v} -> {b}" for v, b in zip(self.ctx.variables, self.bindings)]
@@ -166,11 +159,6 @@ class Automorphism:
             if s < 0:
                 parts.append(f"sqrt({p}) -> -sqrt({p})")
         return "Automorphism(" + "; ".join(parts) + ")"
-
-
-def _parts_key(f: RatFunc):
-    """The canonical parts of f as a hashable key; equal values, equal keys."""
-    return frozenset(f.num.terms.items()), frozenset(f.den.terms.items())
 
 
 def close_action(
@@ -181,8 +169,9 @@ def close_action(
     An automorphism sigma is determined by its root signs and the images
     sigma(x_j), so the group G acts faithfully on O, the union of the
     G-orbits of the variables. The closure first searches each variable's
-    orbit breadth-first with `Automorphism.apply`, telling points apart by
-    their canonical parts, and records each generator's index map on O.
+    orbit breadth-first with `Automorphism.apply`, indexing the points by
+    the RatFunc itself (equal values have equal canonical parts, so equal
+    hashes), and records each generator's index map on O.
     It then closes the pairs (permutation of O, signs) with
     `matgroup._closure`: the product is (pi_a . pi_g, s_a * s_g), since
     (a g)(p) = a(g(p)), and the pair is its own key. Element j is read
@@ -191,7 +180,7 @@ def close_action(
     The pairs of two elements are equal exactly when their signs and
     variable images are, which is when the automorphisms are equal, so
     the elements and their BFS order are those of closing under
-    `Automorphism.compose` with `Automorphism._key`.
+    `Automorphism.compose` with the automorphisms as their own keys.
 
     Raises InconsistentAction if a generator is not injective on O.
     Otherwise each generator g permutes the finite O, so g^m fixes every
@@ -207,29 +196,27 @@ def close_action(
     if any(g.ctx != ctx for g in generators):
         raise ValueError("mixed contexts")
     points: list[RatFunc] = []
-    index: dict = {}
+    index: dict[RatFunc, int] = {}
     maps: list[list[int]] = [[] for _ in generators]
     where = []
     for v in ctx.variables:
         x = RatFunc.named(ctx, v)
-        kx = _parts_key(x)
-        if kx not in index:
-            start = index[kx] = len(points)
+        if x not in index:
+            start = index[x] = len(points)
             points.append(x)
             j = start
             while j < len(points):
                 for m, g in zip(maps, generators):
                     image = g.apply(points[j])
-                    ki = _parts_key(image)
-                    k = index.get(ki)
+                    k = index.get(image)
                     if k is None:
-                        k = index[ki] = len(points)
+                        k = index[image] = len(points)
                         points.append(image)
                         if len(points) - start > cap:
                             raise OrderCapExceeded(f"orbit exceeded cap of {cap} points")
                     m.append(k)
                 j += 1
-        where.append(index[kx])
+        where.append(index[x])
     if any(len(set(m)) != len(points) for m in maps):
         raise InconsistentAction("a generator does not act injectively on the variable orbits")
     ident = (tuple(range(len(points))), (1,) * len(ctx.rooted))

@@ -463,7 +463,7 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
                 raise SchemaError("b must be a rational", path + "/b")
 
 
-def validate_catalog(data: Any, known_group_ids: set[str] | None = None) -> None:
+def validate_catalog(data: Any) -> None:
     """Validate raw {groups, cases} data; raises SchemaError with a path."""
     if not isinstance(data, dict):
         raise SchemaError("catalog must be an object", "")
@@ -484,7 +484,7 @@ def validate_catalog(data: Any, known_group_ids: set[str] | None = None) -> None
     cases = data.get("cases", [])
     if not isinstance(cases, list):
         raise SchemaError("cases must be a list", "/cases")
-    group_ids = set(groups) | (known_group_ids or set())
+    group_ids = set(groups)
     seen: set[str] = set()
     for i, c in enumerate(cases):
         path = f"/cases/{i}"
@@ -507,20 +507,13 @@ def validate_catalog(data: Any, known_group_ids: set[str] | None = None) -> None
 # -- building and loading -----------------------------------------------------
 
 
-def _catalog_from_data(data: Mapping[str, Any], base: "Catalog | None" = None) -> Catalog:
-    validate_catalog(data, known_group_ids=set(base.groups) if base else None)
-    groups = dict(base.groups) if base else {}
-    cases = list(base.cases) if base else []
-    for gid, g in data.get("groups", {}).items():
-        if gid in groups:
-            raise SchemaError(f"duplicate group id {gid!r}", f"/groups/{gid}")
-        groups[gid] = g
-    existing = {c.id for c in cases}
-    for c in data.get("cases", []):
-        if c["id"] in existing:
-            raise SchemaError(f"duplicate case id {c['id']!r}", "/cases")
-        cases.append(CaseRecord(c["id"], c["kind"], c["section"], c["source"], c["payload"]))
-    return Catalog(groups, cases)
+def _catalog_from_data(data: Mapping[str, Any]) -> Catalog:
+    validate_catalog(data)
+    cases = [
+        CaseRecord(c["id"], c["kind"], c["section"], c["source"], c["payload"])
+        for c in data.get("cases", [])
+    ]
+    return Catalog(data.get("groups", {}), cases)
 
 
 def builtin_catalog() -> Catalog:
@@ -530,12 +523,12 @@ def builtin_catalog() -> Catalog:
     return _catalog_from_data({"groups": catalog_data.GROUPS, "cases": catalog_data.CASES})
 
 
-def load_catalog(path: str, merge_builtin: bool = False) -> Catalog:
-    """Load a JSON catalog file, optionally on top of the builtin one."""
+def load_catalog(path: str) -> Catalog:
+    """Load a JSON catalog file; it declares every group its cases use."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}", "") from None
-    return _catalog_from_data(data, base=builtin_catalog() if merge_builtin else None)
+    return _catalog_from_data(data)
 

@@ -4,12 +4,17 @@ The stored form keeps a rooted parameter and its root as separate symbols
 with the rewrite (root)^2 -> parameter. That form is not a UFD presentation
 (the rewrite hides common factors from naive term-by-term division), so
 both gcd and exact division first pass to the *eliminated form*: the
-parameter slot is folded into the root slot via
+parameter slot is folded into the root slot in place,
 
     exponent(root) := 2 * exponent(parameter) + exponent(root),
+    exponent(parameter) := 0,
 
-realizing the isomorphism k[p, r]/(r^2 - p) ~ k[r]. In eliminated form the
-root behaves as a free symbol and ordinary primitive-PRS gcd applies.
+realizing the isomorphism k[p, r]/(r^2 - p) ~ k[r]; divmod by 2 splits
+it back. The exponent tuples keep Poly's width, and a context without
+rooted parameters passes its terms through uncopied. An always-zero
+slot changes neither the monomial order nor the choice of main slot.
+In eliminated form the root behaves as a free symbol and ordinary
+primitive-PRS gcd applies.
 Roots of *specialized* parameters (square roots of explicit constants)
 cannot be eliminated; they keep exponent 0/1 with the constant fold and
 are never chosen as PRS main symbols: they are elements of the extension
@@ -98,27 +103,16 @@ class _ElimInfo:
     """Per-context tables for the eliminated form, and its domains."""
 
     __slots__ = (
-        "ctx", "keep", "nslots", "root_pairs", "folds", "croot_slots",
-        "eligible", "field", "prs",
+        "ctx", "nslots", "root_pairs", "folds", "croot_slots", "eligible", "field", "prs",
     )
 
     def __init__(self, ctx: Context) -> None:
         self.ctx = ctx
-        dropped = set()
-        root_pairs = []  # (root slot, original parameter index)
-        const_roots = []  # (root slot, constant value)
-        for r, pidx, value in ctx.folds:
-            if pidx is None:
-                const_roots.append((r, value))
-            else:
-                root_pairs.append((r, pidx))
-                dropped.add(pidx)
-        self.keep = tuple(i for i in range(ctx.nsym) if i not in dropped)
-        self.nslots = len(self.keep)
-        pos = {orig: new for new, orig in enumerate(self.keep)}
-        self.root_pairs = [(pos[r], orig_p) for r, orig_p in root_pairs]
-        # The constant folds of ctx.folds, on eliminated slots.
-        self.folds = [(pos[r], None, v) for r, v in const_roots]
+        self.nslots = ctx.nsym
+        # (root slot, parameter slot) of each rooted parameter, and the
+        # constant folds, which the eliminated form keeps.
+        self.root_pairs = [(r, pidx) for r, pidx, _ in ctx.folds if pidx is not None]
+        self.folds = [f for f in ctx.folds if f[1] is None]
         self.croot_slots = tuple(r for r, _, _ in self.folds)
         self.eligible = tuple(i for i in range(self.nslots) if i not in self.croot_slots)
         self.field = _Field(self, ctx.field)
@@ -140,28 +134,30 @@ def _elim_info(ctx: Context) -> _ElimInfo:
 
 
 def _to_elim(E: _ElimInfo, p: Poly) -> EDict:
+    """p's terms with each rooted parameter folded into its root slot."""
+    if not E.root_pairs:
+        return p.terms
     out: EDict = {}
     for e, c in p.terms.items():
-        new = [e[i] for i in E.keep]
-        for slot, orig_p in E.root_pairs:
-            new[slot] += 2 * e[orig_p]
+        new = list(e)
+        for r, q in E.root_pairs:
+            new[r] += 2 * new[q]
+            new[q] = 0
         out[tuple(new)] = c
     return out
 
 
 def _from_elim(E: _ElimInfo, d: EDict) -> Poly:
-    ctx = E.ctx
-    out: dict[tuple[int, ...], Any] = {}
+    """The Poly of an eliminated dict: each root slot split by divmod 2."""
+    if not E.root_pairs:
+        return Poly(E.ctx, d)
+    out: EDict = {}
     for e, c in d.items():
-        full = [0] * ctx.nsym
-        for new, orig in enumerate(E.keep):
-            full[orig] = e[new]
-        for slot, orig_p in E.root_pairs:
-            u = e[slot]
-            full[E.keep[slot]] = u & 1
-            full[orig_p] = u >> 1
+        full = list(e)
+        for r, q in E.root_pairs:
+            full[q], full[r] = divmod(e[r], 2)
         out[tuple(full)] = c
-    return Poly(ctx, out)
+    return Poly(E.ctx, out)
 
 
 # -- coefficient domains ------------------------------------------------------

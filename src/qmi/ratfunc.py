@@ -6,9 +6,10 @@ yields) and the denominator is normalized by gcd.unit_normal (its
 leading coefficient is 1, read in the root extension when there are
 constant roots). When either part is a nonzero constant the gcd is a
 unit, and gcd.cancel computes none. Equal rational functions therefore
-have equal parts and equal hashes. Equality itself is decided by
-cross-multiplication, through _raw_difference, the zero test the
-check_* functions of qmi.actions use too.
+have equal parts, so equality and the hash both read the canonical
+parts, and nothing is multiplied to compare. The check_* functions of
+qmi.actions compare raw pairs, which are not canonical, by the
+cross-multiplied zero test _raw_difference.
 
 The operators cancel across their operands before they multiply, as in
 Henrici (1956; Knuth, TAOCP Vol. 2, 4.5.1), so the full product or sum
@@ -49,7 +50,7 @@ integers and normalizes each coefficient once.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
@@ -133,7 +134,7 @@ class RatFunc:
             return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("mixed contexts")
-        return _raw_difference((self.num, self.den), (other.num, other.den)).is_zero()
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -155,10 +156,14 @@ class RatFunc:
         return RatFunc(num, den)
 
     def apply_root_signs(self, signs: Mapping[str, int]) -> "RatFunc":
-        """Flip declared roots by the given +-1 signs (a field automorphism)."""
+        """Flip declared roots by the given +-1 signs (a field automorphism).
+
+        Keys are rooted parameter names, e.g. {"a": -1} flips sqrt(a).
+        """
+        flips = _resolve_sign_keys(self.ctx, signs)
         den, num = unit_normal(
-            apply_root_signs_poly(self.den, signs),
-            apply_root_signs_poly(self.num, signs),
+            apply_root_signs_poly(self.den, flips),
+            apply_root_signs_poly(self.num, flips),
         )
         return RatFunc._make(num, den)
 
@@ -216,25 +221,20 @@ def _product(f: RatFunc, c: Poly, d: Poly) -> RatFunc:
 
 
 def _resolve_sign_keys(ctx: Context, signs: Mapping[str, int]) -> list[int]:
-    """Root slots to flip. Keys may be "a", "sqrt(a)" or "sqrt_a"."""
+    """Root slots to flip; each key is a rooted parameter's name."""
     flips: list[int] = []
-    for key, sign in signs.items():
+    for name, sign in signs.items():
         if sign not in (1, -1):
             raise ValueError(f"root sign must be +-1, got {sign!r}")
-        name = key
-        if name.startswith("sqrt(") and name.endswith(")"):
-            name = name[5:-1]
-        elif name.startswith("sqrt_"):
-            name = name[5:]
         if name not in ctx.root_index:
-            raise UnknownRoot(f"{key!r} does not name a declared root")
+            raise UnknownRoot(f"{name!r} does not name a declared root")
         if sign == -1:
             flips.append(ctx.root_index[name])
     return flips
 
 
-def apply_root_signs_poly(p: Poly, signs: Mapping[str, int]) -> Poly:
-    flips = _resolve_sign_keys(p.ctx, signs)
+def apply_root_signs_poly(p: Poly, flips: Sequence[int]) -> Poly:
+    """p with the sign of each root slot in flips reversed."""
     if not flips:
         return p
     neg = p.ctx.field.neg

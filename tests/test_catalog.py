@@ -15,8 +15,17 @@ from collections import Counter
 import pytest
 
 from qmi.actions import close_action
-from qmi.catalog import KINDS, Catalog, CaseRecord, build_action, build_context, builtin_catalog
+from qmi.catalog import (
+    KINDS,
+    Catalog,
+    CaseRecord,
+    build_action,
+    build_context,
+    builtin_catalog,
+    load_catalog,
+)
 from qmi.catalog_data import MATRICES
+from qmi.errors import SchemaError
 from qmi.runner import run_all, run_case, summarize, to_jsonl
 
 
@@ -154,3 +163,99 @@ def test_non_injective_orbit_sum_group_is_an_error():
     report = run_case(Catalog({}, [case]), case.id)
     assert report.status == "Error"
     assert "InconsistentAction" in report.witness
+
+
+# -- schema validation of catalog files ---------------------------------------
+
+
+def _case(cid: str, kind: str, payload: dict) -> dict:
+    return {"id": cid, "kind": kind, "section": "test", "source": "test", "payload": payload}
+
+
+# A small valid document: cases 0-4 are a group order, an induced action
+# with an orbit sum, an inverse pair, a conjugacy and a root-sign flip.
+VALID_DOCUMENT = {
+    "groups": {"G": {"generators": ["la1"], "label": "C2", "system": "2", "star": False}},
+    "cases": [
+        _case("order", "GroupOrder", {"group": "G", "order": 2}),
+        _case("induced", "InducedAction", {
+            "context": {"variables": ["x1", "x2"]},
+            "actions": {"swap": {"bindings": {"x1": "x2", "x2": "x1"}}},
+            "forward": {"u": {"orbit_sum": {"of": "x1", "group": ["swap"]}}, "v": "x1*x2"},
+            "claimed": {"swap": {"u": "u", "v": "v"}},
+            "claimed_context": {"variables": ["u", "v"]},
+        }),
+        _case("inverse", "InversePair", {
+            "source": {"variables": ["x1"]},
+            "target": {"variables": ["y1"]},
+            "forward": {"y1": "1/x1"},
+            "backward": {"x1": "1/y1"},
+        }),
+        _case("conj", "Conjugacy", {"left": "G", "right": "G", "via": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        _case("flip", "Invariance", {
+            "context": {"variables": ["x1"], "parameters": ["d"], "roots": ["d"]},
+            "actions": {"s": {"bindings": {"x1": "x1"}, "signs": {"d": -1}}},
+            "exprs": {"f": "x1"},
+        }),
+    ],
+}
+
+
+def _set(path: tuple, value):
+    def change(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return change
+
+
+def _delete(path: tuple):
+    def change(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return change
+
+
+# (id, change to VALID_DOCUMENT, the path SchemaError must report).
+MALFORMED = [
+    ("unknown-kind", _set(("cases", 0, "kind"), "Order"), "/cases/0/kind"),
+    ("missing-payload-key", _delete(("cases", 0, "payload", "order")), "/cases/0/payload"),
+    ("extra-payload-key", _set(("cases", 0, "payload", "extra"), 1), "/cases/0/payload"),
+    ("duplicate-case-id", _set(("cases", 1, "id"), "order"), "/cases/1/id"),
+    ("unknown-group", _set(("cases", 0, "payload", "group"), "H"), "/cases/0/payload/group"),
+    ("claimed-undeclared-action", _set(("cases", 1, "payload", "claimed", "rot"), {"u": "u", "v": "v"}),
+     "/cases/1/payload/claimed/rot"),
+    ("claimed-misses-forward", _delete(("cases", 1, "payload", "claimed", "swap", "v")),
+     "/cases/1/payload/claimed/swap"),
+    ("inverse-forward-keys", _set(("cases", 2, "payload", "forward"), {"y2": "1/x1"}),
+     "/cases/2/payload/forward"),
+    ("orbit-sum-undeclared-action", _set(("cases", 1, "payload", "forward", "u", "orbit_sum", "group"), ["rot"]),
+     "/cases/1/payload/forward/u/orbit_sum/group"),
+    ("via-not-3x3", _set(("cases", 3, "payload", "via"), [[1, 0], [0, 1]]), "/cases/3/payload/via"),
+    ("sign-not-unit", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), 2),
+     "/cases/4/payload/actions/s/signs"),
+]
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_valid_document_loads_and_passes(tmp_path):
+    catalog = load_catalog(_write(tmp_path, VALID_DOCUMENT))
+    assert [c.id for c in catalog.cases] == [c["id"] for c in VALID_DOCUMENT["cases"]]
+    assert summarize(run_all(catalog))["Pass"] == 5
+
+
+@pytest.mark.parametrize("change,path", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_document_is_a_schema_error(tmp_path, change, path):
+    doc = copy.deepcopy(VALID_DOCUMENT)
+    change(doc)
+    with pytest.raises(SchemaError) as err:
+        load_catalog(_write(tmp_path, doc))
+    assert err.value.path == path

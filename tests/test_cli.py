@@ -88,3 +88,13 @@ def test_bad_requests_exit_2_with_a_message(args):
     out = qmi(*args)
     assert out.returncode == 2
     assert out.stderr.startswith(f"qmi {args[0]}: ")
+
+
+def test_malformed_catalog_exits_2_with_the_path(tmp_path):
+    case = builtin_catalog().case("order_G_2_1_1").to_dict()
+    path = tmp_path / "unknown_group.json"
+    path.write_text(json.dumps({"groups": {}, "cases": [case]}))
+    out = qmi("run", "--catalog", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmi run: unknown group 'G_2_1_1' [/cases/0/payload/group]")

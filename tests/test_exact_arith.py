@@ -23,6 +23,7 @@ from qmi import (
     parse,
     poly_gcd,
 )
+from qmi.actions import Automorphism
 from qmi.ratfunc import substitute_raw
 
 
@@ -342,9 +343,15 @@ class TestRootSigns:
             parse(ctx, "x1").apply_root_signs({"b": -1})
 
     def test_sqrt_key_spellings(self, ctx):
+        # A sign is keyed by the rooted parameter's bare name only.
         f = parse(ctx, "sqrt(a)")
-        assert f.apply_root_signs({"sqrt(a)": -1}) == -f
-        assert f.apply_root_signs({"sqrt_a": -1}) == -f
+        x = [parse(ctx, v) for v in ctx.variables]
+        for key in ("sqrt(a)", "sqrt_a"):
+            with pytest.raises(UnknownRoot):
+                f.apply_root_signs({key: -1})
+            with pytest.raises(UnknownRoot):
+                Automorphism(ctx, x, {key: -1})
+        assert f.apply_root_signs({"a": -1}) == -f
 
 
 class TestParsing:

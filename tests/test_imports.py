@@ -1,17 +1,24 @@
-"""The package imports nothing beyond the standard library and itself.
+"""What the package imports, and the names others import from it.
 
-`pyproject.toml` declares `dependencies = []`; this keeps it true.
+`pyproject.toml` declares `dependencies = []`; the first test keeps it
+true. The benchmark's tracer looks up `qmi` functions by name, so the
+second keeps every name it traces defined.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import qmi
 
 PACKAGE = Path(qmi.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def imported_roots(tree: ast.AST) -> set[str]:
@@ -35,3 +42,21 @@ def test_package_imports_only_stdlib_and_itself():
         if extra:
             foreign[path.name] = sorted(extra)
     assert foreign == {}
+
+
+def _tracer_targets() -> tuple:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("module,qualname", _tracer_targets())
+def test_every_traced_name_resolves(module, qualname):
+    # The tracer wraps functions by module attribute and methods on their class.
+    owner = importlib.import_module(f"qmi.{module}")
+    if "." in qualname:
+        cls_name, method = qualname.split(".")
+        assert callable(vars(getattr(owner, cls_name))[method])
+    else:
+        assert callable(getattr(owner, qualname))

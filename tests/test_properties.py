@@ -30,6 +30,34 @@ C5M3CTX = Context(
 )
 # A constant root over F_7: 3 is a nonsquare mod 7, so this is F_49.
 F7M3CTX = Context(PrimeField(7), variables=["x1", "x2"], parameters=["m"], roots=["m"], specialize={"m": 3})
+# A live rooted parameter beside a constant root: the eliminated form folds
+# sqrt(a) and a into one slot and keeps sqrt(m) out of the PRS main slots.
+MIXEDCTX = Context(
+    QQ, variables=["x1", "x2"], parameters=["a", "m"], roots=["a", "m"], specialize={"m": -3}
+)
+F7MIXEDCTX = Context(
+    PrimeField(7), variables=["x1", "x2"], parameters=["a", "m"], roots=["a", "m"], specialize={"m": 3}
+)
+# Q(sqrt(5)): one constant root, whose square is an integer.
+C5CTX = Context(QQ, variables=["x1", "x2"], parameters=["c"], roots=["c"], specialize={"c": 5})
+QCTX = Context(QQ, variables=["x1", "x2"])
+ZCTX = Context(QQ, variables=["x1", "x2", "x3"])
+
+# Every context of this file, by test id.
+CONTEXTS = {
+    "Q": QCTX,
+    "Q-three-variables": ZCTX,
+    "rooted-parameter": CTX,
+    "F3": F3CTX,
+    "F7": F7CTX,
+    "root-of-minus-3": M3CTX,
+    "root-of-half": MHALFCTX,
+    "constant-root-5": C5CTX,
+    "two-constant-roots": C5M3CTX,
+    "F7-constant-root": F7M3CTX,
+    "mixed-roots": MIXEDCTX,
+    "F7-mixed-roots": F7MIXEDCTX,
+}
 
 RELAXED = settings(
     max_examples=30,
@@ -80,7 +108,9 @@ def test_ring_laws(p, q, r):
 
 
 @pytest.mark.parametrize(
-    "ctx", [CTX, C5M3CTX, F7M3CTX], ids=["rooted-parameter", "two-constant-roots", "F7-constant-root"]
+    "ctx",
+    [CTX, C5M3CTX, F7M3CTX, MIXEDCTX, F7MIXEDCTX],
+    ids=["rooted-parameter", "two-constant-roots", "F7-constant-root", "mixed-roots", "F7-mixed-roots"],
 )
 @given(data=st.data())
 @settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
@@ -98,11 +128,6 @@ def test_gcd_divisible_by_planted_factor(ctx, data):
     assert (planted.num, planted.den) == (plain.num, plain.den)
 
 
-# Q(sqrt(5)): one constant root, whose square is an integer.
-C5CTX = Context(QQ, variables=["x1", "x2"], parameters=["c"], roots=["c"], specialize={"c": 5})
-QCTX = Context(QQ, variables=["x1", "x2"])
-
-
 def _reduce_by_gcd(num, den):
     """Canonical parts by the gcd, two exact divisions, then unit_normal."""
     g = poly_gcd(num, den)
@@ -112,7 +137,9 @@ def _reduce_by_gcd(num, den):
 
 
 @pytest.mark.parametrize(
-    "ctx", [QCTX, CTX, F7CTX, C5CTX], ids=["Q", "rooted-parameter", "F7", "constant-root-5"]
+    "ctx",
+    [QCTX, CTX, F7CTX, C5CTX, MIXEDCTX, F7MIXEDCTX],
+    ids=["Q", "rooted-parameter", "F7", "constant-root-5", "mixed-roots", "F7-mixed-roots"],
 )
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
@@ -208,18 +235,27 @@ def test_frobenius_in_char3(p, q):
     assert (p + q) ** 3 == p**3 + q**3
 
 
-@given(ratfuncs(M3CTX), polys(M3CTX, max_terms=2, max_exp=1))
-@RELAXED
-def test_equal_implies_equal_hash_with_constant_roots(f, h):
+@pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=list(HealthCheck))
+def test_equal_implies_equal_hash(ctx, data):
+    from qmi.ratfunc import _raw_difference
+
+    f = data.draw(ratfuncs(ctx))
+    h = data.draw(polys(ctx, max_terms=2, max_exp=1))
     assume(not f.is_zero() and not h.is_zero())
     g = RatFunc(f.num * h, f.den * h)
     assert g == f
     assert hash(g) == hash(f)
-    x2 = RatFunc.named(M3CTX, "x2")
-    a = Automorphism(M3CTX, {"x1": f, "x2": x2})
-    b = Automorphism(M3CTX, {"x1": g, "x2": x2})
-    assert a == b
-    assert a._key() == b._key() and hash(a) == hash(b)
+    rest = [RatFunc.named(ctx, v) for v in ctx.variables[1:]]
+    a = Automorphism(ctx, [f, *rest])
+    b = Automorphism(ctx, [g, *rest])
+    assert a == b and hash(a) == hash(b)
+    # Equality reads canonical parts; it must agree with the zero test of
+    # the cross-multiplied difference, which needs no canonical form.
+    other = data.draw(ratfuncs(ctx))
+    for u, v in ((f, g), (f, other), (g, other), (-other, other)):
+        assert (u == v) == _raw_difference((u.num, u.den), (v.num, v.den)).is_zero()
 
 
 # -- the substitution engine against the per-part formula ---------------------
@@ -329,8 +365,6 @@ def test_packed_product_equals_pair_loop(case):
 
 
 # -- the heuristic gcd against the PRS ----------------------------------------
-
-ZCTX = Context(QQ, variables=["x1", "x2", "x3"])
 
 
 @st.composite
