@@ -7,16 +7,23 @@ monomial never carries a root exponent above 1: whenever a product stacks
 two copies of a root, the pair collapses to the underlying parameter (or
 to the specialized constant).
 
-Every product goes through _convolve_ints, which takes one of two paths
-with equal sums. Large dense integer products are packed into one
-integer each (Kronecker substitution: one byte-aligned coefficient slot
-per monomial of the product's exponent box) and multiplied with one
-big-int multiply: when both operands have at least 2 terms, at least
-_PACK_MIN_PAIRS term pairs, int coefficients only, and at most
-_PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair. A slot holds
-a bound on the product's coefficients, which is at most
-max|a|*max|b|*min(|a|, |b|), plus a sign bit (see _pack_layout). Every
+Products of term dicts keyed by exponent tuples (Poly.__mul__, the gcd
+layer, ratfunc._raw_difference) go through _convolve_ints, which takes
+one of two paths with equal sums. Large dense integer products are
+packed into one integer each (Kronecker substitution: one byte-aligned
+coefficient slot per monomial of the product's exponent box) and
+multiplied with one big-int multiply: when both operands have at least
+2 terms, at least _PACK_MIN_PAIRS term pairs, int coefficients only,
+and at most _PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair.
+A slot holds a bound on the product's coefficients, which is at most
+max|a|*max|b|*min(|a|, |b|), plus a sign bit (see _slot_bytes). Every
 other product is a loop over term pairs.
+
+ratfunc.substitute_raw multiplies term dicts keyed by int exponent
+words, in a mixed-radix layout it fixes per call, through
+_convolve_words: the same two paths under the same rule, with slot
+index word minus the operand's smallest word. Both packed paths share
+one core, _kronecker.
 
 Polynomials are immutable by convention; every operation returns a fresh
 dict. Equality and hashing are structural.
@@ -73,7 +80,7 @@ _PACK_MAX_BYTES_PER_PAIR = 6
 
 
 def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
-    """Multiply two term dicts: the one multiplication kernel in qmi.
+    """Multiply two term dicts keyed by exponent tuples.
 
     Each fold (root slot, parameter slot, constant) halves a root
     exponent above 1, moving the pairs into the parameter slot, or, when
@@ -139,17 +146,25 @@ def _pack_layout(a: dict, b: dict) -> tuple[list[int], int]:
     """(radices, w) of the packed product of two int term dicts.
 
     The radix of a slot is one more than its largest exponent in the
-    product, so the product has K = prod(radices) slots. A product
-    coefficient sums at most one pair per term of either operand, so its
-    size is at most min(max|a|*sum|b|, max|b|*sum|a|), which is at most
-    max|a|*max|b|*min(|a|, |b|). Each slot has w bytes: the fewest that
-    hold that bound, and every operand coefficient, plus a sign bit.
+    product, so the product has K = prod(radices) slots of w bytes each
+    (_slot_bytes).
     """
     radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
-    av, bv = a.values(), b.values()
+    return radices, _slot_bytes(a.values(), b.values())
+
+
+def _slot_bytes(av, bv) -> int:
+    """Bytes per packed slot of the product of two int coefficient lists.
+
+    A product coefficient sums at most one pair per term of either
+    operand, so its size is at most min(max|a|*sum|b|, max|b|*sum|a|),
+    which is at most max|a|*max|b|*min(|a|, |b|). A slot holds the fewest
+    bytes that hold that bound, and every operand coefficient, plus a
+    sign bit.
+    """
     ma, mb = max(map(abs, av)), max(map(abs, bv))
     bound = max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
-    return radices, (bound.bit_length() + 8) // 8
+    return (bound.bit_length() + 8) // 8
 
 
 def _convolve_packed(
@@ -157,15 +172,8 @@ def _convolve_packed(
 ) -> dict[tuple[int, ...], int]:
     """The unfolded product of int coefficients through one big-int multiply.
 
-    This is Kronecker substitution, laid out by _pack_layout. A
-    monomial's index is its exponent vector read in mixed radix (last
-    slot fastest); index k owns bytes [k*w, (k+1)*w) of an integer. An
-    operand packs as the integer of its positive coefficients minus that
-    of its negative ones. Adding half a slot to every slot of the product
-    leaves each slot in [0, 2^(8w)) with no borrow from its neighbours. A
-    slot equal to that bias is a zero: such slots are found with
-    whole-integer operations and skipped, and each other slot decodes
-    from one byte slice.
+    A monomial's slot index is its exponent vector read in mixed radix
+    (last slot fastest), laid out by _pack_layout; _kronecker multiplies.
     """
     weights = []
     nslots = 1
@@ -173,11 +181,63 @@ def _convolve_packed(
         weights.append(nslots)
         nslots *= r
     weights.reverse()
+    flags, values = _kronecker(
+        [sum(map(mul, e, weights)) for e in a], a.values(),
+        [sum(map(mul, e, weights)) for e in b], b.values(),
+        nslots, w,
+    )
+    return dict(zip(compress(product(*map(range, radices)), flags), values))
+
+
+def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two int term dicts keyed by exponent words.
+
+    A word is an exponent vector read in a mixed-radix layout that no
+    sum of exponents in the product overflows, so the word of a product
+    monomial is the sum of its factors' words; nothing is folded. Large
+    products go through _kronecker under the rule of _convolve_ints,
+    with slot index word - min(words) for each operand: the product's
+    span is the difference of its largest and smallest word. Every other
+    product is a loop over term pairs.
+    """
+    pairs = len(a) * len(b)
+    if pairs >= _PACK_MIN_PAIRS and len(a) > 1 and len(b) > 1:
+        la, lb = min(a), min(b)
+        nslots = max(a) - la + max(b) - lb + 1
+        w = _slot_bytes(a.values(), b.values())
+        if nslots * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
+            flags, values = _kronecker(
+                [k - la for k in a], a.values(), [k - lb for k in b], b.values(), nslots, w
+            )
+            return dict(zip(compress(range(la + lb, la + lb + nslots), flags), values))
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _kronecker(ia, ca, ib, cb, nslots: int, w: int) -> tuple[bytes, list[int]]:
+    """Kronecker substitution: one big-int multiply of two operands.
+
+    ia, ca (ib, cb) are an operand's slot indices and int coefficients;
+    the product has nslots slots of w bytes, and slot k owns bytes
+    [k*w, (k+1)*w) of an integer. An operand packs as the integer of its
+    positive coefficients minus that of its negative ones. Adding half a
+    slot to every slot of the product leaves each slot in [0, 2^(8w))
+    with no borrow from its neighbours. A slot equal to that bias is a
+    zero: such slots are found with whole-integer operations and
+    skipped, and each other slot decodes from one byte slice. Returns one
+    flag byte per slot, nonzero for a nonzero coefficient, and the
+    coefficients of the flagged slots in slot order.
+    """
     size = nslots * w
     bias = 1 << (8 * w - 1)
     biases = int.from_bytes(bias.to_bytes(w, "little") * nslots, "little")
     lows = int.from_bytes((bias - 1).to_bytes(w, "little") * nslots, "little")
-    shifted = _pack(a, weights, w) * _pack(b, weights, w) + biases
+    shifted = _pack(ia, ca, w) * _pack(ib, cb, w) + biases
     buf = shifted.to_bytes(size, "little")
     # Per slot x = shifted ^ bias, which is 0 exactly for a zero
     # coefficient: ((x & low) + low) | x has its top bit set iff x != 0,
@@ -186,19 +246,17 @@ def _convolve_packed(
     marks = (((changed & lows) + lows) | changed) & biases
     flags = marks.to_bytes(size, "little")[w - 1 :: w]
     from_bytes = int.from_bytes
-    return dict(zip(
-        compress(product(*map(range, radices)), flags),
-        [from_bytes(buf[i : i + w], "little") - bias for i in compress(range(0, size, w), flags)],
-    ))
+    return flags, [
+        from_bytes(buf[i : i + w], "little") - bias for i in compress(range(0, size, w), flags)
+    ]
 
 
-def _pack(terms: dict, weights: list[int], w: int) -> int:
-    """One operand as the sum of c * 256^(w * index) over its terms."""
-    index = [sum(map(mul, e, weights)) for e in terms]
+def _pack(index: list[int], coeffs, w: int) -> int:
+    """One operand as the sum of c * 256^(w * k) over its slots k."""
     size = (max(index) + 1) * w
     pos = bytearray(size)
     neg = bytearray(size)
-    for k, c in zip(index, terms.values()):
+    for k, c in zip(index, coeffs):
         i = k * w
         if c > 0:
             pos[i : i + w] = c.to_bytes(w, "little")

@@ -43,23 +43,45 @@ substitute_raw builds the powers of every binding's numerator and
 denominator once per call, as integer term dicts shared by both parts,
 and expands both parts over one common denominator. So the pair carries
 no power of a binding denominator that both parts share and that the
-degrees do not need. compose_poly_raw sums the terms in place over the
-integers and normalizes each coefficient once.
+degrees do not need.
+
+The expansion runs on exponent words. A call fixes one mixed-radix
+layout over the target's symbol slots, last slot fastest as in
+poly._convolve_packed: slot j has radix 1 + B_j, and a monomial's word
+is its exponent vector read in that radix. B_j is the largest slot-j
+exponent of the parts' roots and parameters (mapped into the target),
+plus, for each bound variable v with binding n_v / d_v,
+
+    max(top_v * deg_j n_v, lo_v * deg_j n_v + (top_v - lo_v) * deg_j d_v),
+
+where lo_v and top_v are the smallest and largest exponents of v in the
+parts. Slot j of the table entry n_v^k * d_v^(top_v - k) is at most
+k * deg_j n_v + (top_v - k) * deg_j d_v, which is linear in k, so it is
+largest at k = lo_v or k = top_v. Every power of n_v or d_v that a table
+needs, every table entry and every partial sum of a part's expansion
+therefore stays within B_j in slot j, and the word of a product
+monomial is the sum of its factors' words: no slot carries into the
+next. The products are unfolded (a root exponent may exceed 1). A root
+fold is the ring map r^2 -> a (or r^2 -> a constant), so folding a
+part's sum once gives what folding every product would: each part's
+sum is decoded into exponent tuples once, folded once, and each
+surviving coefficient is normalized once.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Any, Mapping, Sequence
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
-from .poly import Poly, _convolve_ints, _from_ints, _lift_ints, _lifted_product
+from .poly import Poly, _convolve_words, _fold, _from_ints, _lift_ints, _lifted_product
 
 Pair = tuple[Poly, Poly]
-# Variable index -> {exponent k: (scale, integer term dict)}; see _power_tables.
-Tables = dict[int, dict[int, tuple[int, dict]]]
+# Variable index -> {exponent k: (scale, word-keyed integer terms)}; see _word_tables.
+Tables = dict[int, dict[int, tuple[int, dict[int, int]]]]
 
 
 class RatFunc:
@@ -278,112 +300,6 @@ def _binding_pairs(
     return out
 
 
-def _times(a: dict, b: dict, folds, char: int) -> dict:
-    """Integer product of two term dicts, reduced mod char over F_p."""
-    out = _convolve_ints(a, b, folds)
-    if char:
-        return {e: v % char for e, v in out.items() if v % char}
-    return {e: v for e, v in out.items() if v}
-
-
-def _power_tables(
-    parts: tuple[Poly, ...],
-    binds: dict[int, Pair],
-    target: Context,
-) -> Tables:
-    """Variable -> {k: (scale, ints)} with ints / scale = n^k * d^(M - k).
-
-    (n, d) is the variable's binding and M its largest exponent in any
-    of the parts; only the exponents k that occur are tabulated. Each
-    binding part is lifted to integers once (_lift_ints) and its powers
-    are taken over the integers, reduced mod p over F_p.
-    """
-    folds = target.folds
-    char = target.field.char
-    one = {(0,) * target.nsym: 1}
-    tables: Tables = {}
-    for v, (n, d) in binds.items():
-        used = {e[v] for part in parts for e in part.terms}
-        top = max(used, default=0)
-        if not top:
-            continue
-        powers = []
-        for base, upto in ((n, top), (d, top - min(used))):
-            scale, ints = _lift_ints(base.terms)
-            row = [(1, one)]
-            for _ in range(upto):
-                s, t = row[-1]
-                row.append((s * scale, _times(t, ints, folds, char)))
-            powers.append(row)
-        npow, dpow = powers
-        table = {}
-        for k in used:
-            (sn, tn), (sd, td) = npow[k], dpow[top - k]
-            table[k] = (sn * sd, _times(tn, td, folds, char))
-        tables[v] = table
-    return tables
-
-
-def compose_poly_raw(
-    p: Poly,
-    tables: Tables,
-    target: Context,
-    const_map: dict[int, int],
-) -> Poly:
-    """p with its variables substituted, times the tables' denominator.
-
-    With (n_v, d_v) the binding of v and M_v the top of its table, the
-    result is the sum over the terms c * x^e of p of c * x^e' times the
-    product over v of n_v^e_v * d_v^(M_v - e_v), where e' keeps the roots
-    and parameters of e (mapped by const_map). One common scale is taken
-    up front from the term exponents, so every term becomes an integer
-    leaf; the leaves accumulate in place over the integers (_horner), and
-    each surviving coefficient is normalized once at the end.
-    """
-    items = list(tables.items())
-    scales = []
-    for e, c in p.terms.items():
-        s = c.denominator
-        for v, table in items:
-            s *= table[e[v]][0]
-        scales.append(s)
-    common = 1
-    for s in scales:
-        common = common * s // math.gcd(common, s)
-    leaves = []
-    for (e, c), s in zip(p.terms.items(), scales):
-        mono = [0] * target.nsym
-        for i, j in const_map.items():
-            mono[j] = e[i]
-        leaves.append((e, tuple(mono), c.numerator * (common // s)))
-    return _from_ints(target, common, _horner(leaves, items, target.folds))
-
-
-def _horner(leaves: list, items: list, folds) -> dict[tuple[int, ...], Any]:
-    """Sum of k * x^mono * prod of table[e[v]] over the leaves (e, mono, k).
-
-    The sum is nested by variable: the leaves are grouped by their
-    exponent of the first variable, and each group's sum over the other
-    variables is multiplied by that variable's table entry once. Products
-    are added into one dict per level; nothing is normalized.
-    """
-    acc: dict[tuple[int, ...], Any] = {}
-    get = acc.get
-    if not items:
-        for _, mono, k in leaves:
-            acc[mono] = get(mono, 0) + k
-        return acc
-    (v, table), rest = items[0], items[1:]
-    groups: dict[int, list] = {}
-    for leaf in leaves:
-        groups.setdefault(leaf[0][v], []).append(leaf)
-    for ev, group in groups.items():
-        inner = _horner(group, rest, folds)
-        for key, val in _convolve_ints(table[ev][1], inner, folds).items():
-            acc[key] = get(key, 0) + val
-    return acc
-
-
 def substitute_raw(
     f: Pair,
     bindings: Mapping[str, Any],
@@ -397,6 +313,14 @@ def substitute_raw(
     (P * prod d_v^(M_q,v - M_p,v)+, Q * prod d_v^(M_p,v - M_q,v)+) for P
     and Q each over its own prod d_v^M: no power of d_v common to both
     parts is formed.
+
+    The expansion runs on int exponent words in one mixed-radix layout
+    per call (_word_tables): slot j has radix 1 + B_j, where B_j adds
+    the parts' largest slot-j constant exponent and, per bound variable,
+    the larger of the slot-j bounds of its table entries at k = lo and
+    k = top (that bound is linear in k). So words add without carries.
+    Each part's sum is decoded and root-folded once (_expand); the
+    module docstring has the argument.
     """
     sctx = f[0].ctx
     tctx = target if target is not None else sctx
@@ -404,12 +328,159 @@ def substitute_raw(
         raise ValueError("substitution cannot change the coefficient field")
     const_map = sctx.constant_map_into(tctx)
     binds = _binding_pairs(sctx, bindings, tctx)
-    tables = _power_tables(f, binds, tctx)
-    num = compose_poly_raw(f[0], tables, tctx, const_map)
-    den = compose_poly_raw(f[1], tables, tctx, const_map)
+    radices, weights, tables = _word_tables(f, binds, tctx, const_map)
+    num = _expand(f[0], tables, tctx, const_map, radices, weights)
+    den = _expand(f[1], tables, tctx, const_map, radices, weights)
     if den.is_zero():
         raise SubstitutionPole("denominator vanished under substitution")
     return num, den
+
+
+def _word_tables(
+    parts: Pair,
+    binds: dict[int, Pair],
+    target: Context,
+    const_map: dict[int, int],
+) -> tuple[list[int], list[int], Tables]:
+    """(radices, weights, tables): the call's layout and power tables.
+
+    tables[v][k] = (scale, words) with words / scale = n^k * d^(top - k),
+    unfolded, for (n, d) the binding of v, top its largest exponent in
+    either part and k each exponent of v that occurs; variables that do
+    not occur have no table. Slot j has radix 1 + B_j and weight the
+    product of the radices after it. B_j (module docstring) bounds slot
+    j of every table entry and of every partial sum of _expand. Each
+    binding part is lifted to integers (_lift_ints) and encoded once;
+    its powers are taken over the integers, reduced mod p over F_p.
+    """
+    nsym = target.nsym
+    cols = [list(zip(*part.terms)) for part in parts if part.terms]
+    bound = [0] * nsym
+    for i, j in const_map.items():
+        bound[j] = max((max(c[i]) for c in cols), default=0)
+    lifted = []
+    for v, (n, d) in binds.items():
+        used = set().union(*(c[v] for c in cols))
+        top = max(used, default=0)
+        if not top:
+            continue
+        lo = min(used)
+        (sn, tn), (sd, td) = _lift_ints(n.terms), _lift_ints(d.terms)
+        for j, (dn, dd) in enumerate(zip(_slot_degrees(tn, nsym), _slot_degrees(td, nsym))):
+            bound[j] += max(top * dn, lo * dn + (top - lo) * dd)
+        lifted.append((v, used, top, ((sn, tn, top), (sd, td, top - lo))))
+    radices = [b + 1 for b in bound]
+    weights = [1] * nsym
+    for j in range(nsym - 1, 0, -1):
+        weights[j - 1] = weights[j] * radices[j]
+    char = target.field.char
+    tables: Tables = {}
+    for v, used, top, bases in lifted:
+        rows = []
+        for scale, ints, upto in bases:
+            base = {sum(map(mul, e, weights)): c for e, c in ints.items()}
+            row = [(1, {0: 1}), (scale, base)][: upto + 1]
+            for _ in range(upto - 1):
+                s, t = row[-1]
+                row.append((s * scale, _reduced(_convolve_words(t, base), char)))
+            rows.append(row)
+        npow, dpow = rows
+        table = {}
+        for k in used:
+            (sn, tn), (sd, td) = npow[k], dpow[top - k]
+            if k == top:
+                words = tn
+            elif k == 0:
+                words = td
+            else:
+                words = _reduced(_convolve_words(tn, td), char)
+            table[k] = (sn * sd, words)
+        tables[v] = table
+    return radices, weights, tables
+
+
+def _slot_degrees(terms: dict, nsym: int) -> list[int]:
+    """The largest exponent of each slot in terms (0 for no terms)."""
+    return [max(col) for col in zip(*terms)] if terms else [0] * nsym
+
+
+def _reduced(words: dict[int, int], char: int) -> dict[int, int]:
+    """words without zero coefficients, reduced mod char over F_p."""
+    if char:
+        return {k: v % char for k, v in words.items() if v % char}
+    return {k: v for k, v in words.items() if v}
+
+
+def _expand(
+    p: Poly,
+    tables: Tables,
+    target: Context,
+    const_map: dict[int, int],
+    radices: list[int],
+    weights: list[int],
+) -> Poly:
+    """p with its variables substituted, times the tables' denominator.
+
+    With (n_v, d_v) the binding of v and M_v the top of its table, the
+    result is the sum over the terms c * x^e of p of c * x^e' times the
+    product over v of n_v^e_v * d_v^(M_v - e_v), where e' keeps the roots
+    and parameters of e (mapped by const_map). One common scale is taken
+    up front from the term exponents, so every term becomes an integer
+    leaf; the leaves accumulate in place over the integers (_horner).
+    The sum's root folds are applied once, after each surviving word is
+    decoded into an exponent tuple, and each surviving coefficient is
+    normalized once.
+    """
+    items = list(tables.items())
+    scales = []
+    for e, c in p.terms.items():
+        s = c.denominator
+        for v, table in items:
+            s *= table[e[v]][0]
+        scales.append(s)
+    common = 1
+    for s in scales:
+        common = common * s // math.gcd(common, s)
+    leaves = [
+        (e, sum(e[i] * weights[j] for i, j in const_map.items()), c.numerator * (common // s))
+        for (e, c), s in zip(p.terms.items(), scales)
+    ]
+    words = _horner(leaves, items)
+    decoded = {
+        tuple([k // w % r for w, r in zip(weights, radices)]): c
+        for k, c in words.items()
+        if c
+    }
+    return _from_ints(target, common, _fold(decoded, target.folds))
+
+
+def _horner(leaves: list, items: list) -> dict[int, int]:
+    """Sum of k * x^word * prod of table[e[v]] over the leaves (e, word, k).
+
+    The sum is nested by variable: the leaves are grouped by their
+    exponent of the first variable, and each group's sum over the other
+    variables is multiplied by that variable's table entry once. Products
+    are added into the first product; nothing is normalized or folded.
+    """
+    acc: dict[int, int] = {}
+    if not items:
+        get = acc.get
+        for _, word, k in leaves:
+            acc[word] = get(word, 0) + k
+        return acc
+    (v, table), rest = items[0], items[1:]
+    groups: dict[int, list] = {}
+    for leaf in leaves:
+        groups.setdefault(leaf[0][v], []).append(leaf)
+    for ev, group in groups.items():
+        term = _convolve_words(table[ev][1], _horner(group, rest))
+        if not acc:
+            acc = term
+            continue
+        get = acc.get
+        for key, val in term.items():
+            acc[key] = get(key, 0) + val
+    return acc
 
 
 def _raw_difference(a: Pair, b: Pair) -> Poly:

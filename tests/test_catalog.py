@@ -237,6 +237,23 @@ MALFORMED = [
     ("via-not-3x3", _set(("cases", 3, "payload", "via"), [[1, 0], [0, 1]]), "/cases/3/payload/via"),
     ("sign-not-unit", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), 2),
      "/cases/4/payload/actions/s/signs"),
+    # Words that word_matrix cannot evaluate, and sign keys that name no
+    # rooted parameter, are rejected at load time, not as per-case Errors.
+    ("unknown-generator-name", _set(("groups", "G", "generators"), ["la1", "zz"]),
+     "/groups/G/generators/1"),
+    ("zero-generator-exponent", _set(("groups", "G", "generators"), ["la1^0"]), "/groups/G/generators/0"),
+    ("unknown-subgroup-word",
+     _set(("cases", 0), _case("order", "NormalSubgroups", {"group": "G", "subgroups": [["la1"], ["zz"]]})),
+     "/cases/0/payload/subgroups/1/0"),
+    ("unknown-action-word", _set(("cases", 4, "payload", "actions", "s"), {"word": "qq"}),
+     "/cases/4/payload/actions/s/word"),
+    ("unknown-orbit-sum-generator-word", _set(("cases", 1, "payload", "actions", "swap"), {"word": "cb^x"}),
+     "/cases/1/payload/actions/swap/word"),
+    ("unknown-via-word", _set(("cases", 3, "payload", "via"), "zz"), "/cases/3/payload/via"),
+    ("sign-of-unrooted-parameter", _delete(("cases", 4, "payload", "context", "roots")),
+     "/cases/4/payload/actions/s/signs/d"),
+    ("sign-of-undeclared-name", _set(("cases", 4, "payload", "actions", "s", "signs"), {"e": -1}),
+     "/cases/4/payload/actions/s/signs/e"),
 ]
 
 

@@ -98,3 +98,14 @@ def test_malformed_catalog_exits_2_with_the_path(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("qmi run: unknown group 'G_2_1_1' [/cases/0/payload/group]")
+
+
+def test_unevaluable_generator_word_exits_2_with_the_path(tmp_path):
+    case = builtin_catalog().case("order_G_2_1_1").to_dict()
+    path = tmp_path / "unknown_word.json"
+    group = {"generators": ["zz"], "label": "C2", "system": "2", "star": False}
+    path.write_text(json.dumps({"groups": {"G_2_1_1": group}, "cases": [case]}))
+    out = qmi("run", "--catalog", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmi run: unknown matrix name 'zz' [/groups/G_2_1_1/generators/0]")

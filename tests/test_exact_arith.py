@@ -482,3 +482,44 @@ class TestKernelDispatch:
         terms = D.reduce(poly._convolve_ints(f.terms, g.terms, D.folds))
         assert calls == {"packed": 0, "loop": 1}
         assert Poly(ctx, terms) == f * g
+
+
+class TestWordKernelDispatch:
+    """Which path of poly._convolve_words a product takes, counted at _kronecker."""
+
+    @pytest.fixture()
+    def packed(self, monkeypatch):
+        from qmi import poly
+
+        count = [0]
+        kronecker = poly._kronecker
+
+        def counted(*args):
+            count[0] += 1
+            return kronecker(*args)
+
+        monkeypatch.setattr(poly, "_kronecker", counted)
+        return count
+
+    def test_backward_substitution_takes_the_packed_path(self, packed, monkeypatch):
+        from bench_substitute import backward_step
+
+        from qmi import poly
+
+        f, bindings, target = backward_step()
+        packed[0] = 0
+        result = substitute_raw(f, bindings, target)
+        assert packed[0] >= 1
+        # The same pair through the loop alone.
+        monkeypatch.setattr(poly, "_PACK_MIN_PAIRS", float("inf"))
+        before = packed[0]
+        assert substitute_raw(f, bindings, target) == result
+        assert packed[0] == before
+
+    def test_one_term_operand_stays_on_the_loop(self, packed):
+        from qmi import poly
+
+        big = {w: w % 5 - 2 or 1 for w in range(3, 1000, 3)}
+        assert len(big) >= poly._PACK_MIN_PAIRS
+        assert poly._convolve_words({7: -2}, big) == {w + 7: -2 * c for w, c in big.items()}
+        assert packed[0] == 0

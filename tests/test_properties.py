@@ -261,21 +261,31 @@ def test_equal_implies_equal_hash(ctx, data):
 # -- the substitution engine against the per-part formula ---------------------
 
 
-def _per_part_substitute(f, binds):
+def _per_part_substitute(f, binds, target=None):
     """(pn * qd, pd * qn): each part expanded over its own power of d.
 
     pn / pd is f[0] with x_v -> n_v / d_v, as the sum over its terms of
     c * x^e' * prod n_v^e_v * d_v^(M_v - e_v) over prod d_v^M_v, with M_v
-    the part's own degree in v; likewise qn / qd for f[1].
+    the part's own degree in v; likewise qn / qd for f[1]. e' keeps the
+    roots and parameters of e, moved by name into the target context; an
+    unbound variable maps to its namesake there.
     """
-    ctx = f[0].ctx
-    pairs = {ctx.symbol_index(x): b for x, b in binds.items()}
+    src = f[0].ctx
+    ctx = target if target is not None else src
+    pairs = {src.symbol_index(x): b for x, b in binds.items()}
+    for x in src.variables:
+        if x not in binds:
+            pairs[src.symbol_index(x)] = (Poly.named(ctx, x), Poly.const(ctx, 1))
 
     def expand(p):
         top = {v: max(p.degree_in(v), 0) for v in pairs}
         num = Poly.const(ctx, 0)
         for e, c in p.terms.items():
-            term = Poly(ctx, {tuple(0 if ctx.is_variable(i) else k for i, k in enumerate(e)): c})
+            mono = [0] * ctx.nsym
+            for i, k in enumerate(e):
+                if not src.is_variable(i):
+                    mono[ctx.symbol_index(src.symbols[i])] = k
+            term = Poly(ctx, {tuple(mono): c})
             for v, (n, d) in pairs.items():
                 term = term * n ** e[v] * d ** (top[v] - e[v])
             num = num + term
@@ -289,9 +299,7 @@ def _per_part_substitute(f, binds):
     return pn * qd, pd * qn
 
 
-@pytest.mark.parametrize(
-    "ctx", [CTX, M3CTX, MHALFCTX, F7CTX], ids=["rooted-parameter", "root-of-minus-3", "root-of-half", "F7"]
-)
+@pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
 def test_substitute_raw_matches_per_part_formula(ctx, data):
@@ -312,6 +320,71 @@ def test_substitute_raw_matches_per_part_formula(ctx, data):
     # The pair is the reference with a common polynomial factor divided out.
     common = exact_div(ref[1], den)
     assert num * common == ref[0]
+
+
+# Source -> target pairs where the target has symbols the source lacks, as
+# in check_induced_action: extra variables and parameters, roots in other
+# slots, and (where the target keeps x2) an unbound variable that maps to
+# its namesake.
+CROSS_CONTEXTS = {
+    "rooted-parameter": (
+        CTX, Context(QQ, variables=["y1", "x2", "y3"], parameters=["b", "a"], roots=["b", "a"])),
+    "mixed-roots": (
+        MIXEDCTX, Context(QQ, variables=["y1", "y2"], parameters=["m", "b", "a"], roots=["m", "a"],
+                          specialize={"m": -3})),
+    "F7-mixed-roots": (
+        F7MIXEDCTX, Context(PrimeField(7), variables=["x2", "y2", "y3"], parameters=["a", "b", "m"],
+                            roots=["a", "m"], specialize={"m": 3})),
+}
+
+
+@pytest.mark.parametrize("src,tgt", list(CROSS_CONTEXTS.values()), ids=list(CROSS_CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+def test_substitute_raw_into_a_larger_context(src, tgt, data):
+    from qmi.ratfunc import substitute_raw
+
+    f = (data.draw(polys(src)), data.draw(polys(src).filter(lambda p: not p.is_zero())))
+    nonzero = polys(tgt).filter(lambda p: not p.is_zero())
+    binds = {
+        x: (data.draw(polys(tgt, max_terms=2)), data.draw(nonzero))
+        for x in src.variables
+        if x not in tgt.variables or data.draw(st.booleans())
+    }
+    ref = _per_part_substitute(f, binds, tgt)
+    if ref[1].is_zero():
+        with pytest.raises(SubstitutionPole):
+            substitute_raw(f, binds, tgt)
+        return
+    num, den = substitute_raw(f, binds, tgt)
+    assert num.ctx == den.ctx == tgt
+    assert _raw_eq((num, den), ref)
+    assert num * exact_div(ref[1], den) == ref[0]
+
+
+def test_substitute_raw_reaches_the_layout_bound_in_every_slot():
+    """Every slot of the result meets its radix bound B_j.
+
+    Slots (a, x1, x2). x1 -> x1 / (x2^2 + 1) has deg n != deg d, and x1
+    occurs to the powers lo = 0 and top = 2, so its table entries reach
+    (0, 2, 0) at k = top and (0, 0, 4) at k = lo; x2 -> x2 / (x1 + 1)
+    reaches (0, 0, 1) and (0, 1, 0). With a to the power 1, B = (1, 3, 5):
+    the numerator's terms a * x1^2 * (x1 + 1) and x2 * (x2^2 + 1)^2 meet
+    it in every slot, and in x1 and x2 only through the (top - lo) * deg d
+    term of the bound.
+    """
+    from qmi.ratfunc import substitute_raw
+
+    ctx = Context(QQ, variables=["x1", "x2"], parameters=["a"])
+    a, x1, x2 = (parse(ctx, s) for s in ("a", "x1", "x2"))
+    one = Poly.const(ctx, 1)
+    n1, d1 = x1.num, (x2 * x2 + RatFunc.const(ctx, 1)).num
+    n2, d2 = x2.num, (x1 + RatFunc.const(ctx, 1)).num
+    f = ((a * x1 * x1 + x2).num, one)
+    num, den = substitute_raw(f, {"x1": (n1, d1), "x2": (n2, d2)})
+    assert num == a.num * n1 * n1 * d2 + d1 * d1 * n2
+    assert den == d1 * d1 * d2
+    assert [num.degree_in(j) for j in range(ctx.nsym)] == [1, 3, 5]
 
 
 # -- the multiplication kernel: packed path against the pair loop -------------
@@ -361,6 +434,40 @@ def test_packed_product_equals_pair_loop(case):
     a, b, folds, p = case
     packed = poly._fold(poly._convolve_packed(a, b, *poly._pack_layout(a, b)), folds)
     loop = poly._fold(poly._convolve_loop(a, b), folds)
+    assert _nonzero(packed, p) == _nonzero(loop, p)
+
+
+@st.composite
+def word_operands(draw):
+    """Two word-keyed int term dicts (at least 2 terms each) and a modulus."""
+    p = draw(st.sampled_from([0, KERNEL_PRIME]))
+    if p:
+        coeffs = st.integers(0, p - 1)
+    else:
+        coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**100), 2**100))
+    # Smallest words above 0, each operand in its own range.
+    words = [st.integers(1, 200).map(lambda k, o=draw(st.integers(1, 10**6)): o + k) for _ in range(2)]
+    a = draw(st.dictionaries(words[0], coeffs, min_size=2, max_size=12))
+    b = draw(st.dictionaries(words[1], coeffs, min_size=2, max_size=12))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = {w + 1: (-c % p if p else -c) if f else c for (w, c), f in zip(a.items(), flips)}
+    return a, b, p
+
+
+@given(word_operands())
+@settings(max_examples=200, deadline=None)
+def test_packed_word_product_equals_pair_loop(case):
+    from qmi import poly
+
+    a, b, p = case
+    with mock.patch.object(poly, "_PACK_MIN_PAIRS", 0), \
+            mock.patch.object(poly, "_PACK_MAX_BYTES_PER_PAIR", float("inf")), \
+            mock.patch.object(poly, "_kronecker", wraps=poly._kronecker) as kronecker:
+        packed = poly._convolve_words(a, b)
+    assert kronecker.call_count == 1
+    with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
+        loop = poly._convolve_words(a, b)
     assert _nonzero(packed, p) == _nonzero(loop, p)
 
 
