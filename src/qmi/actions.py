@@ -17,6 +17,8 @@ any of them. sigma is determined by its signs and the images sigma(x_j),
 so a group G acts faithfully on O, the union of the G-orbits of the
 variables, and sigma is stored as the pair (permutation of O, signs).
 Only the orbits cost substitutions: |O| applications per generator.
+`orbit_sum` sums a seed over G the same way: it searches the seed's
+orbit and weights its points by the stabilizer's order.
 
 The check_* functions are the verification primitives. They work on raw
 (num, den) pairs and decide everything by cross-multiplied zero tests;
@@ -55,6 +57,9 @@ class Automorphism:
             missing = [v for v in ctx.variables if v not in bindings]
             if missing:
                 raise ValueError(f"no binding for variables {missing}")
+            unknown = [v for v in bindings if v not in ctx.variables]
+            if unknown:
+                raise ValueError(f"bindings for names that are not variables: {unknown}")
             seq = [bindings[v] for v in ctx.variables]
         else:
             seq = list(bindings)
@@ -140,9 +145,6 @@ class Automorphism:
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         return self.compose(other)
-
-    def is_identity(self) -> bool:
-        return self == Automorphism.identity(self.ctx)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -231,6 +233,43 @@ def _pair_product(a, g):
     """(pi_a . pi_g, s_a * s_g): the pair of a after g."""
     (pa, sa), (pg, sg) = a, g
     return tuple(pa[k] for k in pg), tuple(x * y for x, y in zip(sa, sg))
+
+
+def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
+    """The sum of sigma(seed) over the group G the generators generate.
+
+    By orbit-stabilizer, each point t of the orbit G.seed is sigma(seed)
+    for exactly |G_seed| = |G| / |G.seed| elements sigma, so the sum is
+    |G| / |G.seed| times the sum of the orbit's points. |G| comes from
+    `close_action`, with its cap and injectivity checks. The orbit is
+    searched breadth-first with `Automorphism.apply`, indexing the points
+    by the RatFunc as `close_action` does: |G.seed| * |gens| applications
+    and |G.seed| - 1 additions, where the sum over G takes |G| of each.
+
+    Raises InconsistentAction if the orbit outgrows |G| or its size does
+    not divide |G|; a group action never gets there.
+    """
+    order = len(close_action(generators))
+    points = [seed]
+    seen = {seed}
+    j = 0
+    while j < len(points):
+        for g in generators:
+            image = g.apply(points[j])
+            if image not in seen:
+                if len(points) == order:
+                    raise InconsistentAction(f"orbit of the seed exceeds the group order {order}")
+                seen.add(image)
+                points.append(image)
+        j += 1
+    if order % len(points):
+        raise InconsistentAction(
+            f"orbit of {len(points)} points does not divide the group order {order}"
+        )
+    total = points[0]
+    for t in points[1:]:
+        total = total + t
+    return total * RatFunc.const(seed.ctx, order // len(points))
 
 
 # -- verification primitives ----------------------------------------------

@@ -301,10 +301,22 @@ def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
     _check_keys(spec, {"word", "bindings", "signs"}, path)
     if ("word" in spec) == ("bindings" in spec):
         raise SchemaError("action needs exactly one of word/bindings", path)
+    variables = context.get("variables", ())
     if "word" in spec:
         _check_matrix_word(spec["word"], path + "/word")
+        size = _word_size(spec["word"])
+        if size != len(variables):
+            raise SchemaError(
+                f"word gives a {size}x{size} matrix, the context has {len(variables)} variables",
+                path + "/word",
+            )
     else:
         _check_exprmap(spec["bindings"], path + "/bindings")
+        for name in spec["bindings"]:
+            if name not in variables:
+                raise SchemaError(
+                    f"{name!r} is not a variable of the context", f"{path}/bindings/{name}"
+                )
     if "signs" in spec:
         if not isinstance(spec["signs"], dict) or not all(
             v in (1, -1) for v in spec["signs"].values()
@@ -349,6 +361,12 @@ def _word_error(word: str) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+@lru_cache(maxsize=1024)
+def _word_size(word: str) -> int:
+    """The size of word_matrix(word, MATRICES), for a word it evaluates."""
+    return len(word_matrix(word, MATRICES))
 
 
 _PAYLOAD_KEYS = {

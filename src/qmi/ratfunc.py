@@ -122,9 +122,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":

@@ -15,7 +15,6 @@ import json
 import math
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -24,7 +23,7 @@ from .actions import (
     check_induced_action,
     check_invariance,
     check_inverse_pair,
-    close_action,
+    orbit_sum,
 )
 from .catalog import (
     Catalog,
@@ -120,14 +119,6 @@ def _run_invariance(catalog: Catalog, p: Mapping) -> list[dict]:
     return check_invariance(actions, exprs)
 
 
-def _orbit_sum(seed: RatFunc, generators) -> RatFunc:
-    total = None
-    for sigma in close_action(generators):
-        image = sigma.apply(seed)
-        total = image if total is None else total + image
-    return total
-
-
 def _run_induced_action(catalog: Catalog, p: Mapping) -> list[dict]:
     ctx = build_context(p["context"])
     env = build_env(ctx, p.get("where"))
@@ -143,7 +134,7 @@ def _run_induced_action(catalog: Catalog, p: Mapping) -> list[dict]:
             else:
                 spec = entry["orbit_sum"]
                 seed = parse(ctx, spec["of"], env)
-                forward[u] = _orbit_sum(seed, [actions[n] for n in spec["group"]])
+                forward[u] = orbit_sum(seed, [actions[n] for n in spec["group"]])
     failures = []
     for name, table in p["claimed"].items():
         claimed = {u: parse(cctx, t) for u, t in table.items()}
@@ -373,6 +364,9 @@ def run_all(
     cases = catalog.select(filters)
     if jobs == 1:
         return [run_case(catalog, c.id, timeout) for c in cases]
+    # Imported here: multiprocessing is most of the package's import time.
+    from concurrent.futures import ProcessPoolExecutor
+
     # The catalog itself travels to the workers: payload dict order, which
     # orders multi-failure witnesses, must survive the trip.
     with ProcessPoolExecutor(

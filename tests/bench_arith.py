@@ -8,10 +8,11 @@ where-t1, where-t2, where-t3: build_env of the where-list of
 sys7iii_case1_t1, _t2 and _t3. Each list is a nested rational change of
 generators (u_i, then v_i = (u_i+1)/(u_i-1), then one t_j), parsed into
 canonical RatFuncs one operator at a time.
-actg-orbit-sum: the additions of the orbit sum in sys7iii_case1_actg,
-in order: the images of its seed under every element of the group that
-close_action builds are found once, outside the timing, and one call
-adds them up from left to right, as runner._orbit_sum does.
+actg-orbit-sum: the additions of the naive orbit sum in
+sys7iii_case1_actg, one per group element: the images of its seed under
+every element of the group that close_action builds are found once,
+outside the timing, and one call adds all 24 up from left to right.
+actions.orbit_sum adds only the 6 distinct ones and scales the sum by 4.
 
 Both use only build_env, parse, close_action, Automorphism.apply and
 RatFunc.__add__, so the file runs on older checkouts too. The file name

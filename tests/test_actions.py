@@ -12,8 +12,9 @@ from qmi.actions import (
     check_invariance,
     check_inverse_pair,
     close_action,
+    orbit_sum,
 )
-from qmi.catalog import builtin_catalog, word_matrix
+from qmi.catalog import build_action, build_context, builtin_catalog, word_matrix
 from qmi.catalog_data import MATRICES
 from qmi.matgroup import _closure, close_group, mat, mat_mul
 
@@ -45,6 +46,11 @@ class TestMonomial:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             Automorphism.monomial(CTX3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_binding_of_a_name_that_is_not_a_variable_rejected(self):
+        ctx = Context(QQ, variables=["x1"])
+        with pytest.raises(ValueError, match="x9"):
+            Automorphism(ctx, {"x1": parse(ctx, "x1"), "x9": parse(ctx, "x1")})
 
     def test_multiplier_must_be_constant(self):
         ctx = Context(QQ, variables=["x1"], parameters=["c"])
@@ -86,7 +92,7 @@ class TestClosure:
         auts = [Automorphism.monomial(CTX3, g) for g in gens_m]
         got = close_action(auts)
         assert len(got) == expected
-        assert got[0].is_identity()
+        assert got[0] == Automorphism.identity(CTX3)
 
     def test_identity_alone(self):
         assert len(close_action([Automorphism.identity(CTX3)])) == 1
@@ -185,6 +191,72 @@ class TestClosure:
         assert got == reference
         assert len(got) == close_group(mats).order
         assert counts == {"compose": 0, "apply": len(points) * len(gens)}
+
+
+def actg_orbit_sum_spec():
+    """(seed, [cb, mbe3]) of the orbit sum in sys7iii_case1_actg."""
+    payload = builtin_catalog().case("sys7iii_case1_actg").payload
+    ctx = build_context(payload["context"])
+    spec = payload["forward"]["p1"]["orbit_sum"]
+    gens = [build_action(ctx, payload["actions"][n], MATRICES) for n in spec["group"]]
+    return parse(ctx, spec["of"]), gens
+
+
+def naive_orbit_sum(seed, gens):
+    """The sum over the group of sigma(seed), with the images."""
+    images = [sigma.apply(seed) for sigma in close_action(gens)]
+    total = images[0]
+    for image in images[1:]:
+        total = total + image
+    return total, images
+
+
+class TestOrbitSum:
+    def test_actg_seed_has_a_stabilizer_of_order_four(self):
+        seed, gens = actg_orbit_sum_spec()
+        expected, images = naive_orbit_sum(seed, gens)
+        assert (len(images), len(set(images))) == (24, 6)
+        assert orbit_sum(seed, gens) == expected
+
+    def test_trivial_stabilizer(self):
+        gens = [Automorphism.monomial(CTX3, CB), Automorphism.monomial(CTX3, NEG_BETA3)]
+        seed = parse(CTX3, "x1 + 2*x2^2")
+        expected, images = naive_orbit_sum(seed, gens)
+        assert len(set(images)) == len(images) > 1
+        assert orbit_sum(seed, gens) == expected
+
+    def test_invariant_seed_is_multiplied_by_the_group_order(self):
+        swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        gens = [Automorphism.monomial(CTX3, CB), Automorphism.monomial(CTX3, swap)]
+        seed = parse(CTX3, "x1 + x2 + x3")
+        expected, images = naive_orbit_sum(seed, gens)
+        assert set(images) == {seed}
+        assert orbit_sum(seed, gens) == expected == seed * RatFunc.const(CTX3, len(images))
+
+    def test_actg_applies_each_generator_once_per_orbit_point(self, monkeypatch):
+        seed, gens = actg_orbit_sum_spec()
+        calls = {"apply": 0}
+        apply = Automorphism.apply
+
+        def counting(self, f):
+            calls["apply"] += 1
+            return apply(self, f)
+
+        monkeypatch.setattr(Automorphism, "apply", counting)
+        close_action(gens)
+        closing = calls["apply"]
+        orbit_sum(seed, gens)
+        # 6 orbit points times 2 generators, on top of the closure's own.
+        assert calls["apply"] - 2 * closing == 12
+
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_orbit_that_does_not_fit_the_group_order_is_inconsistent(self, order, monkeypatch):
+        # x1 has an orbit of 3 points under CB; a group of order 2 cannot
+        # hold it, and 3 does not divide 5.
+        gens = [Automorphism.monomial(CTX3, CB)]
+        monkeypatch.setattr(actions, "close_action", lambda gens: [None] * order)
+        with pytest.raises(InconsistentAction):
+            orbit_sum(parse(CTX3, "x1"), gens)
 
 
 class TestChecks:

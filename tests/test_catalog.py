@@ -250,6 +250,12 @@ MALFORMED = [
     ("unknown-orbit-sum-generator-word", _set(("cases", 1, "payload", "actions", "swap"), {"word": "cb^x"}),
      "/cases/1/payload/actions/swap/word"),
     ("unknown-via-word", _set(("cases", 3, "payload", "via"), "zz"), "/cases/3/payload/via"),
+    # A 3x3 word in a one-variable context, and a binding of an undeclared variable.
+    ("word-does-not-fit-context", _set(("cases", 4, "payload", "actions", "s"), {"word": "cb"}),
+     "/cases/4/payload/actions/s/word"),
+    ("binding-of-undeclared-variable",
+     _set(("cases", 4, "payload", "actions", "s", "bindings"), {"x1": "x1", "x9": "x1"}),
+     "/cases/4/payload/actions/s/bindings/x9"),
     ("sign-of-unrooted-parameter", _delete(("cases", 4, "payload", "context", "roots")),
      "/cases/4/payload/actions/s/signs/d"),
     ("sign-of-undeclared-name", _set(("cases", 4, "payload", "actions", "s", "signs"), {"e": -1}),

@@ -109,3 +109,15 @@ def test_unevaluable_generator_word_exits_2_with_the_path(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("qmi run: unknown matrix name 'zz' [/groups/G_2_1_1/generators/0]")
+
+
+def test_word_that_does_not_fit_the_context_exits_2_with_the_path(tmp_path):
+    case = copy.deepcopy(builtin_catalog().case("lemma_xy_invariance").to_dict())
+    case["payload"]["actions"]["flip"] = {"word": "cb"}
+    path = tmp_path / "misfit_word.json"
+    path.write_text(json.dumps({"groups": {}, "cases": [case]}))
+    out = qmi("run", "--catalog", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmi run: word gives a 3x3 matrix")
+    assert "[/cases/0/payload/actions/flip/word]" in out.stderr

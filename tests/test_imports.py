@@ -1,8 +1,10 @@
 """What the package imports, and the names others import from it.
 
 `pyproject.toml` declares `dependencies = []`; the first test keeps it
-true. The benchmark's tracer looks up `qmi` functions by name, so the
-second keeps every name it traces defined.
+true. The second keeps the process pool out of a plain import: a serial
+run never starts one, and `multiprocessing` is most of the package's
+import time. The benchmark's tracer looks up `qmi` functions by name, so
+the last keeps every name it traces defined.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +46,19 @@ def test_package_imports_only_stdlib_and_itself():
         if extra:
             foreign[path.name] = sorted(extra)
     assert foreign == {}
+
+
+def test_import_leaves_the_process_pool_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, qmi.cli, qmi.runner; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _tracer_targets() -> tuple:
