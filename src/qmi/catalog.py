@@ -13,9 +13,12 @@ trees, so a catalog file can be audited line by line against its source
 material. Every case carries a `source` string saying, in words, which
 displayed claim it encodes.
 
-Payload shapes per kind are fixed by _PAYLOAD_KEYS and the per-kind
-checks of validate_catalog, which reports a JSON-pointer-ish path with
-every complaint.
+_PAYLOAD_KEYS states, per kind, the keys its payload may hold, and
+_GROUP_KEYS which of them name a group; KINDS, the groups a case uses
+(and so the "group" filter) derive from these two tables.
+validate_catalog runs the checks shared by key (contexts, group
+references, actions, where-lists) before the checks unique to a kind,
+and reports a JSON-pointer-ish path with every complaint.
 """
 
 from __future__ import annotations
@@ -30,20 +33,28 @@ from .errors import SchemaError, UnknownCase
 from .field import field_from_name
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
 
-KINDS = (
-    "Invariance",
-    "InducedAction",
-    "InversePair",
-    "Identity",
-    "GroupOrder",
-    "IsoType",
-    "NormalSubgroups",
-    "Conjugacy",
-    "QReducibility",
-    "RationalityCriterion",
-)
+_PAYLOAD_KEYS = {
+    "Invariance": {"context", "actions", "exprs", "where"},
+    "InducedAction": {"context", "actions", "forward", "claimed", "claimed_context", "where"},
+    "InversePair": {"source", "target", "forward", "backward", "where_forward", "where_backward"},
+    "Identity": {"context", "lhs", "rhs", "where"},
+    "GroupOrder": {"group", "order"},
+    "IsoType": {"group", "label"},
+    "NormalSubgroups": {"group", "subgroups"},
+    "Conjugacy": {"left", "right", "via"},
+    "QReducibility": {"group", "reducible"},
+    "RationalityCriterion": {"case", "a", "b", "coeffs", "expect_rational"},
+}
 
-_FILTER_KEYS = ("kind", "section", "group", "id", "prefix")
+_GROUP_KEYS = {
+    "GroupOrder": ("group",),
+    "IsoType": ("group",),
+    "NormalSubgroups": ("group",),
+    "Conjugacy": ("left", "right"),
+    "QReducibility": ("group",),
+}
+
+KINDS = tuple(_PAYLOAD_KEYS)
 
 
 class CaseRecord:
@@ -59,21 +70,19 @@ class CaseRecord:
         self.payload = payload
 
     def to_dict(self) -> dict:
-        return {
+        """A deep copy: editing it leaves the catalog's payloads alone."""
+        import copy  # only `qmi show` needs it; kept off the import path
+
+        return copy.deepcopy({
             "id": self.id,
             "kind": self.kind,
             "section": self.section,
             "source": self.source,
             "payload": self.payload,
-        }
+        })
 
     def groups_used(self) -> list[str]:
-        p = self.payload
-        if self.kind in ("GroupOrder", "IsoType", "NormalSubgroups", "QReducibility"):
-            return [p["group"]]
-        if self.kind == "Conjugacy":
-            return [p["left"], p["right"]]
-        return []
+        return [self.payload[key] for key in _GROUP_KEYS.get(self.kind, ())]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CaseRecord) and self.to_dict() == other.to_dict()
@@ -111,32 +120,14 @@ class Catalog:
         if not filters:
             return list(self.cases)
         for key in filters:
-            if key not in _FILTER_KEYS:
+            if key not in _FILTERS:
                 raise ValueError(
-                    f"unknown filter key {key!r}; known keys: {', '.join(_FILTER_KEYS)}"
+                    f"unknown filter key {key!r}; known keys: {', '.join(_FILTERS)}"
                 )
-        out = []
-        for c in self.cases:
-            ok = True
-            for key, want in filters.items():
-                if key == "kind":
-                    ok = c.kind == want
-                elif key == "section":
-                    ok = c.section == want
-                elif key == "group":
-                    ok = want in c.groups_used()
-                elif key == "id":
-                    ok = c.id == want
-                elif key == "prefix":
-                    ok = c.id.startswith(want)
-                if not ok:
-                    break
-            if ok:
-                out.append(c)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.cases)
+        return [
+            c for c in self.cases
+            if all(_FILTERS[key](c, want) for key, want in filters.items())
+        ]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -144,6 +135,15 @@ class Catalog:
             and self.groups == other.groups
             and self.cases == other.cases
         )
+
+
+_FILTERS = {
+    "kind": lambda c, want: c.kind == want,
+    "section": lambda c, want: c.section == want,
+    "group": lambda c, want: want in c.groups_used(),
+    "id": lambda c, want: c.id == want,
+    "prefix": lambda c, want: c.id.startswith(want),
+}
 
 
 # -- matrix words ------------------------------------------------------------
@@ -304,7 +304,8 @@ def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
     variables = context.get("variables", ())
     if "word" in spec:
         _check_matrix_word(spec["word"], path + "/word")
-        size = _word_size(spec["word"])
+        # Every word over MATRICES, "1" included, has the alphabet's size.
+        size = len(next(iter(MATRICES.values())))
         if size != len(variables):
             raise SchemaError(
                 f"word gives a {size}x{size} matrix, the context has {len(variables)} variables",
@@ -344,9 +345,7 @@ def _check_matrix_word(word: Any, path: str) -> None:
 def _check_matrix_words(value: Any, path: str) -> None:
     _check_word_list(value, path)
     for i, word in enumerate(value):
-        error = _word_error(word)
-        if error is not None:
-            raise SchemaError(error, f"{path}/{i}")
+        _check_matrix_word(word, f"{path}/{i}")
 
 
 @lru_cache(maxsize=1024)
@@ -363,56 +362,33 @@ def _word_error(word: str) -> str | None:
     return None
 
 
-@lru_cache(maxsize=1024)
-def _word_size(word: str) -> int:
-    """The size of word_matrix(word, MATRICES), for a word it evaluates."""
-    return len(word_matrix(word, MATRICES))
-
-
-_PAYLOAD_KEYS = {
-    "Invariance": {"context", "actions", "exprs", "where"},
-    "InducedAction": {"context", "actions", "forward", "claimed", "claimed_context", "where"},
-    "InversePair": {"source", "target", "forward", "backward", "where_forward", "where_backward"},
-    "Identity": {"context", "lhs", "rhs", "where"},
-    "GroupOrder": {"group", "order"},
-    "IsoType": {"group", "label"},
-    "NormalSubgroups": {"group", "subgroups"},
-    "Conjugacy": {"left", "right", "via"},
-    "QReducibility": {"group", "reducible"},
-    "RationalityCriterion": {"case", "a", "b", "coeffs", "expect_rational"},
-}
-
-
 def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
     if not isinstance(p, dict):
         raise SchemaError("payload must be an object", path)
-    _check_keys(p, _PAYLOAD_KEYS[kind], path)
-
-    def group_ref(key: str) -> None:
+    keys = _PAYLOAD_KEYS[kind]
+    _check_keys(p, keys, path)
+    for key in ("context", "claimed_context", "source", "target"):
+        if key in keys:
+            _check_context(_need(p, key, path), f"{path}/{key}")
+    for key in _GROUP_KEYS.get(kind, ()):
         gid = _need(p, key, path)
         _check_str(gid, f"{path}/{key}")
         if gid not in group_ids:
             raise SchemaError(f"unknown group {gid!r}", f"{path}/{key}")
+    if "actions" in keys:
+        actions = _need(p, "actions", path)
+        if not isinstance(actions, dict) or not actions:
+            raise SchemaError("actions must be a nonempty object", path + "/actions")
+        for name, spec in actions.items():
+            _check_actionspec(spec, f"{path}/actions/{name}", p["context"])
+    for key in ("where", "where_forward", "where_backward"):
+        if key in p:
+            _check_where(p[key], f"{path}/{key}")
 
     if kind == "Invariance":
-        _check_context(_need(p, "context", path), path + "/context")
-        actions = _need(p, "actions", path)
-        if not isinstance(actions, dict) or not actions:
-            raise SchemaError("actions must be a nonempty object", path + "/actions")
-        for name, spec in actions.items():
-            _check_actionspec(spec, f"{path}/actions/{name}", p["context"])
         _check_exprmap(_need(p, "exprs", path), path + "/exprs")
-        if "where" in p:
-            _check_where(p["where"], path + "/where")
 
     elif kind == "InducedAction":
-        _check_context(_need(p, "context", path), path + "/context")
-        _check_context(_need(p, "claimed_context", path), path + "/claimed_context")
-        actions = _need(p, "actions", path)
-        if not isinstance(actions, dict) or not actions:
-            raise SchemaError("actions must be a nonempty object", path + "/actions")
-        for name, spec in actions.items():
-            _check_actionspec(spec, f"{path}/actions/{name}", p["context"])
         fw = _need(p, "forward", path)
         if fw is not None:
             if not isinstance(fw, dict) or not fw:
@@ -448,12 +424,8 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
             _check_exprmap(table, cpath)
             if fw is not None and set(table) != set(fw):
                 raise SchemaError("claimed table must cover exactly the forward generators", cpath)
-        if "where" in p:
-            _check_where(p["where"], path + "/where")
 
     elif kind == "InversePair":
-        _check_context(_need(p, "source", path), path + "/source")
-        _check_context(_need(p, "target", path), path + "/target")
         _check_exprmap(_need(p, "forward", path), path + "/forward")
         _check_exprmap(_need(p, "backward", path), path + "/backward")
         src_vars = set(p["source"].get("variables", ()))
@@ -462,29 +434,20 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
             raise SchemaError("forward must bind exactly the target variables", path + "/forward")
         if set(p["backward"]) != src_vars:
             raise SchemaError("backward must bind exactly the source variables", path + "/backward")
-        for key in ("where_forward", "where_backward"):
-            if key in p:
-                _check_where(p[key], f"{path}/{key}")
 
     elif kind == "Identity":
-        _check_context(_need(p, "context", path), path + "/context")
         _check_str(_need(p, "lhs", path), path + "/lhs")
         _check_str(_need(p, "rhs", path), path + "/rhs")
-        if "where" in p:
-            _check_where(p["where"], path + "/where")
 
     elif kind == "GroupOrder":
-        group_ref("group")
         order = _need(p, "order", path)
         if not isinstance(order, int) or order < 1:
             raise SchemaError("order must be a positive integer", path + "/order")
 
     elif kind == "IsoType":
-        group_ref("group")
         _check_str(_need(p, "label", path), path + "/label")
 
     elif kind == "NormalSubgroups":
-        group_ref("group")
         subs = _need(p, "subgroups", path)
         if not isinstance(subs, list):
             raise SchemaError("subgroups must be a list of word lists", path + "/subgroups")
@@ -492,8 +455,6 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
             _check_matrix_words(gens, f"{path}/subgroups/{i}")
 
     elif kind == "Conjugacy":
-        group_ref("left")
-        group_ref("right")
         via = _need(p, "via", path)
         if isinstance(via, str):
             _check_matrix_word(via, path + "/via")
@@ -505,7 +466,6 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
             raise SchemaError("via must be a matrix name or a 3x3 integer matrix", path + "/via")
 
     elif kind == "QReducibility":
-        group_ref("group")
         if not isinstance(_need(p, "reducible", path), bool):
             raise SchemaError("reducible must be a boolean", path + "/reducible")
 

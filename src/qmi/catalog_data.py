@@ -2,8 +2,9 @@
 
 Everything here is plain data: named integer matrices, the 73-group
 table with structure labels, and the case list. Expressions are strings
-in the parser's grammar; catalog.validate_catalog and
-catalog._PAYLOAD_KEYS enforce the payload shapes. Each case's `source` is
+in the parser's grammar; catalog._PAYLOAD_KEYS lists the keys each
+kind's payload may hold, and catalog.validate_catalog enforces the
+payload shapes. Each case's `source` is
 a short content gloss saying what the claim is about; ids are stable and
 referenced by tests.
 

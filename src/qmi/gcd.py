@@ -66,9 +66,7 @@ domain. The domain supplies only what differs: how a product or
 difference is reduced, the gcd when no main symbol is left (the integer
 content over Z, 1 over a field), the exact quotient of two coefficients,
 and the unit normalization (sign over Z, monic over a field). Products
-go through poly._convolve_ints. exact_div over the integers divides
-by the primitive part of the divisor, whose quotients are integral by
-Gauss's lemma, and rescales once; otherwise it runs over the field.
+go through poly._convolve_ints.
 
 _div is the only long division. A divisor d that uses a constant root r
 is first replaced by its norm d * conj_r(d) (conj_r flips the sign of r),
@@ -612,13 +610,4 @@ def exact_div(num: Poly, den: Poly) -> Poly:
     if num.is_zero():
         return num
     E = _elim_info(num.ctx)
-    if not isinstance(E.prs, _Integers):
-        return _from_elim(E, _div(E.field, _to_elim(E, num), _to_elim(E, den)))
-    # num/den = (N/ln) / (c*P/ld) with P primitive: P divides N over Z
-    # (Gauss's lemma), and the quotient is rescaled once per term.
-    ln, n = _lift_ints(_to_elim(E, num))
-    ld, d = _lift_ints(_to_elim(E, den))
-    c = math.gcd(*d.values())
-    q = _div(E.prs, n, _scale_down(d, c))
-    scale = ln * c
-    return _from_elim(E, {e: Fraction(v * ld, scale) for e, v in q.items()})
+    return _from_elim(E, _div(E.field, _to_elim(E, num), _to_elim(E, den)))

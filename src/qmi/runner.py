@@ -15,7 +15,6 @@ import json
 import math
 import signal
 import time
-from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .actions import (
@@ -98,10 +97,6 @@ def build_group(catalog: Catalog, gid: str):
         words = catalog.group(gid)["generators"]
         cache[gid] = close_group([word_matrix(w, MATRICES) for w in words])
     return cache[gid]
-
-
-def _fraction(x: Any) -> Fraction:
-    return Fraction(x)
 
 
 def _mismatch(text: str) -> list[dict]:
@@ -226,14 +221,7 @@ def _run_q_reducibility(catalog: Catalog, p: Mapping) -> list[dict]:
 
 
 def _run_rationality(catalog: Catalog, p: Mapping) -> list[dict]:
-    kwargs: dict[str, Any] = {}
-    if p.get("a") is not None:
-        kwargs["a"] = _fraction(p["a"])
-    if p.get("b") is not None:
-        kwargs["b"] = _fraction(p["b"])
-    if p.get("coeffs") is not None:
-        kwargs["coeffs"] = [_fraction(c) for c in p["coeffs"]]
-    verdict = decide_rationality(p["case"], **kwargs)
+    verdict = decide_rationality(p["case"], a=p.get("a"), b=p.get("b"), coeffs=p.get("coeffs"))
     if verdict.rational != p["expect_rational"]:
         return _mismatch(
             f"decided {'rational' if verdict.rational else 'not rational'}, "

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from qmi import runner
 from qmi.actions import close_action
 from qmi.catalog import (
     KINDS,
@@ -50,6 +51,25 @@ def test_jsonl_bytes_do_not_depend_on_jobs():
     assert '"status": "Fail"' in serial
     assert serial.index("expr xn") < serial.index("expr yn") < serial.index("expr x1fix")
     assert to_jsonl(run_all(catalog, jobs=2)) == serial
+
+
+def test_every_kind_has_a_runner():
+    assert set(runner._DISPATCH) == set(KINDS)
+
+
+def test_group_filter_matches_the_payload_group_keys():
+    catalog = builtin_catalog()
+    for gid in catalog.groups:
+        naming = [c.id for c in catalog.cases
+                  if gid in (c.payload.get(key) for key in ("group", "left", "right"))]
+        assert [c.id for c in catalog.select({"group": gid})] == naming
+
+
+def test_editing_a_case_dict_leaves_the_catalog_alone():
+    case = builtin_catalog().case("lemma_xy_invariance")
+    before = copy.deepcopy(case.payload)
+    case.to_dict()["payload"]["actions"]["flip"] = {"word": "cb"}
+    assert builtin_catalog().case("lemma_xy_invariance").payload == before
 
 
 def test_every_action_is_an_automorphism():
@@ -260,6 +280,12 @@ MALFORMED = [
      "/cases/4/payload/actions/s/signs/d"),
     ("sign-of-undeclared-name", _set(("cases", 4, "payload", "actions", "s", "signs"), {"e": -1}),
      "/cases/4/payload/actions/s/signs/e"),
+    # The checks shared by key: a second group reference, a context key
+    # other than "context", and a where-list other than "where".
+    ("unknown-right-group", _set(("cases", 3, "payload", "right"), "H"), "/cases/3/payload/right"),
+    ("missing-claimed-context", _delete(("cases", 1, "payload", "claimed_context")), "/cases/1/payload"),
+    ("where-backward-entry-not-a-pair", _set(("cases", 2, "payload", "where_backward"), [["dd"]]),
+     "/cases/2/payload/where_backward/0"),
 ]
 
 
