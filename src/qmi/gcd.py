@@ -51,15 +51,22 @@ and of b; if it had degree d >= 1, its roots would give |q(xi)| >
 (xi/2)^d >= xi/2 >= |c|. Thus q is a constant, and +-1 as g is
 primitive. The heuristic starts at xi = 2*min(|a|, |b|) + 29,
 so the bound holds at every level, and every result it returns has
-passed the exact division (_div) of both primitive inputs. The
-quotients of that check are kept: scaled by the contents, they are the
-cofactors, so the heuristic returns (g, a/g, b/g) with no further
-division, and none at all when h is the unit. It grows xi after a
-failed check, and after _HEU_ATTEMPTS points in one slot it gives up;
-the PRS then runs on the same inputs, which is the only path for _Field
-domains, and one _div of each input by its gcd gives the cofactors. The
-choice follows from the context alone: no parameter or setting selects
-it.
+passed a check that h divides both primitive inputs. The recursion
+also gives the image cofactors alpha = a(xi)/gamma and beta =
+b(xi)/gamma of the image gcd gamma. With k = +-content(H), signed so
+that h = H/k leads positive, h(xi) = gamma/k, so a/h takes the value
+alpha*k at xi, and its interpolant qa is a/h whenever h divides a and
+a/h has no coefficient beyond xi/2; likewise qb for b. The check is one
+product each: h*qa == a proves that h divides a. Where a product
+differs, the exact division (_div) decides at the same xi, so the
+heuristic accepts exactly where division alone would. The checked
+quotients, scaled by the contents, are the cofactors, so the heuristic
+returns (g, a/g, b/g) with nothing left to divide, and checks nothing
+when h is the unit. It grows xi after a failed check, and after
+_HEU_ATTEMPTS points in one slot it gives up; the PRS then runs on the
+same inputs, which is the only path for _Field domains, and one _div of
+each input by its gcd gives the cofactors. The choice follows from the
+context alone: no parameter or setting selects it.
 
 The PRS (_gcd) is one primitive pseudo-remainder sequence over either
 domain. The domain supplies only what differs: how a product or
@@ -422,13 +429,15 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
     either primitive part is a constant, the gcd c of the contents is the
     answer), evaluates them at x_m = xi in their lowest used slot m,
     recurses on the images, and interpolates the image gcd back in slot m
-    from its balanced xi-adic digits. The primitive part h of that
-    interpolant is accepted only if _div divides both primitive parts by
-    it exactly; then, since xi is at least 2*min(|a|, |b|) + 2 (see the
-    module docstring), h is their gcd, and the two quotients of that
-    check, scaled by ca/c and cb/c, are the cofactors. A unit h divides
-    with no division: the quotients are the primitive parts. Otherwise
-    xi grows, _HEU_ATTEMPTS times at most.
+    from its balanced xi-adic digits, and the image cofactors, times the
+    signed content k of that interpolant, likewise. The primitive part
+    h = H/k is accepted only if it divides both primitive parts exactly:
+    the product of h and each interpolated cofactor must equal its part,
+    and where it does not, _div decides. Then, since xi is at least
+    2*min(|a|, |b|) + 2 (see the module docstring), h is their gcd, and
+    the two checked quotients, scaled by ca/c and cb/c, are the
+    cofactors. A unit h divides with no check: the quotients are the
+    primitive parts. Otherwise xi grows, _HEU_ATTEMPTS times at most.
     """
     zero = (0,) * D.E.nslots
     ca = math.gcd(*a.values())
@@ -438,7 +447,7 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
         return {zero: c}, _scale_down(a, c), _scale_down(b, c)
     a = _scale_down(a, ca)
     b = _scale_down(b, cb)
-    m = min(i for d in (a, b) for e in d for i, k in enumerate(e) if k)
+    m = next(i for i, col in enumerate(zip(*a, *b)) if any(col))
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(_HEU_ATTEMPTS):
         ea = _eval_slot(a, m, xi)
@@ -447,13 +456,19 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
             found = _heu_gcd(D, ea, eb)
             if found is None:
                 return None
-            h = _interpolate(found[0], m, xi)
-            h = D.normal(_scale_down(h, math.gcd(*h.values())))
+            gamma, alpha, beta = found
+            H = _interpolate(gamma, m, xi)
+            k = math.gcd(*H.values())
+            if _elead(H)[1] < 0:
+                k = -k
+            h = _scale_down(H, k)
             if h == D.unit:
                 qa, qb = a, b
             else:
-                qa = _quotient(D, a, h)
-                qb = None if qa is None else _quotient(D, b, h)
+                # h(xi) = gamma/k, so a/h and b/h take alpha*k and beta*k at xi.
+                qa, qb = (_interpolate(_scale_up(q, k), m, xi) for q in (alpha, beta))
+                qa = _cofactor(D, a, h, qa)
+                qb = None if qa is None else _cofactor(D, b, h, qb)
             if qb is not None:
                 return _scale_up(h, c), _scale_up(qa, ca // c), _scale_up(qb, cb // c)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -479,9 +494,7 @@ def _eval_slot(d: EDict, m: int, xi: int) -> EDict:
             while len(powers) <= k:
                 powers.append(powers[-1] * xi)
             c *= powers[k]
-            z = list(e)
-            z[m] = 0
-            e = tuple(z)
+            e = e[:m] + (0,) + e[m + 1:]
         out[e] = get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
@@ -503,6 +516,17 @@ def _interpolate(g: EDict, m: int, xi: int) -> EDict:
                 out[tuple(z)] = digit
             k += 1
     return out
+
+
+def _cofactor(D: _Domain, d: EDict, h: EDict, guess: EDict) -> EDict | None:
+    """d / h if h divides d exactly, else None; guess is tried first.
+
+    One product checks the guess; only when it fails does _quotient
+    divide, since a wrong guess does not show that h fails to divide.
+    """
+    if _mul(D, h, guess) == d:
+        return guess
+    return _quotient(D, d, h)
 
 
 def _quotient(D: _Domain, d: EDict, h: EDict) -> EDict | None:

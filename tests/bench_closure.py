@@ -5,8 +5,8 @@ Run from the root of a checkout:
     PYTHONPATH=src python -m pytest tests/bench_closure.py --benchmark-only
 
 actg: the group of the orbit sum of sys7iii_case1_actg, generated by the
-cycle cb and the signed swap mbe3 over the rooted context of that case;
-24 elements.
+cycle cb and the signed swap mbe3 over that case's context (the variables
+t1, t2, t3, with no parameters or roots); 24 elements.
 catalog-73: all 73 groups of the builtin catalog, each closed as the
 monomial action of its generator matrices on x1, x2, x3, in one call.
 Each round closes afresh; the actions are built once, outside the timing.

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
-from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd
+from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd, ratfunc
 from qmi.actions import Automorphism
+from qmi.catalog import builtin_catalog
 from qmi.gcd import unit_normal
+from qmi.runner import run_case
 
 CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
 F3CTX = Context(PrimeField(3), variables=["s", "t"])
@@ -526,6 +528,49 @@ def test_field_laws_seed_9_input_without_fallback(monkeypatch):
     rhs = f * g + f * h
     assert lhs == rhs
     assert (lhs.num, lhs.den) == (rhs.num, rhs.den)
+
+
+def test_heuristic_gcd_accepts_actg_pair_by_products(monkeypatch):
+    # The 65- and 60-term pair that sys7iii_case1_actg hands ratfunc.cancel,
+    # with a 25-term gcd: every level of the heuristic accepts its candidate
+    # by the product check, so no long division runs.
+    with mock.patch.object(ratfunc, "cancel", wraps=ratfunc.cancel) as record:
+        assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
+    a, b = next(
+        (a, b) for a, b in (call.args for call in record.call_args_list)
+        if (len(a.terms), len(b.terms)) == (65, 60) and len(poly_gcd(a, b).terms) == 25
+    )
+    E = gcd._elim_info(a.ctx)
+    D = E.prs
+    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+
+    def no_division(*args):
+        raise AssertionError("the heuristic gcd ran a long division")
+
+    monkeypatch.setattr(gcd, "_div", no_division)
+    eg, qa, qb = gcd._heu_gcd(D, ea, eb)
+    assert gcd._mul(D, eg, qa) == ea and gcd._mul(D, eg, qb) == eb
+    assert len(eg) == 25
+
+
+def test_heuristic_gcd_divides_when_a_cofactor_outgrows_xi(monkeypatch):
+    # xi follows the smaller norm, that of a = f*g, so the 2**80
+    # coefficient of b's cofactor h has no balanced digit at xi: the
+    # product check fails for b and the exact division accepts instead.
+    f = Poly(QCTX, {(2, 1): 3, (0, 1): -5, (0, 0): 2})
+    g = Poly(QCTX, {(1, 0): 1, (0, 2): -6, (0, 0): 4})
+    h = Poly(QCTX, {(1, 1): 1, (0, 1): 2**80, (0, 0): -1})
+    a, b = f * g, f * h
+
+    def no_prs(*args):
+        raise AssertionError("the heuristic gcd fell back to the PRS")
+
+    monkeypatch.setattr(gcd, "_gcd", no_prs)
+    with mock.patch.object(gcd, "_quotient", wraps=gcd._quotient) as spy:
+        common, qa, qb = gcd.cancel(a, b)
+    assert common * qa == a and common * qb == b
+    assert unit_normal(common)[0] == unit_normal(f)[0]
+    assert spy.called
 
 
 # -- Henrici arithmetic against the product-then-cancel pair ------------------
