@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .context import Context
 from .errors import InconsistentAction, OrderCapExceeded
-from .matgroup import _closure, mat_det
+from .matgroup import _closure, mat, mat_det
 from .poly import Poly
 from .ratfunc import (
     Pair,
@@ -100,7 +100,9 @@ class Automorphism:
         n = len(ctx.variables)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"matrix must be {n}x{n}")
-        if mat_det(tuple(tuple(r) for r in matrix)) not in (1, -1):
+        matrix = mat(matrix)
+        integral = all(isinstance(e, int) for row in matrix for e in row)
+        if not integral or mat_det(matrix) not in (1, -1):
             raise ValueError("exponent matrix must lie in GL_n(Z)")
         if multipliers is not None:
             if len(multipliers) != n:

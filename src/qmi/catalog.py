@@ -441,7 +441,7 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
 
     elif kind == "GroupOrder":
         order = _need(p, "order", path)
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise SchemaError("order must be a positive integer", path + "/order")
 
     elif kind == "IsoType":
@@ -461,7 +461,7 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
         elif not (
             isinstance(via, list)
             and len(via) == 3
-            and all(isinstance(r, list) and len(r) == 3 and all(isinstance(x, int) for x in r) for r in via)
+            and all(isinstance(r, list) and len(r) == 3 and all(type(x) is int for x in r) for r in via)
         ):
             raise SchemaError("via must be a matrix name or a 3x3 integer matrix", path + "/via")
 

@@ -1,12 +1,13 @@
 """Finite subgroups of GL_n(Z): closure, structure, and recognition.
 
-Matrices are immutable tuples of tuples of ints (Fractions appear only
-transiently, e.g. in conjugation by a non-unimodular matrix). Group
-closure is breadth-first; its one routine, `_closure`, also closes the
-automorphism groups of `actions.close_action`. Element ordering inside a
-group is lexicographic on the flattened entries, which keeps every
-downstream listing deterministic. One Gauss–Jordan pass over Q,
-`_row_reduce`, gives determinants, inverses and kernels.
+Matrices are immutable tuples of tuples of ints, and every computation
+here stays in the integers. Group closure is breadth-first; its one
+routine, `_closure`, also closes the automorphism groups of
+`actions.close_action`. Element ordering inside a group is
+lexicographic on the flattened entries, which keeps every downstream
+listing deterministic. One fraction-free Gauss–Jordan pass over Z,
+`_row_reduce`, gives exact determinants, adjugates and primitive kernel
+vectors, with no rational arithmetic.
 
 Structure (inverses, element orders, conjugacy classes, normal
 subgroups) is read from integer index tables, not from further matrix
@@ -41,10 +42,10 @@ sufficient, and the verdict rests on the checked map alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import gcd as int_gcd
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import NotFiniteOrder, OrderCapExceeded
@@ -61,78 +62,56 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(row[t] * col[t] for t in range(k)) for col in bt) for row in a
-    )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _row_reduce(rows: Sequence[Sequence[Any]], ncols: int) -> tuple[list, list[int], Fraction]:
-    """Gauss–Jordan over Q on the first `ncols` columns, whole rows carried.
+def _row_reduce(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan over Z on the first `ncols` columns, whole rows carried.
 
-    Returns (rows, pivots, det): row r has its leading 1 in column
-    pivots[r], and det is the product of the pivots times the sign of the
-    row swaps, the determinant at full rank. Stops once every row holds a
-    pivot.
+    An entry f is cleared against the pivot p of its column by
+    row_i <- (p/g)·row_i - (f/g)·row_p with g = gcd(p, f), so every row
+    stays integral. Returns (rows, pivots, det): row r holds its pivot in
+    column pivots[r] and zeros in every other pivot column. det is the
+    product of the pivots over the product of the row scalings p/g, times
+    the sign of the row swaps: the exact determinant at full rank. Stops
+    once every row holds a pivot.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    det = Fraction(1)
+    sign = scale = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
             break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            det = -det
-        pivot = m[r][c]
-        det *= pivot
-        m[r] = [x / pivot for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                scale *= a
+                m[i] = [a * x - b * y for x, y in zip(row, top)]
         pivots.append(c)
-    return m, pivots, det
+    return m, pivots, sign * prod(m[r][c] for r, c in enumerate(pivots)) // scale
 
 
-def mat_det(a: Matrix) -> Fraction:
+def mat_det(a: Matrix) -> int:
     _, pivots, det = _row_reduce(a, len(a))
-    return det if len(pivots) == len(a) else Fraction(0)
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse with Fraction entries; raises ValueError if singular."""
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots, _ = _row_reduce(aug, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def intify(a: Matrix) -> Matrix | None:
-    """Matrix with int entries, or None if any entry is non-integral."""
-    out = []
-    for row in a:
-        new = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    return None
-                x = int(x)
-            new.append(x)
-        out.append(tuple(new))
-    return tuple(out)
+    return det if len(pivots) == len(a) else 0
 
 
 def element_order(m: Matrix, guard: int = 12) -> int:
@@ -320,12 +299,10 @@ def close_group(generators: Sequence[Matrix], cap: int = 10000) -> MatrixGroup:
     Raises OrderCapExceeded past `cap` elements and NotFiniteOrder if a
     generator alone fails to have finite order.
     """
-    gens = []
-    for g in generators:
-        gi = intify(mat(g))
-        if gi is None:
-            raise ValueError("generators must have integer entries")
-        gens.append(gi)
+    given = [mat(g) for g in generators]
+    gens = [mat(map(int, row) for row in g) for g in given]
+    if gens != given:
+        raise ValueError("generators must have integer entries")
     if not gens:
         raise ValueError("no generators")
     n = len(gens[0])
@@ -344,36 +321,26 @@ def close_group(generators: Sequence[Matrix], cap: int = 10000) -> MatrixGroup:
 # -- rational reducibility -------------------------------------------------
 
 
-def _kernel_basis(rows: Sequence[Sequence[Any]], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the stacked row matrix."""
+def _kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of the stacked integer rows.
+
+    One vector per non-pivot column c of `_row_reduce`: the kernel vector
+    that is zero on the other non-pivot columns, as a primitive integer
+    vector whose first nonzero entry is positive.
+    """
     m, pivots, _ = _row_reduce(rows, width)
+    common = lcm(*(row[pc] for row, pc in zip(m, pivots)))
     basis = []
     for fc in (c for c in range(width) if c not in pivots):
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
+        v = [0] * width
+        v[fc] = common
         for row, pc in zip(m, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
+            v[pc] = -row[fc] * (common // row[pc])
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def _primitive_int_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
-    from math import lcm
-
-    denoms = [x.denominator for x in v]
-    scale = 1
-    for d in denoms:
-        scale = lcm(scale, d)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = int_gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
 
 
 def q_reducible(group: MatrixGroup) -> tuple[bool, dict | None]:
@@ -409,7 +376,7 @@ def q_reducible(group: MatrixGroup) -> tuple[bool, dict | None]:
             if not basis:
                 continue
             if depth + 1 == len(gens):
-                return (s,), _primitive_int_vector(basis[0])
+                return (s,), basis[0]
             hit = descend(stacked, depth + 1)
             if hit is not None:
                 return (s,) + hit[0], hit[1]
@@ -429,20 +396,33 @@ def verify_conjugation(
 
     Conjugation by P is an injective homomorphism, so the image of left is
     generated by the conjugates of left's generators. If those lie in
-    right and the orders agree, the image is all of right. A non-integral
-    conjugate makes the answer False (not an error): the conjugating
-    matrix simply fails to carry one lattice group onto the other.
+    right and the orders agree, the image is all of right. Conjugation
+    does not change when P is scaled, so P (integer or rational) is first
+    made a primitive integer matrix. Then P^-1·g·P = adj(P)·g·P / det(P),
+    and a generator's conjugate is integral exactly when det(P) divides
+    adj(P)·g·P entrywise. A non-integral conjugate, or a singular P, makes
+    the answer False (not an error): the matrix simply fails to carry one
+    lattice group onto the other.
     """
     if left.order != right.order:
         return False
-    p = mat(p)
-    try:
-        pinv = mat_inv(p)
-    except ValueError:
+    n = len(p)
+    d = lcm(*(x.denominator for row in p for x in row))
+    ints = [[int(x * d) for x in row] for row in p]
+    c = gcd(*(x for row in ints for x in row)) or 1
+    p = mat((x // c for x in row) for row in ints)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
+    rows, pivots, det = _row_reduce(aug, n)
+    if len(pivots) < n:
         return False
+    # The right half of row i is its pivot times row i of P^-1; scaled by
+    # det/pivot, it is row i of the integer matrix adj(P) = det(P)·P^-1.
+    adj = mat((det * x // row[i] for x in row[n:]) for i, row in enumerate(rows))
     for g in left.generators:
-        h = intify(mat_mul(mat_mul(pinv, g), p))
-        if h is None or h not in right:
+        h = mat_mul(mat_mul(adj, g), p)
+        if any(x % det for row in h for x in row):
+            return False
+        if mat((x // det for x in row) for row in h) not in right:
             return False
     return True
 

@@ -1,8 +1,14 @@
-"""Microbenchmarks of recognition, normal subgroups and q_reducible on the order-48 groups.
+"""Microbenchmarks of the matrix-group layer: closure, conjugation, recognition,
+normal subgroups and q_reducible.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_matgroup.py --benchmark-only
+
+close_group closes every catalog group from its generator words in one
+timed call (the words are evaluated outside it). verify_conjugation runs
+the catalog's Conjugacy cases in one timed call, on groups closed
+beforehand, so it times the conjugation test alone.
 
 The four order-48 groups are the catalog groups G_7_5_1, G_7_5_2 and
 G_7_5_3 and the model S4xC2 of identify_iso_type. identify_iso_type and
@@ -26,8 +32,11 @@ from qmi.matgroup import (
     MatrixGroup,
     close_group,
     identify_iso_type,
+    mat,
     q_reducible,
+    verify_conjugation,
 )
+from qmi.runner import build_group
 
 GROUPS = ["G_7_5_1", "G_7_5_2", "G_7_5_3", "S4xC2"]
 ROUNDS = 20
@@ -38,6 +47,26 @@ def generators(name: str) -> list:
         return list(_MODEL_GENERATORS[name])
     words = builtin_catalog().group(name)["generators"]
     return [word_matrix(w, MATRICES) for w in words]
+
+
+def test_close_group(benchmark):
+    catalog = builtin_catalog()
+    gens = [generators(gid) for gid in sorted(catalog.groups)]
+    groups = benchmark(lambda: [close_group(g) for g in gens])
+    assert len(groups) == 73
+
+
+def test_verify_conjugation(benchmark):
+    catalog = builtin_catalog()
+    cases = []
+    for case in catalog.cases:
+        if case.kind == "Conjugacy":
+            p = case.payload
+            via = p["via"]
+            m = mat(via) if isinstance(via, list) else word_matrix(via, MATRICES)
+            cases.append((build_group(catalog, p["left"]), build_group(catalog, p["right"]), m))
+    verdicts = benchmark(lambda: [verify_conjugation(*case) for case in cases])
+    assert len(verdicts) == 19 and all(verdicts)
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, actions, parse
@@ -46,6 +48,13 @@ class TestMonomial:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             Automorphism.monomial(CTX3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
+    def test_non_integer_exponent_rejected(self, entry):
+        # det = 1, so only the entry check can reject it.
+        ctx = Context(QQ, variables=["x1", "x2"])
+        with pytest.raises(ValueError, match="GL_n"):
+            Automorphism.monomial(ctx, [[entry, 0], [0, 2]])
 
     def test_binding_of_a_name_that_is_not_a_variable_rejected(self):
         ctx = Context(QQ, variables=["x1"])

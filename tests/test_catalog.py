@@ -255,6 +255,11 @@ MALFORMED = [
     ("orbit-sum-undeclared-action", _set(("cases", 1, "payload", "forward", "u", "orbit_sum", "group"), ["rot"]),
      "/cases/1/payload/forward/u/orbit_sum/group"),
     ("via-not-3x3", _set(("cases", 3, "payload", "via"), [[1, 0], [0, 1]]), "/cases/3/payload/via"),
+    # JSON true and false are Python ints; they are not integers here.
+    ("order-is-a-boolean", _set(("cases", 0, "payload", "order"), True), "/cases/0/payload/order"),
+    ("via-entry-is-a-boolean",
+     _set(("cases", 3, "payload", "via"), [[True, False, False], [False, True, False], [False, False, True]]),
+     "/cases/3/payload/via"),
     ("sign-not-unit", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), 2),
      "/cases/4/payload/actions/s/signs"),
     # Words that word_matrix cannot evaluate, and sign keys that name no

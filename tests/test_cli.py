@@ -100,6 +100,18 @@ def test_malformed_catalog_exits_2_with_the_path(tmp_path):
     assert out.stderr.startswith("qmi run: unknown group 'G_2_1_1' [/cases/0/payload/group]")
 
 
+def test_boolean_group_order_exits_2_with_the_path(tmp_path):
+    case = copy.deepcopy(builtin_catalog().case("order_G_2_1_1").to_dict())
+    case["payload"]["order"] = True
+    group = {"generators": ["la1"], "label": "C2", "system": "2", "star": False}
+    path = tmp_path / "boolean_order.json"
+    path.write_text(json.dumps({"groups": {"G_2_1_1": group}, "cases": [case]}))
+    out = qmi("run", "--catalog", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmi run: order must be a positive integer [/cases/0/payload/order]")
+
+
 def test_unevaluable_generator_word_exits_2_with_the_path(tmp_path):
     case = builtin_catalog().case("order_G_2_1_1").to_dict()
     path = tmp_path / "unknown_word.json"

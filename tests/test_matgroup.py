@@ -6,8 +6,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.group_constructs import DirectProduct
 from sympy.combinatorics.named_groups import (
@@ -26,15 +31,13 @@ from qmi.matgroup import (
     element_order,
     identify_iso_type,
     identity,
-    intify,
     isomorphism,
     mat,
-    mat_inv,
+    mat_det,
     mat_mul,
     q_reducible,
     verify_conjugation,
     _kernel_basis,
-    _primitive_int_vector,
     _MODEL_GENERATORS,
 )
 from qmi.runner import build_group, run_case
@@ -52,6 +55,22 @@ def catalog():
 CATALOG_GROUPS = sorted(catalog().groups)
 # One catalog group of each order 16, 24 and 48.
 LARGE_CATALOG_GROUPS = ["G_4_7_1", "G_6_7_1", "G_7_5_1"]
+
+
+@cache
+def sympy_inverse(m):
+    """The inverse of m by sympy, with Fraction entries."""
+    return mat((Fraction(int(x.p), int(x.q)) for x in row) for row in Matrix(m).inv().tolist())
+
+
+def primitive(v) -> tuple[int, ...]:
+    """The rational vector v scaled to a primitive integer vector, first nonzero entry positive."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * scale) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def group_for(name: str):
@@ -225,7 +244,9 @@ class TestConjugation:
     def test_unimodular_conjugation(self):
         g = close_group([ROT4, FLIP])
         p = mat([[1, 1], [0, 1]])
-        pinv = mat_inv(p)
+        # Fraction entries: verify_conjugation clears denominators, and
+        # close_group takes integral Fractions.
+        pinv = sympy_inverse(p)
         gens = [mat_mul(mat_mul(pinv, m), p) for m in (ROT4, FLIP)]
         h = close_group(gens)
         assert verify_conjugation(g, h, p)
@@ -249,6 +270,10 @@ class TestConjugation:
         q = mat([[2, 0], [0, 1]])  # conjugate of the swap is non-integral
         assert not verify_conjugation(g, g, q)
         assert verify_conjugation(g, close_group([mat([[1, 0], [0, -1]])]), p)
+        # The conjugate of r is [[-1, 0], [-1/2, 1]]; rounded down, it would
+        # be r itself, so only an exact divisibility test says False.
+        r = close_group([mat([[-1, 0], [-1, 1]])])
+        assert not verify_conjugation(r, r, mat([[-1, 0], [-1, 2]]))
 
 
 class TestReducibility:
@@ -289,15 +314,18 @@ class TestReducibility:
 
 
 # -- reference structure by matrix products ----------------------------------
-# These are the mat_mul / mat_inv computations that the index tables of
-# MatrixGroup replace, kept here as an independent reference.
+# These are the mat_mul / matrix inverse computations that the index
+# tables of MatrixGroup replace, kept here as an independent reference
+# (inverses by sympy).
 
 
 def ref_inverses(g):
     out = {}
     for m in g.elements:
-        h = intify(mat_inv(m))
-        assert h is not None and h in g
+        inv = sympy_inverse(m)
+        assert all(x.denominator == 1 for row in inv for x in row)
+        h = mat(map(int, row) for row in inv)
+        assert h in g
         out[m] = h
     return out
 
@@ -362,7 +390,11 @@ def test_table_is_associative_on_order_48():
 
 
 def exhaustive_q_reducible(generators):
-    """q_reducible with every sign tuple tried in product((1, -1), ...) order."""
+    """q_reducible with every sign tuple tried in product((1, -1), ...) order.
+
+    Kernels come from sympy's nullspace, whose first vector (from the first
+    free column of the rref) spans the same line as q_reducible's witness.
+    """
     gens = [mat(g) for g in generators]
     n = len(gens[0])
     if n == 1:
@@ -371,10 +403,10 @@ def exhaustive_q_reducible(generators):
         rows = []
         for s, g in zip(signs, gens):
             for i in range(n):
-                rows.append([Fraction(g[i][j] - (s if i == j else 0)) for j in range(n)])
-        basis = _kernel_basis(rows, n)
+                rows.append([g[i][j] - (s if i == j else 0) for j in range(n)])
+        basis = Matrix(rows).nullspace()
         if basis:
-            return True, {"dim": 1, "vector": _primitive_int_vector(basis[0]), "signs": signs}
+            return True, {"dim": 1, "vector": primitive(list(basis[0])), "signs": signs}
     return False, None
 
 
@@ -388,3 +420,110 @@ def test_pruned_sign_search_matches_exhaustive():
         assert got == exhaustive_q_reducible(generators_for(name))
         seen.add(got[0])
     assert seen == {True, False}
+
+
+# -- the integer layer against sympy -------------------------------------------
+
+
+@st.composite
+def int_matrices(draw, rows=None):
+    """An integer matrix, 2x2 to 4x4 (or rows x n), of rank at most r, r drawn from 0..n.
+
+    It is the product of a rows x r and an r x n matrix, so singular and
+    rank-deficient inputs are common, not a rarity of random entries.
+    """
+    n = draw(st.integers(2, 4))
+    m = rows if rows is not None else n
+    r = draw(st.integers(0, n))
+    entries = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
+@given(int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_sympy(a):
+    det = mat_det(mat(a))
+    assert type(det) is int
+    assert det == Matrix(a).det()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_is_a_primitive_basis_of_the_nullspace(data):
+    rows = data.draw(int_matrices(rows=data.draw(st.integers(1, 6))))
+    width = len(rows[0])
+    basis = _kernel_basis(rows, width)
+    assert len(basis) == len(Matrix(rows).nullspace())
+    for v in basis:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
+        assert all(sum(map(mul, row, v)) == 0 for row in rows)
+    if basis:
+        assert Matrix(basis).rank() == len(basis)
+
+
+# Conjugators of determinant +-2; the property test multiplies them on the
+# left by words in the unimodular catalog matrices.
+HALVINGS = [
+    mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    mat([[1, 1, 0], [-1, 1, 0], [0, 0, 1]]),
+    mat([[1, 0, 1], [0, 1, 1], [1, 1, 0]]),
+    mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+]
+UNIMODULAR = sorted(name for name, m in MATRICES.items() if abs(Matrix(m).det()) == 1)
+
+
+def sympy_conjugates(group, p):
+    """P.inv()·g·P by sympy for each generator g, or None if one is non-integral."""
+    pinv, pm = Matrix(p).inv(), Matrix(p)
+    out = []
+    for g in group.generators:
+        h = pinv * Matrix(g) * pm
+        if not all(x.is_integer for x in h):
+            return None
+        out.append(mat(map(int, row) for row in h.tolist()))
+    return out
+
+
+def ref_conjugation(left, right, conjugates) -> bool:
+    """verify_conjugation's verdict from left's sympy conjugates."""
+    if left.order != right.order or conjugates is None:
+        return False
+    return all(h in right for h in conjugates)
+
+
+@given(
+    st.sampled_from(CATALOG_GROUPS),
+    st.sampled_from(CATALOG_GROUPS),
+    st.sampled_from(HALVINGS),
+    st.lists(st.sampled_from(UNIMODULAR), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_conjugation_by_a_det_two_matrix_matches_sympy(gid, other, halving, word):
+    p = halving
+    for name in word:
+        p = mat_mul(MATRICES[name], p)
+    left = group_for(gid)
+    conjugates = sympy_conjugates(left, p)
+    targets = [left, group_for(other)]
+    if conjugates is not None:
+        targets.append(close_group(conjugates))
+        assert verify_conjugation(left, targets[-1], p)
+    for right in targets:
+        assert verify_conjugation(left, right, p) == ref_conjugation(left, right, conjugates)
+
+
+def test_det_two_conjugation_both_ways():
+    # One conjugator carries some catalog groups onto integral images and
+    # not others.
+    p = HALVINGS[1]
+    integral = set()
+    for gid in CATALOG_GROUPS:
+        left = group_for(gid)
+        conjugates = sympy_conjugates(left, p)
+        integral.add(conjugates is not None)
+        right = left if conjugates is None else close_group(conjugates)
+        assert verify_conjugation(left, right, p) == (conjugates is not None)
+    assert integral == {True, False}
