@@ -271,7 +271,7 @@ def _check_context(spec: Any, path: str) -> None:
         if not isinstance(spec["specialize"], dict):
             raise SchemaError("specialize must map parameter to value", path + "/specialize")
         for k, v in spec["specialize"].items():
-            if not isinstance(v, (int, str)):
+            if type(v) is bool or not isinstance(v, (int, str)):
                 raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
 
 
@@ -320,7 +320,7 @@ def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
                 )
     if "signs" in spec:
         if not isinstance(spec["signs"], dict) or not all(
-            v in (1, -1) for v in spec["signs"].values()
+            type(v) is int and v in (1, -1) for v in spec["signs"].values()
         ):
             raise SchemaError("signs must map rooted parameter to +-1", path + "/signs")
         roots = context.get("roots", ())

@@ -41,38 +41,48 @@ objects.
 
 substitute_raw builds the powers of every binding's numerator and
 denominator once per call, as integer term dicts shared by both parts,
-and expands both parts over one common denominator. So the pair carries
-no power of a binding denominator that both parts share and that the
-degrees do not need.
+and expands both parts over one common denominator. The bound variables
+are grouped by binding denominator: variables bound over one and the same
+nonconstant d form a group, and every other variable is a group of one.
+A group g is expanded over d_g^M_g, with M_g the largest sum of its
+variables' exponents in a term of either part. So the pair carries no
+power of a binding denominator that both parts share and that the
+degrees do not need, also when several variables share it: x1 -> a/d,
+x2 -> b/d takes x1 + x2 to (a + b, d), not to ((a + b) d, d^2).
 
 The expansion runs on exponent words. A call fixes one mixed-radix
 layout over the target's symbol slots, last slot fastest as in
 poly._convolve_packed: slot j has radix 1 + B_j, and a monomial's word
 is its exponent vector read in that radix. B_j is the largest slot-j
 exponent of the parts' roots and parameters (mapped into the target),
-plus, for each bound variable v with binding n_v / d_v,
+plus one term per group. For a group of one, a variable v with binding
+n_v / d_v, the term is
 
     max(top_v * deg_j n_v, lo_v * deg_j n_v + (top_v - lo_v) * deg_j d_v),
 
-where lo_v and top_v are the smallest and largest exponents of v in the
-parts. Slot j of the table entry n_v^k * d_v^(top_v - k) is at most
-k * deg_j n_v + (top_v - k) * deg_j d_v, which is linear in k, so it is
-largest at k = lo_v or k = top_v. Every power of n_v or d_v that a table
-needs, every table entry and every partial sum of a part's expansion
-therefore stays within B_j in slot j, and the word of a product
-monomial is the sum of its factors' words: no slot carries into the
-next. The products are unfolded (a root exponent may exceed 1). A root
-fold is the ring map r^2 -> a (or r^2 -> a constant), so folding a
-part's sum once gives what folding every product would: each part's
-sum is decoded into exponent tuples once, folded once, and each
-surviving coefficient is normalized once.
+where lo_v and top_v (= M_g) are the smallest and largest exponents of
+v in the parts. Slot j of the table entry n_v^k * d_v^(top_v - k) is at
+most k * deg_j n_v + (top_v - k) * deg_j d_v, which is linear in k, so
+it is largest at k = lo_v or k = top_v. For a larger group the entry of
+a key (e_v) is prod n_v^e_v * d_g^(M_g - sum e_v), whose slot j is at
+most sum e_v * deg_j n_v + (M_g - sum e_v) * deg_j d_g; the term is the
+largest of these over the keys that occur. Every power of n_v or d_v,
+and every partial product, that a table needs divides some table entry,
+so every such factor, every table entry and every partial sum of a part's expansion stays within
+B_j in slot j, and the word of a product monomial is the sum of its
+factors' words: no slot carries into the next. The products are
+unfolded (a root exponent may exceed 1). A root fold is the ring map
+r^2 -> a (or r^2 -> a constant), so folding a part's sum once gives
+what folding every product would: each part's sum is decoded into
+exponent tuples once, folded once, and each surviving coefficient is
+normalized once.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
-from typing import Any, Mapping, Sequence
+from operator import itemgetter, mul
+from typing import Any, Callable, Mapping, Sequence
 
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
@@ -80,8 +90,11 @@ from .gcd import cancel, unit_normal
 from .poly import Poly, _convolve_words, _fold, _from_ints, _lift_ints, _lifted_product
 
 Pair = tuple[Poly, Poly]
-# Variable index -> {exponent k: (scale, word-keyed integer terms)}; see _word_tables.
-Tables = dict[int, dict[int, tuple[int, dict[int, int]]]]
+# (keys, levels): one itemgetter per group of two or more bound variables,
+# whose values _expand appends to each exponent tuple, and one (position,
+# table) per group, the table keyed by the value at that position of the
+# extended tuple; see _word_tables.
+Tables = tuple[list[Callable], list[tuple[int, dict[Any, tuple[int, dict[int, int]]]]]]
 
 
 class RatFunc:
@@ -304,20 +317,26 @@ def substitute_raw(
 ) -> Pair:
     """Unreduced substitution of a (num, den) pair; raises SubstitutionPole.
 
-    Both parts are expanded over one common denominator, the product of
-    d_v^M_v with M_v the larger of the two parts' degrees in v, from
-    power tables built once per call. The pair is therefore
-    (P * prod d_v^(M_q,v - M_p,v)+, Q * prod d_v^(M_p,v - M_q,v)+) for P
-    and Q each over its own prod d_v^M: no power of d_v common to both
-    parts is formed.
+    Both parts are expanded over one common denominator, the product
+    over the groups g of bound variables of d_g^M_g, from power tables
+    built once per call. Variables whose binding denominators are equal
+    (Poly equality) and nonconstant form one group over that d_g; every
+    other variable is a group of one. M_g is the largest sum of the
+    group's exponents in a term of either part. The pair is therefore
+    (P * prod d_g^(M_g - M_p,g), Q * prod d_g^(M_g - M_q,g)) for P and Q
+    each over its own prod d_g^M: no power of d_g common to both parts
+    is formed. Both parts are multiplied by the same nonzero factor, so
+    the pair's ratio, its zero tests and the pole condition do not
+    depend on the grouping.
 
     The expansion runs on int exponent words in one mixed-radix layout
     per call (_word_tables): slot j has radix 1 + B_j, where B_j adds
-    the parts' largest slot-j constant exponent and, per bound variable,
-    the larger of the slot-j bounds of its table entries at k = lo and
-    k = top (that bound is linear in k). So words add without carries.
-    Each part's sum is decoded and root-folded once (_expand); the
-    module docstring has the argument.
+    the parts' largest slot-j constant exponent and, per group, the
+    largest slot-j bound of its table entries: for a group of one, the
+    larger of the bounds at k = lo and k = top (that bound is linear in
+    k); for a larger group, the largest over its keys that occur. So
+    words add without carries. Each part's sum is decoded and
+    root-folded once (_expand); the module docstring has the argument.
     """
     sctx = f[0].ctx
     tctx = target if target is not None else sctx
@@ -341,29 +360,51 @@ def _word_tables(
 ) -> tuple[list[int], list[int], Tables]:
     """(radices, weights, tables): the call's layout and power tables.
 
-    tables[v][k] = (scale, words) with words / scale = n^k * d^(top - k),
-    unfolded, for (n, d) the binding of v, top its largest exponent in
-    either part and k each exponent of v that occurs; variables that do
-    not occur have no table. Slot j has radix 1 + B_j and weight the
-    product of the radices after it. B_j (module docstring) bounds slot
-    j of every table entry and of every partial sum of _expand. Each
-    binding part is lifted to integers (_lift_ints) and encoded once;
-    its powers are taken over the integers, reduced mod p over F_p.
+    The bound variables that occur in either part are grouped by their
+    binding denominator (_groups); each group g has one level (pos,
+    table) and a top M_g. A group of one, v bound to n / d, is read at
+    pos = v: M_g is v's largest exponent in either part, and table[k] =
+    n^k * d^(M_g - k) for each exponent k of v that occurs. A larger
+    group is read at a position after the source slots, where _expand
+    appends the tuple of its variables' exponents (its key): M_g is the
+    largest sum of a key over the terms of both parts, and table[key] =
+    prod n_v^e_v * d^(M_g - sum e_v) for each key that occurs. Entries
+    are (scale, words) with words / scale the entry, unfolded.
+
+    Slot j has radix 1 + B_j and weight the product of the radices after
+    it. B_j (module docstring) bounds slot j of every table entry and of
+    every partial sum of _expand. Each binding part is lifted to integers
+    (_lift_ints) and encoded once; its powers are taken over the
+    integers, reduced mod p over F_p.
     """
     nsym = target.nsym
+    width = parts[0].ctx.nsym
     cols = [list(zip(*part.terms)) for part in parts if part.terms]
     bound = [0] * nsym
     for i, j in const_map.items():
         bound[j] = max((max(c[i]) for c in cols), default=0)
+    keys: list[Callable] = []
     lifted = []
-    for v, (n, d) in binds.items():
-        used = set().union(*(c[v] for c in cols))
-        top = max(used, default=0)
-        if not top:
+    for vs, d, used in _groups(cols, binds):
+        sd, td = _lift_ints(d.terms)
+        ddeg = _slot_degrees(td, nsym)
+        if len(vs) > 1:
+            pos = width + len(keys)
+            keys.append(itemgetter(*vs))
+            used = {k: sum(k) for k in used}
+            top, lo = max(used.values()), min(used.values())
+            ns = [_lift_ints(binds[v][0].terms) for v in vs]
+            ndeg = list(zip(*(_slot_degrees(tn, nsym) for _, tn in ns)))
+            for j, dd in enumerate(ddeg):
+                bound[j] += max(sum(map(mul, k, ndeg[j])) + (top - s) * dd for k, s in used.items())
+            highs = [max(col) for col in zip(*used)]
+            bases = [(sn, tn, h) for (sn, tn), h in zip(ns, highs)]
+            lifted.append((pos, used, top, [*bases, (sd, td, top - lo)]))
             continue
-        lo = min(used)
-        (sn, tn), (sd, td) = _lift_ints(n.terms), _lift_ints(d.terms)
-        for j, (dn, dd) in enumerate(zip(_slot_degrees(tn, nsym), _slot_degrees(td, nsym))):
+        v = vs[0]
+        top, lo = max(used), min(used)
+        sn, tn = _lift_ints(binds[v][0].terms)
+        for j, (dn, dd) in enumerate(zip(_slot_degrees(tn, nsym), ddeg)):
             bound[j] += max(top * dn, lo * dn + (top - lo) * dd)
         lifted.append((v, used, top, ((sn, tn, top), (sd, td, top - lo))))
     radices = [b + 1 for b in bound]
@@ -371,8 +412,8 @@ def _word_tables(
     for j in range(nsym - 1, 0, -1):
         weights[j - 1] = weights[j] * radices[j]
     char = target.field.char
-    tables: Tables = {}
-    for v, used, top, bases in lifted:
+    levels = []
+    for pos, used, top, bases in lifted:
         rows = []
         for scale, ints, upto in bases:
             base = {sum(map(mul, e, weights)): c for e, c in ints.items()}
@@ -381,19 +422,58 @@ def _word_tables(
                 s, t = row[-1]
                 row.append((s * scale, _reduced(_convolve_words(t, base), char)))
             rows.append(row)
-        npow, dpow = rows
         table = {}
-        for k in used:
-            (sn, tn), (sd, td) = npow[k], dpow[top - k]
-            if k == top:
-                words = tn
-            elif k == 0:
-                words = td
-            else:
-                words = _reduced(_convolve_words(tn, td), char)
-            table[k] = (sn * sd, words)
-        tables[v] = table
-    return radices, weights, tables
+        if pos < width:
+            npow, dpow = rows
+            for k in used:
+                if k == top:
+                    table[k] = npow[k]
+                elif k == 0:
+                    table[k] = dpow[top]
+                else:
+                    (sn, tn), (sd, td) = npow[k], dpow[top - k]
+                    table[k] = (sn * sd, _reduced(_convolve_words(tn, td), char))
+        else:
+            *npows, dpow = rows
+            for k, s in used.items():
+                factors = [row[e] for row, e in zip(npows, k) if e]
+                if s < top:
+                    factors.append(dpow[top - s])
+                scale, words = factors[0]
+                for sf, tf in factors[1:]:
+                    scale *= sf
+                    words = _reduced(_convolve_words(words, tf), char)
+                table[k] = (scale, words)
+        levels.append((pos, table))
+    return radices, weights, (keys, levels)
+
+
+def _groups(cols: list, binds: dict[int, Pair]) -> list[list]:
+    """The bound variables that occur in cols, grouped by denominator.
+
+    Variables whose binding denominators are equal and nonconstant form
+    one group; every other variable is a group of one. Each group is
+    [its variables, their denominator, the exponents that occur], in the
+    order of binds: a group of one has the set of its variable's
+    exponents, a larger group the set of its variables' exponent tuples.
+    """
+    groups: list = []
+    for v, (_, d) in binds.items():
+        used = set().union(*(c[v] for c in cols))
+        if not max(used, default=0):
+            continue
+        for group in groups:
+            # Equal monomials first: Poly equality compares Fractions.
+            if group[1].terms.keys() == d.terms.keys() and not d.is_constant() and group[1] == d:
+                group[0].append(v)
+                break
+        else:
+            groups.append([[v], d, used])
+    for group in groups:
+        if len(group[0]) > 1:
+            key = itemgetter(*group[0])
+            group[2] = set().union(*(zip(*key(c)) for c in cols))
+    return groups
 
 
 def _slot_degrees(terms: dict, nsym: int) -> list[int]:
@@ -418,31 +498,35 @@ def _expand(
 ) -> Poly:
     """p with its variables substituted, times the tables' denominator.
 
-    With (n_v, d_v) the binding of v and M_v the top of its table, the
-    result is the sum over the terms c * x^e of p of c * x^e' times the
-    product over v of n_v^e_v * d_v^(M_v - e_v), where e' keeps the roots
-    and parameters of e (mapped by const_map). One common scale is taken
-    up front from the term exponents, so every term becomes an integer
-    leaf; the leaves accumulate in place over the integers (_horner).
-    The sum's root folds are applied once, after each surviving word is
-    decoded into an exponent tuple, and each surviving coefficient is
-    normalized once.
+    With M_g the top of group g's table, the result is the sum over the
+    terms c * x^e of p of c * x^e' times the product over the groups of
+    prod n_v^e_v * d_g^(M_g - sum e_v), where e' keeps the roots and
+    parameters of e (mapped by const_map). Each exponent tuple is
+    extended once by the keys of the larger groups, so every level reads
+    its key by position. One common scale is taken up front from the
+    term exponents, so every term becomes an integer leaf; the leaves
+    accumulate in place over the integers (_horner). The sum's root
+    folds are applied once, after each surviving word is decoded into an
+    exponent tuple, and each surviving coefficient is normalized once.
     """
-    items = list(tables.items())
+    keys, levels = tables
+    terms = p.terms.items()
+    if keys:
+        terms = [(e + tuple([key(e) for key in keys]), c) for e, c in terms]
     scales = []
-    for e, c in p.terms.items():
+    for e, c in terms:
         s = c.denominator
-        for v, table in items:
-            s *= table[e[v]][0]
+        for pos, table in levels:
+            s *= table[e[pos]][0]
         scales.append(s)
     common = 1
     for s in scales:
         common = common * s // math.gcd(common, s)
     leaves = [
         (e, sum(e[i] * weights[j] for i, j in const_map.items()), c.numerator * (common // s))
-        for (e, c), s in zip(p.terms.items(), scales)
+        for (e, c), s in zip(terms, scales)
     ]
-    words = _horner(leaves, items)
+    words = _horner(leaves, levels)
     decoded = {
         tuple([k // w % r for w, r in zip(weights, radices)]): c
         for k, c in words.items()
@@ -451,24 +535,24 @@ def _expand(
     return _from_ints(target, common, _fold(decoded, target.folds))
 
 
-def _horner(leaves: list, items: list) -> dict[int, int]:
-    """Sum of k * x^word * prod of table[e[v]] over the leaves (e, word, k).
+def _horner(leaves: list, levels: list) -> dict[int, int]:
+    """Sum of k * x^word * prod of table[e[pos]] over the leaves (e, word, k).
 
-    The sum is nested by variable: the leaves are grouped by their
-    exponent of the first variable, and each group's sum over the other
-    variables is multiplied by that variable's table entry once. Products
-    are added into the first product; nothing is normalized or folded.
+    The sum is nested by level: the leaves are grouped by their key at
+    the first level's position, and each group's sum over the other
+    levels is multiplied by that level's table entry once. Products are
+    added into the first product; nothing is normalized or folded.
     """
     acc: dict[int, int] = {}
-    if not items:
+    if not levels:
         get = acc.get
         for _, word, k in leaves:
             acc[word] = get(word, 0) + k
         return acc
-    (v, table), rest = items[0], items[1:]
-    groups: dict[int, list] = {}
+    (pos, table), rest = levels[0], levels[1:]
+    groups: dict[Any, list] = {}
     for leaf in leaves:
-        groups.setdefault(leaf[0][v], []).append(leaf)
+        groups.setdefault(leaf[0][pos], []).append(leaf)
     for ev, group in groups.items():
         term = _convolve_words(table[ev][1], _horner(group, rest))
         if not acc:

@@ -262,6 +262,13 @@ MALFORMED = [
      "/cases/3/payload/via"),
     ("sign-not-unit", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), 2),
      "/cases/4/payload/actions/s/signs"),
+    ("sign-is-a-boolean", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), True),
+     "/cases/4/payload/actions/s/signs"),
+    ("sign-is-a-float", _set(("cases", 4, "payload", "actions", "s", "signs", "d"), -1.0),
+     "/cases/4/payload/actions/s/signs"),
+    ("specialized-value-is-a-boolean",
+     _set(("cases", 4, "payload", "context", "specialize"), {"d": True}),
+     "/cases/4/payload/context/specialize/d"),
     # Words that word_matrix cannot evaluate, and sign keys that name no
     # rooted parameter, are rejected at load time, not as per-case Errors.
     ("unknown-generator-name", _set(("groups", "G", "generators"), ["la1", "zz"]),

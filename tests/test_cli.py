@@ -50,10 +50,10 @@ def test_flipped_claim_fails_with_the_same_jsonl_for_any_jobs(flipped_catalog):
 
 
 def test_case_that_runs_out_of_time_is_an_error():
-    out = qmi("run", "--filter", "id=sys7iii_case1_actg", "--timeout", "0.05")
+    out = qmi("run", "--filter", "id=sys7iii_case1_actg", "--timeout", "0.005")
     assert out.returncode == 2
     assert out.stdout.startswith("ERROR   sys7iii_case1_actg")
-    assert "timed out after 0.05s" in out.stdout
+    assert "timed out after 0.005s" in out.stdout
 
 
 def test_list_prints_the_selected_cases():

@@ -271,6 +271,15 @@ class TestSubstituteRaw:
             exact_div(den, P(qx, "(x1+1)^2"))
         assert RatFunc(num, den) == parse(qx, "(2*x1^2+2*x1+1)/((x1+1)*(3*x1+2))")
 
+    def test_shared_denominator_is_taken_once(self):
+        # x1 and x2 are bound over the same d, so x1 + x2 is expanded over
+        # d^max(e1 + e2) = d, not over d^1 * d^1.
+        ctx = Context(QQ, variables=["x1", "x2"])
+        a, b, d = P(ctx, "x1+2*x2"), P(ctx, "x2-1"), P(ctx, "x1*x2+3")
+        num, den = substitute_raw((P(ctx, "x1+x2"), Poly.const(ctx, 1)), {"x1": (a, d), "x2": (b, d)})
+        assert num * d == (a + b) * den
+        assert exact_div(den, d).is_constant()
+
     def test_zero_numerator(self, qx):
         num, den = substitute_raw((Poly.const(qx, 0), P(qx, "x1+2")), {"x1": parse(qx, "x1/(x1+1)")})
         assert num.is_zero()

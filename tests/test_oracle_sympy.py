@@ -4,7 +4,9 @@ sympy is used strictly as an independent oracle; the package itself never
 imports it. Random inputs are generated from a fixed seed so failures
 reproduce. Contexts here are root-free (sympy has no native analogue of
 the formal-root rewrite; rooted behavior is covered by identity-based
-tests elsewhere).
+tests elsewhere), except for the substitution check: there a rooted
+parameter a maps to r**2 and its root to r, an isomorphism of
+Q[sqrt(a), a]/(sqrt(a)^2 - a) onto Q[r], so identities carry over.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from fractions import Fraction
 
 import sympy
 
-from qmi import QQ, Context, Poly, exact_div, poly_gcd
+import pytest
+
+from qmi import QQ, Context, Poly, SubstitutionPole, exact_div, poly_gcd
+from qmi.ratfunc import substitute_raw
 
 NAMES = ["a", "x1", "x2", "x3"]
 SYMS = sympy.symbols("a x1 x2 x3")
@@ -108,3 +113,67 @@ def test_exact_div_matches_sympy_quotient():
         assert exact_div(prod, f) == g
         quo = sympy.div(to_sympy(prod), to_sympy(f), *SYMS)[0]
         assert from_sympy(ctx, sympy.expand(quo)) == g
+
+
+R, D, E = sympy.symbols("r D E")
+SUBST_CONTEXTS = {
+    "Q": (Context(QQ, variables=["x1", "x2", "x3"], parameters=["a"]), list(SYMS)),
+    "rooted-parameter": (
+        Context(QQ, variables=["x1", "x2", "x3"], parameters=["a"], roots=["a"]),
+        [R, R**2, *SYMS[1:]],
+    ),
+}
+
+
+def canonical_poly(ctx: Context, rng: random.Random, nterms: int, maxdeg: int) -> Poly:
+    """A random polynomial with root exponents at most 1."""
+    terms = {}
+    for _ in range(rng.randint(1, nterms)):
+        exps = tuple(rng.randint(0, 1 if i < len(ctx.rooted) else maxdeg) for i in range(ctx.nsym))
+        terms[exps] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    return Poly(ctx, terms)
+
+
+def sympy_of(p: Poly, images: list):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(images, e)))
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@pytest.mark.parametrize("name", list(SUBST_CONTEXTS))
+def test_substitution_over_a_shared_denominator_matches_sympy(name):
+    # x1 and x2 (and, every other time, x3) are bound over one denominator
+    # d; the raw pair must be the composed rational function. sympy forms
+    # each part of f(n/d) times prod dens^T, T the largest exponent of
+    # the variable in f, and the pair must cross-multiply to them.
+    ctx, images = SUBST_CONTEXTS[name]
+    xs = images[-3:]
+    rng = random.Random(1501)
+    for trial in range(12):
+        f = (canonical_poly(ctx, rng, 4, 2), canonical_poly(ctx, rng, 3, 2))
+        d = canonical_poly(ctx, rng, 2, 1)
+        if d.is_constant():
+            d = d + Poly.named(ctx, "x3")
+        nums = [canonical_poly(ctx, rng, 2, 1) for _ in xs]
+        dens = [d, d, d if trial % 2 else canonical_poly(ctx, rng, 2, 1)]
+        binds = {f"x{i + 1}": pair for i, pair in enumerate(zip(nums, dens))}
+        # One symbol per distinct denominator keeps f(n/d) * scale a
+        # polynomial in it before the denominator's value is put in.
+        marks = [D, D, D if dens[2] is d else E]
+        values = {x: sympy_of(n, images) / m for x, n, m in zip(xs, nums, marks)}
+        scale = sympy.Mul(*(
+            m ** max(p.degree_in(ctx.index[f"x{i + 1}"]) for p in f) for i, m in enumerate(marks)
+        ))
+        marked = {D: sympy_of(d, images), E: sympy_of(dens[2], images)}
+        top, bottom = (
+            sympy.expand(sympy.expand(sympy_of(p, images).xreplace(values) * scale).xreplace(marked))
+            for p in f
+        )
+        if bottom == 0:
+            with pytest.raises(SubstitutionPole):
+                substitute_raw(f, binds)
+            continue
+        num, den = substitute_raw(f, binds)
+        assert sympy.expand(sympy_of(num, images) * bottom - sympy_of(den, images) * top) == 0

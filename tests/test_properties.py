@@ -531,15 +531,16 @@ def test_field_laws_seed_9_input_without_fallback(monkeypatch):
 
 
 def test_heuristic_gcd_accepts_actg_pair_by_products(monkeypatch):
-    # The 65- and 60-term pair that sys7iii_case1_actg hands ratfunc.cancel,
-    # with a 25-term gcd: every level of the heuristic accepts its candidate
-    # by the product check, so no long division runs.
+    # The largest pair (by total terms) with a nonconstant gcd that
+    # sys7iii_case1_actg hands ratfunc.cancel: every level of the heuristic
+    # accepts its candidate by the product check, so no long division runs.
     with mock.patch.object(ratfunc, "cancel", wraps=ratfunc.cancel) as record:
         assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
-    a, b = next(
-        (a, b) for a, b in (call.args for call in record.call_args_list)
-        if (len(a.terms), len(b.terms)) == (65, 60) and len(poly_gcd(a, b).terms) == 25
+    a, b, common = max(
+        ((a, b, poly_gcd(a, b)) for a, b in (call.args for call in record.call_args_list)),
+        key=lambda abg: (not abg[2].is_constant(), len(abg[0].terms) + len(abg[1].terms)),
     )
+    assert not common.is_constant()
     E = gcd._elim_info(a.ctx)
     D = E.prs
     (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
@@ -550,7 +551,7 @@ def test_heuristic_gcd_accepts_actg_pair_by_products(monkeypatch):
     monkeypatch.setattr(gcd, "_div", no_division)
     eg, qa, qb = gcd._heu_gcd(D, ea, eb)
     assert gcd._mul(D, eg, qa) == ea and gcd._mul(D, eg, qb) == eb
-    assert len(eg) == 25
+    assert len(eg) == len(common.terms)
 
 
 def test_heuristic_gcd_divides_when_a_cofactor_outgrows_xi(monkeypatch):
