@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .catalog_data import MATRICES
-from .context import Context
+from .context import _NAME_RE, Context
 from .errors import SchemaError, UnknownCase
 from .field import field_from_name
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
@@ -282,16 +282,29 @@ def _check_exprmap(value: Any, path: str) -> None:
         _check_str(v, f"{path}/{k}")
 
 
-def _check_where(value: Any, path: str) -> None:
+def _check_where(value: Any, path: str, context: Mapping) -> None:
+    """A where-list parsed in the context whose spec is `context` (checked).
+
+    A name must be one the parser reads as a name, and neither "sqrt"
+    (sqrt(p) names a root) nor a variable or parameter of the context:
+    the parser reads a where name before the context's symbols, so a
+    name that shadowed one would change what the case claims.
+    """
     if not isinstance(value, list):
         raise SchemaError("where must be a list of [name, expr] pairs", path)
+    symbols = {*context.get("variables", ()), *context.get("parameters", ())}
     seen = set()
     for i, item in enumerate(value):
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(s, str) for s in item)):
             raise SchemaError("where entry must be [name, expr]", f"{path}/{i}")
-        if item[0] in seen:
-            raise SchemaError(f"duplicate where name {item[0]!r}", f"{path}/{i}")
-        seen.add(item[0])
+        name = item[0]
+        if not _NAME_RE.match(name):
+            raise SchemaError(f"where name {name!r} is not of the form [a-z][a-z0-9]*", f"{path}/{i}")
+        if name == "sqrt" or name in symbols:
+            raise SchemaError(f"where name {name!r} shadows sqrt or a symbol of the context", f"{path}/{i}")
+        if name in seen:
+            raise SchemaError(f"duplicate where name {name!r}", f"{path}/{i}")
+        seen.add(name)
 
 
 def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
@@ -381,9 +394,9 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
             raise SchemaError("actions must be a nonempty object", path + "/actions")
         for name, spec in actions.items():
             _check_actionspec(spec, f"{path}/actions/{name}", p["context"])
-    for key in ("where", "where_forward", "where_backward"):
+    for key, context in (("where", "context"), ("where_forward", "source"), ("where_backward", "target")):
         if key in p:
-            _check_where(p[key], f"{path}/{key}")
+            _check_where(p[key], f"{path}/{key}", p[context])
 
     if kind == "Invariance":
         _check_exprmap(_need(p, "exprs", path), path + "/exprs")

@@ -76,6 +76,18 @@ r^2 -> a (or r^2 -> a constant), so folding a part's sum once gives
 what folding every product would: each part's sum is decoded into
 exponent tuples once, folded once, and each surviving coefficient is
 normalized once.
+
+Most calls need none of this. When every bound variable that occurs in
+either part has a one-term numerator and a one-term denominator, as
+under the quasi-monomial actions sigma(x_j) = c_j * prod x_i^a_ij,
+sign flips and renamings, each table entry prod n_v^e_v *
+d_g^(M_g - sum e_v) is one monomial, so a term c * x^e maps to one
+term. substitute_raw then maps each part term by term (_termwise),
+with the groups and M_g read from the same occurrence sets. The terms
+are the engine's products, summed over the integers at one common
+scale, folded once and normalized once, as _expand does: the pair is
+the engine's pair, term for term, so zero tests, poles and witnesses
+do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -337,6 +349,11 @@ def substitute_raw(
     k); for a larger group, the largest over its keys that occur. So
     words add without carries. Each part's sum is decoded and
     root-folded once (_expand); the module docstring has the argument.
+
+    When every binding of a variable that occurs is a monomial over a
+    monomial (any coefficient, any root and parameter exponents), both
+    parts are mapped term by term instead (_termwise), to the same pair.
+    The dispatch reads the groups the engine needs anyway.
     """
     sctx = f[0].ctx
     tctx = target if target is not None else sctx
@@ -344,26 +361,33 @@ def substitute_raw(
         raise ValueError("substitution cannot change the coefficient field")
     const_map = sctx.constant_map_into(tctx)
     binds = _binding_pairs(sctx, bindings, tctx)
-    radices, weights, tables = _word_tables(f, binds, tctx, const_map)
-    num = _expand(f[0], tables, tctx, const_map, radices, weights)
-    den = _expand(f[1], tables, tctx, const_map, radices, weights)
+    cols = [list(zip(*part.terms)) for part in f if part.terms]
+    groups = _groups(cols, binds)
+    factors = _monomial_factors(groups, binds)
+    if factors is not None:
+        num, den = (_termwise(part, factors, tctx, const_map) for part in f)
+    else:
+        radices, weights, tables = _word_tables(cols, groups, binds, tctx, const_map)
+        num, den = (_expand(part, tables, tctx, const_map, radices, weights) for part in f)
     if den.is_zero():
         raise SubstitutionPole("denominator vanished under substitution")
     return num, den
 
 
 def _word_tables(
-    parts: Pair,
+    cols: list,
+    groups: list[list],
     binds: dict[int, Pair],
     target: Context,
     const_map: dict[int, int],
 ) -> tuple[list[int], list[int], Tables]:
     """(radices, weights, tables): the call's layout and power tables.
 
-    The bound variables that occur in either part are grouped by their
-    binding denominator (_groups); each group g has one level (pos,
-    table) and a top M_g. A group of one, v bound to n / d, is read at
-    pos = v: M_g is v's largest exponent in either part, and table[k] =
+    cols holds the exponent columns of the nonzero parts, and groups the
+    bound variables that occur in them, grouped by their binding
+    denominator (_groups); each group g has one level (pos, table) and a
+    top M_g. A group of one, v bound to n / d, is read at pos = v: M_g
+    is v's largest exponent in either part, and table[k] =
     n^k * d^(M_g - k) for each exponent k of v that occurs. A larger
     group is read at a position after the source slots, where _expand
     appends the tuple of its variables' exponents (its key): M_g is the
@@ -378,14 +402,13 @@ def _word_tables(
     integers, reduced mod p over F_p.
     """
     nsym = target.nsym
-    width = parts[0].ctx.nsym
-    cols = [list(zip(*part.terms)) for part in parts if part.terms]
+    width = len(cols[0])
     bound = [0] * nsym
     for i, j in const_map.items():
         bound[j] = max((max(c[i]) for c in cols), default=0)
     keys: list[Callable] = []
     lifted = []
-    for vs, d, used in _groups(cols, binds):
+    for vs, d, used in groups:
         sd, td = _lift_ints(d.terms)
         ddeg = _slot_degrees(td, nsym)
         if len(vs) > 1:
@@ -474,6 +497,86 @@ def _groups(cols: list, binds: dict[int, Pair]) -> list[list]:
             key = itemgetter(*group[0])
             group[2] = set().union(*(zip(*key(c)) for c in cols))
     return groups
+
+
+def _monomial_factors(groups: list[list], binds: dict[int, Pair]) -> list | None:
+    """The groups' binding monomials, for _termwise; None unless all are.
+
+    Returns None as soon as a group's denominator, or the numerator of
+    one of its variables, has more than one term. Otherwise each group
+    becomes ([(v, n_v)], d_g, M_g), every monomial given as (its nonzero
+    (slot, exponent) pairs, coefficient numerator, coefficient
+    denominator), and M_g the top _word_tables would give the group.
+    """
+    factors = []
+    for vs, d, used in groups:
+        if len(d.terms) != 1:
+            return None
+        nums = []
+        for v in vs:
+            n = binds[v][0]
+            if len(n.terms) != 1:
+                return None
+            nums.append((v, _monomial(n)))
+        top = max(used) if len(vs) == 1 else max(map(sum, used))
+        factors.append((nums, _monomial(d), top))
+    return factors
+
+
+def _monomial(p: Poly) -> tuple[list[tuple[int, int]], int, int]:
+    """(nonzero (slot, exponent) pairs, numerator, denominator) of a one-term p."""
+    ((e, c),) = p.terms.items()
+    return [(j, k) for j, k in enumerate(e) if k], c.numerator, c.denominator
+
+
+def _termwise(
+    p: Poly,
+    factors: list,
+    target: Context,
+    const_map: dict[int, int],
+) -> Poly:
+    """What _expand gives for p when every binding is a monomial.
+
+    The engine's factor prod n_v^e_v * d_g^(M_g - sum e_v) of a term
+    c * x^e is then one monomial, so each term maps to one term: its
+    exponents add e_v times those of n_v and M_g - sum e_v times those
+    of d_g to the roots and parameters of e (mapped by const_map), and
+    its coefficient is c times the same powers of their coefficients.
+    Terms that meet are summed over the integers at one common scale,
+    root-folded once and normalized once, as in _expand, so the Poly is
+    the one _expand returns.
+    """
+    nsym = target.nsym
+    common = 1
+    leaves = []
+    for e, c in p.terms.items():
+        out = [0] * nsym
+        for i, j in const_map.items():
+            out[j] = e[i]
+        num, den = c.numerator, c.denominator
+        for nums, (dexp, dnum, dden), top in factors:
+            rest = top
+            for v, (nexp, nnum, nden) in nums:
+                k = e[v]
+                if k:
+                    rest -= k
+                    for j, a in nexp:
+                        out[j] += k * a
+                    num *= nnum**k
+                    den *= nden**k
+            if rest:
+                for j, a in dexp:
+                    out[j] += rest * a
+                num *= dnum**rest
+                den *= dden**rest
+        if den != 1:
+            common = common * den // math.gcd(common, den)
+        leaves.append((tuple(out), num, den))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for key, num, den in leaves:
+        acc[key] = get(key, 0) + num * (common // den)
+    return _from_ints(target, common, _fold(acc, target.folds))
 
 
 def _slot_degrees(terms: dict, nsym: int) -> list[int]:

@@ -7,6 +7,20 @@ case never got to a verdict (bad data, a resource cap, a timeout).
 Reports keep wall-clock time for humans, but the machine-readable form
 omits it so that identical runs serialize to identical bytes no matter
 how many workers produced them.
+
+Each catalog has one memo, kept here and dropped when the catalog is
+collected. It holds the closed MatrixGroup of each group id, the
+Context of each context spec, the RatFunc of each (context, text)
+parsed without a where-list, and the Automorphism of each (context,
+action spec); the binding texts of an action go through the same
+expression entries, so a chain step that re-declares its predecessor's
+claimed tables as actions reuses their parses. Keys are built from the
+payload's own strings and numbers. Where-list parses are not memoized,
+and a build that raises, or that a timeout interrupts, stores nothing.
+This is sound because each value is a pure function of its key and is
+never mutated: no code in qmi writes to a Context, RatFunc,
+Automorphism or MatrixGroup after building it. A pool worker gets the
+catalog by fork, memo included, or by pickle, with a memo of its own.
 """
 
 from __future__ import annotations
@@ -15,9 +29,11 @@ import json
 import math
 import signal
 import time
-from typing import Any, Mapping, Sequence
+import weakref
+from typing import Any, Callable, Mapping, Sequence
 
 from .actions import (
+    Automorphism,
     check_identity,
     check_induced_action,
     check_invariance,
@@ -32,6 +48,7 @@ from .catalog import (
     word_matrix,
 )
 from .catalog_data import MATRICES
+from .context import Context
 from .errors import UnknownCase
 from .hilbert import decide_rationality
 from .matgroup import (
@@ -86,17 +103,68 @@ class VerificationReport:
 
 # -- shared construction helpers ---------------------------------------------
 
+# id(catalog) -> that catalog's memo; an entry goes when its catalog does.
+_MEMOS: dict[int, dict] = {}
+
+
+def _memoized(catalog: Catalog, key: tuple, build: Callable[[], Any]) -> Any:
+    """The catalog's memo entry for key, made by build() on the first call.
+
+    Nothing is stored when build raises, a timeout included.
+    """
+    memo = _MEMOS.get(id(catalog))
+    if memo is None:
+        memo = _MEMOS[id(catalog)] = {}
+        weakref.finalize(catalog, _MEMOS.pop, id(catalog), None)
+    if key in memo:
+        return memo[key]
+    value = memo[key] = build()
+    return value
+
+
+def _frozen(value: Any) -> Any:
+    """A hashable key of a JSON value, made of its own strings and numbers."""
+    if isinstance(value, dict):
+        return (dict, tuple((k, _frozen(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    return value
+
 
 def build_group(catalog: Catalog, gid: str):
-    """Close the named generator words into a MatrixGroup, cached per catalog."""
-    cache = getattr(catalog, "_group_cache", None)
-    if cache is None:
-        cache = {}
-        catalog._group_cache = cache
-    if gid not in cache:
+    """Close the named generator words into a MatrixGroup, once per catalog.
+
+    The catalog's memo (module docstring) holds the group under its id.
+    """
+
+    def build():
         words = catalog.group(gid)["generators"]
-        cache[gid] = close_group([word_matrix(w, MATRICES) for w in words])
-    return cache[gid]
+        return close_group([word_matrix(w, MATRICES) for w in words])
+
+    return _memoized(catalog, ("group", gid), build)
+
+
+def _context(catalog: Catalog, spec: Mapping) -> Context:
+    return _memoized(catalog, ("context", _frozen(spec)), lambda: build_context(spec))
+
+
+def _expr(catalog: Catalog, ctx: Context, text: str, env: dict | None = None) -> RatFunc:
+    """parse(ctx, text, env); memoized when there is no where-list."""
+    if env:
+        return parse(ctx, text, env)
+    return _memoized(catalog, ("expr", ctx, text), lambda: parse(ctx, text))
+
+
+def _action(catalog: Catalog, ctx: Context, spec: Mapping) -> Automorphism:
+    """build_action(ctx, spec, MATRICES), with binding texts parsed by _expr."""
+
+    def build():
+        if "word" in spec:
+            return build_action(ctx, spec, MATRICES)
+        bindings = {v: _expr(catalog, ctx, text) for v, text in spec["bindings"].items()}
+        return Automorphism(ctx, bindings, signs=spec.get("signs"))
+
+    return _memoized(catalog, ("action", ctx, _frozen(spec)), build)
 
 
 def _mismatch(text: str) -> list[dict]:
@@ -107,32 +175,32 @@ def _mismatch(text: str) -> list[dict]:
 
 
 def _run_invariance(catalog: Catalog, p: Mapping) -> list[dict]:
-    ctx = build_context(p["context"])
+    ctx = _context(catalog, p["context"])
     env = build_env(ctx, p.get("where"))
-    actions = {n: build_action(ctx, s, MATRICES) for n, s in p["actions"].items()}
-    exprs = {n: parse(ctx, t, env) for n, t in p["exprs"].items()}
+    actions = {n: _action(catalog, ctx, s) for n, s in p["actions"].items()}
+    exprs = {n: _expr(catalog, ctx, t, env) for n, t in p["exprs"].items()}
     return check_invariance(actions, exprs)
 
 
 def _run_induced_action(catalog: Catalog, p: Mapping) -> list[dict]:
-    ctx = build_context(p["context"])
+    ctx = _context(catalog, p["context"])
     env = build_env(ctx, p.get("where"))
-    actions = {n: build_action(ctx, s, MATRICES) for n, s in p["actions"].items()}
-    cctx = build_context(p["claimed_context"])
+    actions = {n: _action(catalog, ctx, s) for n, s in p["actions"].items()}
+    cctx = _context(catalog, p["claimed_context"])
     fw_spec = p["forward"]
     forward = None
     if fw_spec is not None:
         forward = {}
         for u, entry in fw_spec.items():
             if isinstance(entry, str):
-                forward[u] = parse(ctx, entry, env)
+                forward[u] = _expr(catalog, ctx, entry, env)
             else:
                 spec = entry["orbit_sum"]
-                seed = parse(ctx, spec["of"], env)
+                seed = _expr(catalog, ctx, spec["of"], env)
                 forward[u] = orbit_sum(seed, [actions[n] for n in spec["group"]])
     failures = []
     for name, table in p["claimed"].items():
-        claimed = {u: parse(cctx, t) for u, t in table.items()}
+        claimed = {u: _expr(catalog, cctx, t) for u, t in table.items()}
         if forward is None:
             fw = {u: RatFunc.named(ctx, u) for u in table}
         else:
@@ -143,20 +211,20 @@ def _run_induced_action(catalog: Catalog, p: Mapping) -> list[dict]:
 
 
 def _run_inverse_pair(catalog: Catalog, p: Mapping) -> list[dict]:
-    src = build_context(p["source"])
-    tgt = build_context(p["target"])
+    src = _context(catalog, p["source"])
+    tgt = _context(catalog, p["target"])
     env_f = build_env(src, p.get("where_forward"))
     env_b = build_env(tgt, p.get("where_backward"))
-    forward = {u: parse(src, t, env_f) for u, t in p["forward"].items()}
-    backward = {x: parse(tgt, t, env_b) for x, t in p["backward"].items()}
+    forward = {u: _expr(catalog, src, t, env_f) for u, t in p["forward"].items()}
+    backward = {x: _expr(catalog, tgt, t, env_b) for x, t in p["backward"].items()}
     return check_inverse_pair(forward, backward, src, tgt)
 
 
 def _run_identity(catalog: Catalog, p: Mapping) -> list[dict]:
-    ctx = build_context(p["context"])
+    ctx = _context(catalog, p["context"])
     env = build_env(ctx, p.get("where"))
-    lhs = parse(ctx, p["lhs"], env)
-    rhs = parse(ctx, p["rhs"], env)
+    lhs = _expr(catalog, ctx, p["lhs"], env)
+    rhs = _expr(catalog, ctx, p["rhs"], env)
     return check_identity(lhs, rhs)
 
 

@@ -1,4 +1,4 @@
-"""Microbenchmarks of ratfunc.substitute_raw on two inputs from the builtin catalog.
+"""Microbenchmarks of ratfunc.substitute_raw on three inputs from the builtin catalog.
 
 Run from the root of a checkout:
 
@@ -13,6 +13,11 @@ points of the variable orbits.
 backward: the backward-after-forward substitution of v3 in
 sys7iii_case1_vt (14 over 12 terms in t1, t2, t3), with every t replaced
 by its forward expression in v1, v2, v3 (8 or 9 terms over 8 or 9).
+monomial: the word action cb of sys7iii_case1_tact (v1 -> v2, v2 -> v3,
+v3 -> v1, stored as bindings) applied to ta3's image of the forward
+expression of t1 (92 terms over 84), as check_induced_action applies
+actions to forward images. Every binding is a monomial, so this call
+takes the termwise path.
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -44,7 +49,17 @@ def backward_step():
     return (v3.num, v3.den), forward, src
 
 
-INPUTS = {"compose": compose_step, "backward": backward_step}
+def monomial_step():
+    p = builtin_catalog().case("sys7iii_case1_tact").payload
+    ctx = build_context(p["context"])
+    env = build_env(ctx, p.get("where"))
+    cb, ta3 = (build_action(ctx, p["actions"][n], MATRICES) for n in ("cb", "ta3"))
+    t1 = parse(ctx, p["forward"]["t1"], env)
+    image = ta3.apply_raw((t1.num, t1.den))
+    return image, dict(zip(ctx.variables, cb.bindings)), None
+
+
+INPUTS = {"compose": compose_step, "backward": backward_step, "monomial": monomial_step}
 
 
 @pytest.mark.parametrize("name", INPUTS)

@@ -24,6 +24,7 @@ from qmi.catalog import (
     build_context,
     builtin_catalog,
     load_catalog,
+    validate_catalog,
 )
 from qmi.catalog_data import MATRICES
 from qmi.errors import SchemaError
@@ -168,6 +169,44 @@ def test_zero_or_no_timeout_means_no_limit(timeout):
     assert run_case(builtin_catalog(), "order_G_2_1_1", timeout=timeout).status == "Pass"
 
 
+# -- the per-catalog memo of the runner ---------------------------------------
+
+
+@pytest.mark.parametrize("control_first", [True, False], ids=["control-first", "base-first"])
+def test_memo_keeps_a_negated_claim_apart_from_its_base(control_first):
+    base = builtin_catalog()
+    case = base.case("sys3_xtable")
+    payload = copy.deepcopy(case.payload)
+    table = payload["claimed"]["tau1"]
+    table["x1"] = _neg(table["x1"])
+    control = CaseRecord("sys3_xtable_control", case.kind, case.section, case.source, payload)
+    catalog = Catalog(base.groups, [case, control])
+    order = [control.id, case.id] if control_first else [case.id, control.id]
+    status = {cid: run_case(catalog, cid).status for cid in order}
+    assert status == {case.id: "Pass", control.id: "Fail"}
+
+
+def test_pool_run_after_a_serial_run_gives_the_serial_bytes():
+    catalog = builtin_catalog()
+    filters = {"kind": "InducedAction"}
+    serial = to_jsonl(run_all(catalog, filters))
+    assert to_jsonl(run_all(catalog, filters, jobs=2)) == serial
+
+
+def test_timed_out_case_leaves_nothing_half_built():
+    catalog = builtin_catalog()
+    report = run_case(catalog, "sys7iii_case1_actg", timeout=0.005)
+    assert report.status == "Error", report.witness
+    assert run_case(catalog, "sys7iii_case1_actg", timeout=None).status == "Pass"
+
+
+def test_group_is_built_once_per_catalog():
+    catalog = builtin_catalog()
+    group = runner.build_group(catalog, "G_4_3_1")
+    assert runner.build_group(catalog, "G_4_3_1") is group
+    assert runner.build_group(builtin_catalog(), "G_4_3_1") is not group
+
+
 def test_non_injective_orbit_sum_group_is_an_error():
     # Without the group check the orbit sum of x1 over {id, collapse} is
     # 2*x1, which collapse fixes, so the claim below would wrongly Pass.
@@ -298,6 +337,17 @@ MALFORMED = [
     ("missing-claimed-context", _delete(("cases", 1, "payload", "claimed_context")), "/cases/1/payload"),
     ("where-backward-entry-not-a-pair", _set(("cases", 2, "payload", "where_backward"), [["dd"]]),
      "/cases/2/payload/where_backward/0"),
+    # Where names the parser does not read as names, "sqrt", and names that
+    # would shadow a symbol of the context the list is parsed in: with
+    # x1 := x2, the claim x1 = x2 would pass.
+    ("where-name-not-a-symbol-name", _set(("cases", 2, "payload", "where_forward"), [["X1", "x1"]]),
+     "/cases/2/payload/where_forward/0"),
+    ("where-name-is-sqrt", _set(("cases", 1, "payload", "where"), [["dd", "x1"], ["sqrt", "x2"]]),
+     "/cases/1/payload/where/1"),
+    ("where-name-is-a-variable", _set(("cases", 2, "payload", "where_backward"), [["y1", "2*y1"]]),
+     "/cases/2/payload/where_backward/0"),
+    ("where-name-is-a-parameter", _set(("cases", 4, "payload", "where"), [["d", "x1"]]),
+     "/cases/4/payload/where/0"),
 ]
 
 
@@ -305,6 +355,14 @@ def _write(tmp_path, doc) -> str:
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_where_names_that_shadow_nothing_load():
+    doc = copy.deepcopy(VALID_DOCUMENT)
+    doc["cases"][1]["payload"]["where"] = [["dd", "x1*x2"]]
+    doc["cases"][1]["payload"]["forward"]["v"] = "dd"
+    doc["cases"][2]["payload"]["where_backward"] = [["x1", "1/y1"]]
+    validate_catalog(doc)
 
 
 def test_valid_document_loads_and_passes(tmp_path):

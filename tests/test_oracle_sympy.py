@@ -177,3 +177,26 @@ def test_substitution_over_a_shared_denominator_matches_sympy(name):
             continue
         num, den = substitute_raw(f, binds)
         assert sympy.expand(sympy_of(num, images) * bottom - sympy_of(den, images) * top) == 0
+
+
+def test_monomial_substitution_matches_sympy():
+    # Monomial bindings take the termwise path of substitute_raw: x1 and x2
+    # over one monomial denominator, x3 over a constant, coefficients and
+    # root powers in both parts. The pair must be the composed function.
+    ctx, images = SUBST_CONTEXTS["rooted-parameter"]
+    xs = images[-3:]
+    rng = random.Random(3558)
+    for _ in range(12):
+        f = (canonical_poly(ctx, rng, 4, 2), canonical_poly(ctx, rng, 3, 2))
+        d = canonical_poly(ctx, rng, 1, 1) * Poly.named(ctx, "x2")
+        dens = [d, d, canonical_poly(ctx, rng, 1, 0)]
+        nums = [canonical_poly(ctx, rng, 1, 2) for _ in xs]
+        binds = {f"x{i + 1}": pair for i, pair in enumerate(zip(nums, dens))}
+        values = {x: sympy_of(n, images) / sympy_of(m, images) for x, n, m in zip(xs, nums, dens)}
+        top, bottom = (sympy_of(p, images).xreplace(values) for p in f)
+        if sympy.simplify(bottom) == 0:
+            with pytest.raises(SubstitutionPole):
+                substitute_raw(f, binds)
+            continue
+        num, den = substitute_raw(f, binds)
+        assert sympy.cancel(sympy_of(num, images) / sympy_of(den, images) - top / bottom) == 0

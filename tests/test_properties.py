@@ -389,6 +389,86 @@ def test_substitute_raw_reaches_the_layout_bound_in_every_slot():
     assert [num.degree_in(j) for j in range(ctx.nsym)] == [1, 3, 5]
 
 
+# -- monomial bindings: the termwise map against the general engine -----------
+
+
+def _typed(pair):
+    return [{e: (type(c).__name__, c) for e, c in part.terms.items()} for part in pair]
+
+
+def _both_paths(f, binds, target=None):
+    """[termwise result, general result] of one call: typed pairs, or
+    SubstitutionPole. The first call must take the termwise path."""
+    from qmi.ratfunc import substitute_raw
+
+    out = []
+    for general in (False, True):
+        if general:
+            patch = mock.patch.object(ratfunc, "_monomial_factors", lambda *_: None)
+        else:
+            patch = mock.patch.object(ratfunc, "_termwise", wraps=ratfunc._termwise)
+        with patch as spy:
+            try:
+                out.append(_typed(substitute_raw(f, binds, target)))
+            except SubstitutionPole:
+                out.append(SubstitutionPole)
+            if not general:
+                assert spy.call_count == 2
+    return out
+
+
+@st.composite
+def monomials(draw, ctx, constant=False):
+    """c * m: c = +-(1..6)/(1..4), m a monomial (root exponents at most 1)."""
+    exps = tuple(
+        0 if constant else draw(st.integers(0, 1 if i < len(ctx.rooted) else 2)) for i in range(ctx.nsym)
+    )
+    c = Fraction(draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 4)))
+    return Poly(ctx, {exps: ctx.field.of(c)})
+
+
+# (source, target): a constant root beside a live rooted parameter, over Q
+# and F_7; a constant root whose square is 1/2; three variables; and the
+# cross-context targets above.
+MONOMIAL_CONTEXTS = {
+    "mixed-roots": (MIXEDCTX, MIXEDCTX),
+    "F7-mixed-roots": (F7MIXEDCTX, F7MIXEDCTX),
+    "root-of-half": (MHALFCTX, MHALFCTX),
+    "Q-three-variables": (ZCTX, ZCTX),
+    "cross-mixed-roots": CROSS_CONTEXTS["mixed-roots"],
+    "cross-F7-mixed-roots": CROSS_CONTEXTS["F7-mixed-roots"],
+}
+
+
+@pytest.mark.parametrize("src,tgt", list(MONOMIAL_CONTEXTS.values()), ids=list(MONOMIAL_CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
+def test_termwise_substitution_is_the_general_engines_pair(src, tgt, data):
+    f = (data.draw(polys(src, max_terms=4)), data.draw(polys(src).filter(lambda p: not p.is_zero())))
+    # Each bound variable goes to c * m / d: d a constant, a monomial of its
+    # own (negative exponents), or one nonconstant monomial that every
+    # binding shares, so that the variables form one group.
+    shared = data.draw(monomials(tgt))
+    if shared.is_constant():
+        shared = shared * Poly.named(tgt, tgt.variables[0])
+    binds = {}
+    for x in src.variables:
+        if x in tgt.variables and data.draw(st.booleans()):
+            continue
+        den = data.draw(st.sampled_from(["constant", "own", "shared"]))
+        d = shared if den == "shared" else data.draw(monomials(tgt, constant=den == "constant"))
+        binds[x] = (data.draw(monomials(tgt)), d)
+    termwise, general = _both_paths(f, binds, tgt)
+    assert termwise == general
+
+
+def test_termwise_substitution_raises_the_engines_pole():
+    ctx = ZCTX
+    f = (Poly.const(ctx, 1), (parse(ctx, "x1 + 2*x2")).num)
+    binds = {"x1": (parse(ctx, "-6*x3").num, Poly.const(ctx, 3)), "x2": (parse(ctx, "x3").num, Poly.const(ctx, 1))}
+    assert _both_paths(f, binds) == [SubstitutionPole, SubstitutionPole]
+
+
 # -- the multiplication kernel: packed path against the pair loop -------------
 
 KERNEL_PRIME = 10007
