@@ -277,8 +277,15 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
 # -- verification primitives ----------------------------------------------
 
 
-def _witness(num: Poly, limit: int = 400) -> str:
-    text = str(num)
+def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
+    """None when a and b are equal; else their raw difference, as text.
+
+    The text is cut to `limit` characters.
+    """
+    diff = _raw_difference(a, b)
+    if diff.is_zero():
+        return None
+    text = str(diff)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
@@ -290,16 +297,10 @@ def check_invariance(
     failures = []
     for aname, sigma in actions.items():
         for ename, f in exprs.items():
-            image = sigma.apply_raw((f.num, f.den))
-            diff = _raw_difference(image, (f.num, f.den))
-            if not diff.is_zero():
-                failures.append(
-                    {
-                        "action": aname,
-                        "expr": ename,
-                        "witness": _witness(diff),
-                    }
-                )
+            pair = (f.num, f.den)
+            witness = _witness(sigma.apply_raw(pair), pair)
+            if witness is not None:
+                failures.append({"action": aname, "expr": ename, "witness": witness})
     return failures
 
 
@@ -324,9 +325,9 @@ def check_induced_action(
         lhs = sigma.apply_raw((f.num, f.den))
         claim = claimed[u]
         rhs = substitute_raw((claim.num, claim.den), fw_pairs, target=src)
-        diff = _raw_difference(lhs, rhs)
-        if not diff.is_zero():
-            failures.append({"generator": u, "witness": _witness(diff)})
+        witness = _witness(lhs, rhs)
+        if witness is not None:
+            failures.append({"generator": u, "witness": witness})
     return failures
 
 
@@ -344,20 +345,18 @@ def check_inverse_pair(
     forward-then-backward on every target variable.
     """
     failures = []
-    fw_pairs = {u: (f.num, f.den) for u, f in forward.items()}
-    bw_pairs = {x: (f.num, f.den) for x, f in backward.items()}
-    for x, expr in backward.items():
-        back = substitute_raw((expr.num, expr.den), fw_pairs, target=source)
-        var = Poly.named(source, x)
-        diff = _raw_difference(back, (var, Poly.const(source, 1)))
-        if not diff.is_zero():
-            failures.append({"variable": x, "direction": "backward-after-forward", "witness": _witness(diff)})
-    for u, expr in forward.items():
-        forth = substitute_raw((expr.num, expr.den), bw_pairs, target=target)
-        var = Poly.named(target, u)
-        diff = _raw_difference(forth, (var, Poly.const(target, 1)))
-        if not diff.is_zero():
-            failures.append({"variable": u, "direction": "forward-after-backward", "witness": _witness(diff)})
+    directions = (
+        ("backward-after-forward", backward, forward, source),
+        ("forward-after-backward", forward, backward, target),
+    )
+    for direction, outer, inner, ctx in directions:
+        pairs = {name: (f.num, f.den) for name, f in inner.items()}
+        one = Poly.const(ctx, 1)
+        for name, expr in outer.items():
+            image = substitute_raw((expr.num, expr.den), pairs, target=ctx)
+            witness = _witness(image, (Poly.named(ctx, name), one))
+            if witness is not None:
+                failures.append({"variable": name, "direction": direction, "witness": witness})
     return failures
 
 
@@ -373,7 +372,5 @@ def check_identity(
     if bindings:
         a = substitute_raw(a, bindings, target=target)
         b = substitute_raw(b, bindings, target=target)
-    diff = _raw_difference(a, b)
-    if diff.is_zero():
-        return []
-    return [{"witness": _witness(diff)}]
+    witness = _witness(a, b)
+    return [] if witness is None else [{"witness": witness}]

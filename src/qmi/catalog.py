@@ -24,6 +24,7 @@ and reports a JSON-pointer-ish path with every complaint.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
@@ -254,25 +255,52 @@ def _check_keys(obj: Mapping, allowed: set[str], path: str) -> None:
 
 
 def _check_context(spec: Any, path: str) -> None:
+    """A context spec whose field, names and specializations Context accepts.
+
+    Checked without building a Context: the field resolves, variable and
+    parameter names are of the form [a-z][a-z0-9]* and none is declared
+    twice, roots and specializations name parameters, and a specialized
+    value is a rational number Fraction reads.
+    """
     if not isinstance(spec, dict):
         raise SchemaError("context must be an object", path)
     _check_keys(spec, {"field", "variables", "parameters", "roots", "specialize"}, path)
     field = spec.get("field", "Q")
     _check_str(field, path + "/field")
-    if field != "Q" and not (field.startswith("F") and field[1:].isdigit()):
-        raise SchemaError(f"unknown field {field!r}", path + "/field")
+    try:
+        field_from_name(field)
+    except ValueError as err:
+        raise SchemaError(f"unknown field {field!r}: {err}", path + "/field") from None
     for key in ("variables", "parameters", "roots"):
         if key in spec:
             if not isinstance(spec[key], list) or not all(
                 isinstance(s, str) and s for s in spec[key]
             ):
                 raise SchemaError("expected a list of names", f"{path}/{key}")
+    seen = set()
+    for key in ("variables", "parameters"):
+        for i, name in enumerate(spec.get(key, ())):
+            if not _NAME_RE.match(name):
+                raise SchemaError(f"name {name!r} is not of the form [a-z][a-z0-9]*", f"{path}/{key}/{i}")
+            if name in seen:
+                raise SchemaError(f"duplicate symbol name {name!r}", f"{path}/{key}/{i}")
+            seen.add(name)
+    parameters = set(spec.get("parameters", ()))
+    for i, name in enumerate(spec.get("roots", ())):
+        if name not in parameters:
+            raise SchemaError(f"root of {name!r}, which is not a parameter", f"{path}/roots/{i}")
     if "specialize" in spec:
         if not isinstance(spec["specialize"], dict):
             raise SchemaError("specialize must map parameter to value", path + "/specialize")
         for k, v in spec["specialize"].items():
             if type(v) is bool or not isinstance(v, (int, str)):
                 raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
+            if k not in parameters:
+                raise SchemaError(f"{k!r} is not a parameter", f"{path}/specialize/{k}")
+            try:
+                Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"{v!r} is not a rational number", f"{path}/specialize/{k}") from None
 
 
 def _check_exprmap(value: Any, path: str) -> None:

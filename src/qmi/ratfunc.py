@@ -55,27 +55,24 @@ layout over the target's symbol slots, last slot fastest as in
 poly._convolve_packed: slot j has radix 1 + B_j, and a monomial's word
 is its exponent vector read in that radix. B_j is the largest slot-j
 exponent of the parts' roots and parameters (mapped into the target),
-plus one term per group. For a group of one, a variable v with binding
-n_v / d_v, the term is
+plus one term per group g, a group of one included. A key of g is the
+tuple (e_v) of its variables' exponents in a term; its table entry is
+prod n_v^e_v * d_g^(M_g - sum e_v), whose slot j is at most
 
-    max(top_v * deg_j n_v, lo_v * deg_j n_v + (top_v - lo_v) * deg_j d_v),
+    sum e_v * deg_j n_v + (M_g - sum e_v) * deg_j d_g,
 
-where lo_v and top_v (= M_g) are the smallest and largest exponents of
-v in the parts. Slot j of the table entry n_v^k * d_v^(top_v - k) is at
-most k * deg_j n_v + (top_v - k) * deg_j d_v, which is linear in k, so
-it is largest at k = lo_v or k = top_v. For a larger group the entry of
-a key (e_v) is prod n_v^e_v * d_g^(M_g - sum e_v), whose slot j is at
-most sum e_v * deg_j n_v + (M_g - sum e_v) * deg_j d_g; the term is the
-largest of these over the keys that occur. Every power of n_v or d_v,
-and every partial product, that a table needs divides some table entry,
-so every such factor, every table entry and every partial sum of a part's expansion stays within
-B_j in slot j, and the word of a product monomial is the sum of its
-factors' words: no slot carries into the next. The products are
-unfolded (a root exponent may exceed 1). A root fold is the ring map
-r^2 -> a (or r^2 -> a constant), so folding a part's sum once gives
-what folding every product would: each part's sum is decoded into
-exponent tuples once, folded once, and each surviving coefficient is
-normalized once.
+and the term is the largest of these over the keys that occur. (For a
+group of one this is linear in its exponent k, so it peaks at the
+smallest or the largest k that occurs, not always at the top.) Every
+power of n_v or d_g, and every partial product, that a table needs
+divides some table entry, so every such factor, every table entry and
+every partial sum of a part's expansion stays within B_j in slot j,
+and the word of a product monomial is the sum of its factors' words:
+no slot carries into the next. The products are unfolded (a root
+exponent may exceed 1). A root fold is the ring map r^2 -> a (or
+r^2 -> a constant), so folding a part's sum once gives what folding
+every product would: each part's sum is decoded into exponent tuples
+once, folded once, and each surviving coefficient is normalized once.
 
 Most calls need none of this. When every bound variable that occurs in
 either part has a one-term numerator and a one-term denominator, as
@@ -102,11 +99,11 @@ from .gcd import cancel, unit_normal
 from .poly import Poly, _convolve_words, _fold, _from_ints, _lift_ints, _lifted_product
 
 Pair = tuple[Poly, Poly]
-# (keys, levels): one itemgetter per group of two or more bound variables,
-# whose values _expand appends to each exponent tuple, and one (position,
-# table) per group, the table keyed by the value at that position of the
-# extended tuple; see _word_tables.
-Tables = tuple[list[Callable], list[tuple[int, dict[Any, tuple[int, dict[int, int]]]]]]
+# One level (key, table) per group of bound variables: key, an itemgetter
+# over the group's variables, reads its key from an exponent tuple, and
+# table maps each key that occurs to its entry (scale, words); see
+# _word_tables.
+Tables = list[tuple[Callable, dict[Any, tuple[int, dict[int, int]]]]]
 
 
 class RatFunc:
@@ -344,10 +341,8 @@ def substitute_raw(
     The expansion runs on int exponent words in one mixed-radix layout
     per call (_word_tables): slot j has radix 1 + B_j, where B_j adds
     the parts' largest slot-j constant exponent and, per group, the
-    largest slot-j bound of its table entries: for a group of one, the
-    larger of the bounds at k = lo and k = top (that bound is linear in
-    k); for a larger group, the largest over its keys that occur. So
-    words add without carries. Each part's sum is decoded and
+    largest slot-j bound of its table entries over the keys that occur.
+    So words add without carries. Each part's sum is decoded and
     root-folded once (_expand); the module docstring has the argument.
 
     When every binding of a variable that occurs is a monomial over a
@@ -361,8 +356,9 @@ def substitute_raw(
         raise ValueError("substitution cannot change the coefficient field")
     const_map = sctx.constant_map_into(tctx)
     binds = _binding_pairs(sctx, bindings, tctx)
-    cols = [list(zip(*part.terms)) for part in f if part.terms]
-    groups = _groups(cols, binds)
+    terms = [*f[0].terms, *f[1].terms]
+    cols = list(zip(*terms))
+    groups = _groups(terms, cols, binds)
     factors = _monomial_factors(groups, binds)
     if factors is not None:
         num, den = (_termwise(part, factors, tctx, const_map) for part in f)
@@ -376,69 +372,53 @@ def substitute_raw(
 
 def _word_tables(
     cols: list,
-    groups: list[list],
+    groups: list[tuple],
     binds: dict[int, Pair],
     target: Context,
     const_map: dict[int, int],
 ) -> tuple[list[int], list[int], Tables]:
     """(radices, weights, tables): the call's layout and power tables.
 
-    cols holds the exponent columns of the nonzero parts, and groups the
-    bound variables that occur in them, grouped by their binding
-    denominator (_groups); each group g has one level (pos, table) and a
-    top M_g. A group of one, v bound to n / d, is read at pos = v: M_g
-    is v's largest exponent in either part, and table[k] =
-    n^k * d^(M_g - k) for each exponent k of v that occurs. A larger
-    group is read at a position after the source slots, where _expand
-    appends the tuple of its variables' exponents (its key): M_g is the
-    largest sum of a key over the terms of both parts, and table[key] =
-    prod n_v^e_v * d^(M_g - sum e_v) for each key that occurs. Entries
-    are (scale, words) with words / scale the entry, unfolded.
+    cols holds the exponent columns of both parts, and groups the bound
+    variables that occur in them, grouped by their binding denominator
+    (_groups). A group g over d_g with top M_g has one level (key, table):
+    table[key(e)] = prod n_v^e_v * d_g^(M_g - sum e_v) for each key that
+    occurs, the product of one power of each base (n_v, ..., d_g).
+    Entries are (scale, words) with words / scale the entry, unfolded.
 
     Slot j has radix 1 + B_j and weight the product of the radices after
-    it. B_j (module docstring) bounds slot j of every table entry and of
-    every partial sum of _expand. Each binding part is lifted to integers
-    (_lift_ints) and encoded once; its powers are taken over the
-    integers, reduced mod p over F_p.
+    it. B_j (module docstring) is the largest slot-j root or parameter
+    exponent of the parts plus, per group, the largest over its keys of
+    sum over the bases of (power * slot-j degree): it bounds slot j of
+    every table entry and of every partial sum of _expand. A slot in
+    which no base of a group has a positive degree adds 0. Each base is
+    lifted to integers (_lift_ints) and encoded once; its powers are
+    taken over the integers, reduced mod p over F_p.
     """
     nsym = target.nsym
-    width = len(cols[0])
     bound = [0] * nsym
     for i, j in const_map.items():
-        bound[j] = max((max(c[i]) for c in cols), default=0)
-    keys: list[Callable] = []
+        bound[j] = max(cols[i])
     lifted = []
-    for vs, d, used in groups:
-        sd, td = _lift_ints(d.terms)
-        ddeg = _slot_degrees(td, nsym)
-        if len(vs) > 1:
-            pos = width + len(keys)
-            keys.append(itemgetter(*vs))
-            used = {k: sum(k) for k in used}
-            top, lo = max(used.values()), min(used.values())
-            ns = [_lift_ints(binds[v][0].terms) for v in vs]
-            ndeg = list(zip(*(_slot_degrees(tn, nsym) for _, tn in ns)))
-            for j, dd in enumerate(ddeg):
-                bound[j] += max(sum(map(mul, k, ndeg[j])) + (top - s) * dd for k, s in used.items())
-            highs = [max(col) for col in zip(*used)]
-            bases = [(sn, tn, h) for (sn, tn), h in zip(ns, highs)]
-            lifted.append((pos, used, top, [*bases, (sd, td, top - lo)]))
-            continue
-        v = vs[0]
-        top, lo = max(used), min(used)
-        sn, tn = _lift_ints(binds[v][0].terms)
-        for j, (dn, dd) in enumerate(zip(_slot_degrees(tn, nsym), ddeg)):
-            bound[j] += max(top * dn, lo * dn + (top - lo) * dd)
-        lifted.append((v, used, top, ((sn, tn, top), (sd, td, top - lo))))
+    for key, vs, d, used, top in groups:
+        # The bases n_v, ..., d_g, and for each key the powers they take.
+        bases = [_lift_ints(binds[v][0].terms) for v in vs]
+        bases.append(_lift_ints(d.terms))
+        powers = [(*es, top - sum(es)) for es in used.values()]
+        degs = zip(*[_slot_degrees(t, nsym) for _, t in bases])
+        for j, dj in enumerate(degs):
+            if any(dj):
+                bound[j] += max([sum(map(mul, x, dj)) for x in powers])
+        lifted.append((key, used, powers, zip(bases, map(max, zip(*powers)))))
     radices = [b + 1 for b in bound]
     weights = [1] * nsym
     for j in range(nsym - 1, 0, -1):
         weights[j - 1] = weights[j] * radices[j]
     char = target.field.char
     levels = []
-    for pos, used, top, bases in lifted:
+    for key, used, powers, bases in lifted:
         rows = []
-        for scale, ints, upto in bases:
+        for (scale, ints), upto in bases:
             base = {sum(map(mul, e, weights)): c for e, c in ints.items()}
             row = [(1, {0: 1}), (scale, base)][: upto + 1]
             for _ in range(upto - 1):
@@ -446,70 +426,60 @@ def _word_tables(
                 row.append((s * scale, _reduced(_convolve_words(t, base), char)))
             rows.append(row)
         table = {}
-        if pos < width:
-            npow, dpow = rows
-            for k in used:
-                if k == top:
-                    table[k] = npow[k]
-                elif k == 0:
-                    table[k] = dpow[top]
-                else:
-                    (sn, tn), (sd, td) = npow[k], dpow[top - k]
-                    table[k] = (sn * sd, _reduced(_convolve_words(tn, td), char))
-        else:
-            *npows, dpow = rows
-            for k, s in used.items():
-                factors = [row[e] for row, e in zip(npows, k) if e]
-                if s < top:
-                    factors.append(dpow[top - s])
-                scale, words = factors[0]
-                for sf, tf in factors[1:]:
-                    scale *= sf
-                    words = _reduced(_convolve_words(words, tf), char)
-                table[k] = (scale, words)
-        levels.append((pos, table))
-    return radices, weights, (keys, levels)
+        for k, x in zip(used, powers):
+            scale, words = 1, None
+            for row, e in zip(rows, x):
+                if e:
+                    s, t = row[e]
+                    scale *= s
+                    words = t if words is None else _reduced(_convolve_words(words, t), char)
+            table[k] = (scale, words)
+        levels.append((key, table))
+    return radices, weights, levels
 
 
-def _groups(cols: list, binds: dict[int, Pair]) -> list[list]:
-    """The bound variables that occur in cols, grouped by denominator.
+def _groups(terms: list, cols: list, binds: dict[int, Pair]) -> list[tuple]:
+    """The bound variables that occur in terms, grouped by denominator.
 
-    Variables whose binding denominators are equal and nonconstant form
-    one group; every other variable is a group of one. Each group is
-    [its variables, their denominator, the exponents that occur], in the
-    order of binds: a group of one has the set of its variable's
-    exponents, a larger group the set of its variables' exponent tuples.
+    terms lists the exponent tuples of both parts' terms, and cols their
+    columns. Variables whose binding denominators are equal and
+    nonconstant form one group; every other variable is a group of one.
+    Each group is (key, its variables vs, their denominator, used, top),
+    in the order of binds: key = itemgetter(*vs) reads the group's key
+    from an exponent tuple, used maps each key that occurs to the tuple
+    of the group's exponents in a term with that key, and top, M_g, is
+    the largest sum of such a tuple.
     """
-    groups: list = []
+    found: list = []
     for v, (_, d) in binds.items():
-        used = set().union(*(c[v] for c in cols))
-        if not max(used, default=0):
+        if not max(cols[v]):
             continue
-        for group in groups:
+        for vs, dg in found:
             # Equal monomials first: Poly equality compares Fractions.
-            if group[1].terms.keys() == d.terms.keys() and not d.is_constant() and group[1] == d:
-                group[0].append(v)
+            if dg.terms.keys() == d.terms.keys() and not d.is_constant() and dg == d:
+                vs.append(v)
                 break
         else:
-            groups.append([[v], d, used])
-    for group in groups:
-        if len(group[0]) > 1:
-            key = itemgetter(*group[0])
-            group[2] = set().union(*(zip(*key(c)) for c in cols))
+            found.append(([v], d))
+    groups = []
+    for vs, d in found:
+        key = itemgetter(*vs)
+        used = dict(zip(map(key, terms), zip(*[cols[v] for v in vs])))
+        groups.append((key, vs, d, used, max(map(sum, used.values()))))
     return groups
 
 
-def _monomial_factors(groups: list[list], binds: dict[int, Pair]) -> list | None:
+def _monomial_factors(groups: list[tuple], binds: dict[int, Pair]) -> list | None:
     """The groups' binding monomials, for _termwise; None unless all are.
 
     Returns None as soon as a group's denominator, or the numerator of
     one of its variables, has more than one term. Otherwise each group
     becomes ([(v, n_v)], d_g, M_g), every monomial given as (its nonzero
     (slot, exponent) pairs, coefficient numerator, coefficient
-    denominator), and M_g the top _word_tables would give the group.
+    denominator), and M_g the group's top.
     """
     factors = []
-    for vs, d, used in groups:
+    for _, vs, d, _, top in groups:
         if len(d.terms) != 1:
             return None
         nums = []
@@ -518,7 +488,6 @@ def _monomial_factors(groups: list[list], binds: dict[int, Pair]) -> list | None
             if len(n.terms) != 1:
                 return None
             nums.append((v, _monomial(n)))
-        top = max(used) if len(vs) == 1 else max(map(sum, used))
         factors.append((nums, _monomial(d), top))
     return factors
 
@@ -604,32 +573,26 @@ def _expand(
     With M_g the top of group g's table, the result is the sum over the
     terms c * x^e of p of c * x^e' times the product over the groups of
     prod n_v^e_v * d_g^(M_g - sum e_v), where e' keeps the roots and
-    parameters of e (mapped by const_map). Each exponent tuple is
-    extended once by the keys of the larger groups, so every level reads
-    its key by position. One common scale is taken up front from the
+    parameters of e (mapped by const_map). Every level reads its key
+    from the exponent tuple. One common scale is taken up front from the
     term exponents, so every term becomes an integer leaf; the leaves
     accumulate in place over the integers (_horner). The sum's root
     folds are applied once, after each surviving word is decoded into an
     exponent tuple, and each surviving coefficient is normalized once.
     """
-    keys, levels = tables
     terms = p.terms.items()
-    if keys:
-        terms = [(e + tuple([key(e) for key in keys]), c) for e, c in terms]
     scales = []
     for e, c in terms:
         s = c.denominator
-        for pos, table in levels:
-            s *= table[e[pos]][0]
+        for key, table in tables:
+            s *= table[key(e)][0]
         scales.append(s)
-    common = 1
-    for s in scales:
-        common = common * s // math.gcd(common, s)
+    common = math.lcm(*scales)
     leaves = [
         (e, sum(e[i] * weights[j] for i, j in const_map.items()), c.numerator * (common // s))
         for (e, c), s in zip(terms, scales)
     ]
-    words = _horner(leaves, levels)
+    words = _horner(leaves, tables)
     decoded = {
         tuple([k // w % r for w, r in zip(weights, radices)]): c
         for k, c in words.items()
@@ -639,10 +602,10 @@ def _expand(
 
 
 def _horner(leaves: list, levels: list) -> dict[int, int]:
-    """Sum of k * x^word * prod of table[e[pos]] over the leaves (e, word, k).
+    """Sum of k * x^word * prod of table[key(e)] over the leaves (e, word, k).
 
-    The sum is nested by level: the leaves are grouped by their key at
-    the first level's position, and each group's sum over the other
+    The sum is nested by level: the leaves are grouped by the first
+    level's key, and each group's sum over the other
     levels is multiplied by that level's table entry once. Products are
     added into the first product; nothing is normalized or folded.
     """
@@ -652,10 +615,10 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
         for _, word, k in leaves:
             acc[word] = get(word, 0) + k
         return acc
-    (pos, table), rest = levels[0], levels[1:]
+    (key, table), rest = levels[0], levels[1:]
     groups: dict[Any, list] = {}
     for leaf in leaves:
-        groups.setdefault(leaf[0][pos], []).append(leaf)
+        groups.setdefault(key(leaf[0]), []).append(leaf)
     for ev, group in groups.items():
         term = _convolve_words(table[ev][1], _horner(group, rest))
         if not acc:

@@ -1,23 +1,33 @@
-"""Microbenchmarks of ratfunc.substitute_raw on three inputs from the builtin catalog.
+"""Microbenchmarks of ratfunc.substitute_raw on four inputs from the builtin catalog.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_substitute.py --benchmark-only
 
-compose: the third substitution of cb.compose(mbe3), the product of the
-two generators of the orbit-sum group of sys7iii_case1_actg: mbe3's image
-of t3 (5 over 4 terms) with t1, t2, t3 replaced by cb's images. This is a
-substitution of the same size as the ones close_action makes, but not one
-of them: close_action composes nothing, it applies each generator to the
-points of the variable orbits.
-backward: the backward-after-forward substitution of v3 in
-sys7iii_case1_vt (14 over 12 terms in t1, t2, t3), with every t replaced
-by its forward expression in v1, v2, v3 (8 or 9 terms over 8 or 9).
-monomial: the word action cb of sys7iii_case1_tact (v1 -> v2, v2 -> v3,
-v3 -> v1, stored as bindings) applied to ta3's image of the forward
-expression of t1 (92 terms over 84), as check_induced_action applies
-actions to forward images. Every binding is a monomial, so this call
-takes the termwise path.
+Each input names the path substitute_raw takes for it: the termwise map,
+or the word engine over groups of bound variables that share a binding
+denominator, each of them a group of one or a larger (shared) group.
+
+compose (shared group): the third substitution of cb.compose(mbe3), the
+product of the two generators of the orbit-sum group of
+sys7iii_case1_actg: mbe3's image of t3 (5 over 4 terms) with t1, t2, t3
+replaced by cb's images. This is a substitution of the same size as the
+ones close_action makes, but not one of them: close_action composes
+nothing, it applies each generator to the points of the variable orbits.
+backward (shared group): the backward-after-forward substitution of v3
+in sys7iii_case1_vt (14 over 12 terms in t1, t2, t3), with every t
+replaced by its forward expression in v1, v2, v3 (8 or 9 terms over 8
+or 9).
+monomial (termwise): the word action cb of sys7iii_case1_tact (v1 -> v2,
+v2 -> v3, v3 -> v1, stored as bindings) applied to ta3's image of the
+forward expression of t1 (92 terms over 84), as check_induced_action
+applies actions to forward images. Every binding is a monomial.
+own-denominators (groups of one): of the substitute_raw calls that
+checking the InversePair prop1_1_st makes, the one with the most terms
+in its two parts among those in which no two bound variables that occur
+share a nonconstant binding denominator and not every such binding is a
+monomial over a monomial. The rule reads only the call's arguments, so
+it picks the same call on older checkouts.
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
@@ -25,10 +35,12 @@ from __future__ import annotations
 
 import pytest
 
+from qmi import actions, ratfunc
 from qmi.catalog import build_action, build_context, build_env, builtin_catalog
 from qmi.catalog_data import MATRICES
 from qmi.parser import parse
-from qmi.ratfunc import substitute_raw
+from qmi.ratfunc import RatFunc, substitute_raw
+from qmi.runner import run_case
 
 
 def compose_step():
@@ -59,7 +71,45 @@ def monomial_step():
     return image, dict(zip(ctx.variables, cb.bindings)), None
 
 
-INPUTS = {"compose": compose_step, "backward": backward_step, "monomial": monomial_step}
+def _own_denominators(f, bindings) -> bool:
+    """Is every bound variable that occurs in f a group of one (no two
+    share a nonconstant binding denominator), not every binding a
+    monomial over a monomial?"""
+    ctx = f[0].ctx
+    occurs = {i for part in f for e in part.terms for i, k in enumerate(e) if k}
+    pairs = [
+        (b.num, b.den) if isinstance(b, RatFunc) else b
+        for name, b in bindings.items()
+        if ctx.symbol_index(name) in occurs
+    ]
+    dens = [d for _, d in pairs if not d.is_constant()]
+    monomial = all(len(n.terms) == 1 and len(d.terms) == 1 for n, d in pairs)
+    return not monomial and all(d != e for i, d in enumerate(dens) for e in dens[:i])
+
+
+def own_denominators_step():
+    calls = []
+
+    def record(f, bindings, target=None):
+        calls.append((f, bindings, target))
+        return inner(f, bindings, target)
+
+    inner = ratfunc.substitute_raw
+    ratfunc.substitute_raw = actions.substitute_raw = record
+    try:
+        assert run_case(builtin_catalog(), "prop1_1_st").status == "Pass"
+    finally:
+        ratfunc.substitute_raw = actions.substitute_raw = inner
+    calls = [c for c in calls if _own_denominators(c[0], c[1])]
+    return max(calls, key=lambda c: len(c[0][0].terms) + len(c[0][1].terms))
+
+
+INPUTS = {
+    "compose": compose_step,
+    "backward": backward_step,
+    "monomial": monomial_step,
+    "own-denominators": own_denominators_step,
+}
 
 
 @pytest.mark.parametrize("name", INPUTS)

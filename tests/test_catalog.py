@@ -348,6 +348,23 @@ MALFORMED = [
      "/cases/2/payload/where_backward/0"),
     ("where-name-is-a-parameter", _set(("cases", 4, "payload", "where"), [["d", "x1"]]),
      "/cases/4/payload/where/0"),
+    # Contexts that Context would reject when the case runs.
+    ("variable-name-not-a-symbol-name", _set(("cases", 4, "payload", "context", "variables"), ["X1"]),
+     "/cases/4/payload/context/variables/0"),
+    ("duplicate-variable", _set(("cases", 1, "payload", "context", "variables"), ["x1", "x1"]),
+     "/cases/1/payload/context/variables/1"),
+    ("root-of-undeclared-parameter", _set(("cases", 4, "payload", "context", "roots"), ["e"]),
+     "/cases/4/payload/context/roots/0"),
+    ("specialization-of-undeclared-parameter", _set(("cases", 4, "payload", "context", "specialize"), {"e": 2}),
+     "/cases/4/payload/context/specialize/e"),
+    ("field-of-composite-order", _set(("cases", 4, "payload", "context", "field"), "F4"),
+     "/cases/4/payload/context/field"),
+    ("field-of-characteristic-two", _set(("cases", 4, "payload", "context", "field"), "F2"),
+     "/cases/4/payload/context/field"),
+    ("specialized-value-not-a-number", _set(("cases", 4, "payload", "context", "specialize"), {"d": "x"}),
+     "/cases/4/payload/context/specialize/d"),
+    ("specialized-value-divides-by-zero", _set(("cases", 4, "payload", "context", "specialize"), {"d": "1/0"}),
+     "/cases/4/payload/context/specialize/d"),
 ]
 
 

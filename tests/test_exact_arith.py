@@ -280,6 +280,18 @@ class TestSubstituteRaw:
         assert num * d == (a + b) * den
         assert exact_div(den, d).is_constant()
 
+    @pytest.mark.parametrize("low", [0, 2])
+    def test_slot_bound_at_the_lowest_exponent(self, low):
+        # x1 -> x2/(x2^3 + 1) on (x1^2 + x1^5) / x1^low: the table entry
+        # n^k * d^(5 - k) has x2-degree k + 3 * (5 - k), largest at the
+        # lowest exponent k = low that occurs, not at the top k = 5. A
+        # layout sized at the top would carry from slot x2 into slot x1.
+        ctx = Context(QQ, variables=["x1", "x2"])
+        t = parse(ctx, "x2/(x2^3+1)")
+        f = (P(ctx, "x1^2+x1^5"), P(ctx, f"x1^{low}"))
+        num, den = substitute_raw(f, {"x1": t})
+        assert RatFunc(num, den) == (t**2 + t**5) / t**low
+
     def test_zero_numerator(self, qx):
         num, den = substitute_raw((Poly.const(qx, 0), P(qx, "x1+2")), {"x1": parse(qx, "x1/(x1+1)")})
         assert num.is_zero()
