@@ -24,6 +24,18 @@ The check_* functions are the verification primitives. They work on raw
 (num, den) pairs and decide everything by cross-multiplied zero tests;
 nothing on these paths computes a gcd. Each returns a list of failure
 records (empty means verified) whose witnesses are nonzero differences.
+
+`check_inverse_pair` proves a birational change of generators from one
+direction when the converse follows from it. Let phi: v_y -> F_y(t) and
+psi: t_x -> B_x(v) be the two substitutions, over one constant field K
+with n variables on each side. If phi(B_x) = t_x for every source
+variable t_x, then K(F_1, ..., F_n) contains every t_x, so it is K(t),
+of transcendence degree n; its n generators are therefore algebraically
+independent. So phi is a K-isomorphism K(v) -> K(t), psi = phi^-1, and
+F_y(B) = psi(phi(v_y)) = v_y holds with no pole. The variable counts
+and the constants must both agree: t -> (t, t^2) with v1 -> t passes
+the first direction and fails the second, and a parameter that only the
+source declares makes the second direction raise UnknownSymbol.
 """
 
 from __future__ import annotations
@@ -341,23 +353,53 @@ def check_inverse_pair(
 
     forward: target variable name -> expression over `source`.
     backward: source variable name -> expression over `target`.
-    Checks backward-then-forward on every source variable and
-    forward-then-backward on every target variable.
+    Checks backward-then-forward on every source variable, then
+    forward-then-backward on every target variable, unless the first
+    direction proved the second. It does when it found no failure,
+    backward binds every source variable and its expressions live in
+    `target`, the two contexts have equal variable counts, and they have
+    the same constants (field, parameters, roots and specialized values).
+    Then forward and backward are the isomorphisms phi and phi^-1 of the
+    module docstring, so every F_y(B) equals y with no pole. Otherwise
+    the second direction runs, so its failure records, their order and
+    any error it raises are those of checking both directions.
     """
-    failures = []
-    directions = (
-        ("backward-after-forward", backward, forward, source),
-        ("forward-after-backward", forward, backward, target),
-    )
-    for direction, outer, inner, ctx in directions:
-        pairs = {name: (f.num, f.den) for name, f in inner.items()}
-        one = Poly.const(ctx, 1)
-        for name, expr in outer.items():
-            image = substitute_raw((expr.num, expr.den), pairs, target=ctx)
-            witness = _witness(image, (Poly.named(ctx, name), one))
-            if witness is not None:
-                failures.append({"variable": name, "direction": direction, "witness": witness})
+    failures = _composition_failures("backward-after-forward", backward, forward, source)
+    if failures or not _converse_follows(backward, source, target):
+        failures += _composition_failures("forward-after-backward", forward, backward, target)
     return failures
+
+
+def _composition_failures(
+    direction: str,
+    outer: Mapping[str, RatFunc],
+    inner: Mapping[str, RatFunc],
+    ctx: Context,
+) -> list[dict]:
+    """One record per outer name whose expression, with inner substituted, is not it."""
+    failures = []
+    pairs = {name: (f.num, f.den) for name, f in inner.items()}
+    one = Poly.const(ctx, 1)
+    for name, expr in outer.items():
+        image = substitute_raw((expr.num, expr.den), pairs, target=ctx)
+        witness = _witness(image, (Poly.named(ctx, name), one))
+        if witness is not None:
+            failures.append({"variable": name, "direction": direction, "witness": witness})
+    return failures
+
+
+def _converse_follows(backward: Mapping[str, RatFunc], source: Context, target: Context) -> bool:
+    """Does a passing backward-after-forward prove forward-after-backward?"""
+    return (
+        backward.keys() == set(source.variables)
+        and len(source.variables) == len(target.variables)
+        and all(b.ctx == target for b in backward.values())
+        and _constants(source) == _constants(target)
+    )
+
+
+def _constants(ctx: Context) -> tuple:
+    return ctx.field, ctx.parameters, ctx.rooted, ctx.specializations
 
 
 def check_identity(

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .catalog_data import MATRICES
-from .context import _NAME_RE, Context
+from .context import _NAME_RE, Context, SpecializationError, specialized_values
 from .errors import SchemaError, UnknownCase
 from .field import field_from_name
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
@@ -237,6 +237,21 @@ def build_action(ctx: Context, spec: Mapping[str, Any], alphabet: Mapping[str, M
 # -- schema validation --------------------------------------------------------
 
 
+def _frozen(value: Any) -> Any:
+    """A hashable key of a JSON value: equal keys, equal values of equal types.
+
+    Scalars other than strings carry their type, because 1, 1.0 and True
+    are equal and the schema accepts only some of them.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return dict, tuple([(k, _frozen(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return tuple([_frozen(v) for v in value])
+    return type(value), value
+
+
 def _need(obj: Mapping, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", path)
@@ -259,8 +274,9 @@ def _check_context(spec: Any, path: str) -> None:
 
     Checked without building a Context: the field resolves, variable and
     parameter names are of the form [a-z][a-z0-9]* and none is declared
-    twice, roots and specializations name parameters, and a specialized
-    value is a rational number Fraction reads.
+    twice, roots and specializations name parameters, a specialized
+    value is a rational number Fraction reads, and the specialized
+    values pass context.specialized_values, Context's own rule.
     """
     if not isinstance(spec, dict):
         raise SchemaError("context must be an object", path)
@@ -268,7 +284,7 @@ def _check_context(spec: Any, path: str) -> None:
     field = spec.get("field", "Q")
     _check_str(field, path + "/field")
     try:
-        field_from_name(field)
+        base = field_from_name(field)
     except ValueError as err:
         raise SchemaError(f"unknown field {field!r}: {err}", path + "/field") from None
     for key in ("variables", "parameters", "roots"):
@@ -292,15 +308,21 @@ def _check_context(spec: Any, path: str) -> None:
     if "specialize" in spec:
         if not isinstance(spec["specialize"], dict):
             raise SchemaError("specialize must map parameter to value", path + "/specialize")
+        values = {}
         for k, v in spec["specialize"].items():
             if type(v) is bool or not isinstance(v, (int, str)):
                 raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
             if k not in parameters:
                 raise SchemaError(f"{k!r} is not a parameter", f"{path}/specialize/{k}")
             try:
-                Fraction(v)
+                values[k] = Fraction(v)
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"{v!r} is not a rational number", f"{path}/specialize/{k}") from None
+        roots = set(spec.get("roots", ()))
+        try:
+            specialized_values(base, values, [p for p in spec.get("parameters", ()) if p in roots])
+        except SpecializationError as err:
+            raise SchemaError(str(err), f"{path}/specialize/{err.name}") from None
 
 
 def _check_exprmap(value: Any, path: str) -> None:
@@ -403,14 +425,19 @@ def _word_error(word: str) -> str | None:
     return None
 
 
-def _check_payload(kind: str, p: Any, path: str, group_ids: set[str]) -> None:
+def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: set) -> None:
+    """Check one payload; contexts holds the _frozen context specs checked so far."""
     if not isinstance(p, dict):
         raise SchemaError("payload must be an object", path)
     keys = _PAYLOAD_KEYS[kind]
     _check_keys(p, keys, path)
     for key in ("context", "claimed_context", "source", "target"):
         if key in keys:
-            _check_context(_need(p, key, path), f"{path}/{key}")
+            spec = _need(p, key, path)
+            frozen = _frozen(spec)
+            if frozen not in contexts:
+                _check_context(spec, f"{path}/{key}")
+                contexts.add(frozen)
     for key in _GROUP_KEYS.get(kind, ()):
         gid = _need(p, key, path)
         _check_str(gid, f"{path}/{key}")
@@ -551,6 +578,7 @@ def validate_catalog(data: Any) -> None:
         raise SchemaError("cases must be a list", "/cases")
     group_ids = set(groups)
     seen: set[str] = set()
+    contexts: set = set()
     for i, c in enumerate(cases):
         path = f"/cases/{i}"
         if not isinstance(c, dict):
@@ -566,7 +594,7 @@ def validate_catalog(data: Any) -> None:
             raise SchemaError(f"unknown kind {kind!r}", path + "/kind")
         _check_str(_need(c, "section", path), path + "/section")
         _check_str(_need(c, "source", path), path + "/source")
-        _check_payload(kind, _need(c, "payload", path), path + "/payload", group_ids)
+        _check_payload(kind, _need(c, "payload", path), path + "/payload", group_ids, contexts)
 
 
 # -- building and loading -----------------------------------------------------

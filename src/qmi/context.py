@@ -40,6 +40,51 @@ def _is_square(field: BaseField, value: Any) -> bool:
     return num > 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
+class SpecializationError(ValueError):
+    """A specialized value that Context rejects; `name` is its parameter."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(message)
+        self.name = name
+
+
+def specialized_values(
+    field: BaseField, specialize: Mapping[str, Fraction], rooted: Sequence[str]
+) -> dict[str, Any]:
+    """The field value of each specialized parameter, by name.
+
+    rooted lists the parameters that carry a root. Raises
+    SpecializationError if a value's denominator is 0 in the field, or if
+    a rooted parameter's value is 0 or a square, alone or times the
+    values of other rooted parameters: every nonempty subset of the
+    rooted values must multiply to a nonsquare, because if c*d = s^2,
+    sqrt(c)*sqrt(d) - s is a zero divisor. Over F_p this allows at most
+    one specialized root.
+    """
+    values = {}
+    for name, v in specialize.items():
+        try:
+            values[name] = field.of(v)
+        except ZeroDivisionError as err:
+            raise SpecializationError(name, f"value of {name!r}: {err}") from None
+    subset_products: list[Any] = []
+    for p in rooted:
+        if p not in values:
+            continue
+        value = values[p]
+        if value == field.zero:
+            raise SpecializationError(p, f"rooted parameter {p!r} specialized to 0 in {field.name}")
+        new = [value] + [field.mul(value, q) for q in subset_products]
+        if any(_is_square(field, v) for v in new):
+            raise SpecializationError(
+                p,
+                f"rooted parameter {p!r} specialized to a square in {field.name}, "
+                "alone or times other specialized roots; its root ring has zero divisors",
+            )
+        subset_products += new
+    return values
+
+
 class Context:
     __slots__ = (
         "field",
@@ -86,6 +131,8 @@ class Context:
         self.parameters = tuple(parameters)
         self.rooted = tuple(name for name in parameters if name in set(roots))
         self.specializations = dict(spec)
+        # Bare names of specialized parameters resolve to field constants.
+        self.constants = specialized_values(field, spec, self.rooted)
 
         live_params = tuple(p for p in parameters if p not in spec)
         names: list[str] = [f"sqrt({p})" for p in self.rooted]
@@ -97,33 +144,15 @@ class Context:
 
         self.index = {name: i for i, name in enumerate(names)}
         self.root_index = {p: i for i, p in enumerate(self.rooted)}
-        # Bare names of specialized parameters resolve to field constants.
-        self.constants = {name: field.of(v) for name, v in spec.items()}
 
         # folds[i] for root symbol i: (i, parameter index, None) when its
         # square folds into the parameter, (i, None, constant) when the
         # parameter is specialized. An integral constant is kept as an int,
         # so that products lifted to integer coefficients stay integral.
-        # Every nonempty subset of the constants must multiply to a
-        # nonsquare: if c*d = s^2, sqrt(c)*sqrt(d) - s is a zero divisor.
-        # Over F_p this allows at most one constant root.
         self.folds: list[tuple[int, int | None, Any]] = []
-        subset_products: list[Any] = []
         for i, p in enumerate(self.rooted):
             if p in spec:
-                value = field.of(spec[p])
-                if value == field.zero:
-                    raise ValueError(
-                        f"rooted parameter {p!r} specialized to 0 in {field.name}"
-                    )
-                new = [value] + [field.mul(value, q) for q in subset_products]
-                if any(_is_square(field, v) for v in new):
-                    raise ValueError(
-                        f"rooted parameter {p!r} specialized to a square in "
-                        f"{field.name}, alone or times other specialized roots; "
-                        "its root ring has zero divisors"
-                    )
-                subset_products += new
+                value = self.constants[p]
                 if value.denominator == 1:
                     value = value.numerator
                 self.folds.append((i, None, value))

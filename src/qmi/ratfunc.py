@@ -464,7 +464,9 @@ def _groups(terms: list, cols: list, binds: dict[int, Pair]) -> list[tuple]:
     groups = []
     for vs, d in found:
         key = itemgetter(*vs)
-        used = dict(zip(map(key, terms), zip(*[cols[v] for v in vs])))
+        # A key of one variable is its exponent, of several their tuple.
+        keys = dict.fromkeys(map(key, terms))
+        used = {k: (k,) for k in keys} if len(vs) == 1 else {k: k for k in keys}
         groups.append((key, vs, d, used, max(map(sum, used.values()))))
     return groups
 

@@ -42,6 +42,7 @@ from .actions import (
 )
 from .catalog import (
     Catalog,
+    _frozen,
     build_action,
     build_context,
     build_env,
@@ -119,15 +120,6 @@ def _memoized(catalog: Catalog, key: tuple, build: Callable[[], Any]) -> Any:
     if key in memo:
         return memo[key]
     value = memo[key] = build()
-    return value
-
-
-def _frozen(value: Any) -> Any:
-    """A hashable key of a JSON value, made of its own strings and numbers."""
-    if isinstance(value, dict):
-        return (dict, tuple((k, _frozen(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(map(_frozen, value))
     return value
 
 

@@ -27,7 +27,10 @@ checking the InversePair prop1_1_st makes, the one with the most terms
 in its two parts among those in which no two bound variables that occur
 share a nonconstant binding denominator and not every such binding is a
 monomial over a monomial. The rule reads only the call's arguments, so
-it picks the same call on older checkouts.
+it picks the same call on older checkouts. That call is a
+backward-after-forward one (a backward expression in t1, t2, t3 with
+the forward expressions bound), the direction check_inverse_pair always
+runs; so checkouts that skip the converse direction pick it too.
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, actions, parse
+from qmi import QQ, Context, InconsistentAction, OrderCapExceeded, RatFunc, UnknownSymbol, actions, parse
 from qmi.actions import (
     Automorphism,
     check_identity,
@@ -19,6 +19,7 @@ from qmi.actions import (
 from qmi.catalog import build_action, build_context, builtin_catalog, word_matrix
 from qmi.catalog_data import MATRICES
 from qmi.matgroup import _closure, close_group, mat, mat_mul
+from qmi.ratfunc import substitute_raw
 
 CTX3 = Context(QQ, variables=["x1", "x2", "x3"])
 
@@ -295,7 +296,61 @@ class TestChecks:
         assert check_inverse_pair(forward, backward, src, tgt) == []
         broken = {"x1": parse(tgt, "(u+1)/(u-1)")}
         fails = check_inverse_pair(forward, broken, src, tgt)
-        assert fails and all(f["witness"] for f in fails)
+        # A failed first direction does not prove the second: both run.
+        assert [(f["variable"], f["direction"]) for f in fails] == [
+            ("x1", "backward-after-forward"),
+            ("u", "forward-after-backward"),
+        ]
+        assert all(f["witness"] for f in fails)
+
+    def test_inverse_pair_checks_one_direction_when_it_proves_the_other(self, monkeypatch):
+        src = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
+        tgt = Context(QQ, variables=["u1", "u2"], parameters=["a"], roots=["a"])
+        forward = {"u1": parse(src, "sqrt(a)*x1"), "u2": parse(src, "x2/(1+x1)")}
+        backward = {"x1": parse(tgt, "u1/sqrt(a)"), "x2": parse(tgt, "u2*(1+u1/sqrt(a))")}
+        calls = []
+
+        def counting(f, bindings, target=None):
+            calls.append(target)
+            return substitute_raw(f, bindings, target)
+
+        monkeypatch.setattr(actions, "substitute_raw", counting)
+        assert check_inverse_pair(forward, backward, src, tgt) == []
+        assert calls == [src, src]
+
+    def test_inverse_pair_with_unequal_variable_counts_checks_both_directions(self):
+        # t -> (t, t^2) with v1 -> t is a left inverse only.
+        src = Context(QQ, variables=["t"])
+        tgt = Context(QQ, variables=["v1", "v2"])
+        forward = {"v1": parse(src, "t"), "v2": parse(src, "t^2")}
+        backward = {"t": parse(tgt, "v1")}
+        fails = check_inverse_pair(forward, backward, src, tgt)
+        assert [(f["variable"], f["direction"]) for f in fails] == [("v2", "forward-after-backward")]
+
+    def test_inverse_pair_that_misses_its_contexts_checks_both_directions(self):
+        # Backward binds only x1 of x1, x2: the second direction sends x2
+        # to a target that does not declare it.
+        src = Context(QQ, variables=["x1", "x2"])
+        tgt = Context(QQ, variables=["u1", "u2"])
+        forward = {"u1": parse(src, "x1"), "u2": parse(src, "x2")}
+        with pytest.raises(UnknownSymbol):
+            check_inverse_pair(forward, {"x1": parse(tgt, "u1")}, src, tgt)
+        # Backward lives in a context other than the target.
+        src = Context(QQ, variables=["x1"], parameters=["a"])
+        tgt = Context(QQ, variables=["u"], parameters=["a"])
+        other = Context(QQ, variables=["u"])
+        with pytest.raises(ValueError, match="wrong context"):
+            check_inverse_pair({"u": parse(src, "x1")}, {"x1": parse(other, "u")}, src, tgt)
+
+    def test_inverse_pair_with_other_constants_checks_both_directions(self):
+        # The second direction maps the source's parameter into a target
+        # that does not declare it.
+        src = Context(QQ, variables=["x1"], parameters=["a"])
+        tgt = Context(QQ, variables=["u"])
+        forward = {"u": parse(src, "x1")}
+        backward = {"x1": parse(tgt, "u")}
+        with pytest.raises(UnknownSymbol):
+            check_inverse_pair(forward, backward, src, tgt)
 
     def test_identity_check_with_bindings(self):
         ctx = Context(QQ, variables=["x1", "x2"])

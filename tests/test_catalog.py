@@ -278,6 +278,17 @@ def _delete(path: tuple):
     return change
 
 
+def _flip_twins(doc):
+    """Give case 4 a specialized parameter e = 1, and append its twin with e = true."""
+    context = doc["cases"][4]["payload"]["context"]
+    context["parameters"] = ["d", "e"]
+    context["specialize"] = {"e": 1}
+    twin = copy.deepcopy(doc["cases"][4])
+    twin["id"] = "flip_twin"
+    twin["payload"]["context"]["specialize"] = {"e": True}
+    doc["cases"].append(twin)
+
+
 # (id, change to VALID_DOCUMENT, the path SchemaError must report).
 MALFORMED = [
     ("unknown-kind", _set(("cases", 0, "kind"), "Order"), "/cases/0/kind"),
@@ -365,6 +376,16 @@ MALFORMED = [
      "/cases/4/payload/context/specialize/d"),
     ("specialized-value-divides-by-zero", _set(("cases", 4, "payload", "context", "specialize"), {"d": "1/0"}),
      "/cases/4/payload/context/specialize/d"),
+    ("specialized-denominator-is-zero-mod-p",
+     _set(("cases", 4, "payload", "context"),
+          {"field": "F7", "variables": ["x1"], "parameters": ["d"], "roots": ["d"], "specialize": {"d": "1/7"}}),
+     "/cases/4/payload/context/specialize/d"),
+    ("rooted-parameter-specialized-to-a-square", _set(("cases", 4, "payload", "context", "specialize"), {"d": 4}),
+     "/cases/4/payload/context/specialize/d"),
+    ("rooted-parameter-specialized-to-zero", _set(("cases", 4, "payload", "context", "specialize"), {"d": 0}),
+     "/cases/4/payload/context/specialize/d"),
+    # Each distinct context is checked once; 1 and true are distinct.
+    ("boolean-twin-of-a-checked-context", _flip_twins, "/cases/5/payload/context/specialize/e"),
 ]
 
 
