@@ -49,6 +49,7 @@ from .poly import Poly
 from .ratfunc import (
     Pair,
     RatFunc,
+    _packed_zero,
     _raw_difference,
     _resolve_sign_keys,
     apply_root_signs_poly,
@@ -292,8 +293,18 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
 def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
     """None when a and b are equal; else their raw difference, as text.
 
+    The zero test of a[0]*b[1] - b[0]*a[1] runs in the order of the
+    ratfunc module docstring: equal pairs pass with nothing multiplied;
+    then, where both products would be packed, one compare of packed
+    integers (ratfunc._packed_zero) proves the unfolded difference
+    zero; otherwise, or when that compare finds the packed products
+    unequal (a root fold or F_p can still zero the difference), the
+    folded difference is formed and read. Each pass is a proof, so the
+    verdict and the witness are those of forming the difference.
     The text is cut to `limit` characters.
     """
+    if (a[1] == b[1] and a[0] == b[0]) or _packed_zero(a, b):
+        return None
     diff = _raw_difference(a, b)
     if diff.is_zero():
         return None
@@ -320,6 +331,7 @@ def check_induced_action(
     sigma: Automorphism,
     forward: Mapping[str, RatFunc],
     claimed: Mapping[str, RatFunc],
+    images: dict[RatFunc, Pair] | None = None,
 ) -> list[dict]:
     """Does sigma induce the claimed action on the image generators?
 
@@ -329,14 +341,25 @@ def check_induced_action(
 
     Verified relation, for each name u: sigma(forward[u]) equals
     claimed[u] with every new variable replaced by its forward expression.
+
+    images, when given, maps each claimed expression already substituted
+    by this forward map to its image, and gains the images computed here:
+    a caller that checks several actions against one forward map passes
+    one dict to all of them, so each distinct claimed expression is
+    substituted once. The image depends only on the expression and the
+    forward map, so the records are those of substituting every time.
     """
     failures = []
     src = sigma.ctx
     fw_pairs = {u: (f.num, f.den) for u, f in forward.items()}
+    if images is None:
+        images = {}
     for u, f in forward.items():
         lhs = sigma.apply_raw((f.num, f.den))
         claim = claimed[u]
-        rhs = substitute_raw((claim.num, claim.den), fw_pairs, target=src)
+        rhs = images.get(claim)
+        if rhs is None:
+            rhs = images[claim] = substitute_raw((claim.num, claim.den), fw_pairs, target=src)
         witness = _witness(lhs, rhs)
         if witness is not None:
             failures.append({"generator": u, "witness": witness})

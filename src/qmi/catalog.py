@@ -237,21 +237,6 @@ def build_action(ctx: Context, spec: Mapping[str, Any], alphabet: Mapping[str, M
 # -- schema validation --------------------------------------------------------
 
 
-def _frozen(value: Any) -> Any:
-    """A hashable key of a JSON value: equal keys, equal values of equal types.
-
-    Scalars other than strings carry their type, because 1, 1.0 and True
-    are equal and the schema accepts only some of them.
-    """
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return dict, tuple([(k, _frozen(v)) for k, v in value.items()])
-    if isinstance(value, list):
-        return tuple([_frozen(v) for v in value])
-    return type(value), value
-
-
 def _need(obj: Mapping, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", path)
@@ -426,7 +411,7 @@ def _word_error(word: str) -> str | None:
 
 
 def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: set) -> None:
-    """Check one payload; contexts holds the _frozen context specs checked so far."""
+    """Check one payload; contexts holds the ids of the context specs checked so far."""
     if not isinstance(p, dict):
         raise SchemaError("payload must be an object", path)
     keys = _PAYLOAD_KEYS[kind]
@@ -434,10 +419,9 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
     for key in ("context", "claimed_context", "source", "target"):
         if key in keys:
             spec = _need(p, key, path)
-            frozen = _frozen(spec)
-            if frozen not in contexts:
+            if id(spec) not in contexts:
                 _check_context(spec, f"{path}/{key}")
-                contexts.add(frozen)
+                contexts.add(id(spec))
     for key in _GROUP_KEYS.get(kind, ()):
         gid = _need(p, key, path)
         _check_str(gid, f"{path}/{key}")

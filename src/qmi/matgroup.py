@@ -232,6 +232,27 @@ class MatrixGroup:
             self._orders = orders
         return self._orders
 
+    def subgroup(self, generators: Sequence[Matrix]) -> tuple[Matrix, ...]:
+        """The sorted elements of the subgroup that generators, all in self, generate.
+
+        Closed in the index table: the elements reached from the identity
+        by right multiplication with the generators. In a finite group
+        that monoid is the subgroup, and its elements sorted are the
+        elements of close_group(generators).
+        """
+        table = self._table()
+        gens = [self._index[m] for m in generators]
+        members = {self._e}
+        reached = [self._e]
+        for a in reached:
+            row = table[a]
+            for i in gens:
+                b = row[i]
+                if b not in members:
+                    members.add(b)
+                    reached.append(b)
+        return tuple(self.elements[i] for i in sorted(members))
+
     def normal_subgroups(self) -> list[tuple[Matrix, ...]]:
         """All normal subgroups (trivial and full group included).
 

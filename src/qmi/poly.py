@@ -97,6 +97,14 @@ def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
     term pair. Otherwise it takes the loop over term pairs
     (_convolve_loop). The folds act on the result.
     """
+    layout = _packed_layout(a, b)
+    if layout is not None:
+        return _fold(_convolve_packed(a, b, *layout), folds)
+    return _fold(_convolve_loop(a, b), folds)
+
+
+def _packed_layout(a: dict, b: dict) -> tuple[list[int], int] | None:
+    """_pack_layout(a, b) when a*b takes the packed path of _convolve_ints, else None."""
     pairs = len(a) * len(b)
     if (
         pairs >= _PACK_MIN_PAIRS
@@ -107,8 +115,8 @@ def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
     ):
         radices, w = _pack_layout(a, b)
         if math.prod(radices) * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
-            return _fold(_convolve_packed(a, b, radices, w), folds)
-    return _fold(_convolve_loop(a, b), folds)
+            return radices, w
+    return None
 
 
 def _fold(terms: dict, folds) -> dict[tuple[int, ...], Any]:
@@ -154,17 +162,20 @@ def _pack_layout(a: dict, b: dict) -> tuple[list[int], int]:
 
 
 def _slot_bytes(av, bv) -> int:
-    """Bytes per packed slot of the product of two int coefficient lists.
+    """Bytes per packed slot of the product of two int coefficient lists:
+    the fewest that hold _coeff_bound, plus a sign bit."""
+    return (_coeff_bound(av, bv).bit_length() + 8) // 8
+
+
+def _coeff_bound(av, bv) -> int:
+    """A bound on every coefficient of the product and of either operand.
 
     A product coefficient sums at most one pair per term of either
     operand, so its size is at most min(max|a|*sum|b|, max|b|*sum|a|),
-    which is at most max|a|*max|b|*min(|a|, |b|). A slot holds the fewest
-    bytes that hold that bound, and every operand coefficient, plus a
-    sign bit.
+    which is at most max|a|*max|b|*min(|a|, |b|).
     """
     ma, mb = max(map(abs, av)), max(map(abs, bv))
-    bound = max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
-    return (bound.bit_length() + 8) // 8
+    return max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
 
 
 def _convolve_packed(
@@ -175,18 +186,21 @@ def _convolve_packed(
     A monomial's slot index is its exponent vector read in mixed radix
     (last slot fastest), laid out by _pack_layout; _kronecker multiplies.
     """
-    weights = []
-    nslots = 1
-    for r in reversed(radices):
-        weights.append(nslots)
-        nslots *= r
-    weights.reverse()
+    weights = _weights(radices)
     flags, values = _kronecker(
         [sum(map(mul, e, weights)) for e in a], a.values(),
         [sum(map(mul, e, weights)) for e in b], b.values(),
-        nslots, w,
+        math.prod(radices), w,
     )
     return dict(zip(compress(product(*map(range, radices)), flags), values))
+
+
+def _weights(radices: list[int]) -> list[int]:
+    """Slot weights of a mixed-radix layout, last slot fastest."""
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 1, 0, -1):
+        weights[j - 1] = weights[j] * radices[j]
+    return weights
 
 
 def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -84,7 +84,33 @@ with the groups and M_g read from the same occurrence sets. The terms
 are the engine's products, summed over the integers at one common
 scale, folded once and normalized once, as _expand does: the pair is
 the engine's pair, term for term, so zero tests, poles and witnesses
-do not depend on which path ran.
+do not depend on which path ran. A bare variable, f = (x_v, 1) with
+coefficient one, maps to its binding pair (n_v, d_v) as it stands:
+that is the engine's pair (a group of one with top 1, whose table entry
+is n_v over d_v^1), and its parts are already folded and normalized.
+
+The zero test of two raw pairs a and b (actions._witness) decides
+whether a[0]*b[1] - b[0]*a[1] is zero in three steps, each exact:
+
+1. Equal pairs. a[0] == b[0] and a[1] == b[1] make the two products
+   equal, so the difference is zero and nothing is multiplied.
+2. Packed proof (_packed_zero), where both products would take the
+   packed path of poly._convolve_ints. The parts are lifted to integer
+   terms A0, B1, B0, A1 once, and ml, mr bring the two products to one
+   scale. One mixed-radix layout, whose radix in each slot exceeds both
+   products' exponent sums there, gives every monomial of either
+   product its own slot index k, and the packed operands multiply to
+   sum_k c_k X^k and sum_k d_k X^k, X = 256^w, with c_k and d_k the
+   unfolded coefficients of A0*B1 and B0*A1. The slot width w holds
+   the coefficient bound of ml*A0*B1 - mr*B0*A1 plus a sign bit, so
+   every e_k = ml*c_k - mr*d_k has |e_k| < X. If the packed integers
+   agree, sum_k e_k X^k = 0, and the lowest nonzero e_k would be a
+   multiple of X: so every e_k is 0. The unfolded difference is zero,
+   and the root folds (a ring map) and reduction mod p keep it zero.
+   Unequal integers prove nothing: a fold r^2 -> a, or p, can still
+   zero the difference, as for (sqrt(a)*p, q) against (a*p, sqrt(a)*q).
+3. Decode. _raw_difference forms the folded difference, and the test
+   reads it; its text is the witness when it is nonzero.
 """
 
 from __future__ import annotations
@@ -93,10 +119,22 @@ import math
 from operator import itemgetter, mul
 from typing import Any, Callable, Mapping, Sequence
 
+from . import poly
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
-from .poly import Poly, _convolve_words, _fold, _from_ints, _lift_ints, _lifted_product
+from .poly import (
+    Poly,
+    _coeff_bound,
+    _convolve_words,
+    _fold,
+    _from_ints,
+    _lift_ints,
+    _lifted_product,
+    _pack,
+    _packed_layout,
+    _weights,
+)
 
 Pair = tuple[Poly, Poly]
 # One level (key, table) per group of bound variables: key, an itemgetter
@@ -349,6 +387,10 @@ def substitute_raw(
     monomial (any coefficient, any root and parameter exponents), both
     parts are mapped term by term instead (_termwise), to the same pair.
     The dispatch reads the groups the engine needs anyway.
+
+    A bare variable, f = (x_v, 1) with coefficient one, returns the
+    binding pair of v itself, after the bindings are validated and with
+    the pole check: that is the engine's pair (module docstring).
     """
     sctx = f[0].ctx
     tctx = target if target is not None else sctx
@@ -356,6 +398,12 @@ def substitute_raw(
         raise ValueError("substitution cannot change the coefficient field")
     const_map = sctx.constant_map_into(tctx)
     binds = _binding_pairs(sctx, bindings, tctx)
+    v = _bare_variable(f)
+    if v is not None:
+        num, den = binds[v]
+        if den.is_zero():
+            raise SubstitutionPole("denominator vanished under substitution")
+        return num, den
     terms = [*f[0].terms, *f[1].terms]
     cols = list(zip(*terms))
     groups = _groups(terms, cols, binds)
@@ -368,6 +416,17 @@ def substitute_raw(
     if den.is_zero():
         raise SubstitutionPole("denominator vanished under substitution")
     return num, den
+
+
+def _bare_variable(f: Pair) -> int | None:
+    """v when f is (x_v, 1), the bare variable with coefficient one, else None."""
+    if len(f[0].terms) != 1 or not f[1].is_one():
+        return None
+    ((e, c),) = f[0].terms.items()
+    if c != 1 or sum(e) != 1:
+        return None
+    v = e.index(1)
+    return v if f[0].ctx.is_variable(v) else None
 
 
 def _word_tables(
@@ -411,9 +470,7 @@ def _word_tables(
                 bound[j] += max([sum(map(mul, x, dj)) for x in powers])
         lifted.append((key, used, powers, zip(bases, map(max, zip(*powers)))))
     radices = [b + 1 for b in bound]
-    weights = [1] * nsym
-    for j in range(nsym - 1, 0, -1):
-        weights[j - 1] = weights[j] * radices[j]
+    weights = _weights(radices)
     char = target.field.char
     levels = []
     for key, used, powers, bases in lifted:
@@ -630,6 +687,40 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
         for key, val in term.items():
             acc[key] = get(key, 0) + val
     return acc
+
+
+def _packed_zero(a: Pair, b: Pair) -> bool:
+    """True when one packed compare proves a[0]*b[1] - b[0]*a[1] zero.
+
+    It runs only where both products would take the packed path of
+    poly._convolve_ints. The four parts are lifted once, as in
+    _raw_difference, to A0 = a[0], B1 = b[1], B0 = b[0], A1 = a[1] over
+    the integers, with ml and mr the scales that bring both products to
+    one. One mixed-radix layout holds both products (radix 1 + the
+    larger of the two products' exponent sums, per slot), and its slots
+    hold the coefficient bound of ml*A0*B1 - mr*B0*A1 plus a sign bit.
+    Then P0*P1*ml == P2*P3*mr, over the packed integers, holds exactly
+    when the unfolded difference is zero (module docstring). False
+    decides nothing: a root fold, or reduction mod p, can still zero it.
+    """
+    a0, a1, b0, b1 = a[0].terms, a[1].terms, b[0].terms, b[1].terms
+    least = poly._PACK_MIN_PAIRS
+    if len(a0) * len(b1) < least or len(b0) * len(a1) < least:
+        return False
+    (s0, i0), (s1, i1), (s2, i2), (s3, i3) = map(_lift_ints, (a0, b1, b0, a1))
+    left, right = _packed_layout(i0, i1), _packed_layout(i2, i3)
+    if left is None or right is None:
+        return False
+    sl, sr = s0 * s1, s2 * s3
+    scale = math.lcm(sl, sr)
+    ml, mr = scale // sl, scale // sr
+    bound = ml * _coeff_bound(i0.values(), i1.values()) + mr * _coeff_bound(i2.values(), i3.values())
+    w = (bound.bit_length() + 8) // 8
+    weights = _weights(list(map(max, left[0], right[0])))
+    p0, p1, p2, p3 = (
+        _pack([sum(map(mul, e, weights)) for e in i], i.values(), w) for i in (i0, i1, i2, i3)
+    )
+    return p0 * p1 * ml == p2 * p3 * mr
 
 
 def _raw_difference(a: Pair, b: Pair) -> Poly:

@@ -42,7 +42,6 @@ from .actions import (
 )
 from .catalog import (
     Catalog,
-    _frozen,
     build_action,
     build_context,
     build_env,
@@ -123,6 +122,21 @@ def _memoized(catalog: Catalog, key: tuple, build: Callable[[], Any]) -> Any:
     return value
 
 
+def _frozen(value: Any) -> Any:
+    """A hashable key of a JSON value: equal keys, equal values of equal types.
+
+    Scalars other than strings carry their type, because 1, 1.0 and True
+    are equal and the schema accepts only some of them.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return dict, tuple([(k, _frozen(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return tuple([_frozen(v) for v in value])
+    return type(value), value
+
+
 def build_group(catalog: Catalog, gid: str):
     """Close the named generator words into a MatrixGroup, once per catalog.
 
@@ -191,13 +205,13 @@ def _run_induced_action(catalog: Catalog, p: Mapping) -> list[dict]:
                 seed = _expr(catalog, ctx, spec["of"], env)
                 forward[u] = orbit_sum(seed, [actions[n] for n in spec["group"]])
     failures = []
+    # One forward map serves every table, so each claimed expression's
+    # image under it is computed once per case.
+    images = None if forward is None else {}
     for name, table in p["claimed"].items():
         claimed = {u: _expr(catalog, cctx, t) for u, t in table.items()}
-        if forward is None:
-            fw = {u: RatFunc.named(ctx, u) for u in table}
-        else:
-            fw = forward
-        for f in check_induced_action(actions[name], fw, claimed):
+        fw = forward if forward is not None else {u: RatFunc.named(ctx, u) for u in table}
+        for f in check_induced_action(actions[name], fw, claimed, images):
             failures.append({"action": name, **f})
     return failures
 
@@ -243,7 +257,10 @@ def _run_normal_subgroups(catalog: Catalog, p: Mapping) -> list[dict]:
     expected = []
     for words in p["subgroups"]:
         mats = [word_matrix(w, MATRICES) for w in words]
-        expected.append(tuple(close_group(mats, cap=g.order).elements))
+        if mats and all(m in g for m in mats):
+            expected.append(g.subgroup(mats))
+        else:
+            expected.append(tuple(close_group(mats, cap=g.order).elements))
     expected.sort(key=lambda s: (len(s), s))
     if computed == expected:
         return []

@@ -362,3 +362,56 @@ class TestChecks:
         rhs2 = parse(ctx, "2")
         assert check_identity(lhs2, rhs2, bindings=binds) == []
         assert check_identity(lhs2, rhs2) != []
+
+    # Three tables over one forward map: "u1" and "1/u2" are claimed twice,
+    # and inv's u1 and neg's u2 are wrong.
+    SHARED_CLAIMS = {
+        "context": {"variables": ["x1", "x2"]},
+        "actions": {
+            "swap": {"bindings": {"x1": "x2", "x2": "x1"}},
+            "inv": {"bindings": {"x1": "1/x1", "x2": "1/x2"}},
+            "neg": {"bindings": {"x1": "-x1", "x2": "-x2"}},
+        },
+        "forward": {"u1": "x1+x2", "u2": "x1*x2"},
+        "claimed": {
+            "swap": {"u1": "u1", "u2": "u2"},
+            "inv": {"u1": "u1", "u2": "1/u2"},
+            "neg": {"u1": "-u1", "u2": "1/u2"},
+        },
+        "claimed_context": {"variables": ["u1", "u2"]},
+    }
+
+    def test_induced_action_substitutes_each_claimed_expression_once_per_case(self, monkeypatch):
+        from qmi.catalog import Catalog, CaseRecord
+        from qmi.runner import run_case
+
+        claimed_ctx = build_context(self.SHARED_CLAIMS["claimed_context"])
+        images = []
+
+        def counting(f, bindings, target=None):
+            if f[0].ctx == claimed_ctx:
+                images.append(RatFunc(*f))
+            return substitute_raw(f, bindings, target)
+
+        monkeypatch.setattr(actions, "substitute_raw", counting)
+        case = CaseRecord("shared", "InducedAction", "test", "test", self.SHARED_CLAIMS)
+        report = run_case(Catalog(builtin_catalog().groups, [case]), "shared")
+        assert report.status == "Fail"
+        assert report.witness == (
+            "action inv, generator u1: -x1*x2^2 - x1^2*x2 + x2 + x1 ;; "
+            "action neg, generator u2: x1^2*x2^2 - 1"
+        )
+        # One image per distinct claimed expression, in order of first use.
+        assert images == [parse(claimed_ctx, t) for t in ("u1", "u2", "1/u2", "-u1")]
+
+    def test_shared_images_give_the_records_of_substituting_every_time(self):
+        p = self.SHARED_CLAIMS
+        ctx, new = build_context(p["context"]), build_context(p["claimed_context"])
+        forward = {u: parse(ctx, t) for u, t in p["forward"].items()}
+        images = {}
+        for name, table in p["claimed"].items():
+            sigma = build_action(ctx, p["actions"][name], MATRICES)
+            claimed = {u: parse(new, t) for u, t in table.items()}
+            alone = check_induced_action(sigma, forward, claimed)
+            assert check_induced_action(sigma, forward, claimed, images) == alone
+        assert len(images) == 4

@@ -25,6 +25,7 @@ from qmi.catalog import (
     builtin_catalog,
     load_catalog,
     validate_catalog,
+    word_matrix,
 )
 from qmi.catalog_data import MATRICES
 from qmi.errors import SchemaError
@@ -207,6 +208,40 @@ def test_group_is_built_once_per_catalog():
     assert runner.build_group(builtin_catalog(), "G_4_3_1") is not group
 
 
+def test_listed_normal_subgroups_close_in_the_groups_table(monkeypatch):
+    from qmi import matgroup
+
+    catalog = builtin_catalog()
+    cases = [c for c in catalog.cases if c.kind == "NormalSubgroups"]
+    for case in cases:
+        g = runner.build_group(catalog, case.payload["group"])
+        for words in case.payload["subgroups"]:
+            mats = [word_matrix(w, MATRICES) for w in words]
+            assert g.subgroup(mats) == matgroup.close_group(mats).elements
+    closed = []
+    monkeypatch.setattr(runner, "close_group", lambda *a, **k: closed.append(a))
+    assert all(run_case(catalog, c.id).status == "Pass" for c in cases)
+    assert closed == []
+
+
+@pytest.mark.parametrize("extra,status,witness", [
+    (["ca"], "Fail",
+     "proper nontrivial normal subgroups of orders [2, 2, 2, 4, 4, 4], catalog lists orders "
+     "[2, 2, 2, 3, 4, 4, 4]; unlisted orders [], unrealized orders [3]"),
+    (["la1", "ca"], "Error", "OrderCapExceeded: closure exceeded cap of 8 elements"),
+], ids=["outside-alone", "outside-beside-an-element"])
+def test_listed_subgroup_with_a_generator_outside_the_group(extra, status, witness):
+    # ca is not in G_4_3_1 (order 8); la1 is. Such a subgroup is closed on
+    # its own, as it always was, and keeps its report.
+    base = builtin_catalog()
+    case = base.case("normals_G_4_3_1")
+    payload = copy.deepcopy(case.payload)
+    payload["subgroups"].append(extra)
+    control = CaseRecord("normals_outside", case.kind, case.section, case.source, payload)
+    report = run_case(Catalog(base.groups, [control]), control.id)
+    assert (report.status, report.witness) == (status, witness)
+
+
 def test_non_injective_orbit_sum_group_is_an_error():
     # Without the group check the orbit sum of x1 over {id, collapse} is
     # 2*x1, which collapse fixes, so the claim below would wrongly Pass.
@@ -384,7 +419,7 @@ MALFORMED = [
      "/cases/4/payload/context/specialize/d"),
     ("rooted-parameter-specialized-to-zero", _set(("cases", 4, "payload", "context", "specialize"), {"d": 0}),
      "/cases/4/payload/context/specialize/d"),
-    # Each distinct context is checked once; 1 and true are distinct.
+    # Each context spec object is checked once; the e = true twin is another object.
     ("boolean-twin-of-a-checked-context", _flip_twins, "/cases/5/payload/context/specialize/e"),
 ]
 
@@ -401,6 +436,22 @@ def test_where_names_that_shadow_nothing_load():
     doc["cases"][1]["payload"]["forward"]["v"] = "dd"
     doc["cases"][2]["payload"]["where_backward"] = [["x1", "1/y1"]]
     validate_catalog(doc)
+
+
+def test_each_context_spec_object_is_checked_once(monkeypatch):
+    from qmi import catalog, catalog_data
+
+    checked = []
+    monkeypatch.setattr(catalog, "_check_context", lambda spec, path: checked.append(spec))
+    validate_catalog({"groups": catalog_data.GROUPS, "cases": catalog_data.CASES})
+    specs = [
+        p[key]
+        for p in (c["payload"] for c in catalog_data.CASES)
+        for key in ("context", "claimed_context", "source", "target")
+        if key in p
+    ]
+    assert len(checked) == len({id(s) for s in specs}) < len(specs)
+    assert {id(s) for s in checked} == {id(s) for s in specs}
 
 
 def test_valid_document_loads_and_passes(tmp_path):

@@ -553,6 +553,166 @@ def test_packed_word_product_equals_pair_loop(case):
     assert _nonzero(packed, p) == _nonzero(loop, p)
 
 
+# -- the zero test: equal pairs, packed proof, decode ---------------------------
+
+
+@st.composite
+def dense_polys(draw, ctx):
+    """18 to 24 terms of a small box: two of them give _PACK_MIN_PAIRS term pairs."""
+    top = 4 if len(ctx.variables) == 2 else 2
+    exps = st.tuples(*[st.integers(0, top if ctx.is_variable(i) else 1) for i in range(ctx.nsym)])
+    keys = draw(st.lists(exps, min_size=18, max_size=24, unique=True))
+    p = ctx.field.char
+    if p:
+        coeffs = st.integers(1, p - 1)
+    else:
+        coeffs = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 4))
+    return Poly(ctx, {e: ctx.field.of(draw(coeffs)) for e in keys})
+
+
+def _box(ctx, coeff):
+    """Every monomial x1^i * x2^j, i and j below 5, with coefficient coeff(i, j)."""
+    x1, x2 = ctx.symbol_index("x1"), ctx.symbol_index("x2")
+    terms = {}
+    for i in range(5):
+        for j in range(5):
+            e = [0] * ctx.nsym
+            e[x1], e[x2] = i, j
+            terms[tuple(e)] = ctx.field.of(coeff(i, j))
+    return Poly(ctx, terms)
+
+
+@pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
+def test_witness_is_none_exactly_when_the_raw_difference_is_zero(ctx, data):
+    from qmi.actions import _witness
+    from qmi.ratfunc import _packed_zero, _raw_difference
+
+    p, q = data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx))
+    h = data.draw(polys(ctx, max_terms=2, max_exp=1).filter(lambda p: not p.is_zero()))
+    kind = data.draw(st.sampled_from(["copy", "scaled", "perturbed", "other"]))
+    if kind == "copy":
+        b = (Poly(ctx, dict(p.terms)), Poly(ctx, dict(q.terms)))
+    elif kind == "scaled":
+        b = (p * h, q * h)
+    elif kind == "perturbed":
+        b = (p * h + _mono(ctx, [0] * ctx.nsym), q * h)
+    else:
+        b = (data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx)))
+    a = (p, q)
+    for left, right in ((a, b), (b, a)):
+        zero = _raw_difference(left, right).is_zero()
+        assert (_witness(left, right) is None) == zero
+        if _packed_zero(left, right):
+            assert zero
+
+
+# Q contexts with x1 and x2. Over F_p a part reduced mod p makes the packed
+# integers of equal pairs differ, so the compare proves little there.
+Q_CONTEXTS = {name: c for name, c in CONTEXTS.items() if not c.field.char and len(c.variables) == 2}
+
+
+@pytest.mark.parametrize("ctx", list(Q_CONTEXTS.values()), ids=list(Q_CONTEXTS))
+def test_packed_proof_passes_a_pair_scaled_by_a_common_factor(ctx):
+    from qmi.actions import _witness
+    from qmi.ratfunc import _packed_zero
+
+    p = _box(ctx, lambda i, j: Fraction((-1) ** j * (i + 2 * j + 1), j + 1))
+    q = _box(ctx, lambda i, j: (-1) ** i * (3 * j + 1))
+    h = parse(ctx, "x1 + 2").num
+    a, b = (p, q), (p * h, q * h)
+    assert _packed_zero(a, b) and _packed_zero(b, a)
+    assert _witness(a, b) is None
+    assert _witness(a, (p * h + h, q * h)) is not None
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["over-1", "over-a-box"])
+def test_a_difference_that_only_the_root_fold_zeroes_passes(dense):
+    """(sqrt(a)*p, q) against (a*p, sqrt(a)*q): sqrt(a)^2 * p*q - a * p*q
+    is nonzero unfolded and zero once sqrt(a)^2 folds to a."""
+    from qmi import poly
+    from qmi.actions import _witness
+    from qmi.ratfunc import _packed_zero, _raw_difference
+
+    ctx = CTX
+    r, a = Poly.named(ctx, "sqrt(a)"), Poly.named(ctx, "a")
+    p = _box(ctx, lambda i, j: i + j + 1)
+    q = _box(ctx, lambda i, j: (-1) ** j * (2 * i + j + 1)) if dense else Poly.const(ctx, 1)
+    left, right = (r * p, q), (a * p, r * q)
+    assert _raw_difference(left, right).is_zero()
+    assert _witness(left, right) is None
+    if dense:
+        # The packed proof runs, finds the unfolded products unequal and
+        # decides nothing; the decoded difference passes the pair.
+        lifted = [poly._lift_ints(t.terms)[1] for t in (left[0], right[1], right[0], left[1])]
+        assert poly._packed_layout(*lifted[:2]) and poly._packed_layout(*lifted[2:])
+        assert not _packed_zero(left, right)
+
+
+# -- a bare variable maps to its binding ------------------------------------------
+
+# (source, target): every context of this file into itself, and the cross
+# contexts.
+BARE_CONTEXTS = {
+    **{name: (ctx, ctx) for name, ctx in CONTEXTS.items()},
+    **{f"cross-{name}": pair for name, pair in CROSS_CONTEXTS.items()},
+}
+
+
+def _bare_and_engine(f, binds, target):
+    """[result, engine's result] of one call: typed pairs, or the error's type.
+    The first call must return the binding as it stands."""
+    from qmi.ratfunc import substitute_raw
+
+    out = []
+    for engine in (False, True):
+        if engine:
+            patch = mock.patch.object(ratfunc, "_bare_variable", lambda *_: None)
+        else:
+            patch = mock.patch.object(ratfunc, "_groups", side_effect=AssertionError("engine ran"))
+        with patch:
+            try:
+                out.append(_typed(substitute_raw(f, binds, target)))
+            except (SubstitutionPole, ValueError) as exc:
+                out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("src,tgt", list(BARE_CONTEXTS.values()), ids=list(BARE_CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
+def test_bare_variable_is_the_engines_pair(src, tgt, data):
+    nonzero = polys(tgt).filter(lambda p: not p.is_zero())
+    binds = {
+        x: (data.draw(polys(tgt)), data.draw(nonzero))
+        for x in src.variables
+        if x not in tgt.variables or data.draw(st.booleans())
+    }
+    v = data.draw(st.sampled_from(src.variables))
+    bare, engine = _bare_and_engine((Poly.named(src, v), Poly.const(src, 1)), binds, tgt)
+    assert bare == engine
+
+
+@pytest.mark.parametrize("src,tgt", list(BARE_CONTEXTS.values()), ids=list(BARE_CONTEXTS))
+def test_bare_variable_keeps_the_engines_errors(src, tgt):
+    v = src.variables[0]
+    f = (Poly.named(src, v), Poly.const(src, 1))
+    n, one = Poly.named(tgt, tgt.variables[-1]), Poly.const(tgt, 1)
+    # Variables that the target lacks must be bound.
+    rest = {x: (n, one) for x in src.variables if x not in tgt.variables}
+    # A zero binding denominator is a pole.
+    pole = {**rest, v: (n, Poly.const(tgt, 0))}
+    assert _bare_and_engine(f, pole, tgt) == [SubstitutionPole] * 2
+    # A binding in another context, or of a name that is not a variable.
+    other = Context(tgt.field, variables=["w"])
+    wrong = {**rest, v: (Poly.named(other, "w"), Poly.const(other, 1))}
+    assert _bare_and_engine(f, wrong, tgt) == [ValueError] * 2
+    if src.var_start:
+        constant = {**rest, src.symbols[0]: (n, one)}
+        assert _bare_and_engine(f, constant, tgt) == [ValueError] * 2
+
+
 # -- the heuristic gcd against the PRS ----------------------------------------
 
 
