@@ -295,10 +295,10 @@ def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
 
     The zero test of a[0]*b[1] - b[0]*a[1] runs in the order of the
     ratfunc module docstring: equal pairs pass with nothing multiplied;
-    then, where both products would be packed, one compare of packed
-    integers (ratfunc._packed_zero) proves the unfolded difference
-    zero; otherwise, or when that compare finds the packed products
-    unequal (a root fold or F_p can still zero the difference), the
+    then, over Q where both products would be packed, one compare of
+    packed integers (ratfunc._packed_zero) proves the unfolded
+    difference zero; otherwise, or when that compare finds the packed
+    products unequal (a root fold can still zero the difference), the
     folded difference is formed and read. Each pass is a proof, so the
     verdict and the witness are those of forming the difference.
     The text is cut to `limit` characters.

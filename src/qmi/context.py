@@ -147,15 +147,13 @@ class Context:
 
         # folds[i] for root symbol i: (i, parameter index, None) when its
         # square folds into the parameter, (i, None, constant) when the
-        # parameter is specialized. An integral constant is kept as an int,
-        # so that products lifted to integer coefficients stay integral.
+        # parameter is specialized. An integral constant is an int (as the
+        # field stores it), so products lifted to integer coefficients stay
+        # integral.
         self.folds: list[tuple[int, int | None, Any]] = []
         for i, p in enumerate(self.rooted):
             if p in spec:
-                value = self.constants[p]
-                if value.denominator == 1:
-                    value = value.numerator
-                self.folds.append((i, None, value))
+                self.folds.append((i, None, self.constants[p]))
             else:
                 self.folds.append((i, self.index[p], None))
 

@@ -1,8 +1,13 @@
 """Coefficient fields: the rationals and odd prime fields.
 
 A field object bundles the callable arithmetic the polynomial layer needs,
-so Poly never branches on the coefficient type. Rational coefficients are
-`fractions.Fraction`; prime-field coefficients are ints in 0..p-1.
+so Poly never branches on the coefficient type. A rational coefficient is
+an `int` when it is integral and a `fractions.Fraction` with denominator
+above 1 otherwise (`rational`); prime-field coefficients are ints in
+0..p-1. Since `Fraction(n) == n` and `hash(Fraction(n)) == hash(n)`, the
+rule changes no equality or hash of a coefficient, term dict, Poly or
+RatFunc; it makes each canonical value unique in type as well, and lets
+most rational coefficients skip `Fraction` arithmetic.
 
 Characteristic 2 is rejected: root signs and the quadratic rewrite both
 need 2 to be invertible.
@@ -39,23 +44,30 @@ class BaseField:
         return self.name
 
 
+def rational(c: int | Fraction) -> int | Fraction:
+    """The stored form of a rational number: an integral Fraction becomes its numerator."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Rationals(BaseField):
     def __init__(self) -> None:
         self.name = "Q"
         self.char = 0
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self.add = lambda a, b: a + b
-        self.mul = lambda a, b: a * b
+        self.zero = 0
+        self.one = 1
+        self.add = lambda a, b: rational(a + b)
+        self.mul = lambda a, b: rational(a * b)
         self.neg = lambda a: -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: int | Fraction) -> int | Fraction:
         if not a:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / a
+        return rational(Fraction(1) / a)
 
-    def of(self, value: Any) -> Fraction:
-        return Fraction(value)
+    def of(self, value: Any) -> int | Fraction:
+        if type(value) is int:
+            return value
+        return rational(Fraction(value))
 
 
 def _is_prime(n: int) -> bool:

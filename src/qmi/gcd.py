@@ -91,7 +91,6 @@ therefore share one normal form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Any
@@ -99,7 +98,7 @@ from typing import Any
 from .context import Context
 from .errors import DivisionByZero, NotDivisible
 from .field import BaseField
-from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product
+from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product, _over
 
 EDict = dict[tuple[int, ...], Any]
 
@@ -187,13 +186,15 @@ class _Integers(_Domain):
     """Z; entered from Q by clearing denominators into one scale per dict.
 
     A gcd ignores the scale; a cofactor leaves over its dividend's scale.
+    Coefficients leave in Q's stored form (field.rational): an int where
+    the quotient by the scale is integral, else a Fraction.
     """
 
     def enter(self, d: EDict) -> tuple[int, EDict]:
         return _lift_ints(d)
 
     def leave(self, d: EDict, scale: int = 1) -> EDict:
-        return {e: Fraction(c, scale) for e, c in d.items()}
+        return _over(scale, d)
 
     def const_gcd(self, a: EDict, b: EDict) -> EDict:
         return {(0,) * self.E.nslots: math.gcd(*a.values(), *b.values())}
@@ -211,7 +212,13 @@ class _Integers(_Domain):
 
 
 class _Field(_Domain):
-    """The context's field: Q (Fractions) or F_p (ints reduced mod p)."""
+    """The context's field: Q or F_p, in the field's stored form.
+
+    Over Q a coefficient is an int when integral, else a Fraction
+    (field.rational): the field's operations keep that form, and reduce
+    restores it after the raw sums of _sub, where Fractions can meet in
+    an integer. Over F_p coefficients are ints reduced mod p.
+    """
 
     def __init__(self, E: _ElimInfo, field: BaseField) -> None:
         super().__init__(E)
@@ -227,7 +234,7 @@ class _Field(_Domain):
     def reduce(self, d: EDict) -> EDict:
         p = self.modulus
         if not p:
-            return super().reduce(d)
+            return _over(1, d)
         return {e: c % p for e, c in d.items() if c % p}
 
     def const_gcd(self, a: EDict, b: EDict) -> EDict:
@@ -260,8 +267,7 @@ def _mul(D: _Domain, a: EDict, b: EDict) -> EDict:
     """a * b, reduced; over Q through integers, as in Poly.__mul__."""
     if D.modulus or isinstance(D, _Integers):
         return D.reduce(_convolve_ints(a, b, D.folds))
-    scale, ints = _lifted_product(a, b, D.folds)
-    return {e: Fraction(v, scale) for e, v in ints.items() if v}
+    return _over(*_lifted_product(a, b, D.folds))
 
 
 def _sub(D: _Domain, a: EDict, b: EDict) -> EDict:

@@ -25,6 +25,13 @@ _convolve_words: the same two paths under the same rule, with slot
 index word minus the operand's smallest word. Both packed paths share
 one core, _kronecker.
 
+Coefficients are stored as the field stores them (field.py): over Q an
+int when integral, else a Fraction with denominator above 1; over F_p an
+int in 0..p-1. Products and sums leave the integers through _from_ints,
+which applies that rule once per surviving term, so integral
+coefficients never pass through Fraction arithmetic. As Fraction(n) == n
+and hash(Fraction(n)) == hash(n), the rule changes no equality or hash.
+
 Polynomials are immutable by convention; every operation returns a fresh
 dict. Equality and hashing are structural.
 """
@@ -38,15 +45,22 @@ from operator import add, mul
 from typing import Any
 
 from .context import Context
+from .field import rational
 
 
 def _lift_ints(terms: dict) -> tuple[int, dict]:
-    """Clear Fraction denominators: (common scale, integer terms)."""
-    L = 1
+    """Clear denominators: (common scale, integer terms).
+
+    Over Q an integral coefficient is already an int (field.rational),
+    so a dict of ints only is copied. The integer terms are always a
+    fresh dict, which callers such as gcd._sub may consume.
+    """
     for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            L = L * d // math.gcd(L, d)
+        if type(c) is not int:
+            break
+    else:
+        return 1, dict(terms)
+    L = math.lcm(*[c.denominator for c in terms.values()])
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
@@ -61,14 +75,25 @@ def _from_ints(ctx: Context, scale: int, terms: dict) -> "Poly":
     """The Poly of terms / scale, each surviving coefficient normalized once.
 
     Over F_p the terms are integers with scale 1, reduced mod p here.
+    Over Q each coefficient is stored by field.rational's rule: an int
+    when integral, else a Fraction. The terms are ints, except where a
+    root fold by a non-integral constant (sqrt(1/2)^2 = 1/2) made some
+    of them Fractions, which may be integral.
     """
     p = ctx.field.char
     if p:
         return Poly(ctx, {e: v % p for e, v in terms.items() if v % p})
+    return Poly(ctx, _over(scale, terms))
+
+
+def _over(scale: int, terms: dict) -> dict:
+    """The nonzero terms / scale over Q, stored by field.rational's rule.
+
+    The terms are ints or Fractions, and scale a positive int.
+    """
     if scale == 1:
-        # Fraction(v, 1) would still pay a gcd per term.
-        return Poly(ctx, {e: Fraction(v) for e, v in terms.items() if v})
-    return Poly(ctx, {e: Fraction(v, scale) for e, v in terms.items() if v})
+        return {e: v if type(v) is int else rational(v) for e, v in terms.items() if v}
+    return {e: v // scale if not v % scale else Fraction(v, scale) for e, v in terms.items() if v}
 
 
 # The packed path of _convolve_ints pays off from about this many term

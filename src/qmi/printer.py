@@ -9,8 +9,6 @@ prime-field coefficients as their 0..p-1 representatives.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import Poly
 from .ratfunc import RatFunc
 
@@ -25,21 +23,15 @@ def _mono_text(p: Poly, exps: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _abs_coeff_text(c) -> str:
-    if isinstance(c, Fraction):
-        c = abs(c)
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    char0 = p.ctx.field.char == 0
     chunks: list[str] = []
     for exps, coeff in p.sorted_terms():
-        negative = char0 and coeff < 0
-        body = _abs_coeff_text(coeff)
+        # An int or a Fraction n/d (d > 1) prints as n or n/d; a residue
+        # mod p is never negative.
+        negative = coeff < 0
+        body = str(abs(coeff))
         mono = _mono_text(p, exps)
         if mono:
             is_unit = body == "1"

@@ -109,6 +109,9 @@ whether a[0]*b[1] - b[0]*a[1] is zero in three steps, each exact:
    and the root folds (a ring map) and reduction mod p keep it zero.
    Unequal integers prove nothing: a fold r^2 -> a, or p, can still
    zero the difference, as for (sqrt(a)*p, q) against (a*p, sqrt(a)*q).
+   The step runs over Q only: over F_p a part stores residues, so the
+   integer products of two pairs equal mod p differ wherever a
+   coefficient was reduced, and the compare almost never succeeds.
 3. Decode. _raw_difference forms the folded difference, and the test
    reads it; its text is the witness when it is nonzero.
 """
@@ -512,7 +515,7 @@ def _groups(terms: list, cols: list, binds: dict[int, Pair]) -> list[tuple]:
         if not max(cols[v]):
             continue
         for vs, dg in found:
-            # Equal monomials first: Poly equality compares Fractions.
+            # Equal monomials first: Poly equality compares coefficients.
             if dg.terms.keys() == d.terms.keys() and not d.is_constant() and dg == d:
                 vs.append(v)
                 break
@@ -692,8 +695,9 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
 def _packed_zero(a: Pair, b: Pair) -> bool:
     """True when one packed compare proves a[0]*b[1] - b[0]*a[1] zero.
 
-    It runs only where both products would take the packed path of
-    poly._convolve_ints. The four parts are lifted once, as in
+    It runs only over Q (over F_p it returns False at once; module
+    docstring), and only where both products would take the packed path
+    of poly._convolve_ints. The four parts are lifted once, as in
     _raw_difference, to A0 = a[0], B1 = b[1], B0 = b[0], A1 = a[1] over
     the integers, with ml and mr the scales that bring both products to
     one. One mixed-radix layout holds both products (radix 1 + the
@@ -701,8 +705,10 @@ def _packed_zero(a: Pair, b: Pair) -> bool:
     hold the coefficient bound of ml*A0*B1 - mr*B0*A1 plus a sign bit.
     Then P0*P1*ml == P2*P3*mr, over the packed integers, holds exactly
     when the unfolded difference is zero (module docstring). False
-    decides nothing: a root fold, or reduction mod p, can still zero it.
+    decides nothing: a root fold can still zero it.
     """
+    if a[0].ctx.field.char:
+        return False
     a0, a1, b0, b1 = a[0].terms, a[1].terms, b[0].terms, b[1].terms
     least = poly._PACK_MIN_PAIRS
     if len(a0) * len(b1) < least or len(b0) * len(a1) < least:

@@ -14,9 +14,17 @@ every element of the group that close_action builds are found once,
 outside the timing, and one call adds all 24 up from left to right.
 actions.orbit_sum adds only the 6 distinct ones and scales the sum by 4.
 
-Both use only build_env, parse, close_action, Automorphism.apply and
-RatFunc.__add__, so the file runs on older checkouts too. The file name
-keeps these out of the tier-1 run, which collects test_*.py.
+parse-light: one call parses every expression text that a light case
+(every case but sys7iii_case1_actg, _vt and _tact) parses with no
+where-list, in its context, once per distinct (context, text) pair, as
+the runner's memo does: action bindings, claimed images, and the
+expressions of the cases that have no where-list. It times the parse
+layer alone, coefficient arithmetic and canonical forms included.
+
+All of these use only build_context, build_env, parse, close_action,
+Automorphism.apply and RatFunc.__add__, so the file runs on older
+checkouts too. The file name keeps these out of the tier-1 run, which
+collects test_*.py.
 """
 
 from __future__ import annotations
@@ -56,3 +64,54 @@ def test_actg_orbit_sum(benchmark):
     total = benchmark(reduce, add, images)
     assert total == reduce(add, images[::-1])
     assert not total.is_zero() and total != seed
+
+
+HEAVY_CASES = ("sys7iii_case1_actg", "sys7iii_case1_vt", "sys7iii_case1_tact")
+
+
+def _case_texts(p: dict):
+    """(context spec, text) of each expression a case parses with no where-list."""
+    if "source" in p:
+        if "where_forward" not in p:
+            yield from ((p["source"], t) for t in p["forward"].values())
+        if "where_backward" not in p:
+            yield from ((p["target"], t) for t in p["backward"].values())
+        return
+    ctx = p.get("context")
+    for spec in p.get("actions", {}).values():
+        yield from ((ctx, t) for t in spec.get("bindings", {}).values())
+    for table in p.get("claimed", {}).values():
+        yield from ((p["claimed_context"], t) for t in table.values())
+    if "where" in p:
+        return
+    texts = [*p.get("exprs", {}).values(), *(p[k] for k in ("lhs", "rhs") if k in p)]
+    for entry in (p.get("forward") or {}).values():
+        texts.append(entry if isinstance(entry, str) else entry["orbit_sum"]["of"])
+    yield from ((ctx, t) for t in texts)
+
+
+@cache
+def light_texts() -> tuple:
+    """The distinct (context, text) pairs of the light cases, in catalog order."""
+    contexts = {}
+    out = {}
+    for case in builtin_catalog().cases:
+        if case.id in HEAVY_CASES:
+            continue
+        for spec, text in _case_texts(case.payload):
+            key = repr(spec)
+            if key not in contexts:
+                contexts[key] = build_context(spec)
+            out[(contexts[key], text)] = None
+    return tuple(out)
+
+
+def parse_all(items) -> list:
+    return [parse(ctx, text) for ctx, text in items]
+
+
+def test_parse_light(benchmark):
+    items = light_texts()
+    parsed = benchmark(parse_all, items)
+    assert len(parsed) == len(items) > 300
+    assert all(f.ctx == ctx for f, (ctx, _) in zip(parsed, items))

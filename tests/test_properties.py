@@ -184,11 +184,30 @@ def test_field_laws(f, g, h):
     assert (f / g) * g == f
 
 
-@given(ratfuncs())
-@RELAXED
-def test_print_parse_roundtrip(f):
-    again = parse(CTX, str(f))
+@given(data=st.data())
+@settings(RELAXED, max_examples=100)
+def test_print_parse_roundtrip(data):
+    ctx = CONTEXTS[data.draw(st.sampled_from(list(CONTEXTS)))]
+    f = data.draw(ratfuncs(ctx))
+    again = parse(ctx, str(f))
     assert again.num == f.num and again.den == f.den
+    assert _parts(again) == _parts(f)
+
+
+@pytest.mark.parametrize("ctx", [QCTX, MHALFCTX], ids=["Q", "root-of-half"])
+def test_negative_coefficients_print_with_one_sign(ctx):
+    x1 = Poly.named(ctx, "x1")
+    assert str(x1.scale(ctx.field.of(-3))) == "-3*x1"
+    assert str(x1.scale(ctx.field.of(Fraction(-1, 2)))) == "-1/2*x1"
+    f = parse(ctx, "-3*x1 - 1/2*x2 - 4/2")
+    assert str(f) == "-1/2*x2 - 3*x1 - 2"
+    assert str(-f) == "1/2*x2 + 3*x1 + 2"
+    assert str(RatFunc(f.num, (x1 + x1).scale(-1))) == "(1/4*x2 + 3/2*x1 + 1)/(x1)"
+
+
+def test_prime_field_coefficients_print_as_residues():
+    f = parse(F7CTX, "-3*x1 - 1/2*x2")
+    assert str(f) == "3*x2 + 4*x1"
 
 
 def _raw_eq(a, b):
@@ -609,7 +628,8 @@ def test_witness_is_none_exactly_when_the_raw_difference_is_zero(ctx, data):
 
 
 # Q contexts with x1 and x2. Over F_p a part reduced mod p makes the packed
-# integers of equal pairs differ, so the compare proves little there.
+# integers of equal pairs differ, so the compare would prove little there,
+# and _packed_zero skips it.
 Q_CONTEXTS = {name: c for name, c in CONTEXTS.items() if not c.field.char and len(c.variables) == 2}
 
 
@@ -648,6 +668,31 @@ def test_a_difference_that_only_the_root_fold_zeroes_passes(dense):
         lifted = [poly._lift_ints(t.terms)[1] for t in (left[0], right[1], right[0], left[1])]
         assert poly._packed_layout(*lifted[:2]) and poly._packed_layout(*lifted[2:])
         assert not _packed_zero(left, right)
+
+
+@pytest.mark.parametrize("ctx", [F3CTX, F7CTX], ids=["F3", "F7"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
+def test_packed_proof_packs_nothing_over_a_prime_field(ctx, data):
+    from qmi import poly
+    from qmi.actions import _witness
+    from qmi.ratfunc import _packed_zero, _raw_difference
+
+    p, q = data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx))
+    h = data.draw(polys(ctx, max_terms=2, max_exp=1).filter(lambda p: not p.is_zero()))
+    a = (p, q)
+    b = data.draw(st.sampled_from([(p * h, q * h), (p * h + h, q * h), (q, p)]))
+    # Eligible: both products would be packed, as over Q, where the
+    # packed compare runs.
+    lifted = [poly._lift_ints(t.terms)[1] for t in (a[0], b[1], b[0], a[1])]
+    assume(poly._packed_layout(*lifted[:2]) and poly._packed_layout(*lifted[2:]))
+    with mock.patch.object(ratfunc, "_pack", wraps=ratfunc._pack) as pack:
+        assert not _packed_zero(a, b)
+        witness = _witness(a, b, limit=10**6)
+    assert pack.call_count == 0
+    # The verdict and the witness are those of the decoded difference.
+    diff = _raw_difference(a, b)
+    assert witness == (None if diff.is_zero() else str(diff))
 
 
 # -- a bare variable maps to its binding ------------------------------------------
@@ -880,3 +925,96 @@ def test_henrici_arithmetic_matches_product_then_cancel(ctx, data):
             naive[n] = (f**n, b**-n, a**-n)
     for op, (result, num, den) in naive.items():
         assert _parts(result) == _parts(RatFunc(num, den)), op
+
+
+# -- the stored form of a coefficient -------------------------------------------
+
+
+def _assert_stored(label, *parts):
+    """Every coefficient is nonzero and stored in its field's form: over Q an
+    int, or a Fraction whose denominator is above 1; over F_p an int in
+    0..p-1."""
+    for part in parts:
+        char = part.ctx.field.char
+        for e, c in part.terms.items():
+            if char:
+                ok = type(c) is int and 0 < c < char
+            else:
+                ok = c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+            assert ok, f"{label}: {e} has {type(c).__name__} {c!r}"
+
+
+@pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
+def test_every_result_stores_its_coefficients_in_the_fields_form(ctx, data):
+    from qmi.ratfunc import _raw_difference, substitute_raw
+
+    nonzero = polys(ctx, max_terms=2).filter(lambda p: not p.is_zero())
+    p, q = data.draw(polys(ctx)), data.draw(polys(ctx))
+    r, s, h = data.draw(nonzero), data.draw(nonzero), data.draw(nonzero)
+    c = ctx.field.of(Fraction(data.draw(st.integers(-6, 6)), data.draw(st.sampled_from([1, 2, 4]))))
+    f, g = data.draw(ratfuncs(ctx)), data.draw(ratfuncs(ctx))
+    results = {
+        "p + q": [p + q],
+        "p - q": [p - q],
+        "p * q": [p * q],
+        "p ** 3": [p**3],
+        "p.scale(c)": [p.scale(c)],
+        "f + g": [(f + g).num, (f + g).den],
+        "f - g": [(f - g).num, (f - g).den],
+        "f * g": [(f * g).num, (f * g).den],
+        "f ** 2": [(f**2).num, (f**2).den],
+        "unit_normal": unit_normal(r, p, q),
+        "cancel": gcd.cancel(p * h, r * h),
+        "_raw_difference": [_raw_difference((p, r), (q, s))],
+        "parse": [part for t in (str(f), f"4/2*({p}) - 6/4") for part in (parse(ctx, t).num, parse(ctx, t).den)],
+    }
+    if not g.is_zero():
+        results["f / g"] = [(f / g).num, (f / g).den]
+        results["g ** -2"] = [(g**-2).num, (g**-2).den]
+    binds = {x: (data.draw(polys(ctx, max_terms=2)), data.draw(nonzero)) for x in ctx.variables}
+    try:
+        results["substitute_raw"] = substitute_raw((p, r), binds)
+    except SubstitutionPole:
+        pass
+    for label, parts in results.items():
+        _assert_stored(label, *parts)
+
+
+def test_a_fold_by_one_half_leaves_int_coefficients():
+    """In Q(sqrt(1/2)), sqrt(m)^2 folds to Fraction(1, 2), so the squares
+    below meet integers only as Fractions with denominator 1."""
+    from qmi.ratfunc import _raw_difference, substitute_raw
+
+    ctx = MHALFCTX
+    f = parse(ctx, "(4*sqrt(m)*x1 + 2*sqrt(m)*x2)^2")
+    square = parse(ctx, "8*x1^2 + 8*x1*x2 + 2*x2^2").num
+    assert f.num == square and f.den.is_one()
+    assert sorted(map(type, f.num.terms.values()), key=str) == [int] * 3
+    p = parse(ctx, "4*sqrt(m)*x1 + 2*sqrt(m)*x2").num
+    one, zero = Poly.const(ctx, 1), Poly.const(ctx, 0)
+    x1 = Poly.named(ctx, "x1")
+    results = {
+        "p * p": [p * p],
+        "p ** 2": [p**2],
+        "_raw_difference": [_raw_difference((p * p, one), (zero, one))],
+        "substitute_raw": substitute_raw((x1 * x1, one), {"x1": (p, one)}),
+        "cancel": gcd.cancel(p * p, p * x1),
+        "unit_normal": unit_normal(p * p, p),
+        "sqrt(m)^2": [parse(ctx, "sqrt(m)^2").num, parse(ctx, "(2*sqrt(m))^2").num],
+    }
+    assert results["p * p"] == results["p ** 2"] == results["_raw_difference"] == [square]
+    assert results["substitute_raw"] == (square, one)
+    for label, parts in results.items():
+        _assert_stored(label, *parts)
+    assert parse(ctx, "(2*sqrt(m))^2").num == Poly.const(ctx, 2)
+
+
+@pytest.mark.parametrize("ctx", [QCTX, F7CTX], ids=["Q", "F7"])
+def test_lift_ints_returns_a_fresh_dict(ctx):
+    from qmi.poly import _lift_ints
+
+    p = parse(ctx, "3*x1 - 2*x2 + 1").num
+    scale, ints = _lift_ints(p.terms)
+    assert scale == 1 and ints == p.terms and ints is not p.terms
