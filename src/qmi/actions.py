@@ -49,7 +49,6 @@ from .poly import Poly
 from .ratfunc import (
     Pair,
     RatFunc,
-    _packed_zero,
     _raw_difference,
     _resolve_sign_keys,
     apply_root_signs_poly,
@@ -293,17 +292,13 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
 def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
     """None when a and b are equal; else their raw difference, as text.
 
-    The zero test of a[0]*b[1] - b[0]*a[1] runs in the order of the
+    The zero test of a[0]*b[1] - b[0]*a[1] runs in the two steps of the
     ratfunc module docstring: equal pairs pass with nothing multiplied;
-    then, over Q where both products would be packed, one compare of
-    packed integers (ratfunc._packed_zero) proves the unfolded
-    difference zero; otherwise, or when that compare finds the packed
-    products unequal (a root fold can still zero the difference), the
-    folded difference is formed and read. Each pass is a proof, so the
-    verdict and the witness are those of forming the difference.
-    The text is cut to `limit` characters.
+    otherwise the folded difference is formed (ratfunc._raw_difference,
+    in one packed integer where both products would be packed) and
+    read. The text is cut to `limit` characters.
     """
-    if (a[1] == b[1] and a[0] == b[0]) or _packed_zero(a, b):
+    if a[1] == b[1] and a[0] == b[0]:
         return None
     diff = _raw_difference(a, b)
     if diff.is_zero():

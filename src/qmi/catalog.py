@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .catalog_data import MATRICES
-from .context import _NAME_RE, Context, SpecializationError, specialized_values
+from .context import _NAME_RE, Context, ContextError, check_symbols
 from .errors import SchemaError, UnknownCase
 from .field import field_from_name
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
@@ -255,13 +255,11 @@ def _check_keys(obj: Mapping, allowed: set[str], path: str) -> None:
 
 
 def _check_context(spec: Any, path: str) -> None:
-    """A context spec whose field, names and specializations Context accepts.
+    """A context spec that Context accepts, checked without building one.
 
-    Checked without building a Context: the field resolves, variable and
-    parameter names are of the form [a-z][a-z0-9]* and none is declared
-    twice, roots and specializations name parameters, a specialized
-    value is a rational number Fraction reads, and the specialized
-    values pass context.specialized_values, Context's own rule.
+    The JSON shape is checked here: an object with known keys, a field
+    that resolves, lists of names, and specialized values that are ints
+    or strings. The symbol rules are context.check_symbols, Context's own.
     """
     if not isinstance(spec, dict):
         raise SchemaError("context must be an object", path)
@@ -278,36 +276,18 @@ def _check_context(spec: Any, path: str) -> None:
                 isinstance(s, str) and s for s in spec[key]
             ):
                 raise SchemaError("expected a list of names", f"{path}/{key}")
-    seen = set()
-    for key in ("variables", "parameters"):
-        for i, name in enumerate(spec.get(key, ())):
-            if not _NAME_RE.match(name):
-                raise SchemaError(f"name {name!r} is not of the form [a-z][a-z0-9]*", f"{path}/{key}/{i}")
-            if name in seen:
-                raise SchemaError(f"duplicate symbol name {name!r}", f"{path}/{key}/{i}")
-            seen.add(name)
-    parameters = set(spec.get("parameters", ()))
-    for i, name in enumerate(spec.get("roots", ())):
-        if name not in parameters:
-            raise SchemaError(f"root of {name!r}, which is not a parameter", f"{path}/roots/{i}")
-    if "specialize" in spec:
-        if not isinstance(spec["specialize"], dict):
-            raise SchemaError("specialize must map parameter to value", path + "/specialize")
-        values = {}
-        for k, v in spec["specialize"].items():
-            if type(v) is bool or not isinstance(v, (int, str)):
-                raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
-            if k not in parameters:
-                raise SchemaError(f"{k!r} is not a parameter", f"{path}/specialize/{k}")
-            try:
-                values[k] = Fraction(v)
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(f"{v!r} is not a rational number", f"{path}/specialize/{k}") from None
-        roots = set(spec.get("roots", ()))
-        try:
-            specialized_values(base, values, [p for p in spec.get("parameters", ()) if p in roots])
-        except SpecializationError as err:
-            raise SchemaError(str(err), f"{path}/specialize/{err.name}") from None
+    specialize = spec.get("specialize", {})
+    if not isinstance(specialize, dict):
+        raise SchemaError("specialize must map parameter to value", path + "/specialize")
+    for k, v in specialize.items():
+        if type(v) is bool or not isinstance(v, (int, str)):
+            raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
+    try:
+        check_symbols(
+            base, spec.get("variables", ()), spec.get("parameters", ()), spec.get("roots", ()), specialize
+        )
+    except ContextError as err:
+        raise SchemaError(str(err), f"{path}/{err.key}/{err.where}") from None
 
 
 def _check_exprmap(value: Any, path: str) -> None:
@@ -529,14 +509,24 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
             raise SchemaError("expect_rational must be a boolean", path + "/expect_rational")
         if case == "quadric":
             coeffs = _need(p, "coeffs", path)
-            if not isinstance(coeffs, list) or not all(isinstance(c, (int, str)) for c in coeffs):
+            if not isinstance(coeffs, list):
                 raise SchemaError("coeffs must be a list of rationals", path + "/coeffs")
+            for i, c in enumerate(coeffs):
+                _rational(c, f"{path}/coeffs/{i}")
         else:
-            a = _need(p, "a", path)
-            if not isinstance(a, (int, str)):
-                raise SchemaError("a must be a rational", path + "/a")
-            if case == "d4" and not isinstance(_need(p, "b", path), (int, str)):
-                raise SchemaError("b must be a rational", path + "/b")
+            for key in ("a", "b") if case == "d4" else ("a",):
+                if not _rational(_need(p, key, path), f"{path}/{key}"):
+                    raise SchemaError(f"{key} must be nonzero", f"{path}/{key}")
+
+
+def _rational(value: Any, path: str) -> Fraction:
+    """value as a Fraction: an int that is not a bool, or a string Fraction reads."""
+    if type(value) is bool or not isinstance(value, (int, str)):
+        raise SchemaError("expected a rational: an integer or a string such as \"3/4\"", path)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{value!r} is not a rational number", path) from None
 
 
 def validate_catalog(data: Any) -> None:

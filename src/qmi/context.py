@@ -40,49 +40,79 @@ def _is_square(field: BaseField, value: Any) -> bool:
     return num > 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
-class SpecializationError(ValueError):
-    """A specialized value that Context rejects; `name` is its parameter."""
+class ContextError(ValueError):
+    """A context spec that Context rejects, at spec[key][where].
 
-    def __init__(self, name: str, message: str) -> None:
+    key is "variables", "parameters", "roots" or "specialize"; where is
+    the index into that list, or the parameter's name under "specialize".
+    """
+
+    def __init__(self, key: str, where: int | str, message: str) -> None:
         super().__init__(message)
-        self.name = name
+        self.key = key
+        self.where = where
 
 
-def specialized_values(
-    field: BaseField, specialize: Mapping[str, Fraction], rooted: Sequence[str]
-) -> dict[str, Any]:
-    """The field value of each specialized parameter, by name.
+def check_symbols(
+    field: BaseField,
+    variables: Sequence[str],
+    parameters: Sequence[str],
+    roots: Sequence[str],
+    specialize: Mapping[str, Any],
+) -> tuple[dict[str, Fraction], dict[str, Any]]:
+    """The symbol rules of a Context; (values as Fractions, field values), by name.
 
-    rooted lists the parameters that carry a root. Raises
-    SpecializationError if a value's denominator is 0 in the field, or if
-    a rooted parameter's value is 0 or a square, alone or times the
+    Variable and parameter names are of the form [a-z][a-z0-9]* and no
+    name is declared twice; roots and specializations name declared
+    parameters; a specialized value is a rational number that Fraction
+    reads, and its denominator is not 0 in the field. A rooted
+    parameter's value must not be 0 or a square, alone or times the
     values of other rooted parameters: every nonempty subset of the
     rooted values must multiply to a nonsquare, because if c*d = s^2,
     sqrt(c)*sqrt(d) - s is a zero divisor. Over F_p this allows at most
-    one specialized root.
+    one specialized root. Raises ContextError.
     """
+    seen: set[str] = set()
+    for key, names in (("variables", variables), ("parameters", parameters)):
+        for i, name in enumerate(names):
+            if not _NAME_RE.match(name):
+                raise ContextError(key, i, f"name {name!r} is not of the form [a-z][a-z0-9]*")
+            if name in seen:
+                raise ContextError(key, i, f"duplicate symbol name {name!r}")
+            seen.add(name)
+    for i, name in enumerate(roots):
+        if name not in parameters:
+            raise ContextError("roots", i, f"root of {name!r}, which is not a parameter")
+    spec = {}
     values = {}
     for name, v in specialize.items():
+        if name not in parameters:
+            raise ContextError("specialize", name, f"{name!r} is not a parameter")
         try:
-            values[name] = field.of(v)
+            spec[name] = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ContextError("specialize", name, f"{v!r} is not a rational number") from None
+        try:
+            values[name] = field.of(spec[name])
         except ZeroDivisionError as err:
-            raise SpecializationError(name, f"value of {name!r}: {err}") from None
+            raise ContextError("specialize", name, f"value of {name!r}: {err}") from None
     subset_products: list[Any] = []
-    for p in rooted:
-        if p not in values:
+    for p in parameters:
+        if p not in roots or p not in values:
             continue
         value = values[p]
         if value == field.zero:
-            raise SpecializationError(p, f"rooted parameter {p!r} specialized to 0 in {field.name}")
+            raise ContextError("specialize", p, f"rooted parameter {p!r} specialized to 0 in {field.name}")
         new = [value] + [field.mul(value, q) for q in subset_products]
         if any(_is_square(field, v) for v in new):
-            raise SpecializationError(
+            raise ContextError(
+                "specialize",
                 p,
                 f"rooted parameter {p!r} specialized to a square in {field.name}, "
                 "alone or times other specialized roots; its root ring has zero divisors",
             )
         subset_products += new
-    return values
+    return spec, values
 
 
 class Context:
@@ -110,29 +140,14 @@ class Context:
         roots: Sequence[str] = (),
         specialize: Mapping[str, Any] | None = None,
     ) -> None:
-        spec = {name: Fraction(v) for name, v in (specialize or {}).items()}
-        for name in list(variables) + list(parameters):
-            if not _NAME_RE.match(name):
-                raise ValueError(f"bad symbol name {name!r}")
-        seen: set[str] = set()
-        for name in list(variables) + list(parameters):
-            if name in seen:
-                raise ValueError(f"duplicate symbol name {name!r}")
-            seen.add(name)
-        for name in roots:
-            if name not in parameters:
-                raise ValueError(f"root declared for unknown parameter {name!r}")
-        for name in spec:
-            if name not in parameters:
-                raise ValueError(f"specialization of unknown parameter {name!r}")
-
+        spec, constants = check_symbols(field, variables, parameters, roots, specialize or {})
         self.field = field
         self.variables = tuple(variables)
         self.parameters = tuple(parameters)
         self.rooted = tuple(name for name in parameters if name in set(roots))
-        self.specializations = dict(spec)
+        self.specializations = spec
         # Bare names of specialized parameters resolve to field constants.
-        self.constants = specialized_values(field, spec, self.rooted)
+        self.constants = constants
 
         live_params = tuple(p for p in parameters if p not in spec)
         names: list[str] = [f"sqrt({p})" for p in self.rooted]
@@ -203,7 +218,7 @@ class Context:
         return mapping
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and self._key == other._key
+        return self is other or (isinstance(other, Context) and self._key == other._key)
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -7,23 +7,28 @@ monomial never carries a root exponent above 1: whenever a product stacks
 two copies of a root, the pair collapses to the underlying parameter (or
 to the specialized constant).
 
-Products of term dicts keyed by exponent tuples (Poly.__mul__, the gcd
-layer, ratfunc._raw_difference) go through _convolve_ints, which takes
-one of two paths with equal sums. Large dense integer products are
-packed into one integer each (Kronecker substitution: one byte-aligned
-coefficient slot per monomial of the product's exponent box) and
-multiplied with one big-int multiply: when both operands have at least
-2 terms, at least _PACK_MIN_PAIRS term pairs, int coefficients only,
-and at most _PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair.
-A slot holds a bound on the product's coefficients, which is at most
+Products of term dicts keyed by exponent tuples (Poly.__mul__ and the
+gcd layer) go through _convolve_ints, which takes one of two paths with
+equal sums. Large dense integer products are packed into one integer
+each (Kronecker substitution: one byte-aligned coefficient slot per
+monomial of the product's exponent box) and multiplied with one big-int
+multiply: when both operands have at least 2 terms, at least
+_PACK_MIN_PAIRS term pairs, int coefficients only, and at most
+_PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair. A slot holds
+a bound on the product's coefficients, which is at most
 max|a|*max|b|*min(|a|, |b|), plus a sign bit (see _slot_bytes). Every
 other product is a loop over term pairs.
+
+ratfunc's zero test forms the difference ml*A0*B1 - mr*B0*A1 in
+_difference_ints, as one packed integer where both products would be
+packed. _packed_sum writes the tuple-keyed layout once, for one product
+and for that difference.
 
 ratfunc.substitute_raw multiplies term dicts keyed by int exponent
 words, in a mixed-radix layout it fixes per call, through
 _convolve_words: the same two paths under the same rule, with slot
-index word minus the operand's smallest word. Both packed paths share
-one core, _kronecker.
+index word minus the operand's smallest word. Every packed path packs
+with _pack and decodes with _unpack.
 
 Coefficients are stored as the field stores them (field.py): over Q an
 int when integral, else a Fraction with denominator above 1; over F_p an
@@ -183,13 +188,12 @@ def _pack_layout(a: dict, b: dict) -> tuple[list[int], int]:
     (_slot_bytes).
     """
     radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
-    return radices, _slot_bytes(a.values(), b.values())
+    return radices, _slot_bytes(_coeff_bound(a.values(), b.values()))
 
 
-def _slot_bytes(av, bv) -> int:
-    """Bytes per packed slot of the product of two int coefficient lists:
-    the fewest that hold _coeff_bound, plus a sign bit."""
-    return (_coeff_bound(av, bv).bit_length() + 8) // 8
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed slot: the fewest that hold bound, plus a sign bit."""
+    return (bound.bit_length() + 8) // 8
 
 
 def _coeff_bound(av, bv) -> int:
@@ -206,17 +210,57 @@ def _coeff_bound(av, bv) -> int:
 def _convolve_packed(
     a: dict, b: dict, radices: list[int], w: int
 ) -> dict[tuple[int, ...], int]:
-    """The unfolded product of int coefficients through one big-int multiply.
+    """The unfolded product of int coefficients through one big-int multiply
+    (_packed_sum), in the layout of _pack_layout."""
+    return _packed_sum(((1, a, b),), radices, w)
+
+
+def _difference_ints(a0: dict, b1: dict, b0: dict, a1: dict, ml: int, mr: int) -> dict:
+    """The unfolded terms of ml*a0*b1 - mr*b0*a1, for int term dicts.
+
+    When both products would take the packed path of _convolve_ints,
+    one layout holds both (_packed_sum): each slot's radix is the larger
+    of the two products' radices there, so the packed integer is
+    sum_k (ml*c_k - mr*d_k) X^k, X = 256^w, with c_k and d_k the
+    coefficients of a0*b1 and b0*a1 in slot k. The w-byte slots hold
+    ml * _coeff_bound(a0, b1) + mr * _coeff_bound(b0, a1), which bounds
+    every |ml*c_k - mr*d_k|, plus a sign bit: no slot spills into the
+    next, so the difference is zero exactly when the integer is, and
+    decodes exactly when it is not. Otherwise the two products of
+    _convolve_ints are subtracted over the integers. Zeros may remain.
+    """
+    left, right = _packed_layout(a0, b1), _packed_layout(b0, a1)
+    if left is not None and right is not None:
+        bound = ml * _coeff_bound(a0.values(), b1.values()) + mr * _coeff_bound(b0.values(), a1.values())
+        radices = list(map(max, left[0], right[0]))
+        return _packed_sum(((ml, a0, b1), (-mr, b0, a1)), radices, _slot_bytes(bound))
+    out = _convolve_ints(a0, b1, ())
+    if ml != 1:
+        out = {e: v * ml for e, v in out.items()}
+    get = out.get
+    for e, v in _convolve_ints(b0, a1, ()).items():
+        out[e] = get(e, 0) - v * mr
+    return out
+
+
+def _packed_sum(products, radices: list[int], w: int) -> dict[tuple[int, ...], int]:
+    """The sum of m * a * b over products (m, a, b) of int term dicts, unfolded.
 
     A monomial's slot index is its exponent vector read in mixed radix
-    (last slot fastest), laid out by _pack_layout; _kronecker multiplies.
+    (last slot fastest), whose radices exceed every exponent sum of every
+    product; w-byte slots hold every coefficient of the sum with a sign
+    bit. Each operand packs once (_pack), and a nonzero sum decodes once
+    (_unpack).
     """
     weights = _weights(radices)
-    flags, values = _kronecker(
-        [sum(map(mul, e, weights)) for e in a], a.values(),
-        [sum(map(mul, e, weights)) for e in b], b.values(),
-        math.prod(radices), w,
-    )
+    total = 0
+    for m, a, b in products:
+        pa = _pack([sum(map(mul, e, weights)) for e in a], a.values(), w)
+        pb = _pack([sum(map(mul, e, weights)) for e in b], b.values(), w)
+        total += m * pa * pb
+    if not total:
+        return {}
+    flags, values = _unpack(total, math.prod(radices), w)
     return dict(zip(compress(product(*map(range, radices)), flags), values))
 
 
@@ -243,7 +287,7 @@ def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     if pairs >= _PACK_MIN_PAIRS and len(a) > 1 and len(b) > 1:
         la, lb = min(a), min(b)
         nslots = max(a) - la + max(b) - lb + 1
-        w = _slot_bytes(a.values(), b.values())
+        w = _slot_bytes(_coeff_bound(a.values(), b.values()))
         if nslots * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
             flags, values = _kronecker(
                 [k - la for k in a], a.values(), [k - lb for k in b], b.values(), nslots, w
@@ -261,22 +305,29 @@ def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 def _kronecker(ia, ca, ib, cb, nslots: int, w: int) -> tuple[bytes, list[int]]:
     """Kronecker substitution: one big-int multiply of two operands.
 
-    ia, ca (ib, cb) are an operand's slot indices and int coefficients;
-    the product has nslots slots of w bytes, and slot k owns bytes
-    [k*w, (k+1)*w) of an integer. An operand packs as the integer of its
-    positive coefficients minus that of its negative ones. Adding half a
-    slot to every slot of the product leaves each slot in [0, 2^(8w))
-    with no borrow from its neighbours. A slot equal to that bias is a
-    zero: such slots are found with whole-integer operations and
-    skipped, and each other slot decodes from one byte slice. Returns one
-    flag byte per slot, nonzero for a nonzero coefficient, and the
-    coefficients of the flagged slots in slot order.
+    ia, ca (ib, cb) are an operand's slot indices and int coefficients
+    (_pack); the product has nslots slots of w bytes and decodes by
+    _unpack.
+    """
+    return _unpack(_pack(ia, ca, w) * _pack(ib, cb, w), nslots, w)
+
+
+def _unpack(n: int, nslots: int, w: int) -> tuple[bytes, list[int]]:
+    """Decode n = sum of c_k * 256^(w*k) over nslots slots, |c_k| < 2^(8w-1).
+
+    Slot k owns bytes [k*w, (k+1)*w) of an integer. Adding half a slot
+    to every slot leaves each slot in [0, 2^(8w)) with no borrow from
+    its neighbours. A slot equal to that bias is a zero: such slots are
+    found with whole-integer operations and skipped, and each other slot
+    decodes from one byte slice. Returns one flag byte per slot, nonzero
+    for a nonzero coefficient, and the coefficients of the flagged slots
+    in slot order.
     """
     size = nslots * w
     bias = 1 << (8 * w - 1)
     biases = int.from_bytes(bias.to_bytes(w, "little") * nslots, "little")
     lows = int.from_bytes((bias - 1).to_bytes(w, "little") * nslots, "little")
-    shifted = _pack(ia, ca, w) * _pack(ib, cb, w) + biases
+    shifted = n + biases
     buf = shifted.to_bytes(size, "little")
     # Per slot x = shifted ^ bias, which is 0 exactly for a zero
     # coefficient: ((x & low) + low) | x has its top bit set iff x != 0,

@@ -52,7 +52,7 @@ x2 -> b/d takes x1 + x2 to (a + b, d), not to ((a + b) d, d^2).
 
 The expansion runs on exponent words. A call fixes one mixed-radix
 layout over the target's symbol slots, last slot fastest as in
-poly._convolve_packed: slot j has radix 1 + B_j, and a monomial's word
+poly._packed_sum: slot j has radix 1 + B_j, and a monomial's word
 is its exponent vector read in that radix. B_j is the largest slot-j
 exponent of the parts' roots and parameters (mapped into the target),
 plus one term per group g, a group of one included. A key of g is the
@@ -90,30 +90,18 @@ that is the engine's pair (a group of one with top 1, whose table entry
 is n_v over d_v^1), and its parts are already folded and normalized.
 
 The zero test of two raw pairs a and b (actions._witness) decides
-whether a[0]*b[1] - b[0]*a[1] is zero in three steps, each exact:
+whether a[0]*b[1] - b[0]*a[1] is zero in two steps, each exact:
 
 1. Equal pairs. a[0] == b[0] and a[1] == b[1] make the two products
    equal, so the difference is zero and nothing is multiplied.
-2. Packed proof (_packed_zero), where both products would take the
-   packed path of poly._convolve_ints. The parts are lifted to integer
-   terms A0, B1, B0, A1 once, and ml, mr bring the two products to one
-   scale. One mixed-radix layout, whose radix in each slot exceeds both
-   products' exponent sums there, gives every monomial of either
-   product its own slot index k, and the packed operands multiply to
-   sum_k c_k X^k and sum_k d_k X^k, X = 256^w, with c_k and d_k the
-   unfolded coefficients of A0*B1 and B0*A1. The slot width w holds
-   the coefficient bound of ml*A0*B1 - mr*B0*A1 plus a sign bit, so
-   every e_k = ml*c_k - mr*d_k has |e_k| < X. If the packed integers
-   agree, sum_k e_k X^k = 0, and the lowest nonzero e_k would be a
-   multiple of X: so every e_k is 0. The unfolded difference is zero,
-   and the root folds (a ring map) and reduction mod p keep it zero.
-   Unequal integers prove nothing: a fold r^2 -> a, or p, can still
-   zero the difference, as for (sqrt(a)*p, q) against (a*p, sqrt(a)*q).
-   The step runs over Q only: over F_p a part stores residues, so the
-   integer products of two pairs equal mod p differ wherever a
-   coefficient was reduced, and the compare almost never succeeds.
-3. Decode. _raw_difference forms the folded difference, and the test
-   reads it; its text is the witness when it is nonzero.
+2. The difference. _raw_difference lifts the four parts to integer
+   terms A0, B1, B0, A1 once, with ml and mr the scales that bring both
+   products to one, and poly._difference_ints forms the unfolded
+   ml*A0*B1 - mr*B0*A1 (in one packed integer where both products
+   would be packed, which is zero exactly when the difference is). The
+   root folds (a ring map) are applied once and each surviving
+   coefficient is normalized once, mod p over F_p; the test reads the
+   Poly, and its text is the witness when it is nonzero.
 """
 
 from __future__ import annotations
@@ -122,22 +110,10 @@ import math
 from operator import itemgetter, mul
 from typing import Any, Callable, Mapping, Sequence
 
-from . import poly
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
-from .poly import (
-    Poly,
-    _coeff_bound,
-    _convolve_words,
-    _fold,
-    _from_ints,
-    _lift_ints,
-    _lifted_product,
-    _pack,
-    _packed_layout,
-    _weights,
-)
+from .poly import Poly, _convolve_words, _difference_ints, _fold, _from_ints, _lift_ints, _weights
 
 Pair = tuple[Poly, Poly]
 # One level (key, table) per group of bound variables: key, an itemgetter
@@ -692,58 +668,17 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
     return acc
 
 
-def _packed_zero(a: Pair, b: Pair) -> bool:
-    """True when one packed compare proves a[0]*b[1] - b[0]*a[1] zero.
-
-    It runs only over Q (over F_p it returns False at once; module
-    docstring), and only where both products would take the packed path
-    of poly._convolve_ints. The four parts are lifted once, as in
-    _raw_difference, to A0 = a[0], B1 = b[1], B0 = b[0], A1 = a[1] over
-    the integers, with ml and mr the scales that bring both products to
-    one. One mixed-radix layout holds both products (radix 1 + the
-    larger of the two products' exponent sums, per slot), and its slots
-    hold the coefficient bound of ml*A0*B1 - mr*B0*A1 plus a sign bit.
-    Then P0*P1*ml == P2*P3*mr, over the packed integers, holds exactly
-    when the unfolded difference is zero (module docstring). False
-    decides nothing: a root fold can still zero it.
-    """
-    if a[0].ctx.field.char:
-        return False
-    a0, a1, b0, b1 = a[0].terms, a[1].terms, b[0].terms, b[1].terms
-    least = poly._PACK_MIN_PAIRS
-    if len(a0) * len(b1) < least or len(b0) * len(a1) < least:
-        return False
-    (s0, i0), (s1, i1), (s2, i2), (s3, i3) = map(_lift_ints, (a0, b1, b0, a1))
-    left, right = _packed_layout(i0, i1), _packed_layout(i2, i3)
-    if left is None or right is None:
-        return False
-    sl, sr = s0 * s1, s2 * s3
-    scale = math.lcm(sl, sr)
-    ml, mr = scale // sl, scale // sr
-    bound = ml * _coeff_bound(i0.values(), i1.values()) + mr * _coeff_bound(i2.values(), i3.values())
-    w = (bound.bit_length() + 8) // 8
-    weights = _weights(list(map(max, left[0], right[0])))
-    p0, p1, p2, p3 = (
-        _pack([sum(map(mul, e, weights)) for e in i], i.values(), w) for i in (i0, i1, i2, i3)
-    )
-    return p0 * p1 * ml == p2 * p3 * mr
-
-
 def _raw_difference(a: Pair, b: Pair) -> Poly:
     """a[0]*b[1] - b[0]*a[1], subtracted over the integers.
 
-    Both products are lifted to integers (denominators cleared, as in
-    Poly.__mul__) and brought to one common scale, so only the surviving
-    coefficients are normalized, once each.
+    The four parts are lifted to integers (denominators cleared, as in
+    Poly.__mul__) and both products brought to one common scale; the
+    unfolded difference (poly._difference_ints) is folded once, and
+    only the surviving coefficients are normalized, once each.
     """
     ctx = a[0].ctx
-    sl, left = _lifted_product(a[0].terms, b[1].terms, ctx.folds)
-    sr, right = _lifted_product(b[0].terms, a[1].terms, ctx.folds)
+    (s0, a0), (s1, b1), (s2, b0), (s3, a1) = (_lift_ints(p.terms) for p in (a[0], b[1], b[0], a[1]))
+    sl, sr = s0 * s1, s2 * s3
     scale = math.lcm(sl, sr)
-    ml, mr = scale // sl, scale // sr
-    if ml != 1:
-        left = {e: v * ml for e, v in left.items()}
-    get = left.get
-    for e, v in right.items():
-        left[e] = get(e, 0) - v * mr
-    return _from_ints(ctx, scale, left)
+    diff = _difference_ints(a0, b1, b0, a1, scale // sl, scale // sr)
+    return _from_ints(ctx, scale, _fold(diff, ctx.folds))

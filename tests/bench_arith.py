@@ -21,9 +21,14 @@ the runner's memo does: action bindings, claimed images, and the
 expressions of the cases that have no where-list. It times the parse
 layer alone, coefficient arithmetic and canonical forms included.
 
+zero-tests: every actions._witness call that one run_case of
+sys7iii_case1_vt and one of _tact make, recorded once outside the
+timing, replayed in order by one call. It times the cross-multiplied
+zero test alone, equal pairs, products and decode included.
+
 All of these use only build_context, build_env, parse, close_action,
-Automorphism.apply and RatFunc.__add__, so the file runs on older
-checkouts too. The file name keeps these out of the tier-1 run, which
+Automorphism.apply, RatFunc.__add__, run_case and actions._witness, so
+the file runs on older checkouts too. The file name keeps these out of the tier-1 run, which
 collects test_*.py.
 """
 
@@ -34,10 +39,11 @@ from operator import add
 
 import pytest
 
-from qmi import parse
+from qmi import actions, parse
 from qmi.actions import close_action
 from qmi.catalog import build_action, build_context, build_env, builtin_catalog
 from qmi.catalog_data import MATRICES
+from qmi.runner import run_case
 
 
 @pytest.mark.parametrize("case_id", ["sys7iii_case1_t1", "sys7iii_case1_t2", "sys7iii_case1_t3"])
@@ -115,3 +121,35 @@ def test_parse_light(benchmark):
     parsed = benchmark(parse_all, items)
     assert len(parsed) == len(items) > 300
     assert all(f.ctx == ctx for f, (ctx, _) in zip(parsed, items))
+
+
+@cache
+def witness_calls() -> tuple:
+    """((args, kwargs, result), ...) of the _witness calls of sys7iii_case1_vt and _tact."""
+    calls = []
+    inner = actions._witness
+
+    def record(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    actions._witness = record
+    try:
+        for case_id in ("sys7iii_case1_vt", "sys7iii_case1_tact"):
+            assert run_case(builtin_catalog(), case_id).status == "Pass"
+    finally:
+        actions._witness = inner
+    return tuple(calls)
+
+
+def replay_witnesses(calls) -> list:
+    witness = actions._witness
+    return [witness(*args, **kwargs) for args, kwargs, _ in calls]
+
+
+def test_zero_tests(benchmark):
+    calls = witness_calls()
+    results = benchmark(replay_witnesses, calls)
+    assert len(calls) > 10
+    assert results == [result for _, _, result in calls]

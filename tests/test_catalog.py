@@ -324,6 +324,11 @@ def _flip_twins(doc):
     doc["cases"].append(twin)
 
 
+def _criterion(payload: dict):
+    """Replace case 0 by a RationalityCriterion case with this payload."""
+    return _set(("cases", 0), _case("order", "RationalityCriterion", {**payload, "expect_rational": True}))
+
+
 # (id, change to VALID_DOCUMENT, the path SchemaError must report).
 MALFORMED = [
     ("unknown-kind", _set(("cases", 0, "kind"), "Order"), "/cases/0/kind"),
@@ -421,6 +426,16 @@ MALFORMED = [
      "/cases/4/payload/context/specialize/d"),
     # Each context spec object is checked once; the e = true twin is another object.
     ("boolean-twin-of-a-checked-context", _flip_twins, "/cases/5/payload/context/specialize/e"),
+    # Criterion numbers: an int that is not a bool, or a string Fraction reads; a and b nonzero.
+    ("criterion-a-is-a-boolean", _criterion({"case": "c4", "a": True}), "/cases/0/payload/a"),
+    ("criterion-coefficient-is-a-boolean", _criterion({"case": "quadric", "coeffs": [True, 1, -1]}),
+     "/cases/0/payload/coeffs/0"),
+    ("criterion-a-not-a-number", _criterion({"case": "c4", "a": "x"}), "/cases/0/payload/a"),
+    ("criterion-coefficient-not-a-number", _criterion({"case": "quadric", "coeffs": [1, 1, "-"]}),
+     "/cases/0/payload/coeffs/2"),
+    ("criterion-b-divides-by-zero", _criterion({"case": "d4", "a": 2, "b": "1/0"}), "/cases/0/payload/b"),
+    ("criterion-a-is-zero", _criterion({"case": "c4", "a": 0}), "/cases/0/payload/a"),
+    ("criterion-b-is-zero", _criterion({"case": "d4", "a": 2, "b": "0/3"}), "/cases/0/payload/b"),
 ]
 
 
@@ -435,6 +450,17 @@ def test_where_names_that_shadow_nothing_load():
     doc["cases"][1]["payload"]["where"] = [["dd", "x1*x2"]]
     doc["cases"][1]["payload"]["forward"]["v"] = "dd"
     doc["cases"][2]["payload"]["where_backward"] = [["x1", "1/y1"]]
+    validate_catalog(doc)
+
+
+@pytest.mark.parametrize("payload", [
+    {"case": "c4", "a": "-3/4"},
+    {"case": "d4", "a": -1, "b": "2"},
+    {"case": "quadric", "coeffs": [0, 1, "-1/2"]},
+], ids=["c4-string", "d4-int-and-string", "quadric-with-a-zero"])
+def test_criterion_numbers_that_load(payload):
+    doc = copy.deepcopy(VALID_DOCUMENT)
+    _criterion(payload)(doc)
     validate_catalog(doc)
 
 

@@ -81,6 +81,22 @@ class TestContext:
             Context(field, variables=["x"], parameters=["c", "d"], roots=["c", "d"],
                     specialize={"c": c, "d": d})
 
+    @pytest.mark.parametrize("kwargs,key,where", [
+        ({"variables": ["x1", "X2"]}, "variables", 1),
+        ({"variables": ["x1"], "parameters": ["a", "x1"]}, "parameters", 1),
+        ({"parameters": ["a"], "roots": ["a", "b"]}, "roots", 1),
+        ({"parameters": ["a"], "specialize": {"b": 2}}, "specialize", "b"),
+        ({"parameters": ["a"], "specialize": {"a": "1/0"}}, "specialize", "a"),
+        ({"parameters": ["a"], "roots": ["a"], "specialize": {"a": "9/4"}}, "specialize", "a"),
+    ], ids=["name", "repeat", "root", "specialization", "value", "square"])
+    def test_rejected_spec_names_its_place(self, kwargs, key, where):
+        # The catalog reports the same place as the path .../key/where.
+        from qmi.context import ContextError
+
+        with pytest.raises(ContextError) as err:
+            Context(QQ, **kwargs)
+        assert (err.value.key, err.value.where) == (key, where)
+
     def test_two_constant_roots_with_nonsquare_product(self):
         c = Context(QQ, variables=["x"], parameters=["c", "m"], roots=["c", "m"],
                     specialize={"c": 5, "m": -3})

@@ -572,7 +572,7 @@ def test_packed_word_product_equals_pair_loop(case):
     assert _nonzero(packed, p) == _nonzero(loop, p)
 
 
-# -- the zero test: equal pairs, packed proof, decode ---------------------------
+# -- the zero test: equal pairs, then the difference -------------------------------
 
 
 @st.composite
@@ -601,98 +601,129 @@ def _box(ctx, coeff):
     return Poly(ctx, terms)
 
 
+def _packed_difference_calls():
+    """A wrapper of poly._packed_sum; its calls with two products formed a difference."""
+    from qmi import poly
+
+    return mock.patch.object(poly, "_packed_sum", wraps=poly._packed_sum)
+
+
+def _differences(packed) -> int:
+    return sum(len(call.args[0]) == 2 for call in packed.call_args_list)
+
+
 @pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
 @given(data=st.data())
 @settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
 def test_witness_is_none_exactly_when_the_raw_difference_is_zero(ctx, data):
+    """The difference equals the one the pair loop forms, and the witness reads it."""
+    from qmi import poly
     from qmi.actions import _witness
-    from qmi.ratfunc import _packed_zero, _raw_difference
+    from qmi.ratfunc import _raw_difference
 
     p, q = data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx))
     h = data.draw(polys(ctx, max_terms=2, max_exp=1).filter(lambda p: not p.is_zero()))
-    kind = data.draw(st.sampled_from(["copy", "scaled", "perturbed", "other"]))
+    half = Poly.const(ctx, Fraction(1, 2))
+    kind = data.draw(st.sampled_from(["copy", "scaled", "perturbed", "halved", "half-numerator", "other"]))
     if kind == "copy":
         b = (Poly(ctx, dict(p.terms)), Poly(ctx, dict(q.terms)))
     elif kind == "scaled":
         b = (p * h, q * h)
     elif kind == "perturbed":
         b = (p * h + _mono(ctx, [0] * ctx.nsym), q * h)
+    elif kind == "halved":
+        # Over Q the lift scales of the two products differ.
+        b = (p * half, q * half)
+    elif kind == "half-numerator":
+        b = (p * half, q)
     else:
         b = (data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx)))
     a = (p, q)
     for left, right in ((a, b), (b, a)):
-        zero = _raw_difference(left, right).is_zero()
-        assert (_witness(left, right) is None) == zero
-        if _packed_zero(left, right):
-            assert zero
+        diff = _raw_difference(left, right)
+        with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
+            assert _raw_difference(left, right) == diff
+        assert (_witness(left, right) is None) == diff.is_zero()
 
 
-# Q contexts with x1 and x2. Over F_p a part reduced mod p makes the packed
-# integers of equal pairs differ, so the compare would prove little there,
-# and _packed_zero skips it.
+# Contexts with x1 and x2 over Q, where the box coefficients below are
+# distinct and nonzero.
 Q_CONTEXTS = {name: c for name, c in CONTEXTS.items() if not c.field.char and len(c.variables) == 2}
 
 
 @pytest.mark.parametrize("ctx", list(Q_CONTEXTS.values()), ids=list(Q_CONTEXTS))
 def test_packed_proof_passes_a_pair_scaled_by_a_common_factor(ctx):
     from qmi.actions import _witness
-    from qmi.ratfunc import _packed_zero
 
     p = _box(ctx, lambda i, j: Fraction((-1) ** j * (i + 2 * j + 1), j + 1))
     q = _box(ctx, lambda i, j: (-1) ** i * (3 * j + 1))
     h = parse(ctx, "x1 + 2").num
     a, b = (p, q), (p * h, q * h)
-    assert _packed_zero(a, b) and _packed_zero(b, a)
-    assert _witness(a, b) is None
-    assert _witness(a, (p * h + h, q * h)) is not None
+    with _packed_difference_calls() as packed:
+        assert _witness(a, b) is None
+        assert _witness(b, a) is None
+        assert _witness(a, (p * h + h, q * h)) is not None
+    assert _differences(packed) == 3
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["over-1", "over-a-box"])
 def test_a_difference_that_only_the_root_fold_zeroes_passes(dense):
     """(sqrt(a)*p, q) against (a*p, sqrt(a)*q): sqrt(a)^2 * p*q - a * p*q
     is nonzero unfolded and zero once sqrt(a)^2 folds to a."""
-    from qmi import poly
     from qmi.actions import _witness
-    from qmi.ratfunc import _packed_zero, _raw_difference
+    from qmi.ratfunc import _raw_difference
 
     ctx = CTX
     r, a = Poly.named(ctx, "sqrt(a)"), Poly.named(ctx, "a")
     p = _box(ctx, lambda i, j: i + j + 1)
     q = _box(ctx, lambda i, j: (-1) ** j * (2 * i + j + 1)) if dense else Poly.const(ctx, 1)
     left, right = (r * p, q), (a * p, r * q)
-    assert _raw_difference(left, right).is_zero()
-    assert _witness(left, right) is None
-    if dense:
-        # The packed proof runs, finds the unfolded products unequal and
-        # decides nothing; the decoded difference passes the pair.
-        lifted = [poly._lift_ints(t.terms)[1] for t in (left[0], right[1], right[0], left[1])]
-        assert poly._packed_layout(*lifted[:2]) and poly._packed_layout(*lifted[2:])
-        assert not _packed_zero(left, right)
+    with _packed_difference_calls() as packed:
+        assert _raw_difference(left, right).is_zero()
+        assert _witness(left, right) is None
+    # Over a box both products are packed, and the packed difference is
+    # nonzero until it is decoded and folded.
+    assert _differences(packed) == (2 if dense else 0)
 
 
-@pytest.mark.parametrize("ctx", [F3CTX, F7CTX], ids=["F3", "F7"])
-@given(data=st.data())
-@settings(max_examples=10, deadline=None, suppress_health_check=list(HealthCheck))
-def test_packed_proof_packs_nothing_over_a_prime_field(ctx, data):
-    from qmi import poly
+def test_packed_difference_reaches_its_coefficient_bound():
+    """(A, B) against (-A, B) is 2*A*B. A is a 10x10 box of ones and B a 2x2
+    box of 16s, so A*B and -A*B peak at +-64, their coefficient bounds, and
+    the difference at 128, the sum of the bounds: its slot needs the sign
+    bit beyond those 8 bits."""
+    from qmi.ratfunc import _raw_difference
+
+    ctx = QCTX
+    box = parse(ctx, "(1 + x1 + x1^2 + x1^3 + x1^4 + x1^5 + x1^6 + x1^7 + x1^8 + x1^9)"
+                     " * (1 + x2 + x2^2 + x2^3 + x2^4 + x2^5 + x2^6 + x2^7 + x2^8 + x2^9)").num
+    small = parse(ctx, "16 * (1 + x1) * (1 + x2)").num
+    with _packed_difference_calls() as packed:
+        diff = _raw_difference((box, small), (-box, small))
+    assert _differences(packed) == 1
+    product = box * small
+    assert max(product.terms.values()) == 64
+    assert diff == product + product
+
+
+# Q(sqrt(5)) with three variables: the lift scales must reach the packed difference there too.
+C5ZCTX = Context(QQ, variables=["x1", "x2", "x3"], parameters=["c"], roots=["c"], specialize={"c": 5})
+
+
+@pytest.mark.parametrize("ctx", [ZCTX, C5ZCTX], ids=["Q", "constant-root-5"])
+def test_packed_difference_keeps_the_lift_scales(ctx):
+    """(p/2, q) against (p, q) is p*q/2 - p*q, nonzero. The lifted products
+    are equal, p*q and p*q, over scales 2 and 1: a difference that dropped
+    the scales would be zero."""
     from qmi.actions import _witness
-    from qmi.ratfunc import _packed_zero, _raw_difference
 
-    p, q = data.draw(dense_polys(ctx)), data.draw(dense_polys(ctx))
-    h = data.draw(polys(ctx, max_terms=2, max_exp=1).filter(lambda p: not p.is_zero()))
-    a = (p, q)
-    b = data.draw(st.sampled_from([(p * h, q * h), (p * h + h, q * h), (q, p)]))
-    # Eligible: both products would be packed, as over Q, where the
-    # packed compare runs.
-    lifted = [poly._lift_ints(t.terms)[1] for t in (a[0], b[1], b[0], a[1])]
-    assume(poly._packed_layout(*lifted[:2]) and poly._packed_layout(*lifted[2:]))
-    with mock.patch.object(ratfunc, "_pack", wraps=ratfunc._pack) as pack:
-        assert not _packed_zero(a, b)
-        witness = _witness(a, b, limit=10**6)
-    assert pack.call_count == 0
-    # The verdict and the witness are those of the decoded difference.
-    diff = _raw_difference(a, b)
-    assert witness == (None if diff.is_zero() else str(diff))
+    p = parse(ctx, "(1 + x1 + x2 + x3)^6").num
+    q = parse(ctx, "(2 + x1 - x2 + x3)^5").num
+    assert (len(p.terms), len(q.terms)) == (84, 56)
+    half = Poly.const(ctx, Fraction(1, 2))
+    with _packed_difference_calls() as packed:
+        assert _witness((p * half, q), (p, q)) is not None
+        assert _witness((p, q), (p * half, q)) is not None
+    assert _differences(packed) == 2
 
 
 # -- a bare variable maps to its binding ------------------------------------------
