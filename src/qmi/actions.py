@@ -17,8 +17,10 @@ any of them. sigma is determined by its signs and the images sigma(x_j),
 so a group G acts faithfully on O, the union of the G-orbits of the
 variables, and sigma is stored as the pair (permutation of O, signs).
 Only the orbits cost substitutions: |O| applications per generator.
-`orbit_sum` sums a seed over G the same way: it searches the seed's
-orbit and weights its points by the stabilizer's order.
+`orbit_sum` sums a seed over G the same way: it closes the seed's orbit
+and weights its points by the stabilizer's order. Every orbit and the
+group itself are closed by the one breadth-first search,
+`matgroup._closure`.
 
 The check_* functions are the verification primitives. They work on raw
 (num, den) pairs and decide everything by cross-multiplied zero tests;
@@ -184,27 +186,30 @@ def close_action(
 
     An automorphism sigma is determined by its root signs and the images
     sigma(x_j), so the group G acts faithfully on O, the union of the
-    G-orbits of the variables. The closure first searches each variable's
-    orbit breadth-first with `Automorphism.apply`, indexing the points by
-    the RatFunc itself (equal values have equal canonical parts, so equal
-    hashes), and records each generator's index map on O.
-    It then closes the pairs (permutation of O, signs) with
-    `matgroup._closure`: the product is (pi_a . pi_g, s_a * s_g), since
-    (a g)(p) = a(g(p)), and the pair is its own key. Element j is read
-    back as x_k -> O[pi_j(x_k)] with signs s_j. No symbolic compose runs.
+    G-orbits of the variables. Each variable not yet in O gets its orbit
+    from `matgroup._closure`, multiplying a point by a generator with
+    `Automorphism.apply` (a RatFunc is its own key: equal values have
+    equal canonical parts, so equal hashes). The orbit's `products`,
+    offset by its start in O, are the generators' index maps on O.
+    It then closes the pairs (permutation of O, signs) with `_closure`:
+    the product is (pi_a . pi_g, s_a * s_g), since (a g)(p) = a(g(p)).
+    Element j is read back as x_k -> O[pi_j(x_k)] with signs s_j. No
+    symbolic compose runs.
 
     The pairs of two elements are equal exactly when their signs and
     variable images are, which is when the automorphisms are equal, so
     the elements and their BFS order are those of closing under
-    `Automorphism.compose` with the automorphisms as their own keys.
+    `Automorphism.compose` with `_closure`.
 
-    Raises InconsistentAction if a generator is not injective on O.
-    Otherwise each generator g permutes the finite O, so g^m fixes every
-    point of O and every sign for m twice the order of that permutation:
-    g^m = id, g has finite order, and the closure is a group. Raises
-    OrderCapExceeded once one orbit exceeds `cap` points (an orbit of G
-    has at most |G| points, so an infinite-order generator stops there)
-    or the closure exceeds `cap` elements.
+    Raises InconsistentAction if an orbit reaches a point of an earlier
+    orbit (orbits of a group are disjoint or equal) or a generator is
+    not injective on O. Otherwise each generator g permutes the finite
+    O, so g^m fixes every point of O and every sign for m twice the
+    order of that permutation: g^m = id, g has finite order, and the
+    closure is a group. Raises OrderCapExceeded once one orbit exceeds
+    `cap` points (an orbit of G has at most |G| points, so an
+    infinite-order generator stops there) or the closure exceeds `cap`
+    elements.
     """
     if not generators:
         raise ValueError("no generators")
@@ -218,29 +223,29 @@ def close_action(
     for v in ctx.variables:
         x = RatFunc.named(ctx, v)
         if x not in index:
-            start = index[x] = len(points)
-            points.append(x)
-            j = start
-            while j < len(points):
-                for m, g in zip(maps, generators):
-                    image = g.apply(points[j])
-                    k = index.get(image)
-                    if k is None:
-                        k = index[image] = len(points)
-                        points.append(image)
-                        if len(points) - start > cap:
-                            raise OrderCapExceeded(f"orbit exceeded cap of {cap} points")
-                    m.append(k)
-                j += 1
+            start = len(points)
+            orbit, products, _ = _closure(x, generators, _image, cap)
+            for p in orbit:
+                if p in index:
+                    raise InconsistentAction(f"the orbit of {v} meets an earlier variable orbit")
+                index[p] = len(points)
+                points.append(p)
+            for m, col in zip(maps, products):
+                m.extend(k + start for k in col)
         where.append(index[x])
     if any(len(set(m)) != len(points) for m in maps):
         raise InconsistentAction("a generator does not act injectively on the variable orbits")
     ident = (tuple(range(len(points))), (1,) * len(ctx.rooted))
     gens = [(tuple(m), g.signs) for m, g in zip(maps, generators)]
-    pairs, _, _ = _closure(ident, gens, _pair_product, lambda pair: pair, cap)
+    pairs, _, _ = _closure(ident, gens, _pair_product, cap)
     return [
         Automorphism(ctx, [points[perm[k]] for k in where], signs) for perm, signs in pairs
     ]
+
+
+def _image(point: RatFunc, g: Automorphism) -> RatFunc:
+    """g(point): the orbit step of `_closure`."""
+    return g.apply(point)
 
 
 def _pair_product(a, g):
@@ -256,26 +261,18 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
     for exactly |G_seed| = |G| / |G.seed| elements sigma, so the sum is
     |G| / |G.seed| times the sum of the orbit's points. |G| comes from
     `close_action`, with its cap and injectivity checks. The orbit is
-    searched breadth-first with `Automorphism.apply`, indexing the points
-    by the RatFunc as `close_action` does: |G.seed| * |gens| applications
-    and |G.seed| - 1 additions, where the sum over G takes |G| of each.
+    `matgroup._closure` of the seed under `Automorphism.apply`, capped at
+    |G|, as in `close_action`: |G.seed| * |gens| applications and
+    |G.seed| - 1 additions, where the sum over G takes |G| of each.
 
     Raises InconsistentAction if the orbit outgrows |G| or its size does
     not divide |G|; a group action never gets there.
     """
     order = len(close_action(generators))
-    points = [seed]
-    seen = {seed}
-    j = 0
-    while j < len(points):
-        for g in generators:
-            image = g.apply(points[j])
-            if image not in seen:
-                if len(points) == order:
-                    raise InconsistentAction(f"orbit of the seed exceeds the group order {order}")
-                seen.add(image)
-                points.append(image)
-        j += 1
+    try:
+        points, _, _ = _closure(seed, generators, _image, order)
+    except OrderCapExceeded:
+        raise InconsistentAction(f"orbit of the seed exceeds the group order {order}") from None
     if order % len(points):
         raise InconsistentAction(
             f"orbit of {len(points)} points does not divide the group order {order}"
@@ -289,14 +286,17 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
 # -- verification primitives ----------------------------------------------
 
 
-def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
+_WITNESS_LIMIT = 400
+
+
+def _witness(a: Pair, b: Pair) -> str | None:
     """None when a and b are equal; else their raw difference, as text.
 
     The zero test of a[0]*b[1] - b[0]*a[1] runs in the two steps of the
     ratfunc module docstring: equal pairs pass with nothing multiplied;
     otherwise the folded difference is formed (ratfunc._raw_difference,
     in one packed integer where both products would be packed) and
-    read. The text is cut to `limit` characters.
+    read. The text is cut to _WITNESS_LIMIT characters.
     """
     if a[1] == b[1] and a[0] == b[0]:
         return None
@@ -304,7 +304,7 @@ def _witness(a: Pair, b: Pair, limit: int = 400) -> str | None:
     if diff.is_zero():
         return None
     text = str(diff)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= _WITNESS_LIMIT else text[: _WITNESS_LIMIT - 3] + "..."
 
 
 def check_invariance(
@@ -420,17 +420,7 @@ def _constants(ctx: Context) -> tuple:
     return ctx.field, ctx.parameters, ctx.rooted, ctx.specializations
 
 
-def check_identity(
-    lhs: RatFunc,
-    rhs: RatFunc,
-    bindings: Mapping[str, RatFunc] | None = None,
-    target: Context | None = None,
-) -> list[dict]:
-    """Is lhs equal to rhs, optionally after substituting bindings in both?"""
-    a: Pair = (lhs.num, lhs.den)
-    b: Pair = (rhs.num, rhs.den)
-    if bindings:
-        a = substitute_raw(a, bindings, target=target)
-        b = substitute_raw(b, bindings, target=target)
-    witness = _witness(a, b)
+def check_identity(lhs: RatFunc, rhs: RatFunc) -> list[dict]:
+    """Is lhs equal to rhs?"""
+    witness = _witness((lhs.num, lhs.den), (rhs.num, rhs.den))
     return [] if witness is None else [{"witness": witness}]

@@ -346,6 +346,9 @@ def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
                 raise SchemaError(
                     f"{name!r} is not a variable of the context", f"{path}/bindings/{name}"
                 )
+        unbound = [v for v in variables if v not in spec["bindings"]]
+        if unbound:
+            raise SchemaError(f"no binding for variables {unbound}", path + "/bindings")
     if "signs" in spec:
         if not isinstance(spec["signs"], dict) or not all(
             type(v) is int and v in (1, -1) for v in spec["signs"].values()
@@ -456,6 +459,13 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
             _check_exprmap(table, cpath)
             if fw is not None and set(table) != set(fw):
                 raise SchemaError("claimed table must cover exactly the forward generators", cpath)
+            # A key is a variable of claimed_context; with no forward map
+            # it also stands for itself as a variable of context.
+            homes = ("claimed_context",) if fw is not None else ("claimed_context", "context")
+            for key in table:
+                for home in homes:
+                    if key not in p[home].get("variables", ()):
+                        raise SchemaError(f"{key!r} is not a variable of {home}", f"{cpath}/{key}")
 
     elif kind == "InversePair":
         _check_exprmap(_need(p, "forward", path), path + "/forward")
@@ -509,8 +519,8 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
             raise SchemaError("expect_rational must be a boolean", path + "/expect_rational")
         if case == "quadric":
             coeffs = _need(p, "coeffs", path)
-            if not isinstance(coeffs, list):
-                raise SchemaError("coeffs must be a list of rationals", path + "/coeffs")
+            if not isinstance(coeffs, list) or not coeffs:
+                raise SchemaError("coeffs must be a nonempty list of rationals", path + "/coeffs")
             for i, c in enumerate(coeffs):
                 _rational(c, f"{path}/coeffs/{i}")
         else:

@@ -320,8 +320,8 @@ def decide_rationality(case, a=None, b=None, coeffs=None,
 
     case "c4"      -- needs a; tests the symbol (a, -1)
     case "d4"      -- needs a and b; tests the symbol (a, -b)
-    case "quadric" -- needs coeffs; tests the diagonal form for a
-                      nontrivial rational zero
+    case "quadric" -- needs nonempty coeffs; tests the diagonal form for
+                      a nontrivial rational zero
     """
     if case == "c4":
         if a is None:
@@ -333,8 +333,8 @@ def decide_rationality(case, a=None, b=None, coeffs=None,
         return _symbol_verdict("order-8 dihedral case",
                                SymbolQuery(a, Fraction(-1) * Fraction(b)), bound)
     if case == "quadric":
-        if coeffs is None:
-            raise ValueError("case quadric needs coeffs")
+        if not coeffs:
+            raise ValueError("case quadric needs a nonempty coeffs list")
         cs = [Fraction(c) for c in coeffs]
         zero = quadric_isotropic(cs, bound)
         regime = _QUADRIC_REGIME.get(

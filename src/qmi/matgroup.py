@@ -1,9 +1,11 @@
 """Finite subgroups of GL_n(Z): closure, structure, and recognition.
 
 Matrices are immutable tuples of tuples of ints, and every computation
-here stays in the integers. Group closure is breadth-first; its one
-routine, `_closure`, also closes the automorphism groups of
-`actions.close_action`. Element ordering inside a group is
+here stays in the integers. Group closure is breadth-first, and its
+routine `_closure` is the only breadth-first search in qmi: it also
+closes `MatrixGroup.subgroup` in the index table, and the variable
+orbits, automorphism groups and seed orbits of `actions.close_action`
+and `actions.orbit_sum`. Element ordering inside a group is
 lexicographic on the flattened entries, which keeps every downstream
 listing deterministic. One fraction-free Gauss–Jordan pass over Z,
 `_row_reduce`, gives exact determinants, adjugates and primitive kernel
@@ -235,22 +237,15 @@ class MatrixGroup:
     def subgroup(self, generators: Sequence[Matrix]) -> tuple[Matrix, ...]:
         """The sorted elements of the subgroup that generators, all in self, generate.
 
-        Closed in the index table: the elements reached from the identity
-        by right multiplication with the generators. In a finite group
-        that monoid is the subgroup, and its elements sorted are the
-        elements of close_group(generators).
+        `_closure` in the index table: the elements reached from the
+        identity by right multiplication with the generators. In a finite
+        group that monoid is the subgroup, and its elements sorted are the
+        elements of close_group(generators). KeyError for a generator
+        outside self.
         """
         table = self._table()
         gens = [self._index[m] for m in generators]
-        members = {self._e}
-        reached = [self._e]
-        for a in reached:
-            row = table[a]
-            for i in gens:
-                b = row[i]
-                if b not in members:
-                    members.add(b)
-                    reached.append(b)
+        members, _, _ = _closure(self._e, gens, lambda a, i: table[a][i], self.order)
         return tuple(self.elements[i] for i in sorted(members))
 
     def normal_subgroups(self) -> list[tuple[Matrix, ...]]:
@@ -285,27 +280,30 @@ class MatrixGroup:
 
 
 def _closure(
-    ident: Any, generators: Sequence[Any], multiply: Callable, key: Callable, cap: int
+    ident: Any, generators: Sequence[Any], multiply: Callable, cap: int
 ) -> tuple[list, list[list[int]], list[tuple[int, int] | None]]:
-    """Breadth-first closure of `generators` under right multiplication.
+    """Breadth-first closure of `ident` under right multiplication by `generators`.
 
-    Returns (elements, products, parents): the elements in BFS order, the
-    identity first, told apart by key(element); products[i][j], the
-    position of multiply(elements[j], generators[i]); and parents[j], the
-    pair (k, i) that first formed elements[j] (None for the identity).
-    Raises OrderCapExceeded past `cap` elements.
+    The one breadth-first search of qmi: it closes matrix groups, the
+    automorphism groups and variable orbits of `actions.close_action`,
+    the seed orbit of `actions.orbit_sum` and `MatrixGroup.subgroup`.
+    Elements must be hashable, and equal elements are the same element.
+    Returns (elements, products, parents): the elements in BFS order,
+    `ident` first; products[i][j], the position of
+    multiply(elements[j], generators[i]); and parents[j], the pair (k, i)
+    that first formed elements[j] (None for `ident`). Raises
+    OrderCapExceeded past `cap` elements.
     """
-    found = {key(ident): 0}
+    found = {ident: 0}
     elements = [ident]
     parents: list[tuple[int, int] | None] = [None]
     products: list[list[int]] = [[] for _ in generators]
     for j, a in enumerate(elements):
         for i, g in enumerate(generators):
             b = multiply(a, g)
-            kb = key(b)
-            k = found.get(kb)
+            k = found.get(b)
             if k is None:
-                k = found[kb] = len(elements)
+                k = found[b] = len(elements)
                 elements.append(b)
                 parents.append((j, i))
                 if len(elements) > cap:
@@ -334,8 +332,7 @@ def close_group(generators: Sequence[Matrix], cap: int = 10000) -> MatrixGroup:
             raise ValueError("generator is not invertible over the integers")
         element_order(g)
 
-    # A matrix is a tuple, hashable as it stands: its own closure key.
-    bfs, products, parents = _closure(identity(n), gens, mat_mul, lambda m: m, cap)
+    bfs, products, parents = _closure(identity(n), gens, mat_mul, cap)
     return MatrixGroup(gens, bfs, products, parents)
 
 

@@ -257,10 +257,11 @@ def _run_normal_subgroups(catalog: Catalog, p: Mapping) -> list[dict]:
     expected = []
     for words in p["subgroups"]:
         mats = [word_matrix(w, MATRICES) for w in words]
-        if mats and all(m in g for m in mats):
-            expected.append(g.subgroup(mats))
-        else:
-            expected.append(tuple(close_group(mats, cap=g.order).elements))
+        for w, m in zip(words, mats):
+            if m not in g:
+                # A subgroup of g lies in g: the claim is false, not undecided.
+                return _mismatch(f"listed generator {w} is not an element of {p['group']}")
+        expected.append(g.subgroup(mats))
     expected.sort(key=lambda s: (len(s), s))
     if computed == expected:
         return []

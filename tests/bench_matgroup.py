@@ -1,5 +1,5 @@
 """Microbenchmarks of the matrix-group layer: closure, conjugation, recognition,
-normal subgroups and q_reducible.
+normal subgroups, subgroup closure and q_reducible.
 
 Run from the root of a checkout:
 
@@ -8,7 +8,10 @@ Run from the root of a checkout:
 close_group closes every catalog group from its generator words in one
 timed call (the words are evaluated outside it). verify_conjugation runs
 the catalog's Conjugacy cases in one timed call, on groups closed
-beforehand, so it times the conjugation test alone.
+beforehand, so it times the conjugation test alone. subgroup closes the
+98 subgroups that the catalog's NormalSubgroups cases list, in one timed
+call, each in the index table of its group, closed and tabulated
+beforehand.
 
 The four order-48 groups are the catalog groups G_7_5_1, G_7_5_2 and
 G_7_5_3 and the model S4xC2 of identify_iso_type. identify_iso_type and
@@ -67,6 +70,18 @@ def test_verify_conjugation(benchmark):
             cases.append((build_group(catalog, p["left"]), build_group(catalog, p["right"]), m))
     verdicts = benchmark(lambda: [verify_conjugation(*case) for case in cases])
     assert len(verdicts) == 19 and all(verdicts)
+
+
+def test_subgroups(benchmark):
+    catalog = builtin_catalog()
+    listed = []
+    for case in catalog.cases:
+        if case.kind == "NormalSubgroups":
+            g = build_group(catalog, case.payload["group"])
+            g._table()
+            listed += [(g, [word_matrix(w, MATRICES) for w in words]) for words in case.payload["subgroups"]]
+    subgroups = benchmark(lambda: [g.subgroup(mats) for g, mats in listed])
+    assert len(subgroups) == 98
 
 
 @pytest.mark.parametrize("name", GROUPS)

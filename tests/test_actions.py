@@ -123,6 +123,14 @@ class TestClosure:
         with pytest.raises(InconsistentAction):
             close_action([Automorphism.monomial(CTX3, CB), collapse3])
 
+    def test_orbit_that_meets_an_earlier_orbit_raises(self):
+        # The orbit of x1 is {x1}, and collapse sends x2 into it; the orbits
+        # of a group are disjoint or equal.
+        ctx = Context(QQ, variables=["x1", "x2"])
+        collapse = Automorphism(ctx, {"x1": parse(ctx, "x1"), "x2": parse(ctx, "x1")})
+        with pytest.raises(InconsistentAction, match="orbit of x2 meets an earlier variable orbit"):
+            close_action([collapse])
+
     def test_root_sign_flip_of_finite_order(self):
         ctx = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
         # x1 -> sqrt(a)/x1 with sqrt(a) -> -sqrt(a): its square is x1 -> -x1.
@@ -181,7 +189,7 @@ class TestClosure:
         mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
         gens = [Automorphism.monomial(CTX3, m) for m in mats]
         ident = Automorphism.identity(CTX3)
-        reference, _, _ = _closure(ident, gens, Automorphism.compose, lambda a: a, 10000)
+        reference, _, _ = _closure(ident, gens, Automorphism.compose, 10000)
         # O, the union of the variable orbits: every point is some sigma(x_j).
         points = {b for sigma in reference for b in sigma.bindings}
         counts = {"compose": 0, "apply": 0}
@@ -357,10 +365,8 @@ class TestChecks:
         lhs = parse(ctx, "(x1+x2)^2")
         rhs = parse(ctx, "x1^2+2*x1*x2+x2^2")
         assert check_identity(lhs, rhs) == []
-        binds = {"x2": parse(ctx, "1/x1")}
         lhs2 = parse(ctx, "(x1+x2)^2-x1^2-x2^2")
         rhs2 = parse(ctx, "2")
-        assert check_identity(lhs2, rhs2, bindings=binds) == []
         assert check_identity(lhs2, rhs2) != []
 
     # Three tables over one forward map: "u1" and "1/u2" are claimed twice,

@@ -225,14 +225,13 @@ def test_listed_normal_subgroups_close_in_the_groups_table(monkeypatch):
 
 
 @pytest.mark.parametrize("extra,status,witness", [
-    (["ca"], "Fail",
-     "proper nontrivial normal subgroups of orders [2, 2, 2, 4, 4, 4], catalog lists orders "
-     "[2, 2, 2, 3, 4, 4, 4]; unlisted orders [], unrealized orders [3]"),
-    (["la1", "ca"], "Error", "OrderCapExceeded: closure exceeded cap of 8 elements"),
+    (["ca"], "Fail", "listed generator ca is not an element of G_4_3_1"),
+    (["-i3", "ca"], "Fail", "listed generator ca is not an element of G_4_3_1"),
 ], ids=["outside-alone", "outside-beside-an-element"])
 def test_listed_subgroup_with_a_generator_outside_the_group(extra, status, witness):
-    # ca is not in G_4_3_1 (order 8); la1 is. Such a subgroup is closed on
-    # its own, as it always was, and keeps its report.
+    # ca is not in G_4_3_1 (order 8); -i3 is. A subgroup of G lies in G, so
+    # a listed generator outside G makes the claim false, and the witness
+    # names that generator.
     base = builtin_catalog()
     case = base.case("normals_G_4_3_1")
     payload = copy.deepcopy(case.payload)
@@ -324,6 +323,21 @@ def _flip_twins(doc):
     doc["cases"].append(twin)
 
 
+def _claim_w9(doc):
+    """Forward and claim a generator w9 in case 1 that its claimed_context lacks."""
+    p = doc["cases"][1]["payload"]
+    p["forward"]["w9"] = "x1"
+    p["claimed"]["swap"]["w9"] = "u"
+
+
+def _claim_x3_without_forward(doc):
+    """Case 1 with no forward map and a claimed key x3 that only claimed_context declares."""
+    p = doc["cases"][1]["payload"]
+    p["forward"] = None
+    p["claimed_context"] = {"variables": ["x1", "x2", "x3"]}
+    p["claimed"]["swap"] = {"x1": "x2", "x2": "x1", "x3": "x3"}
+
+
 def _criterion(payload: dict):
     """Replace case 0 by a RationalityCriterion case with this payload."""
     return _set(("cases", 0), _case("order", "RationalityCriterion", {**payload, "expect_rational": True}))
@@ -378,6 +392,13 @@ MALFORMED = [
     ("binding-of-undeclared-variable",
      _set(("cases", 4, "payload", "actions", "s", "bindings"), {"x1": "x1", "x9": "x1"}),
      "/cases/4/payload/actions/s/bindings/x9"),
+    ("partial-bindings", _set(("cases", 1, "payload", "actions", "swap", "bindings"), {"x1": "x2"}),
+     "/cases/1/payload/actions/swap/bindings"),
+    # Claimed keys are variables of claimed_context, and of context too
+    # when forward is null.
+    ("claimed-key-not-a-claimed-variable", _claim_w9, "/cases/1/payload/claimed/swap/w9"),
+    ("claimed-key-not-a-variable-without-forward", _claim_x3_without_forward,
+     "/cases/1/payload/claimed/swap/x3"),
     ("sign-of-unrooted-parameter", _delete(("cases", 4, "payload", "context", "roots")),
      "/cases/4/payload/actions/s/signs/d"),
     ("sign-of-undeclared-name", _set(("cases", 4, "payload", "actions", "s", "signs"), {"e": -1}),
@@ -427,6 +448,8 @@ MALFORMED = [
     # Each context spec object is checked once; the e = true twin is another object.
     ("boolean-twin-of-a-checked-context", _flip_twins, "/cases/5/payload/context/specialize/e"),
     # Criterion numbers: an int that is not a bool, or a string Fraction reads; a and b nonzero.
+    ("criterion-quadric-without-coefficients", _criterion({"case": "quadric", "coeffs": []}),
+     "/cases/0/payload/coeffs"),
     ("criterion-a-is-a-boolean", _criterion({"case": "c4", "a": True}), "/cases/0/payload/a"),
     ("criterion-coefficient-is-a-boolean", _criterion({"case": "quadric", "coeffs": [True, 1, -1]}),
      "/cases/0/payload/coeffs/0"),

@@ -407,4 +407,6 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             decide_rationality("quadric")
         with pytest.raises(ValueError):
+            decide_rationality("quadric", coeffs=[])
+        with pytest.raises(ValueError):
             decide_rationality("dihedral", a=1, b=1)
