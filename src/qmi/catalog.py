@@ -47,6 +47,10 @@ _PAYLOAD_KEYS = {
     "RationalityCriterion": {"case", "a", "b", "coeffs", "expect_rational"},
 }
 
+# The payload keys each RationalityCriterion case reads; it may hold no
+# other of a, b and coeffs.
+_CRITERION_KEYS = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
+
 _GROUP_KEYS = {
     "GroupOrder": ("group",),
     "IsoType": ("group",),
@@ -513,8 +517,11 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
 
     elif kind == "RationalityCriterion":
         case = _need(p, "case", path)
-        if case not in ("c4", "d4", "quadric"):
+        if case not in _CRITERION_KEYS:
             raise SchemaError(f"unknown criterion case {case!r}", path + "/case")
+        for key in ("a", "b", "coeffs"):
+            if key in p and key not in _CRITERION_KEYS[case]:
+                raise SchemaError(f"a {case} criterion does not read {key}", f"{path}/{key}")
         if not isinstance(_need(p, "expect_rational", path), bool):
             raise SchemaError("expect_rational must be a boolean", path + "/expect_rational")
         if case == "quadric":
@@ -524,7 +531,7 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
             for i, c in enumerate(coeffs):
                 _rational(c, f"{path}/coeffs/{i}")
         else:
-            for key in ("a", "b") if case == "d4" else ("a",):
+            for key in _CRITERION_KEYS[case]:
                 if not _rational(_need(p, key, path), f"{path}/{key}"):
                     raise SchemaError(f"{key} must be nonzero", f"{path}/{key}")
 

@@ -7,28 +7,15 @@ monomial never carries a root exponent above 1: whenever a product stacks
 two copies of a root, the pair collapses to the underlying parameter (or
 to the specialized constant).
 
-Products of term dicts keyed by exponent tuples (Poly.__mul__ and the
-gcd layer) go through _convolve_ints, which takes one of two paths with
-equal sums. Large dense integer products are packed into one integer
-each (Kronecker substitution: one byte-aligned coefficient slot per
-monomial of the product's exponent box) and multiplied with one big-int
-multiply: when both operands have at least 2 terms, at least
-_PACK_MIN_PAIRS term pairs, int coefficients only, and at most
-_PACK_MAX_BYTES_PER_PAIR bytes of packed product per pair. A slot holds
-a bound on the product's coefficients, which is at most
-max|a|*max|b|*min(|a|, |b|), plus a sign bit (see _slot_bytes). Every
-other product is a loop over term pairs.
-
-ratfunc's zero test forms the difference ml*A0*B1 - mr*B0*A1 in
-_difference_ints, as one packed integer where both products would be
-packed. _packed_sum writes the tuple-keyed layout once, for one product
-and for that difference.
-
-ratfunc.substitute_raw multiplies term dicts keyed by int exponent
-words, in a mixed-radix layout it fixes per call, through
-_convolve_words: the same two paths under the same rule, with slot
-index word minus the operand's smallest word. Every packed path packs
-with _pack and decodes with _unpack.
+Every large dense integer product goes through one routine, _packed
+(Kronecker substitution: one big-int multiply per product, in one
+byte-aligned slot per exponent word), which states the packing rule once
+and declines where a loop over term pairs is cheaper. It sums m*a*b over
+products of int term dicts keyed by exponent words. Its callers are
+_convolve_words (ratfunc.substitute_raw, whose words it lays out per
+call), and, through _packed_tuples, which reads exponent tuples as words
+of the products' exponent box, _convolve_ints (Poly.__mul__ and the gcd
+layer) and _difference_ints (ratfunc's zero test, ml*A0*B1 - mr*B0*A1).
 
 Coefficients are stored as the field stores them (field.py): over Q an
 int when integral, else a Fraction with denominator above 1; over F_p an
@@ -45,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, count
 from operator import add, mul
 from typing import Any
 
@@ -101,10 +88,10 @@ def _over(scale: int, terms: dict) -> dict:
     return {e: v // scale if not v % scale else Fraction(v, scale) for e, v in terms.items() if v}
 
 
-# The packed path of _convolve_ints pays off from about this many term
-# pairs, and only while the packed product has at most this many bytes per
-# term pair (the density guard): its multiply and decode cost grow with
-# the bytes, the loop's with the pairs.
+# The packed path (_packed) pays off from about this many term pairs, and
+# only while the packed sum has at most this many bytes per term pair (the
+# density guard): its multiply and decode cost grow with the bytes, the
+# loop's with the pairs.
 _PACK_MIN_PAIRS = 300
 _PACK_MAX_BYTES_PER_PAIR = 6
 
@@ -119,34 +106,20 @@ def _convolve_ints(a: dict, b: dict, folds) -> dict[tuple[int, ...], Any]:
     they can. Sums are left unreduced (zeros may remain, no modulus is
     applied) for the caller to normalize. Exponents are nonnegative.
 
-    The unfolded product takes one of two paths with equal sums. It goes
-    through one big-int multiply (_convolve_packed) when both operands
-    have at least 2 terms, |a|*|b| is at least _PACK_MIN_PAIRS, every
-    coefficient is an int, and the packed product, K slots of w bytes
-    (see _pack_layout), has at most _PACK_MAX_BYTES_PER_PAIR bytes per
-    term pair. Otherwise it takes the loop over term pairs
-    (_convolve_loop). The folds act on the result.
+    The unfolded product goes through _packed_tuples where every
+    coefficient is an int and _packed takes it, else through the loop
+    over term pairs (_convolve_loop); the sums are equal. The folds act
+    on the result.
     """
-    layout = _packed_layout(a, b)
-    if layout is not None:
-        return _fold(_convolve_packed(a, b, *layout), folds)
-    return _fold(_convolve_loop(a, b), folds)
-
-
-def _packed_layout(a: dict, b: dict) -> tuple[list[int], int] | None:
-    """_pack_layout(a, b) when a*b takes the packed path of _convolve_ints, else None."""
-    pairs = len(a) * len(b)
     if (
-        pairs >= _PACK_MIN_PAIRS
-        and len(a) > 1
-        and len(b) > 1
+        len(a) * len(b) >= _PACK_MIN_PAIRS
         and all(type(c) is int for c in a.values())
         and all(type(c) is int for c in b.values())
     ):
-        radices, w = _pack_layout(a, b)
-        if math.prod(radices) * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
-            return radices, w
-    return None
+        out = _packed_tuples(((1, a, b),))
+        if out is not None:
+            return _fold(out, folds)
+    return _fold(_convolve_loop(a, b), folds)
 
 
 def _fold(terms: dict, folds) -> dict[tuple[int, ...], Any]:
@@ -180,60 +153,21 @@ def _convolve_loop(a: dict, b: dict) -> dict[tuple[int, ...], Any]:
     return out
 
 
-def _pack_layout(a: dict, b: dict) -> tuple[list[int], int]:
-    """(radices, w) of the packed product of two int term dicts.
-
-    The radix of a slot is one more than its largest exponent in the
-    product, so the product has K = prod(radices) slots of w bytes each
-    (_slot_bytes).
-    """
-    radices = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
-    return radices, _slot_bytes(_coeff_bound(a.values(), b.values()))
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per packed slot: the fewest that hold bound, plus a sign bit."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _coeff_bound(av, bv) -> int:
-    """A bound on every coefficient of the product and of either operand.
-
-    A product coefficient sums at most one pair per term of either
-    operand, so its size is at most min(max|a|*sum|b|, max|b|*sum|a|),
-    which is at most max|a|*max|b|*min(|a|, |b|).
-    """
-    ma, mb = max(map(abs, av)), max(map(abs, bv))
-    return max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
-
-
-def _convolve_packed(
-    a: dict, b: dict, radices: list[int], w: int
-) -> dict[tuple[int, ...], int]:
-    """The unfolded product of int coefficients through one big-int multiply
-    (_packed_sum), in the layout of _pack_layout."""
-    return _packed_sum(((1, a, b),), radices, w)
-
-
 def _difference_ints(a0: dict, b1: dict, b0: dict, a1: dict, ml: int, mr: int) -> dict:
     """The unfolded terms of ml*a0*b1 - mr*b0*a1, for int term dicts.
 
-    When both products would take the packed path of _convolve_ints,
-    one layout holds both (_packed_sum): each slot's radix is the larger
-    of the two products' radices there, so the packed integer is
-    sum_k (ml*c_k - mr*d_k) X^k, X = 256^w, with c_k and d_k the
-    coefficients of a0*b1 and b0*a1 in slot k. The w-byte slots hold
-    ml * _coeff_bound(a0, b1) + mr * _coeff_bound(b0, a1), which bounds
-    every |ml*c_k - mr*d_k|, plus a sign bit: no slot spills into the
-    next, so the difference is zero exactly when the integer is, and
-    decodes exactly when it is not. Otherwise the two products of
-    _convolve_ints are subtracted over the integers. Zeros may remain.
+    The pair goes through one big-int multiply where _packed takes it
+    (_packed_tuples): its slots hold the sum of ml * _coeff_bound(a0, b1)
+    and mr * _coeff_bound(b0, a1), which bounds every coefficient of the
+    difference, so the packed integer is zero exactly when the
+    difference is, and decodes exactly when it is not. Otherwise the two
+    products of _convolve_ints, each of which may pack on its own, are
+    subtracted over the integers. Zeros may remain.
     """
-    left, right = _packed_layout(a0, b1), _packed_layout(b0, a1)
-    if left is not None and right is not None:
-        bound = ml * _coeff_bound(a0.values(), b1.values()) + mr * _coeff_bound(b0.values(), a1.values())
-        radices = list(map(max, left[0], right[0]))
-        return _packed_sum(((ml, a0, b1), (-mr, b0, a1)), radices, _slot_bytes(bound))
+    if len(a0) * len(b1) + len(b0) * len(a1) >= _PACK_MIN_PAIRS:
+        out = _packed_tuples(((ml, a0, b1), (-mr, b0, a1)))
+        if out is not None:
+            return out
     out = _convolve_ints(a0, b1, ())
     if ml != 1:
         out = {e: v * ml for e, v in out.items()}
@@ -243,25 +177,32 @@ def _difference_ints(a0: dict, b1: dict, b0: dict, a1: dict, ml: int, mr: int) -
     return out
 
 
-def _packed_sum(products, radices: list[int], w: int) -> dict[tuple[int, ...], int]:
-    """The sum of m * a * b over products (m, a, b) of int term dicts, unfolded.
+def _packed_tuples(products) -> dict[tuple[int, ...], int] | None:
+    """_packed over int term dicts keyed by exponent tuples, or None.
 
-    A monomial's slot index is its exponent vector read in mixed radix
-    (last slot fastest), whose radices exceed every exponent sum of every
-    product; w-byte slots hold every coefficient of the sum with a sign
-    bit. Each operand packs once (_pack), and a nonzero sum decodes once
-    (_unpack).
+    The operands are read as words of one mixed-radix layout (last slot
+    fastest), whose radix in a slot is one more than the largest
+    exponent sum there of any product, so the word of a product monomial
+    is the sum of its factors' words. The summed words decode back into
+    exponent tuples.
     """
+    radices = [
+        max(cols) + 1
+        for cols in zip(*[map(add, map(max, zip(*a)), map(max, zip(*b))) for _, a, b in products])
+    ]
     weights = _weights(radices)
-    total = 0
-    for m, a, b in products:
-        pa = _pack([sum(map(mul, e, weights)) for e in a], a.values(), w)
-        pb = _pack([sum(map(mul, e, weights)) for e in b], b.values(), w)
-        total += m * pa * pb
-    if not total:
-        return {}
-    flags, values = _unpack(total, math.prod(radices), w)
-    return dict(zip(compress(product(*map(range, radices)), flags), values))
+    out = _packed([
+        (
+            m,
+            {sum(map(mul, e, weights)): c for e, c in a.items()},
+            {sum(map(mul, e, weights)): c for e, c in b.items()},
+        )
+        for m, a, b in products
+    ])
+    if not out:
+        return out
+    exps = zip(*[[k // w % r for k in out] for w, r in zip(weights, radices)])
+    return dict(zip(exps, out.values()))
 
 
 def _weights(radices: list[int]) -> list[int]:
@@ -278,21 +219,13 @@ def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     A word is an exponent vector read in a mixed-radix layout that no
     sum of exponents in the product overflows, so the word of a product
     monomial is the sum of its factors' words; nothing is folded. Large
-    products go through _kronecker under the rule of _convolve_ints,
-    with slot index word - min(words) for each operand: the product's
-    span is the difference of its largest and smallest word. Every other
-    product is a loop over term pairs.
+    products go through _packed, every other product is a loop over
+    term pairs.
     """
-    pairs = len(a) * len(b)
-    if pairs >= _PACK_MIN_PAIRS and len(a) > 1 and len(b) > 1:
-        la, lb = min(a), min(b)
-        nslots = max(a) - la + max(b) - lb + 1
-        w = _slot_bytes(_coeff_bound(a.values(), b.values()))
-        if nslots * w <= _PACK_MAX_BYTES_PER_PAIR * pairs:
-            flags, values = _kronecker(
-                [k - la for k in a], a.values(), [k - lb for k in b], b.values(), nslots, w
-            )
-            return dict(zip(compress(range(la + lb, la + lb + nslots), flags), values))
+    if len(a) * len(b) >= _PACK_MIN_PAIRS:
+        out = _packed(((1, a, b),))
+        if out is not None:
+            return out
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in a.items():
@@ -302,14 +235,60 @@ def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _kronecker(ia, ca, ib, cb, nslots: int, w: int) -> tuple[bytes, list[int]]:
-    """Kronecker substitution: one big-int multiply of two operands.
+def _packed(products) -> dict[int, int] | None:
+    """The sum of m*a*b over products (m, a, b) of int term dicts keyed by
+    exponent words, through one big-int multiply; None when it declines.
 
-    ia, ca (ib, cb) are an operand's slot indices and int coefficients
-    (_pack); the product has nslots slots of w bytes and decodes by
-    _unpack.
+    This is Kronecker substitution, and the only packing rule: it packs
+    when every operand has at least 2 terms, the products have at least
+    _PACK_MIN_PAIRS term pairs together, and the packed sum has at most
+    _PACK_MAX_BYTES_PER_PAIR bytes per pair. The sum has one slot per
+    word from its smallest to its largest, the span, of w bytes each.
+    A slot holds sum |m| * _coeff_bound(a, b), which bounds every
+    coefficient of the sum and of every operand, plus a sign bit
+    (_slot_bytes): no slot spills into the next. Each operand packs
+    once (_pack) with slot index its word minus its smallest word; a
+    product is shifted by the offset of its smallest word against the
+    sum's, and a nonzero sum decodes once (_unpack).
     """
-    return _unpack(_pack(ia, ca, w) * _pack(ib, cb, w), nslots, w)
+    pairs = 0
+    for _, a, b in products:
+        if len(a) < 2 or len(b) < 2:
+            return None
+        pairs += len(a) * len(b)
+    if pairs < _PACK_MIN_PAIRS:
+        return None
+    lows = [(min(a), min(b)) for _, a, b in products]
+    lo = min(map(sum, lows))
+    span = max(max(a) + max(b) for _, a, b in products) - lo + 1
+    w = _slot_bytes(sum(abs(m) * _coeff_bound(a.values(), b.values()) for m, a, b in products))
+    if span * w > _PACK_MAX_BYTES_PER_PAIR * pairs:
+        return None
+    total = 0
+    for (m, a, b), (la, lb) in zip(products, lows):
+        pa = _pack([k - la for k in a], a.values(), w)
+        pb = _pack([k - lb for k in b], b.values(), w)
+        total += m * pa * pb << 8 * w * (la + lb - lo)
+    if not total:
+        return {}
+    flags, values = _unpack(total, span, w)
+    return dict(zip(compress(count(lo), flags), values))
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed slot: the fewest that hold bound, plus a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _coeff_bound(av, bv) -> int:
+    """A bound on every coefficient of the product and of either operand.
+
+    A product coefficient sums at most one pair per term of either
+    operand, so its size is at most min(max|a|*sum|b|, max|b|*sum|a|),
+    which is at most max|a|*max|b|*min(|a|, |b|).
+    """
+    ma, mb = max(map(abs, av)), max(map(abs, bv))
+    return max(ma, mb, min(ma * sum(map(abs, bv)), mb * sum(map(abs, av))))
 
 
 def _unpack(n: int, nslots: int, w: int) -> tuple[bytes, list[int]]:

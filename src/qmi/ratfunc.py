@@ -52,7 +52,7 @@ x2 -> b/d takes x1 + x2 to (a + b, d), not to ((a + b) d, d^2).
 
 The expansion runs on exponent words. A call fixes one mixed-radix
 layout over the target's symbol slots, last slot fastest as in
-poly._packed_sum: slot j has radix 1 + B_j, and a monomial's word
+poly._weights: slot j has radix 1 + B_j, and a monomial's word
 is its exponent vector read in that radix. B_j is the largest slot-j
 exponent of the parts' roots and parameters (mapped into the target),
 plus one term per group g, a group of one included. A key of g is the
@@ -97,8 +97,8 @@ whether a[0]*b[1] - b[0]*a[1] is zero in two steps, each exact:
 2. The difference. _raw_difference lifts the four parts to integer
    terms A0, B1, B0, A1 once, with ml and mr the scales that bring both
    products to one, and poly._difference_ints forms the unfolded
-   ml*A0*B1 - mr*B0*A1 (in one packed integer where both products
-   would be packed, which is zero exactly when the difference is). The
+   ml*A0*B1 - mr*B0*A1 (as one packed sum where poly._packed takes the
+   pair, which is zero exactly when the difference is). The
    root folds (a ring map) are applied once and each surviving
    coefficient is normalized once, mod p over F_p; the test reads the
    Poly, and its text is the witness when it is nonzero.

@@ -7,14 +7,14 @@ Run from the root of a checkout:
 The largest products of sys7iii_case1_tact and _vt pair about 400 with
 3900 terms and 1600 with 320 terms. The operands here have those sizes,
 are dense in their exponent boxes, carry a square root whose square folds
-into its parameter, and have fixed pseudo-random 20-bit coefficients.
+into its parameter, and have fixed pseudo-random 20-bit coefficients,
+stored as the field stores them (an int over Q when integral).
 The file name keeps these out of the tier-1 run, which collects test_*.py.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,7 +34,7 @@ def dense(sides: tuple[int, int, int], seed: int) -> Poly:
     rnd = random.Random(seed)
     terms = {}
     for root, *xs in product(range(2), *(range(s) for s in sides)):
-        terms[(root, 0, *xs)] = Fraction(rnd.randint(-(2**20), 2**20) or 1)
+        terms[(root, 0, *xs)] = CTX.field.of(rnd.randint(-(2**20), 2**20) or 1)
     return Poly(CTX, terms)
 
 

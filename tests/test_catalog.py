@@ -209,6 +209,8 @@ def test_group_is_built_once_per_catalog():
 
 
 def test_listed_normal_subgroups_close_in_the_groups_table(monkeypatch):
+    """Once its group is built, a NormalSubgroups case multiplies no
+    matrices: each listed subgroup closes in the group's index table."""
     from qmi import matgroup
 
     catalog = builtin_catalog()
@@ -218,10 +220,11 @@ def test_listed_normal_subgroups_close_in_the_groups_table(monkeypatch):
         for words in case.payload["subgroups"]:
             mats = [word_matrix(w, MATRICES) for w in words]
             assert g.subgroup(mats) == matgroup.close_group(mats).elements
-    closed = []
-    monkeypatch.setattr(runner, "close_group", lambda *a, **k: closed.append(a))
+    products = []
+    mat_mul = matgroup.mat_mul
+    monkeypatch.setattr(matgroup, "mat_mul", lambda a, b: products.append((a, b)) or mat_mul(a, b))
     assert all(run_case(catalog, c.id).status == "Pass" for c in cases)
-    assert closed == []
+    assert products == []
 
 
 @pytest.mark.parametrize("extra,status,witness", [
@@ -459,6 +462,13 @@ MALFORMED = [
     ("criterion-b-divides-by-zero", _criterion({"case": "d4", "a": 2, "b": "1/0"}), "/cases/0/payload/b"),
     ("criterion-a-is-zero", _criterion({"case": "c4", "a": 0}), "/cases/0/payload/a"),
     ("criterion-b-is-zero", _criterion({"case": "d4", "a": 2, "b": "0/3"}), "/cases/0/payload/b"),
+    # A case holds only the numbers it reads: c4 reads a, d4 a and b, quadric coeffs.
+    ("criterion-c4-with-b-and-coefficients", _criterion({"case": "c4", "a": 5, "b": 5, "coeffs": [1, 2, 3]}),
+     "/cases/0/payload/b"),
+    ("criterion-d4-with-coefficients", _criterion({"case": "d4", "a": 2, "b": 2, "coeffs": [1, 1]}),
+     "/cases/0/payload/coeffs"),
+    ("criterion-quadric-with-a", _criterion({"case": "quadric", "coeffs": [1, 1, -2], "a": 3}),
+     "/cases/0/payload/a"),
 ]
 
 

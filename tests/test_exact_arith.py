@@ -439,23 +439,37 @@ class TestParsing:
         assert again.num == f.num and again.den == f.den
 
 
+def _count_packed(monkeypatch, counts):
+    """Count the sums that poly._packed packs (it returns None where it declines)."""
+    from qmi import poly
+
+    packed = poly._packed
+
+    def counted(products):
+        out = packed(products)
+        counts["packed"] += out is not None
+        return out
+
+    monkeypatch.setattr(poly, "_packed", counted)
+    return counts
+
+
 class TestKernelDispatch:
-    """Which path of poly._convolve_ints a product takes, counted by call."""
+    """Which path of poly._convolve_ints a product takes: packed by
+    poly._packed, or the loop, counted by call."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         from qmi import poly
 
-        counts = {"packed": 0, "loop": 0}
+        counts = _count_packed(monkeypatch, {"packed": 0, "loop": 0})
+        loop = poly._convolve_loop
 
-        def counted(name, fn):
-            def wrapped(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapped
+        def counted(*args):
+            counts["loop"] += 1
+            return loop(*args)
 
-        monkeypatch.setattr(poly, "_convolve_packed", counted("packed", poly._convolve_packed))
-        monkeypatch.setattr(poly, "_convolve_loop", counted("loop", poly._convolve_loop))
+        monkeypatch.setattr(poly, "_convolve_loop", counted)
         return counts
 
     @staticmethod
@@ -522,21 +536,11 @@ class TestKernelDispatch:
 
 
 class TestWordKernelDispatch:
-    """Which path of poly._convolve_words a product takes, counted at _kronecker."""
+    """Which path of poly._convolve_words a product takes, counted at poly._packed."""
 
     @pytest.fixture()
     def packed(self, monkeypatch):
-        from qmi import poly
-
-        count = [0]
-        kronecker = poly._kronecker
-
-        def counted(*args):
-            count[0] += 1
-            return kronecker(*args)
-
-        monkeypatch.setattr(poly, "_kronecker", counted)
-        return count
+        return _count_packed(monkeypatch, {"packed": 0})
 
     def test_backward_substitution_takes_the_packed_path(self, packed, monkeypatch):
         from bench_substitute import backward_step
@@ -544,14 +548,14 @@ class TestWordKernelDispatch:
         from qmi import poly
 
         f, bindings, target = backward_step()
-        packed[0] = 0
+        packed["packed"] = 0
         result = substitute_raw(f, bindings, target)
-        assert packed[0] >= 1
+        assert packed["packed"] >= 1
         # The same pair through the loop alone.
         monkeypatch.setattr(poly, "_PACK_MIN_PAIRS", float("inf"))
-        before = packed[0]
+        before = packed["packed"]
         assert substitute_raw(f, bindings, target) == result
-        assert packed[0] == before
+        assert packed["packed"] == before
 
     def test_one_term_operand_stays_on_the_loop(self, packed):
         from qmi import poly
@@ -559,4 +563,4 @@ class TestWordKernelDispatch:
         big = {w: w % 5 - 2 or 1 for w in range(3, 1000, 3)}
         assert len(big) >= poly._PACK_MIN_PAIRS
         assert poly._convolve_words({7: -2}, big) == {w + 7: -2 * c for w, c in big.items()}
-        assert packed[0] == 0
+        assert packed["packed"] == 0

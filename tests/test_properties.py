@@ -6,6 +6,7 @@ every test invocation. The sympy oracle file covers bigger inputs.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
@@ -504,72 +505,70 @@ KERNEL_CASES = [
 
 
 @st.composite
-def kernel_operands(draw):
+def packed_sums(draw):
+    """A product (1, a, b), or a difference (ml, a0, b1), (-mr, b0, a1),
+    of int term dicts keyed by exponent tuples; the root folds; a modulus.
+
+    With one slot the exponents are the words of poly._convolve_words:
+    each operand's in its own range above 0. Otherwise slot 0 is a root.
+    """
     folds, p = draw(st.sampled_from(KERNEL_CASES))
-    nsym = draw(st.integers(2, 4))
-    exps = st.tuples(st.integers(0, 1), *[st.integers(0, 3)] * (nsym - 1))
+    nsym = draw(st.integers(1, 4))
+    if nsym == 1:
+        folds = []
+        exps = [
+            st.integers(1, 200).map(lambda k, o=draw(st.integers(1, 10**6)): (o + k,))
+            for _ in range(4)
+        ]
+    else:
+        exps = [st.tuples(st.integers(0, 1), *[st.integers(0, 3)] * (nsym - 1))] * 4
     if p:
         coeffs = st.integers(0, p - 1)
     else:
         # Small values (zeros included) and values far above 64 bits.
         coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**100), 2**100))
-    a = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
-    b = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
+    a, b, b0, a1 = (draw(st.dictionaries(e, coeffs, min_size=1, max_size=12)) for e in exps)
     if draw(st.booleans()):
-        # b is a with some signs flipped, so that products cancel, as in
-        # (x + y) * (x - y); an all-zero operand cancels the whole product.
+        # b is a with some signs flipped, and shifted by one in the last
+        # slot, so that products cancel, as in (x + y) * (x - y); an
+        # all-zero operand cancels the whole product.
         flips = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
-        b = {e: (-c % p if p else -c) if f else c for (e, c), f in zip(a.items(), flips)}
-    return a, b, folds, p
+        b = {
+            (*e[:-1], e[-1] + 1): (-c % p if p else -c) if f else c
+            for (e, c), f in zip(a.items(), flips)
+        }
+    if not draw(st.booleans()):
+        return [(1, a, b)], folds, p
+    ml, mr = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 3]))
+    # The second product is the first or another, so the difference
+    # cancels, wholly or in part, or not at all.
+    if draw(st.booleans()):
+        b0, a1 = dict(a), dict(b)
+    return [(ml, a, b), (-mr, b0, a1)], folds, p
 
 
 def _nonzero(terms, p):
     return {e: c % p if p else c for e, c in terms.items() if (c % p if p else c)}
 
 
-@given(kernel_operands())
-@settings(max_examples=200, deadline=None)
-def test_packed_product_equals_pair_loop(case):
+@given(packed_sums())
+@settings(max_examples=300, deadline=None)
+def test_packed_sum_equals_pair_loop(case):
+    """poly._packed, under its rule with the thresholds off, sums what the pair loop does."""
     from qmi import poly
 
-    a, b, folds, p = case
-    packed = poly._fold(poly._convolve_packed(a, b, *poly._pack_layout(a, b)), folds)
-    loop = poly._fold(poly._convolve_loop(a, b), folds)
-    assert _nonzero(packed, p) == _nonzero(loop, p)
-
-
-@st.composite
-def word_operands(draw):
-    """Two word-keyed int term dicts (at least 2 terms each) and a modulus."""
-    p = draw(st.sampled_from([0, KERNEL_PRIME]))
-    if p:
-        coeffs = st.integers(0, p - 1)
-    else:
-        coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**100), 2**100))
-    # Smallest words above 0, each operand in its own range.
-    words = [st.integers(1, 200).map(lambda k, o=draw(st.integers(1, 10**6)): o + k) for _ in range(2)]
-    a = draw(st.dictionaries(words[0], coeffs, min_size=2, max_size=12))
-    b = draw(st.dictionaries(words[1], coeffs, min_size=2, max_size=12))
-    if draw(st.booleans()):
-        flips = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
-        b = {w + 1: (-c % p if p else -c) if f else c for (w, c), f in zip(a.items(), flips)}
-    return a, b, p
-
-
-@given(word_operands())
-@settings(max_examples=200, deadline=None)
-def test_packed_word_product_equals_pair_loop(case):
-    from qmi import poly
-
-    a, b, p = case
+    products, folds, p = case
     with mock.patch.object(poly, "_PACK_MIN_PAIRS", 0), \
-            mock.patch.object(poly, "_PACK_MAX_BYTES_PER_PAIR", float("inf")), \
-            mock.patch.object(poly, "_kronecker", wraps=poly._kronecker) as kronecker:
-        packed = poly._convolve_words(a, b)
-    assert kronecker.call_count == 1
-    with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
-        loop = poly._convolve_words(a, b)
-    assert _nonzero(packed, p) == _nonzero(loop, p)
+            mock.patch.object(poly, "_PACK_MAX_BYTES_PER_PAIR", float("inf")):
+        packed = poly._packed_tuples(products)
+    if any(len(a) < 2 or len(b) < 2 for _, a, b in products):
+        assert packed is None
+        return
+    loop: dict = {}
+    for m, a, b in products:
+        for e, c in poly._convolve_loop(a, b).items():
+            loop[e] = loop.get(e, 0) + m * c
+    assert _nonzero(poly._fold(packed, folds), p) == _nonzero(poly._fold(loop, folds), p)
 
 
 # -- the zero test: equal pairs, then the difference -------------------------------
@@ -601,15 +600,21 @@ def _box(ctx, coeff):
     return Poly(ctx, terms)
 
 
-def _packed_difference_calls():
-    """A wrapper of poly._packed_sum; its calls with two products formed a difference."""
+@contextlib.contextmanager
+def _packed_differences():
+    """Count the differences (sums of two products) that poly._packed packs."""
     from qmi import poly
 
-    return mock.patch.object(poly, "_packed_sum", wraps=poly._packed_sum)
+    count = [0]
+    packed = poly._packed
 
+    def counted(products):
+        out = packed(products)
+        count[0] += len(products) == 2 and out is not None
+        return out
 
-def _differences(packed) -> int:
-    return sum(len(call.args[0]) == 2 for call in packed.call_args_list)
+    with mock.patch.object(poly, "_packed", counted):
+        yield count
 
 
 @pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
@@ -659,11 +664,11 @@ def test_packed_proof_passes_a_pair_scaled_by_a_common_factor(ctx):
     q = _box(ctx, lambda i, j: (-1) ** i * (3 * j + 1))
     h = parse(ctx, "x1 + 2").num
     a, b = (p, q), (p * h, q * h)
-    with _packed_difference_calls() as packed:
+    with _packed_differences() as packed:
         assert _witness(a, b) is None
         assert _witness(b, a) is None
         assert _witness(a, (p * h + h, q * h)) is not None
-    assert _differences(packed) == 3
+    assert packed[0] == 3
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["over-1", "over-a-box"])
@@ -678,12 +683,12 @@ def test_a_difference_that_only_the_root_fold_zeroes_passes(dense):
     p = _box(ctx, lambda i, j: i + j + 1)
     q = _box(ctx, lambda i, j: (-1) ** j * (2 * i + j + 1)) if dense else Poly.const(ctx, 1)
     left, right = (r * p, q), (a * p, r * q)
-    with _packed_difference_calls() as packed:
+    with _packed_differences() as packed:
         assert _raw_difference(left, right).is_zero()
         assert _witness(left, right) is None
     # Over a box both products are packed, and the packed difference is
     # nonzero until it is decoded and folded.
-    assert _differences(packed) == (2 if dense else 0)
+    assert packed[0] == (2 if dense else 0)
 
 
 def test_packed_difference_reaches_its_coefficient_bound():
@@ -697,9 +702,9 @@ def test_packed_difference_reaches_its_coefficient_bound():
     box = parse(ctx, "(1 + x1 + x1^2 + x1^3 + x1^4 + x1^5 + x1^6 + x1^7 + x1^8 + x1^9)"
                      " * (1 + x2 + x2^2 + x2^3 + x2^4 + x2^5 + x2^6 + x2^7 + x2^8 + x2^9)").num
     small = parse(ctx, "16 * (1 + x1) * (1 + x2)").num
-    with _packed_difference_calls() as packed:
+    with _packed_differences() as packed:
         diff = _raw_difference((box, small), (-box, small))
-    assert _differences(packed) == 1
+    assert packed[0] == 1
     product = box * small
     assert max(product.terms.values()) == 64
     assert diff == product + product
@@ -720,10 +725,10 @@ def test_packed_difference_keeps_the_lift_scales(ctx):
     q = parse(ctx, "(2 + x1 - x2 + x3)^5").num
     assert (len(p.terms), len(q.terms)) == (84, 56)
     half = Poly.const(ctx, Fraction(1, 2))
-    with _packed_difference_calls() as packed:
+    with _packed_differences() as packed:
         assert _witness((p * half, q), (p, q)) is not None
         assert _witness((p, q), (p * half, q)) is not None
-    assert _differences(packed) == 2
+    assert packed[0] == 2
 
 
 # -- a bare variable maps to its binding ------------------------------------------
