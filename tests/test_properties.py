@@ -505,7 +505,7 @@ KERNEL_CASES = [
 
 
 @st.composite
-def packed_sums(draw):
+def packed_sums(draw, nsym=st.integers(1, 4)):
     """A product (1, a, b), or a difference (ml, a0, b1), (-mr, b0, a1),
     of int term dicts keyed by exponent tuples; the root folds; a modulus.
 
@@ -513,7 +513,7 @@ def packed_sums(draw):
     each operand's in its own range above 0. Otherwise slot 0 is a root.
     """
     folds, p = draw(st.sampled_from(KERNEL_CASES))
-    nsym = draw(st.integers(1, 4))
+    nsym = draw(nsym)
     if nsym == 1:
         folds = []
         exps = [
@@ -553,7 +553,7 @@ def _nonzero(terms, p):
 
 @given(packed_sums())
 @settings(max_examples=300, deadline=None)
-def test_packed_sum_equals_pair_loop(case):
+def test_packed_product_equals_pair_loop(case):
     """poly._packed, under its rule with the thresholds off, sums what the pair loop does."""
     from qmi import poly
 
@@ -569,6 +569,32 @@ def test_packed_sum_equals_pair_loop(case):
         for e, c in poly._convolve_loop(a, b).items():
             loop[e] = loop.get(e, 0) + m * c
     assert _nonzero(poly._fold(packed, folds), p) == _nonzero(poly._fold(loop, folds), p)
+
+
+@given(packed_sums(nsym=st.just(1)))
+@settings(max_examples=200, deadline=None)
+def test_packed_word_product_equals_pair_loop(case):
+    """poly._convolve_words packs through poly._packed, and agrees with its pair loop."""
+    from qmi import poly
+
+    products, _, p = case
+    a, b = ({e[0]: c for e, c in t.items()} for t in products[0][1:])
+    packs = [0]
+    packed_fn = poly._packed
+
+    def counted(prods):
+        out = packed_fn(prods)
+        packs[0] += out is not None
+        return out
+
+    with mock.patch.object(poly, "_PACK_MIN_PAIRS", 0), \
+            mock.patch.object(poly, "_PACK_MAX_BYTES_PER_PAIR", float("inf")), \
+            mock.patch.object(poly, "_packed", counted):
+        packed = poly._convolve_words(a, b)
+    assert packs[0] == (len(a) >= 2 and len(b) >= 2)
+    with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
+        loop = poly._convolve_words(a, b)
+    assert _nonzero(packed, p) == _nonzero(loop, p)
 
 
 # -- the zero test: equal pairs, then the difference -------------------------------
