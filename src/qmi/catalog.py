@@ -15,7 +15,9 @@ displayed claim it encodes.
 
 _PAYLOAD_KEYS states, per kind, the keys its payload may hold, and
 _GROUP_KEYS which of them name a group; KINDS, the groups a case uses
-(and so the "group" filter) derive from these two tables.
+(and so the "group" filter) derive from these two tables. Which of a, b
+and coeffs a RationalityCriterion case reads is hilbert.CRITERIA, the
+table decide_rationality reads.
 validate_catalog runs the checks shared by key (contexts, group
 references, actions, where-lists) before the checks unique to a kind,
 and reports a JSON-pointer-ish path with every complaint.
@@ -32,6 +34,7 @@ from .catalog_data import MATRICES
 from .context import _NAME_RE, Context, ContextError, check_symbols
 from .errors import SchemaError, UnknownCase
 from .field import field_from_name
+from .hilbert import CRITERIA
 from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
 
 _PAYLOAD_KEYS = {
@@ -46,10 +49,6 @@ _PAYLOAD_KEYS = {
     "QReducibility": {"group", "reducible"},
     "RationalityCriterion": {"case", "a", "b", "coeffs", "expect_rational"},
 }
-
-# The payload keys each RationalityCriterion case reads; it may hold no
-# other of a, b and coeffs.
-_CRITERION_KEYS = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
 
 _GROUP_KEYS = {
     "GroupOrder": ("group",),
@@ -90,7 +89,9 @@ class CaseRecord:
         return [self.payload[key] for key in _GROUP_KEYS.get(self.kind, ())]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CaseRecord) and self.to_dict() == other.to_dict()
+        return isinstance(other, CaseRecord) and (
+            self.id, self.kind, self.section, self.source, self.payload
+        ) == (other.id, other.kind, other.section, other.source, other.payload)
 
     def __repr__(self) -> str:
         return f"CaseRecord({self.id!r}, {self.kind})"
@@ -247,8 +248,8 @@ def _need(obj: Mapping, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _check_str(value: Any, path: str, allow_empty: bool = False) -> None:
-    if not isinstance(value, str) or (not allow_empty and not value):
+def _check_str(value: Any, path: str) -> None:
+    if not isinstance(value, str) or not value:
         raise SchemaError("expected a nonempty string", path)
 
 
@@ -517,10 +518,11 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
 
     elif kind == "RationalityCriterion":
         case = _need(p, "case", path)
-        if case not in _CRITERION_KEYS:
+        _check_str(case, path + "/case")
+        if case not in CRITERIA:
             raise SchemaError(f"unknown criterion case {case!r}", path + "/case")
         for key in ("a", "b", "coeffs"):
-            if key in p and key not in _CRITERION_KEYS[case]:
+            if key in p and key not in CRITERIA[case]:
                 raise SchemaError(f"a {case} criterion does not read {key}", f"{path}/{key}")
         if not isinstance(_need(p, "expect_rational", path), bool):
             raise SchemaError("expect_rational must be a boolean", path + "/expect_rational")
@@ -531,7 +533,7 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
             for i, c in enumerate(coeffs):
                 _rational(c, f"{path}/coeffs/{i}")
         else:
-            for key in _CRITERION_KEYS[case]:
+            for key in CRITERIA[case]:
                 if not _rational(_need(p, key, path), f"{path}/{key}"):
                     raise SchemaError(f"{key} must be nonzero", f"{path}/{key}")
 

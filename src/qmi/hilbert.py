@@ -1,80 +1,36 @@
 """Hilbert symbols over Q and the rationality criteria built on them.
 
-The local symbol (a,b)_v is +1 when z^2 = a*x^2 + b*y^2 has a nontrivial
-solution over the completion of Q at v, and -1 otherwise.  Places are the
-finite primes and the real place "inf".  Classical texts also write the
-global condition additively, "(a,b) = 0"; here trivial means +1 at every
-place.
+The local symbol (a,b)_p is +1 when z^2 = a*x^2 + b*y^2 has a nontrivial
+solution over the completion of Q at the place p, and -1 otherwise.  A
+place is a prime int, or None for the real place; criterion text prints
+the real place as "inf".  Classical texts also write the global condition
+additively, "(a,b) = 0"; here trivial means +1 at every place.
 
 Only finitely many places can give -1: the prime 2, the real place, and
 the odd primes dividing a numerator or denominator of either argument.
-Factoring is plain trial division with a hard input bound, so desk-scale
+Factoring is plain trial division up to FACTOR_BOUND, so desk-scale
 inputs stay cheap and oversized ones fail loudly (FactorizationLimit).
+
+CRITERIA names the arguments each case of decide_rationality reads; the
+catalog's schema check reads the same table.
 """
 
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import FactorizationLimit
 from .field import _is_prime
 
-DEFAULT_FACTOR_BOUND = 10 ** 9
+FACTOR_BOUND = 10 ** 9
 
-
-class Place:
-    """A completion of Q: Place(p) for a finite prime, Place() for inf."""
-
-    def __init__(self, p=None):
-        if p is not None:
-            if not _is_prime(p):
-                raise ValueError(f"not a prime: {p!r}")
-        self.p = p
-
-    @property
-    def is_infinite(self):
-        return self.p is None
-
-    @classmethod
-    def parse(cls, text):
-        t = str(text).strip().lower()
-        if t in ("inf", "infinity", "real", "oo"):
-            return cls()
-        try:
-            p = int(t)
-        except ValueError:
-            raise ValueError(f"bad place: {text!r}")
-        return cls(p)
-
-    def __eq__(self, other):
-        return isinstance(other, Place) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("place", self.p))
-
-    def __str__(self):
-        return "inf" if self.p is None else str(self.p)
-
-    def __repr__(self):
-        return "Place()" if self.p is None else f"Place({self.p})"
-
-
-class SymbolQuery:
-    """An ordered pair of nonzero rationals, the arguments of a symbol."""
-
-    def __init__(self, a, b):
-        a = Fraction(a)
-        b = Fraction(b)
-        if a == 0 or b == 0:
-            raise ValueError("symbol arguments must be nonzero")
-        self.a = a
-        self.b = b
-
-    def __repr__(self):
-        return f"SymbolQuery({self.a}, {self.b})"
+CRITERIA = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
 
 
 def valuation(x, p):
     """Exponent of the prime p in the nonzero rational x."""
+    if p < 2:
+        raise ValueError(f"valuation needs a prime, not {p!r}")
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
@@ -117,12 +73,28 @@ def _omega(u):
     return ((t * t - 1) // 8) % 2
 
 
-def hilbert_local(q, v):
-    """The local symbol of q = (a, b) at the place v, as +1 or -1."""
-    a, b = q.a, q.b
-    if v.is_infinite:
+def _check_place(p):
+    if p is not None and not _is_prime(p):
+        raise ValueError(f"not a prime: {p!r}")
+
+
+def hilbert_local(a, b, p):
+    """The local symbol (a, b)_p of nonzero rationals, as +1 or -1.
+
+    p is a prime, or None for the real place; a p that is not a prime is
+    a ValueError.
+    """
+    _check_place(p)
+    return _symbol(a, b, p)
+
+
+def _symbol(a, b, p):
+    # hilbert_local without the primality check, for places from places()
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("symbol arguments must be nonzero")
+    if p is None:
         return -1 if a < 0 and b < 0 else 1
-    p = v.p
     al = valuation(a, p)
     be = valuation(b, p)
     u = _unit_part(a, p, al)
@@ -138,16 +110,16 @@ def hilbert_local(q, v):
     return s
 
 
-def prime_support(n, bound=DEFAULT_FACTOR_BOUND):
+def prime_support(n):
     """Set of primes dividing the positive integer n, by trial division.
 
-    Raises FactorizationLimit when n exceeds the bound; below it the
+    Raises FactorizationLimit when n exceeds FACTOR_BOUND; below it the
     residue left after dividing out everything up to sqrt(n) is prime.
     """
     if n <= 0:
         raise ValueError("need a positive integer")
-    if n > bound:
-        raise FactorizationLimit(f"{n} exceeds the factoring bound {bound}")
+    if n > FACTOR_BOUND:
+        raise FactorizationLimit(f"{n} exceeds the factoring bound {FACTOR_BOUND}")
     found = set()
     m = n
     d = 2
@@ -162,33 +134,26 @@ def prime_support(n, bound=DEFAULT_FACTOR_BOUND):
     return found
 
 
-def _candidate_places(numbers, bound):
-    """2, the odd primes of the numerators and denominators, then infinity."""
+def places(numbers):
+    """2, the odd primes of the numerators and denominators, then None."""
     odd = set()
     for x in numbers:
         for n in (abs(x.numerator), x.denominator):
             if n > 1:
-                odd |= prime_support(n, bound)
+                odd |= prime_support(n)
     odd.discard(2)
-    places = [Place(2)]
-    places.extend(Place(p) for p in sorted(odd))
-    places.append(Place())
-    return places
+    return [2, *sorted(odd), None]
 
 
-def bad_places(q, bound=DEFAULT_FACTOR_BOUND):
-    """Places where the symbol could be -1: 2, odd support of a and b, inf."""
-    return _candidate_places((q.a, q.b), bound)
+def hilbert_profile(a, b):
+    """List of (place, local symbol) over the places where it can be -1."""
+    a, b = Fraction(a), Fraction(b)
+    return [(p, _symbol(a, b, p)) for p in places((a, b))]
 
 
-def hilbert_profile(q, bound=DEFAULT_FACTOR_BOUND):
-    """List of (place, local symbol) over the finitely many candidate places."""
-    return [(v, hilbert_local(q, v)) for v in bad_places(q, bound)]
-
-
-def hilbert_global_trivial(q, bound=DEFAULT_FACTOR_BOUND):
+def hilbert_global_trivial(a, b):
     """True when the symbol is +1 at every place of Q."""
-    return all(s == 1 for _, s in hilbert_profile(q, bound))
+    return all(s == 1 for _, s in hilbert_profile(a, b))
 
 
 def is_rational_square(x):
@@ -199,14 +164,17 @@ def is_rational_square(x):
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
-def is_local_square(x, v):
-    """Whether the nonzero rational x is a square in the completion at v."""
+def is_local_square(x, p):
+    """Whether the nonzero rational x is a square in the completion at p.
+
+    p is a prime, or None for the real place, as in hilbert_local.
+    """
+    _check_place(p)
     x = Fraction(x)
     if x == 0:
         raise ValueError("need a nonzero rational")
-    if v.is_infinite:
+    if p is None:
         return x > 0
-    p = v.p
     val = valuation(x, p)
     if val % 2:
         return False
@@ -216,15 +184,15 @@ def is_local_square(x, v):
     return _legendre_unit(u, p) == 1
 
 
-def _hasse_invariant(coeffs, v):
+def _hasse_invariant(coeffs, p):
     s = 1
     for i in range(len(coeffs)):
         for j in range(i + 1, len(coeffs)):
-            s *= hilbert_local(SymbolQuery(coeffs[i], coeffs[j]), v)
+            s *= _symbol(coeffs[i], coeffs[j], p)
     return s
 
 
-def quadric_isotropic(coeffs, bound=DEFAULT_FACTOR_BOUND):
+def quadric_isotropic(coeffs):
     """Whether sum(c_i * x_i^2) = 0 has a nontrivial rational solution.
 
     Diagonal forms only.  A zero coefficient gives an axis point at once.
@@ -244,16 +212,12 @@ def quadric_isotropic(coeffs, bound=DEFAULT_FACTOR_BOUND):
     if n == 2:
         return is_rational_square(-cs[1] / cs[0])
     if n == 3:
-        q = SymbolQuery(-cs[0] / cs[2], -cs[1] / cs[2])
-        return hilbert_global_trivial(q, bound)
+        return hilbert_global_trivial(-cs[0] / cs[2], -cs[1] / cs[2])
     if n == 4:
-        d = Fraction(1)
-        for c in cs:
-            d *= c
-        minus_one = SymbolQuery(-1, -1)
-        for v in _candidate_places(cs, bound):
-            if is_local_square(d, v) and \
-                    _hasse_invariant(cs, v) != hilbert_local(minus_one, v):
+        d = cs[0] * cs[1] * cs[2] * cs[3]
+        for p in places(cs):
+            if is_local_square(d, p) and \
+                    _hasse_invariant(cs, p) != _symbol(-1, -1, p):
                 return False
         return True
     return any(c > 0 for c in cs) and any(c < 0 for c in cs)
@@ -267,87 +231,53 @@ _QUADRIC_REGIME = {
 }
 
 
-class Verdict:
-    """Outcome of a rationality decision.
+class Verdict(NamedTuple):
+    """Outcome of a rationality decision: the boolean, and which test ran
+    and what it returned."""
 
-    rational     -- the decided boolean
-    criterion    -- which test ran and what it returned
-    consequence  -- what the outcome means for the invariant field
-    details      -- optional mapping with the per-place symbols
-    """
-
-    def __init__(self, rational, criterion, consequence, details=None):
-        self.rational = bool(rational)
-        self.criterion = criterion
-        self.consequence = consequence
-        self.details = dict(details) if details else {}
-
-    def to_json(self):
-        return {
-            "rational": self.rational,
-            "criterion": self.criterion,
-            "consequence": self.consequence,
-        }
-
-    def __repr__(self):
-        flag = "rational" if self.rational else "not rational"
-        return f"Verdict({flag}: {self.criterion})"
+    rational: bool
+    criterion: str
 
 
-def _symbol_verdict(label, q, bound):
-    profile = hilbert_profile(q, bound)
-    failing = [str(v) for v, s in profile if s == -1]
-    trivial = not failing
-    note = ("symbol ({}, {}) is +1 at every place of Q"
-            " (additively: the symbol vanishes)"
-            if trivial else
-            "symbol ({}, {}) is -1 at place(s) " + ", ".join(failing))
-    criterion = (label + ": " + note.format(q.a, q.b)
-                 + "; meaningful when the constants are nonsquares in the base field")
-    if trivial:
-        consequence = "the invariant field is rational over the base field"
-    else:
-        consequence = ("the invariant field is not rational and not even"
-                       " unirational over the base field, which must be"
-                       " infinite with nontrivial Brauer group")
-    details = {str(v): s for v, s in profile}
-    return Verdict(trivial, criterion, consequence, details)
+def decide_rationality(case, a=None, b=None, coeffs=None):
+    """Decide a rationality criterion; CRITERIA names what each case reads.
 
-
-def decide_rationality(case, a=None, b=None, coeffs=None,
-                       bound=DEFAULT_FACTOR_BOUND):
-    """Decide a rationality criterion.
-
-    case "c4"      -- needs a; tests the symbol (a, -1)
-    case "d4"      -- needs a and b; tests the symbol (a, -b)
-    case "quadric" -- needs nonempty coeffs; tests the diagonal form for
+    case "c4"      -- reads a; tests the symbol (a, -1)
+    case "d4"      -- reads a and b; tests the symbol (a, -b)
+    case "quadric" -- reads a nonempty coeffs; tests the diagonal form for
                       a nontrivial rational zero
+
+    A trivial symbol means the invariant field is rational over the base
+    field; a nontrivial one, that it is not rational and not even
+    unirational over the base field, which must then be infinite with
+    nontrivial Brauer group.  A form with a nontrivial rational zero means
+    the function field of the quadric is rational over the base field;
+    without one, it is neither rational nor unirational over it.
     """
-    if case == "c4":
-        if a is None:
-            raise ValueError("case c4 needs a")
-        return _symbol_verdict("order-4 cyclic case", SymbolQuery(a, -1), bound)
-    if case == "d4":
-        if a is None or b is None:
-            raise ValueError("case d4 needs a and b")
-        return _symbol_verdict("order-8 dihedral case",
-                               SymbolQuery(a, Fraction(-1) * Fraction(b)), bound)
+    if case not in CRITERIA:
+        raise ValueError(f"unknown case: {case!r}")
+    given = {"a": a, "b": b, "coeffs": coeffs or None}
+    missing = [key for key in CRITERIA[case] if given[key] is None]
+    if missing:
+        raise ValueError(f"case {case} needs {' and '.join(missing)}")
     if case == "quadric":
-        if not coeffs:
-            raise ValueError("case quadric needs a nonempty coeffs list")
         cs = [Fraction(c) for c in coeffs]
-        zero = quadric_isotropic(cs, bound)
         regime = _QUADRIC_REGIME.get(
             len(cs), "rank 5 or more: indefinite forms are isotropic over Q")
         shape = " + ".join(f"({c})*x{i}^2" for i, c in enumerate(cs))
-        criterion = f"diagonal form {shape}; {regime}"
-        if zero:
-            consequence = ("the form has a nontrivial rational zero, so the"
-                           " function field of the quadric is rational over"
-                           " the base field")
-        else:
-            consequence = ("the form has no nontrivial rational zero, so the"
-                           " function field of the quadric is neither rational"
-                           " nor unirational over the base field")
-        return Verdict(zero, criterion, consequence)
-    raise ValueError(f"unknown case: {case!r}")
+        return Verdict(quadric_isotropic(cs), f"diagonal form {shape}; {regime}")
+    a = Fraction(a)
+    if case == "c4":
+        label, b = "order-4 cyclic case", Fraction(-1)
+    else:
+        label, b = "order-8 dihedral case", -Fraction(b)
+    failing = ["inf" if p is None else str(p)
+               for p, s in hilbert_profile(a, b) if s == -1]
+    if failing:
+        note = f"symbol ({a}, {b}) is -1 at place(s) " + ", ".join(failing)
+    else:
+        note = (f"symbol ({a}, {b}) is +1 at every place of Q"
+                " (additively: the symbol vanishes)")
+    criterion = (label + ": " + note
+                 + "; meaningful when the constants are nonsquares in the base field")
+    return Verdict(not failing, criterion)

@@ -8,8 +8,8 @@ orbits, automorphism groups and seed orbits of `actions.close_action`
 and `actions.orbit_sum`. Element ordering inside a group is
 lexicographic on the flattened entries, which keeps every downstream
 listing deterministic. One fraction-free Gauss–Jordan pass over Z,
-`_row_reduce`, gives exact determinants, adjugates and primitive kernel
-vectors, with no rational arithmetic.
+`_row_reduce`, gives exact determinants and primitive kernel vectors,
+with no rational arithmetic.
 
 Structure (inverses, element orders, conjugacy classes, normal
 subgroups) is read from integer index tables, not from further matrix
@@ -72,10 +72,8 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _row_reduce(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss–Jordan over Z on the first `ncols` columns, whole rows carried.
+def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan over Z.
 
     An entry f is cleared against the pivot p of its column by
     row_i <- (p/g)·row_i - (f/g)·row_p with g = gcd(p, f), so every row
@@ -88,7 +86,7 @@ def _row_reduce(
     m = [list(row) for row in rows]
     pivots: list[int] = []
     sign = scale = 1
-    for c in range(ncols):
+    for c in range(len(m[0])):
         r = len(pivots)
         if r == len(m):
             break
@@ -112,7 +110,7 @@ def _row_reduce(
 
 
 def mat_det(a: Matrix) -> int:
-    _, pivots, det = _row_reduce(a, len(a))
+    _, pivots, det = _row_reduce(a)
     return det if len(pivots) == len(a) else 0
 
 
@@ -346,7 +344,7 @@ def _kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, 
     that is zero on the other non-pivot columns, as a primitive integer
     vector whose first nonzero entry is positive.
     """
-    m, pivots, _ = _row_reduce(rows, width)
+    m, pivots, _ = _row_reduce(rows)
     common = lcm(*(row[pc] for row, pc in zip(m, pivots)))
     basis = []
     for fc in (c for c in range(width) if c not in pivots):
@@ -414,35 +412,21 @@ def verify_conjugation(
 
     Conjugation by P is an injective homomorphism, so the image of left is
     generated by the conjugates of left's generators. If those lie in
-    right and the orders agree, the image is all of right. Conjugation
-    does not change when P is scaled, so P (integer or rational) is first
-    made a primitive integer matrix. Then P^-1·g·P = adj(P)·g·P / det(P),
-    and a generator's conjugate is integral exactly when det(P) divides
-    adj(P)·g·P entrywise. A non-integral conjugate, or a singular P, makes
-    the answer False (not an error): the matrix simply fails to carry one
-    lattice group onto the other.
+    right and the orders agree, the image is all of right. For a
+    nonsingular P, P^-1·g·P = h exactly when g·P = P·h, so a generator's
+    conjugate lies in right exactly when g·P is among the products P·h,
+    h in right; P may be integer or rational, and no inverse is formed.
+    A singular P makes the answer False (not an error), as does a
+    conjugate outside right: the matrix simply fails to carry one lattice
+    group onto the other.
     """
     if left.order != right.order:
         return False
-    n = len(p)
     d = lcm(*(x.denominator for row in p for x in row))
-    ints = [[int(x * d) for x in row] for row in p]
-    c = gcd(*(x for row in ints for x in row)) or 1
-    p = mat((x // c for x in row) for row in ints)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
-    rows, pivots, det = _row_reduce(aug, n)
-    if len(pivots) < n:
+    if mat_det(mat((int(x * d) for x in row) for row in p)) == 0:
         return False
-    # The right half of row i is its pivot times row i of P^-1; scaled by
-    # det/pivot, it is row i of the integer matrix adj(P) = det(P)·P^-1.
-    adj = mat((det * x // row[i] for x in row[n:]) for i, row in enumerate(rows))
-    for g in left.generators:
-        h = mat_mul(mat_mul(adj, g), p)
-        if any(x % det for row in h for x in row):
-            return False
-        if mat((x // det for x in row) for row in h) not in right:
-            return False
-    return True
+    images = {mat_mul(p, h) for h in right.elements}
+    return all(mat_mul(g, p) in images for g in left.generators)
 
 
 # -- isomorphism-type recognition ------------------------------------------

@@ -11,6 +11,7 @@ import copy
 import json
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,8 @@ from qmi.catalog import (
 )
 from qmi.catalog_data import MATRICES
 from qmi.errors import SchemaError
+from qmi.hilbert import CRITERIA
+from qmi.matgroup import mat, mat_det
 from qmi.runner import run_all, run_case, summarize, to_jsonl
 
 
@@ -137,6 +140,42 @@ def test_negative_control_fails(case_id, path, change):
     report = run_case(Catalog(base.groups, [control]), control.id)
     assert report.status == "Fail", report.witness
     assert report.witness
+
+
+def _controls(kind: str, perturb):
+    """One control per (case of kind, perturbed payload) pair perturb yields."""
+    base = builtin_catalog()
+    controls = [
+        CaseRecord(f"{case.id}_control_{n}", kind, case.section, case.source, payload)
+        for case in base.cases if case.kind == kind
+        for n, payload in enumerate(perturb(case.payload))
+    ]
+    return controls, run_all(Catalog(base.groups, controls))
+
+
+def _via_moved_by_one(payload: dict):
+    for i, j, step in product(range(3), range(3), (1, -1)):
+        via = copy.deepcopy(payload["via"])
+        via[i][j] += step
+        yield {**payload, "via": via}
+
+
+def test_every_via_entry_moved_by_one_fails():
+    # 19 Conjugacy cases, 9 entries each, +1 and -1: a singular via stops
+    # at the determinant, every other one reaches the membership test.
+    controls, reports = _controls("Conjugacy", _via_moved_by_one)
+    assert len(reports) == 342
+    assert [r.case_id for r in reports if r.status != "Fail"] == []
+    assert sum(mat_det(mat(c.payload["via"])) == 0 for c in controls) == 8
+
+
+def test_every_criterion_with_its_claim_flipped_fails():
+    controls, reports = _controls(
+        "RationalityCriterion",
+        lambda p: [{**p, "expect_rational": not p["expect_rational"]}])
+    assert len(reports) == 5
+    assert {c.payload["case"] for c in controls} == set(CRITERIA)
+    assert [r.case_id for r in reports if r.status != "Fail"] == []
 
 
 def test_iso_label_of_the_right_order_names_the_group_found():
@@ -469,6 +508,9 @@ MALFORMED = [
      "/cases/0/payload/coeffs"),
     ("criterion-quadric-with-a", _criterion({"case": "quadric", "coeffs": [1, 1, -2], "a": 3}),
      "/cases/0/payload/a"),
+    ("criterion-unknown-case", _criterion({"case": "c8", "a": 2}), "/cases/0/payload/case"),
+    ("criterion-case-is-a-list", _criterion({"case": ["c4"], "a": 2}), "/cases/0/payload/case"),
+    ("criterion-d4-without-b", _criterion({"case": "d4", "a": 2}), "/cases/0/payload"),
 ]
 
 

@@ -8,7 +8,6 @@ every local symbol; absence of small zeros for small inputs forces a
 local obstruction somewhere.
 """
 
-import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -17,25 +16,25 @@ import pytest
 
 from qmi.errors import FactorizationLimit
 from qmi.hilbert import (
-    Place,
-    SymbolQuery,
-    bad_places,
+    CRITERIA,
+    FACTOR_BOUND,
     decide_rationality,
     hilbert_global_trivial,
     hilbert_local,
     hilbert_profile,
     is_local_square,
     is_rational_square,
+    places,
     prime_support,
     quadric_isotropic,
     valuation,
 )
 
-INF = Place()
+INF = None  # the real place
 
 
 def sym(a, b, v):
-    return hilbert_local(SymbolQuery(Fraction(a), Fraction(b)), v)
+    return hilbert_local(Fraction(a), Fraction(b), v)
 
 
 def search_zero(a, b, height):
@@ -90,28 +89,32 @@ def brute_local(a, b, p, n):
 
 
 class TestPlaces:
-    def test_parse(self):
-        assert Place.parse("inf").is_infinite
-        assert Place.parse("17") == Place(17)
-        assert str(Place(2)) == "2"
-        assert str(Place()) == "inf"
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Place.parse("x")
-
     def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            Place(6)
+        for p in (6, 9, 1, 0, -3):
+            with pytest.raises(ValueError, match="not a prime"):
+                hilbert_local(2, 3, p)
+            with pytest.raises(ValueError, match="not a prime"):
+                is_local_square(2, p)
 
     def test_nonzero_arguments_required(self):
+        for place in (2, 3, INF):
+            with pytest.raises(ValueError):
+                hilbert_local(0, 3, place)
+            with pytest.raises(ValueError):
+                hilbert_local(3, 0, place)
         with pytest.raises(ValueError):
-            SymbolQuery(0, 3)
+            hilbert_profile(0, 3)
 
     def test_valuation(self):
         assert valuation(Fraction(12), 2) == 2
         assert valuation(Fraction(5, 8), 2) == -3
         assert valuation(Fraction(-9, 7), 3) == 2
+
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_valuation_needs_p_at_least_two(self, p):
+        # p = 1 and p = -1 divide everything, so the loop would not end
+        with pytest.raises(ValueError):
+            valuation(5, p)
 
 
 class TestPinnedLocalValues:
@@ -120,41 +123,41 @@ class TestPinnedLocalValues:
         # sum of two squares is nonnegative, so no real zero
         assert sym(-1, -1, INF) == -1
         # z^2+x^2+y^2 = 0 mod 4 forces all even
-        assert sym(-1, -1, Place(2)) == -1
+        assert sym(-1, -1, 2) == -1
         # odd p: units with even exponents never obstruct
-        assert sym(-1, -1, Place(3)) == 1
-        assert sym(-1, -1, Place(7)) == 1
+        assert sym(-1, -1, 3) == 1
+        assert sym(-1, -1, 7) == 1
 
     def test_one_is_always_trivial(self):
         # z = x = 1, y = 0
-        for place in (INF, Place(2), Place(3), Place(13)):
+        for place in (INF, 2, 3, 13):
             assert sym(1, -5, place) == 1
             assert sym(-7, 1, place) == 1
 
     def test_two_three_at_three(self):
         # mod 3: z^2 = 2x^2 needs 3 | x, z, then 3 | y; no primitive zero
-        assert sym(2, 3, Place(3)) == -1
+        assert sym(2, 3, 3) == -1
 
     def test_three_minus_one_at_three(self):
         # z^2 + y^2 = 3x^2: -1 is not a square mod 3
-        assert sym(3, -1, Place(3)) == -1
+        assert sym(3, -1, 3) == -1
 
     def test_five_minus_one_at_five(self):
         # 2^2 + 1^2 = 5: explicit zero
-        assert sym(5, -1, Place(5)) == 1
+        assert sym(5, -1, 5) == 1
 
     def test_two_seven_at_two(self):
         # 3^2 = 2*1 + 7*1: explicit zero
-        assert sym(2, 7, Place(2)) == 1
+        assert sym(2, 7, 2) == 1
 
     def test_two_minus_one_at_two(self):
         # 1^2 = 2*1^2 - 1^2: explicit zero
-        assert sym(2, -1, Place(2)) == 1
+        assert sym(2, -1, 2) == 1
 
     def test_half_three_at_two(self):
         # odd-exponent 2 against 3 (omega(3) = 1) obstructs
-        assert sym(Fraction(1, 2), 3, Place(2)) == -1
-        assert sym(2, 3, Place(2)) == -1
+        assert sym(Fraction(1, 2), 3, 2) == -1
+        assert sym(2, 3, 2) == -1
 
     def test_sign_rule_at_infinity(self):
         assert sym(-2, -3, INF) == -1
@@ -168,33 +171,32 @@ class TestBruteLocalAgreement:
         vals = [v for v in range(-10, 11) if v != 0]
         for _ in range(25):
             a, b = rng.choice(vals), rng.choice(vals)
-            assert sym(a, b, Place(2)) == brute_local(a, b, 2, 9), (a, b)
+            assert sym(a, b, 2) == brute_local(a, b, 2, 9), (a, b)
 
     def test_at_three(self):
         rng = random.Random(8)
         vals = [v for v in range(-10, 11) if v != 0]
         for _ in range(25):
             a, b = rng.choice(vals), rng.choice(vals)
-            assert sym(a, b, Place(3)) == brute_local(a, b, 3, 5), (a, b)
+            assert sym(a, b, 3) == brute_local(a, b, 3, 5), (a, b)
 
     def test_at_five(self):
         rng = random.Random(9)
         vals = [v for v in range(-10, 11) if v != 0]
         for _ in range(20):
             a, b = rng.choice(vals), rng.choice(vals)
-            assert sym(a, b, Place(5)) == brute_local(a, b, 5, 4), (a, b)
+            assert sym(a, b, 5) == brute_local(a, b, 5, 4), (a, b)
 
 
 class TestGlobal:
     def test_pinned(self):
-        assert hilbert_global_trivial(SymbolQuery(1, 7))
-        assert not hilbert_global_trivial(SymbolQuery(-1, -1))
-        assert hilbert_global_trivial(SymbolQuery(2, -1))
+        assert hilbert_global_trivial(1, 7)
+        assert not hilbert_global_trivial(-1, -1)
+        assert hilbert_global_trivial(2, -1)
 
     def test_profile_lists_candidate_places(self):
-        profile = hilbert_profile(SymbolQuery(Fraction(5, 3), -14))
-        places = [str(v) for v, _ in profile]
-        assert places == ["2", "3", "5", "7", "inf"]
+        profile = hilbert_profile(Fraction(5, 3), -14)
+        assert [v for v, _ in profile] == [2, 3, 5, 7, INF]
 
     def test_zero_search_agreement(self):
         # |a|, |b| <= 20: reduction bounds keep any existing zero tiny,
@@ -204,7 +206,7 @@ class TestGlobal:
         for _ in range(40):
             a, b = rng.choice(vals), rng.choice(vals)
             found = search_zero(a, b, 200) is not None
-            assert hilbert_global_trivial(SymbolQuery(a, b)) == found, (a, b)
+            assert hilbert_global_trivial(a, b) == found, (a, b)
 
     def test_found_zero_forces_triviality(self):
         # the cheap direction, run on a denser sweep
@@ -213,11 +215,11 @@ class TestGlobal:
                 if a == 0 or b == 0:
                     continue
                 if search_zero(a, b, 20) is not None:
-                    assert hilbert_global_trivial(SymbolQuery(a, b)), (a, b)
+                    assert hilbert_global_trivial(a, b), (a, b)
 
 
 class TestAlgebraicLaws:
-    PLACES = [Place(2), Place(3), Place(5), Place(7), INF]
+    PLACES = [2, 3, 5, 7, INF]
 
     def rand_nonzero(self, rng, span=60):
         v = 0
@@ -258,7 +260,7 @@ class TestAlgebraicLaws:
             b = Fraction(rng.randint(1, 10 ** 4) * rng.choice((1, -1)),
                          rng.randint(1, 10 ** 4))
             prod = 1
-            for _, s in hilbert_profile(SymbolQuery(a, b)):
+            for _, s in hilbert_profile(a, b):
                 prod *= s
             assert prod == 1, (a, b)
 
@@ -267,19 +269,22 @@ class TestSupportAndBounds:
     def test_prime_support(self):
         assert prime_support(360) == {2, 3, 5}
         assert prime_support(1) == set()
-        assert prime_support(10 ** 9 + 7, bound=10 ** 10) == {10 ** 9 + 7}
+        # the largest prime below the bound: trial division runs to the end
+        assert prime_support(999999937) == {999999937}
+        assert prime_support(FACTOR_BOUND) == {2, 5}
 
     def test_factoring_bound(self):
         with pytest.raises(FactorizationLimit):
             prime_support(10 ** 9 + 7)
         with pytest.raises(FactorizationLimit):
-            hilbert_global_trivial(SymbolQuery(10 ** 9 + 7, 3))
-        assert hilbert_global_trivial(SymbolQuery(10 ** 9 + 7, 3),
-                                      bound=10 ** 10) in (True, False)
+            prime_support(FACTOR_BOUND + 1)
+        with pytest.raises(FactorizationLimit):
+            hilbert_global_trivial(10 ** 9 + 7, 3)
+        with pytest.raises(FactorizationLimit):
+            decide_rationality("c4", a=Fraction(1, 10 ** 9 + 7))
 
-    def test_bad_places_order(self):
-        places = bad_places(SymbolQuery(Fraction(15, 2), -7))
-        assert [str(v) for v in places] == ["2", "3", "5", "7", "inf"]
+    def test_places_order(self):
+        assert places((Fraction(15, 2), Fraction(-7))) == [2, 3, 5, 7, INF]
 
 
 class TestSquareTests:
@@ -289,12 +294,12 @@ class TestSquareTests:
         assert not is_rational_square(-4)
 
     def test_local(self):
-        assert is_local_square(17, Place(2))     # 17 = 1 mod 8
-        assert not is_local_square(3, Place(2))
-        assert is_local_square(68, Place(2))     # 4 * 17
-        assert not is_local_square(8, Place(2))  # odd exponent
-        assert is_local_square(-1, Place(5))     # -1 = 2^2 mod 5
-        assert not is_local_square(-1, Place(7))
+        assert is_local_square(17, 2)     # 17 = 1 mod 8
+        assert not is_local_square(3, 2)
+        assert is_local_square(68, 2)     # 4 * 17
+        assert not is_local_square(8, 2)  # odd exponent
+        assert is_local_square(-1, 5)     # -1 = 2^2 mod 5
+        assert not is_local_square(-1, 7)
         assert is_local_square(2, INF)
         assert not is_local_square(-2, INF)
 
@@ -359,8 +364,7 @@ class TestVerdicts:
         v = decide_rationality("c4", a=-1)
         assert v.rational is False
         assert "(-1, -1)" in v.criterion
-        assert "unirational" in v.consequence
-        assert "Brauer" in v.consequence
+        assert "-1 at place(s) 2, inf;" in v.criterion
 
     def test_c4_positive(self):
         v = decide_rationality("c4", a=5)
@@ -379,7 +383,7 @@ class TestVerdicts:
         v = decide_rationality("d4", a=3, b=-3)
         # symbol (3, 3): (3,3)_3 = (3,-1)_3 = -1
         assert v.rational is False
-        assert "3" in v.details
+        assert "(3, 3) is -1 at place(s) 2, 3;" in v.criterion
 
     def test_quadric_spec_shape(self):
         # coefficient pattern (1, -d, -2, -2, 2d) at d = -1
@@ -392,12 +396,6 @@ class TestVerdicts:
         v = decide_rationality("quadric", coeffs=[1, 1, 3])
         assert v.rational is False
         assert "rank 3" in v.criterion
-        assert "unirational" in v.consequence
-
-    def test_json_shape(self):
-        v = decide_rationality("c4", a=-1)
-        blob = json.loads(json.dumps(v.to_json()))
-        assert sorted(blob) == ["consequence", "criterion", "rational"]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -410,3 +408,13 @@ class TestVerdicts:
             decide_rationality("quadric", coeffs=[])
         with pytest.raises(ValueError):
             decide_rationality("dihedral", a=1, b=1)
+        with pytest.raises(ValueError):
+            decide_rationality("c4", a=0)
+
+    @pytest.mark.parametrize("case", sorted(CRITERIA))
+    def test_each_key_a_case_reads_is_required(self, case):
+        given = {"a": 2, "b": 2, "coeffs": [1, -1]}
+        for key in CRITERIA[case]:
+            with pytest.raises(ValueError, match=f"needs {key}"):
+                decide_rationality(case, **{k: v for k, v in given.items() if k != key})
+        assert decide_rationality(case, **{k: given[k] for k in CRITERIA[case]}).rational

@@ -271,9 +271,29 @@ class TestConjugation:
         assert not verify_conjugation(g, g, q)
         assert verify_conjugation(g, close_group([mat([[1, 0], [0, -1]])]), p)
         # The conjugate of r is [[-1, 0], [-1/2, 1]]; rounded down, it would
-        # be r itself, so only an exact divisibility test says False.
+        # be r itself, so only an exact test says False.
         r = close_group([mat([[-1, 0], [-1, 1]])])
         assert not verify_conjugation(r, r, mat([[-1, 0], [-1, 2]]))
+
+    def test_singular_matrix_is_false(self):
+        # g·P = P·h holds here for every generator g (with h = g), but a
+        # singular P conjugates nothing.
+        g = close_group([mat([[0, 1], [1, 0]])])
+        for p in (mat([[1, 1], [1, 1]]), mat([[0, 0], [0, 0]])):
+            assert mat_mul(g.generators[0], p) == p
+            assert not verify_conjugation(g, g, p)
+
+    def test_every_generator_of_left_is_checked(self):
+        # Equal orders, and the first generator of left lies in right; the
+        # second does not.
+        def diag(*signs):
+            return mat([[s if i == j else 0 for j in range(3)] for i, s in enumerate(signs)])
+
+        left = close_group([diag(-1, 1, 1), diag(1, -1, 1)])
+        right = close_group([diag(-1, 1, 1), diag(1, 1, -1)])
+        assert left.order == right.order == 4
+        assert not verify_conjugation(left, right, identity(3))
+        assert verify_conjugation(left, left, identity(3))
 
 
 class TestReducibility:
