@@ -8,8 +8,10 @@ additively, "(a,b) = 0"; here trivial means +1 at every place.
 
 Only finitely many places can give -1: the prime 2, the real place, and
 the odd primes dividing a numerator or denominator of either argument.
-Factoring is plain trial division up to FACTOR_BOUND, so desk-scale
-inputs stay cheap and oversized ones fail loudly (FactorizationLimit).
+Factoring, and the primality test of a given place, are plain trial
+division (field.least_prime_factor) up to FACTOR_BOUND, so desk-scale
+inputs stay cheap and oversized ones fail loudly: FactorizationLimit
+for an argument, ValueError for a place.
 
 CRITERIA names the arguments each case of decide_rationality reads; the
 catalog's schema check reads the same table.
@@ -20,9 +22,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import FactorizationLimit
-from .field import _is_prime
-
-FACTOR_BOUND = 10 ** 9
+from .field import FACTOR_BOUND, is_prime, least_prime_factor
 
 CRITERIA = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
 
@@ -74,15 +74,15 @@ def _omega(u):
 
 
 def _check_place(p):
-    if p is not None and not _is_prime(p):
+    if p is not None and not is_prime(p):
         raise ValueError(f"not a prime: {p!r}")
 
 
 def hilbert_local(a, b, p):
     """The local symbol (a, b)_p of nonzero rationals, as +1 or -1.
 
-    p is a prime, or None for the real place; a p that is not a prime is
-    a ValueError.
+    p is a prime, or None for the real place; a p that is not a prime,
+    or exceeds FACTOR_BOUND, is a ValueError.
     """
     _check_place(p)
     return _symbol(a, b, p)
@@ -113,24 +113,19 @@ def _symbol(a, b, p):
 def prime_support(n):
     """Set of primes dividing the positive integer n, by trial division.
 
-    Raises FactorizationLimit when n exceeds FACTOR_BOUND; below it the
-    residue left after dividing out everything up to sqrt(n) is prime.
+    Raises FactorizationLimit when n exceeds FACTOR_BOUND; below it each
+    least prime factor is found and divided out in turn.
     """
     if n <= 0:
         raise ValueError("need a positive integer")
     if n > FACTOR_BOUND:
         raise FactorizationLimit(f"{n} exceeds the factoring bound {FACTOR_BOUND}")
     found = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            found.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        found.add(m)
+    while n > 1:
+        d = least_prime_factor(n)
+        found.add(d)
+        while n % d == 0:
+            n //= d
     return found
 
 

@@ -13,7 +13,20 @@ Grammar (whitespace insignificant, '*' always explicit):
 Exponents bind tighter than unary minus, so -x1^2 is -(x1^2), and may be
 negative ("x1^-1" is 1/x1). Undeclared names raise UnknownSymbol; all
 other lexical/syntactic trouble raises ParseError with a character
-position. Parsing evaluates directly into a canonical RatFunc.
+position.
+
+Parsing evaluates as it reads, and keeps a polynomial subtree a Poly:
+integers, names, specialized constants and sqrt(p) are Poly values, and
+so are the sum, difference and product of two Polys, a Poly to a power
+n >= 0 (a root-free monomial with coefficient one by multiplying its
+exponents by n), and a Poly divided by a nonzero constant (scaled by its
+inverse). A RatFunc is formed only where a quotient needs one: a Poly
+divided by a nonconstant Poly is RatFunc(num, den), one gcd.cancel. Any
+operation with a RatFunc operand lifts the Poly operand (RatFunc.from_poly)
+and uses the RatFunc operators, and a RatFunc whose denominator is one
+is kept as its numerator. parse returns the canonical RatFunc of the
+value; canonical parts are unique (qmi.ratfunc), so it is the RatFunc
+that evaluating every node as a RatFunc would give.
 
 An optional env maps extra names to already-parsed values; it is
 consulted before the context's own symbols, letting callers thread local
@@ -22,12 +35,54 @@ abbreviations through long expressions.
 
 from __future__ import annotations
 
+from operator import add, mul, sub
+
 from .context import Context
-from .errors import ParseError, UnknownSymbol
+from .errors import DivisionByZero, ParseError, UnknownSymbol
 from .poly import Poly
 from .ratfunc import RatFunc
 
 _OPS = set("+-*/^()")
+
+Value = Poly | RatFunc
+
+
+def _lifted(v: Value) -> RatFunc:
+    return v if isinstance(v, RatFunc) else RatFunc.from_poly(v)
+
+
+def _lowered(r: RatFunc) -> Value:
+    return r.num if r.den.is_one() else r
+
+
+def _combine(op, a: Value, b: Value) -> Value:
+    """a + b, a - b or a * b: a Poly when both operands are."""
+    if isinstance(a, Poly) and isinstance(b, Poly):
+        return op(a, b)
+    return _lowered(op(_lifted(a), _lifted(b)))
+
+
+def _quotient(a: Value, b: Value) -> Value:
+    """a / b: a Poly when b is a nonzero constant, else one RatFunc."""
+    if isinstance(a, Poly) and isinstance(b, Poly):
+        if not b.is_constant():
+            return _lowered(RatFunc(a, b))
+        a._check(b)
+        if b.is_zero():
+            raise DivisionByZero("division by zero rational function")
+        return a.scale(a.ctx.field.inv(next(iter(b.terms.values()))))
+    return _lowered(_lifted(a) / _lifted(b))
+
+
+def _power(v: Value, n: int) -> Value:
+    if isinstance(v, Poly) and n >= 0:
+        if len(v.terms) == 1:
+            ((e, c),) = v.terms.items()
+            if c == v.ctx.field.one and not any(e[: len(v.ctx.rooted)]):
+                # Roots are the first slots; a monomial free of them folds nothing.
+                return Poly(v.ctx, {tuple(k * n for k in e): c})
+        return v**n
+    return _lowered(_lifted(v) ** n)
 
 
 class _Token:
@@ -95,31 +150,31 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return value
+        return _lifted(value)
 
-    def expr(self) -> RatFunc:
+    def expr(self) -> Value:
         value = self.term()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
                 rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
+                value = _combine(add if tok.text == "+" else sub, value, rhs)
             else:
                 return value
 
-    def term(self) -> RatFunc:
+    def term(self) -> Value:
         value = self.unary()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.take()
                 rhs = self.unary()
-                value = value * rhs if tok.text == "*" else value / rhs
+                value = _combine(mul, value, rhs) if tok.text == "*" else _quotient(value, rhs)
             else:
                 return value
 
-    def unary(self) -> RatFunc:
+    def unary(self) -> Value:
         sign = 1
         while True:
             tok = self.peek()
@@ -132,7 +187,7 @@ class _Parser:
         value = self.power()
         return -value if sign < 0 else value
 
-    def power(self) -> RatFunc:
+    def power(self) -> Value:
         value = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -146,13 +201,13 @@ class _Parser:
             if tok.kind != "int":
                 raise ParseError("expected integer exponent", tok.pos)
             n = int(tok.text)
-            value = value ** (-n if neg else n)
+            value = _power(value, -n if neg else n)
         return value
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> Value:
         tok = self.take()
         if tok.kind == "int":
-            return RatFunc.const(self.ctx, int(tok.text))
+            return Poly.const(self.ctx, int(tok.text))
         if tok.kind == "name":
             if tok.text == "sqrt" and self.peek().kind == "op" and self.peek().text == "(":
                 self.take()
@@ -161,7 +216,7 @@ class _Parser:
                     raise ParseError("expected a parameter name under sqrt", inner.pos)
                 self.expect_op(")")
                 idx = self.ctx.root_symbol_index(inner.text)
-                return RatFunc.from_poly(Poly.symbol(self.ctx, idx))
+                return Poly.symbol(self.ctx, idx)
             return self._name(tok)
         if tok.kind == "op" and tok.text == "(":
             value = self.expr()
@@ -169,18 +224,15 @@ class _Parser:
             return value
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
 
-    def _name(self, tok: _Token) -> RatFunc:
+    def _name(self, tok: _Token) -> Value:
         name = tok.text
         if name in self.env:
-            return self.env[name]
+            return _lowered(self.env[name])
         if name in self.ctx.constants:
-            return RatFunc.from_poly(
-                Poly(self.ctx, {(0,) * self.ctx.nsym: self.ctx.constants[name]})
-                if self.ctx.constants[name]
-                else Poly(self.ctx, {})
-            )
+            c = self.ctx.constants[name]
+            return Poly(self.ctx, {(0,) * self.ctx.nsym: c} if c else {})
         if name in self.ctx.index:
-            return RatFunc.named(self.ctx, name)
+            return Poly.named(self.ctx, name)
         raise UnknownSymbol(f"{name!r} is not declared in this context")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import time
 from collections import Counter
 from itertools import product
 
@@ -553,6 +554,16 @@ def test_each_context_spec_object_is_checked_once(monkeypatch):
     ]
     assert len(checked) == len({id(s) for s in specs}) < len(specs)
     assert {id(s) for s in checked} == {id(s) for s in specs}
+
+
+def test_field_above_the_factoring_bound_is_a_schema_error(tmp_path):
+    doc = {"groups": {}, "cases": [copy.deepcopy(VALID_DOCUMENT["cases"][4])]}
+    doc["cases"][0]["payload"]["context"]["field"] = "F1000000000000000000000000000057"
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="exceeds the factoring bound") as err:
+        load_catalog(_write(tmp_path, doc))
+    assert err.value.path == "/cases/0/payload/context/field"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_valid_document_loads_and_passes(tmp_path):

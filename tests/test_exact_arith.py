@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from qmi import (
     parse,
     poly_gcd,
 )
+from qmi import gcd, ratfunc
 from qmi.actions import Automorphism
+from qmi.field import field_from_name
 from qmi.ratfunc import substitute_raw
 
 
@@ -57,6 +60,13 @@ class TestContext:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    def test_field_above_the_factoring_bound_is_refused_at_once(self):
+        # 10**30 + 57 is prime; trial division to its square root would not end
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the factoring bound"):
+            field_from_name("F1000000000000000000000000000057")
+        assert time.perf_counter() - start < 1.0
 
     def test_specialized_parameter_is_constant(self):
         c = Context(QQ, variables=["u"], parameters=["e"], specialize={"e": 5})
@@ -437,6 +447,50 @@ class TestParsing:
         f = parse(ctx, text)
         again = parse(ctx, str(f))
         assert again.num == f.num and again.den == f.den
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1/0", "division by zero rational function"),
+            ("x1/(x1-x1)", "division by zero rational function"),
+            ("(x1+1)/x2/(x3-x3)", "division by zero rational function"),
+            ("0^-1", "negative power of zero"),
+            ("(x1-x1)^-2", "negative power of zero"),
+        ],
+    )
+    def test_zero_divisors_raise(self, ctx, text, message):
+        with pytest.raises(DivisionByZero, match=message):
+            parse(ctx, text)
+
+    def test_constants_over_f3(self):
+        c = Context(PrimeField(3), variables=["x1"])
+        x1 = RatFunc.named(c, "x1")
+        with pytest.raises(DivisionByZero, match="division by zero rational function"):
+            parse(c, "x1/3")
+        assert parse(c, "x1/2") == parse(c, "2*x1") == x1 / RatFunc.const(c, 2)
+        with pytest.raises(DivisionByZero, match="negative power of zero"):
+            parse(c, "3^-1")
+
+    def test_constant_powers_over_q(self, ctx):
+        x1 = RatFunc.named(ctx, "x1")
+        assert parse(ctx, "2^-1*x1") == parse(ctx, "x1/2") == x1 / RatFunc.const(ctx, 2)
+        assert parse(ctx, "x1^-0") == parse(ctx, "0^0") == RatFunc.const(ctx, 1)
+
+    def test_a_quotient_of_polynomials_cancels_once(self, ctx, monkeypatch):
+        calls = []
+        cancel = gcd.cancel
+
+        def counted(num, den):
+            calls.append((num, den))
+            return cancel(num, den)
+
+        monkeypatch.setattr(gcd, "cancel", counted)
+        monkeypatch.setattr(ratfunc, "cancel", counted)
+        f = parse(ctx, "(x1+1)*(x2-2)^3 - 5*x3/2")
+        assert calls == [] and f.den.is_one()
+        f = parse(ctx, "(x1*x2+1)/(x1+x2)")
+        assert len(calls) == 1
+        assert (f.num, f.den) == calls[0]
 
 
 def _count_packed(monkeypatch, counts):

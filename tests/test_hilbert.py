@@ -9,12 +9,14 @@ local obstruction somewhere.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from qmi.errors import FactorizationLimit
+from qmi.field import is_prime, least_prime_factor
 from qmi.hilbert import (
     CRITERIA,
     FACTOR_BOUND,
@@ -285,6 +287,27 @@ class TestSupportAndBounds:
 
     def test_places_order(self):
         assert places((Fraction(15, 2), Fraction(-7))) == [2, 3, 5, 7, INF]
+
+    def test_a_place_above_the_bound_is_refused_at_once(self):
+        # 10**30 + 57 is prime; trial division to its square root would not end
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the factoring bound"):
+            hilbert_local(2, 3, 10 ** 30 + 57)
+        with pytest.raises(ValueError, match="exceeds the factoring bound"):
+            is_local_square(2, 10 ** 30 + 57)
+        assert time.perf_counter() - start < 1.0
+
+    def test_primality_matches_a_sieve(self):
+        n = 5000
+        sieve = [False, False] + [True] * (n - 1)
+        for d in range(2, isqrt(n) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+        assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+        assert is_prime(999999937) and not is_prime(FACTOR_BOUND)
+        assert least_prime_factor(31607 * 31627) == 31607
+        with pytest.raises(ValueError, match="exceeds the factoring bound"):
+            is_prime(FACTOR_BOUND + 1)
 
 
 class TestSquareTests:

@@ -7,6 +7,7 @@ every test invocation. The sympy oracle file covers bigger inputs.
 from __future__ import annotations
 
 import contextlib
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd, ratfunc
+from qmi.errors import DivisionByZero
 from qmi.actions import Automorphism
 from qmi.catalog import builtin_catalog
 from qmi.gcd import unit_normal
@@ -1080,3 +1082,78 @@ def test_lift_ints_returns_a_fresh_dict(ctx):
     p = parse(ctx, "3*x1 - 2*x2 + 1").num
     scale, ints = _lift_ints(p.terms)
     assert scale == 1 and ints == p.terms and ints is not p.terms
+
+
+# -- the parser against a RatFunc evaluator ------------------------------------
+
+
+@st.composite
+def expr_trees(draw, ctx, depth=4):
+    """A small expression tree over ctx: integers, names, sqrt, + - * /,
+    unary minus, ^ with negative exponents, and division by an integer."""
+    if depth == 0 or not draw(st.integers(0, 3)):
+        names = [n for n in ctx.index if n.isalnum()] + list(ctx.constants)
+        kinds = ["int", "name"] + (["sqrt"] if ctx.root_index else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            return ("int", draw(st.integers(0, 6)))
+        return (kind, draw(st.sampled_from(names if kind == "name" else list(ctx.root_index))))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^", "neg", "/int"]))
+    a = draw(expr_trees(ctx, depth - 1))
+    if op == "^":
+        return (op, a, draw(st.integers(-2, 3)))
+    if op == "neg":
+        return (op, a)
+    if op == "/int":
+        return ("/", a, ("int", draw(st.integers(0, 6))))
+    return (op, a, draw(expr_trees(ctx, depth - 1)))
+
+
+def _text(tree) -> str:
+    kind = tree[0]
+    if kind in ("int", "name"):
+        return str(tree[1])
+    if kind == "sqrt":
+        return f"sqrt({tree[1]})"
+    if kind == "neg":
+        return f"-({_text(tree[1])})"
+    if kind == "^":
+        return f"({_text(tree[1])})^{tree[2]}"
+    return f"({_text(tree[1])} {kind} {_text(tree[2])})"
+
+
+_RATFUNC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _evaluate(ctx, tree) -> RatFunc:
+    """The tree evaluated with RatFunc values and operators at every node."""
+    kind = tree[0]
+    if kind == "int":
+        return RatFunc.const(ctx, tree[1])
+    if kind == "name":
+        name = tree[1]
+        return RatFunc.const(ctx, ctx.constants[name]) if name in ctx.constants else RatFunc.named(ctx, name)
+    if kind == "sqrt":
+        return RatFunc.from_poly(Poly.symbol(ctx, ctx.root_symbol_index(tree[1])))
+    if kind == "neg":
+        return -_evaluate(ctx, tree[1])
+    if kind == "^":
+        return _evaluate(ctx, tree[1]) ** tree[2]
+    return _RATFUNC_OPS[kind](_evaluate(ctx, tree[1]), _evaluate(ctx, tree[2]))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS.values(), ids=CONTEXTS.keys())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+def test_parse_matches_the_ratfunc_evaluator(ctx, data):
+    tree = data.draw(expr_trees(ctx))
+    text = _text(tree)
+    try:
+        want = _evaluate(ctx, tree)
+    except DivisionByZero as err:
+        with pytest.raises(DivisionByZero) as raised:
+            parse(ctx, text)
+        assert str(raised.value) == str(err)
+        return
+    got = parse(ctx, text)
+    assert _typed((got.num, got.den)) == _typed((want.num, want.den))
