@@ -24,8 +24,9 @@ group itself are closed by the one breadth-first search,
 
 The check_* functions are the verification primitives. They work on raw
 (num, den) pairs and decide everything by cross-multiplied zero tests;
-nothing on these paths computes a gcd. Each returns a list of failure
-records (empty means verified) whose witnesses are nonzero differences.
+nothing on these paths computes a gcd. Each names what it compares;
+`_failures` returns one record per unequal comparison (none: verified),
+whose `witness` is the difference Poly. `runner._format_failures` writes text.
 
 `check_inverse_pair` proves a birational change of generators from one
 direction when the converse follows from it. Let phi: v_y -> F_y(t) and
@@ -42,7 +43,7 @@ source declares makes the second direction raise UnknownSymbol.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .context import Context
 from .errors import InconsistentAction, OrderCapExceeded
@@ -286,25 +287,25 @@ def orbit_sum(seed: RatFunc, generators: Sequence[Automorphism]) -> RatFunc:
 # -- verification primitives ----------------------------------------------
 
 
-_WITNESS_LIMIT = 400
-
-
-def _witness(a: Pair, b: Pair) -> str | None:
-    """None when a and b are equal; else their raw difference, as text.
+def _witness(a: Pair, b: Pair) -> Poly | None:
+    """None when a and b are equal; else their nonzero raw difference.
 
     The zero test of a[0]*b[1] - b[0]*a[1] runs in the two steps of the
     ratfunc module docstring: equal pairs pass with nothing multiplied;
     otherwise the folded difference is formed (ratfunc._raw_difference,
     in one packed integer where both products would be packed) and
-    read. The text is cut to _WITNESS_LIMIT characters.
+    read.
     """
     if a[1] == b[1] and a[0] == b[0]:
         return None
     diff = _raw_difference(a, b)
-    if diff.is_zero():
-        return None
-    text = str(diff)
-    return text if len(text) <= _WITNESS_LIMIT else text[: _WITNESS_LIMIT - 3] + "..."
+    return None if diff.is_zero() else diff
+
+
+def _failures(comparisons: Iterable[tuple[dict, Pair, Pair]]) -> list[dict]:
+    """{**labels, "witness": difference} for each (labels, a, b) whose pairs differ."""
+    diffs = ((labels, _witness(a, b)) for labels, a, b in comparisons)
+    return [{**labels, "witness": diff} for labels, diff in diffs if diff is not None]
 
 
 def check_invariance(
@@ -312,14 +313,11 @@ def check_invariance(
     exprs: Mapping[str, RatFunc],
 ) -> list[dict]:
     """Is every expression fixed by every action?"""
-    failures = []
-    for aname, sigma in actions.items():
-        for ename, f in exprs.items():
-            pair = (f.num, f.den)
-            witness = _witness(sigma.apply_raw(pair), pair)
-            if witness is not None:
-                failures.append({"action": aname, "expr": ename, "witness": witness})
-    return failures
+    return _failures(
+        ({"action": aname, "expr": ename}, sigma.apply_raw((f.num, f.den)), (f.num, f.den))
+        for aname, sigma in actions.items()
+        for ename, f in exprs.items()
+    )
 
 
 def check_induced_action(
@@ -344,21 +342,19 @@ def check_induced_action(
     substituted once. The image depends only on the expression and the
     forward map, so the records are those of substituting every time.
     """
-    failures = []
-    src = sigma.ctx
     fw_pairs = {u: (f.num, f.den) for u, f in forward.items()}
     if images is None:
         images = {}
-    for u, f in forward.items():
-        lhs = sigma.apply_raw((f.num, f.den))
-        claim = claimed[u]
-        rhs = images.get(claim)
-        if rhs is None:
-            rhs = images[claim] = substitute_raw((claim.num, claim.den), fw_pairs, target=src)
-        witness = _witness(lhs, rhs)
-        if witness is not None:
-            failures.append({"generator": u, "witness": witness})
-    return failures
+
+    def image(claim: RatFunc) -> Pair:
+        if claim not in images:
+            images[claim] = substitute_raw((claim.num, claim.den), fw_pairs, target=sigma.ctx)
+        return images[claim]
+
+    return _failures(
+        ({"generator": u}, sigma.apply_raw(pair), image(claimed[u]))
+        for u, pair in fw_pairs.items()
+    )
 
 
 def check_inverse_pair(
@@ -395,15 +391,13 @@ def _composition_failures(
     ctx: Context,
 ) -> list[dict]:
     """One record per outer name whose expression, with inner substituted, is not it."""
-    failures = []
     pairs = {name: (f.num, f.den) for name, f in inner.items()}
     one = Poly.const(ctx, 1)
-    for name, expr in outer.items():
-        image = substitute_raw((expr.num, expr.den), pairs, target=ctx)
-        witness = _witness(image, (Poly.named(ctx, name), one))
-        if witness is not None:
-            failures.append({"variable": name, "direction": direction, "witness": witness})
-    return failures
+    return _failures(
+        ({"variable": name, "direction": direction},
+         substitute_raw((expr.num, expr.den), pairs, target=ctx), (Poly.named(ctx, name), one))
+        for name, expr in outer.items()
+    )
 
 
 def _converse_follows(backward: Mapping[str, RatFunc], source: Context, target: Context) -> bool:
@@ -422,5 +416,4 @@ def _constants(ctx: Context) -> tuple:
 
 def check_identity(lhs: RatFunc, rhs: RatFunc) -> list[dict]:
     """Is lhs equal to rhs?"""
-    witness = _witness((lhs.num, lhs.den), (rhs.num, rhs.den))
-    return [] if witness is None else [{"witness": witness}]
+    return _failures([({}, (lhs.num, lhs.den), (rhs.num, rhs.den))])

@@ -9,38 +9,28 @@ prime-field coefficients as their 0..p-1 representatives.
 
 from __future__ import annotations
 
+from typing import Any, Callable, Iterator
+
 from .poly import Poly
 from .ratfunc import RatFunc
 
 
-def _mono_text(p: Poly, exps: tuple[int, ...]) -> str:
-    parts = []
-    for idx, k in enumerate(exps):
-        if k == 0:
-            continue
-        name = p.ctx.symbols[idx]
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return "*".join(parts)
-
-
 def format_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for exps, coeff in p.sorted_terms():
+    return "".join(term_texts(p)) if not p.is_zero() else "0"
+
+
+def term_texts(p: Poly, number: Callable[[Any], str] = str) -> Iterator[str]:
+    """The text of each term of p in order, its sign included; format_poly
+    joins them all. number writes the absolute value of a coefficient."""
+    for i, (exps, coeff) in enumerate(p.sorted_terms()):
         # An int or a Fraction n/d (d > 1) prints as n or n/d; a residue
         # mod p is never negative.
-        negative = coeff < 0
-        body = str(abs(coeff))
-        mono = _mono_text(p, exps)
+        body = number(abs(coeff))
+        mono = "*".join(s if k == 1 else f"{s}^{k}" for s, k in zip(p.ctx.symbols, exps) if k)
         if mono:
-            is_unit = body == "1"
-            body = mono if is_unit else f"{body}*{mono}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-    return "".join(chunks)
+            body = mono if body == "1" else f"{body}*{mono}"
+        sign = (" - " if coeff < 0 else " + ") if i else ("-" if coeff < 0 else "")
+        yield sign + body
 
 
 def format_ratfunc(f: RatFunc) -> str:

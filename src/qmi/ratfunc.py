@@ -101,7 +101,7 @@ whether a[0]*b[1] - b[0]*a[1] is zero in two steps, each exact:
    pair, which is zero exactly when the difference is). The
    root folds (a ring map) are applied once and each surviving
    coefficient is normalized once, mod p over F_p; the test reads the
-   Poly, and its text is the witness when it is nonzero.
+   Poly, which is the witness when it is nonzero.
 """
 
 from __future__ import annotations

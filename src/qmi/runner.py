@@ -30,6 +30,7 @@ import math
 import signal
 import time
 import weakref
+from itertools import accumulate
 from typing import Any, Callable, Mapping, Sequence
 
 from .actions import (
@@ -59,6 +60,7 @@ from .matgroup import (
     verify_conjugation,
 )
 from .parser import parse
+from .poly import Poly
 from .ratfunc import RatFunc
 
 DEFAULT_TIMEOUT = 60.0
@@ -173,8 +175,9 @@ def _action(catalog: Catalog, ctx: Context, spec: Mapping) -> Automorphism:
     return _memoized(catalog, ("action", ctx, _frozen(spec)), build)
 
 
-def _mismatch(text: str) -> list[dict]:
-    return [{"witness": text}]
+def _mismatch(differs: bool, text: str) -> list[dict]:
+    """The one record of a group kind's claim: text when the claim differs."""
+    return [{"witness": text}] if differs else []
 
 
 # -- per-kind checks -----------------------------------------------------------
@@ -236,19 +239,16 @@ def _run_identity(catalog: Catalog, p: Mapping) -> list[dict]:
 
 def _run_group_order(catalog: Catalog, p: Mapping) -> list[dict]:
     g = build_group(catalog, p["group"])
-    if g.order != p["order"]:
-        return _mismatch(f"closure has order {g.order}, catalog says {p['order']}")
-    return []
+    return _mismatch(
+        g.order != p["order"], f"closure has order {g.order}, catalog says {p['order']}"
+    )
 
 
 def _run_iso_type(catalog: Catalog, p: Mapping) -> list[dict]:
-    g = build_group(catalog, p["group"])
-    label = identify_iso_type(g)
+    label = identify_iso_type(build_group(catalog, p["group"]))
     if label is None:
-        return _mismatch(f"no built-in model is isomorphic, catalog says {p['label']}")
-    if label != p["label"]:
-        return _mismatch(f"recognized {label}, catalog says {p['label']}")
-    return []
+        return _mismatch(True, f"no built-in model is isomorphic, catalog says {p['label']}")
+    return _mismatch(label != p["label"], f"recognized {label}, catalog says {p['label']}")
 
 
 def _run_normal_subgroups(catalog: Catalog, p: Mapping) -> list[dict]:
@@ -260,19 +260,16 @@ def _run_normal_subgroups(catalog: Catalog, p: Mapping) -> list[dict]:
         for w, m in zip(words, mats):
             if m not in g:
                 # A subgroup of g lies in g: the claim is false, not undecided.
-                return _mismatch(f"listed generator {w} is not an element of {p['group']}")
+                return _mismatch(True, f"listed generator {w} is not an element of {p['group']}")
         expected.append(g.subgroup(mats))
     expected.sort(key=lambda s: (len(s), s))
-    if computed == expected:
-        return []
-    comp_orders = [len(s) for s in computed]
-    exp_orders = [len(s) for s in expected]
     extra = [len(s) for s in computed if s not in expected]
     missing = [len(s) for s in expected if s not in computed]
     return _mismatch(
-        f"proper nontrivial normal subgroups of orders {comp_orders}, "
-        f"catalog lists orders {exp_orders}; "
-        f"unlisted orders {extra}, unrealized orders {missing}"
+        computed != expected,
+        f"proper nontrivial normal subgroups of orders {[len(s) for s in computed]}, "
+        f"catalog lists orders {[len(s) for s in expected]}; "
+        f"unlisted orders {extra}, unrealized orders {missing}",
     )
 
 
@@ -281,31 +278,28 @@ def _run_conjugacy(catalog: Catalog, p: Mapping) -> list[dict]:
     right = build_group(catalog, p["right"])
     via = p["via"]
     m = mat(via) if isinstance(via, list) else word_matrix(via, MATRICES)
-    if not verify_conjugation(left, right, m):
-        return _mismatch(
-            f"conjugation by {via} does not carry {p['left']} onto {p['right']}"
-        )
-    return []
+    return _mismatch(
+        not verify_conjugation(left, right, m),
+        f"conjugation by {via} does not carry {p['left']} onto {p['right']}",
+    )
 
 
 def _run_q_reducibility(catalog: Catalog, p: Mapping) -> list[dict]:
     got, _ = q_reducible(build_group(catalog, p["group"]))
-    if got != p["reducible"]:
-        return _mismatch(
-            f"representation is {'' if got else 'ir'}reducible over Q, "
-            f"catalog says {'' if p['reducible'] else 'ir'}reducible"
-        )
-    return []
+    return _mismatch(
+        got != p["reducible"],
+        f"representation is {'' if got else 'ir'}reducible over Q, "
+        f"catalog says {'' if p['reducible'] else 'ir'}reducible",
+    )
 
 
 def _run_rationality(catalog: Catalog, p: Mapping) -> list[dict]:
     verdict = decide_rationality(p["case"], a=p.get("a"), b=p.get("b"), coeffs=p.get("coeffs"))
-    if verdict.rational != p["expect_rational"]:
-        return _mismatch(
-            f"decided {'rational' if verdict.rational else 'not rational'}, "
-            f"catalog expects the opposite; {verdict.criterion}"
-        )
-    return []
+    return _mismatch(
+        verdict.rational != p["expect_rational"],
+        f"decided {'rational' if verdict.rational else 'not rational'}, "
+        f"catalog expects the opposite; {verdict.criterion}",
+    )
 
 
 _DISPATCH = {
@@ -321,18 +315,43 @@ _DISPATCH = {
     "RationalityCriterion": _run_rationality,
 }
 
+_WITNESS_LIMIT = 400
 _WITNESS_CAP = 2000
 
 
 def _format_failures(failures: Sequence[Mapping]) -> str:
+    """The witness text of a Fail; no other code writes one.
+
+    A record reads "key value, ...: witness" over its labels; a message
+    string stands as it is. A difference Poly is written term by term in
+    printer order until the text passes _WITNESS_LIMIT, then cut to its
+    first _WITNESS_LIMIT - 3 characters and "...". A coefficient str()
+    refuses (past sys.get_int_max_str_digits()) is written by its size.
+    The records join with " ;; ", cut the same way at _WITNESS_CAP.
+    """
+    from .printer import term_texts  # here: a run with no Fail never loads it
+
+    def cut(text: str, limit: int) -> str:
+        return text if len(text) <= limit else text[: limit - 3] + "..."
+
+    def number(c) -> str:
+        try:
+            return str(c)
+        except ValueError:
+            ends = (c.numerator, c.denominator) if c.denominator > 1 else (c,)
+            return "/".join(f"<{k.bit_length()}-bit integer>" for k in ends)
+
     parts = []
     for f in failures:
+        witness = f["witness"]
+        if isinstance(witness, Poly):
+            for witness in accumulate(term_texts(f["witness"], number)):
+                if len(witness) > _WITNESS_LIMIT:
+                    break
+            witness = cut(witness, _WITNESS_LIMIT)
         head = ", ".join(f"{k} {v}" for k, v in f.items() if k != "witness")
-        parts.append(f"{head}: {f['witness']}" if head else str(f["witness"]))
-    text = " ;; ".join(parts)
-    if len(text) > _WITNESS_CAP:
-        text = text[: _WITNESS_CAP - 3] + "..."
-    return text
+        parts.append(f"{head}: {witness}" if head else witness)
+    return cut(" ;; ".join(parts), _WITNESS_CAP)
 
 
 # -- running -------------------------------------------------------------------
@@ -384,11 +403,8 @@ def run_case(
     case = catalog.case(case_id)
     start = time.perf_counter()
     try:
-        failures = _call_with_timeout(
-            lambda: _DISPATCH[case.kind](catalog, case.payload), timeout
-        )
-        status = "Pass" if not failures else "Fail"
-        witness = _format_failures(failures) if failures else None
+        failures = _call_with_timeout(lambda: _DISPATCH[case.kind](catalog, case.payload), timeout)
+        status, witness = ("Fail", _format_failures(failures)) if failures else ("Pass", None)
     except _Timeout:
         status = "Error"
         witness = f"timed out after {timeout:g}s"

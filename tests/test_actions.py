@@ -369,6 +369,14 @@ class TestChecks:
         rhs2 = parse(ctx, "2")
         assert check_identity(lhs2, rhs2) != []
 
+    @pytest.mark.parametrize("lhs", ["2^20000*x1", "x1/3^10000"], ids=["int", "fraction"])
+    def test_identity_with_a_coefficient_past_the_str_limit_returns_its_record(self, lhs):
+        # str() refuses integers past 4300 digits; a check never calls it.
+        ctx = Context(QQ, variables=["x1"])
+        failures = check_identity(parse(ctx, lhs), parse(ctx, "x1"))
+        assert len(failures) == 1 and list(failures[0]) == ["witness"]
+        assert not failures[0]["witness"].is_zero()
+
     # Three tables over one forward map: "u1" and "1/u2" are claimed twice,
     # and inv's u1 and neg's u2 are wrong.
     SHARED_CLAIMS = {

@@ -8,6 +8,7 @@ their order is the part of the report a worker pool could disturb.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import time
@@ -32,7 +33,8 @@ from qmi.catalog import (
 from qmi.catalog_data import MATRICES
 from qmi.errors import SchemaError
 from qmi.hilbert import CRITERIA
-from qmi.matgroup import mat, mat_det
+from qmi.matgroup import _models, mat, mat_det
+from qmi.ratfunc import RatFunc
 from qmi.runner import run_all, run_case, summarize, to_jsonl
 
 
@@ -43,6 +45,13 @@ def test_every_builtin_case_passes():
     failed = [(r.case_id, r.status, r.witness) for r in reports if r.status != "Pass"]
     assert failed == []
     assert summarize(reports)["Pass"] == 360
+    assert _digest(reports) == (
+        "4ebe881c309c3c997f07b5a85ffeed5e46c42b47d4d54ee87220a541816272cc")
+
+
+def _digest(reports) -> str:
+    """sha256 of the reports' to_jsonl bytes."""
+    return hashlib.sha256(to_jsonl(reports).encode()).hexdigest()
 
 
 def test_jsonl_bytes_do_not_depend_on_jobs():
@@ -177,6 +186,126 @@ def test_every_criterion_with_its_claim_flipped_fails():
     assert len(reports) == 5
     assert {c.payload["case"] for c in controls} == set(CRITERIA)
     assert [r.case_id for r in reports if r.status != "Fail"] == []
+
+
+def _plus(text: str, term: str = "1") -> str:
+    return f"({text})+{term}"
+
+
+def _claimed_plus_one(p: dict):
+    for name, table in p["claimed"].items():
+        for u, text in table.items():
+            yield {**p, "claimed": {**p["claimed"], name: {**table, u: _plus(text)}}}
+
+
+def _backward_plus_one(p: dict):
+    for x, text in p["backward"].items():
+        yield {**p, "backward": {**p["backward"], x: _plus(text)}}
+
+
+def _moved_variable(p: dict) -> str:
+    """The first variable of the context that some action of the case moves."""
+    ctx = build_context(p["context"])
+    actions = [build_action(ctx, spec, MATRICES) for spec in p["actions"].values()]
+    for v in ctx.variables:
+        x = RatFunc.named(ctx, v)
+        if any(sigma.apply(x) != x for sigma in actions):
+            return v
+    raise AssertionError("no action moves a variable")
+
+
+def _exprs_plus_a_moved_variable(p: dict):
+    v = _moved_variable(p)
+    for e, text in p["exprs"].items():
+        yield {**p, "exprs": {**p["exprs"], e: _plus(text, v)}}
+
+
+ALGEBRAIC_PERTURBATIONS = {
+    "InducedAction": _claimed_plus_one,
+    "Identity": lambda p: [{**p, "rhs": _plus(p["rhs"])}],
+    "InversePair": _backward_plus_one,
+    "Invariance": _exprs_plus_a_moved_variable,
+}
+
+
+def test_every_algebraic_claim_moved_fails():
+    # Each claimed image, Identity rhs and backward entry plus 1, and each
+    # invariant plus a variable that an action moves: one false claim per
+    # control. The digest pins every witness, the 400-character cut of
+    # the long ones included.
+    reports = []
+    for kind, perturb in ALGEBRAIC_PERTURBATIONS.items():
+        reports += _controls(kind, perturb)[1]
+    assert len(reports) == 749
+    assert [r.case_id for r in reports if r.status != "Fail"] == []
+    assert _digest(reports) == (
+        "61ea4cdbf9b68b95404cafd44605e5a3e2cc7c45ab0e450876b84cd350f624dd")
+
+
+CAPPED_CASES = ("sys7iii_case1_v", "sys7_case1_y", "prop1_1_v", "prop1_1_t")
+
+
+def test_every_claimed_entry_moved_at_once_fills_the_witness_cap():
+    base = builtin_catalog()
+    controls = []
+    for cid in CAPPED_CASES:
+        case = base.case(cid)
+        payload = copy.deepcopy(case.payload)
+        for table in payload["claimed"].values():
+            for u in table:
+                table[u] = _plus(table[u])
+        controls.append(CaseRecord(cid + "_all_moved", case.kind, case.section,
+                                   case.source, payload))
+    reports = run_all(Catalog(base.groups, controls))
+    assert [(r.status, len(r.witness)) for r in reports] == [("Fail", 2000)] * 4
+    assert _digest(reports) == (
+        "0e619af2c532d7a9a831195387d46b0dc4e3dab87e5fd235d573c9a3139a354f")
+
+
+def _iso_labels_of_the_same_order(p: dict):
+    order = {label: model.order for label, _, model in _models()}
+    for label in order:
+        if label != p["label"] and order[label] == order[p["label"]]:
+            yield {**p, "label": label}
+
+
+def _each_subgroup_dropped(p: dict):
+    subgroups = p["subgroups"]
+    for i in range(len(subgroups)):
+        yield {**p, "subgroups": subgroups[:i] + subgroups[i + 1:]}
+
+
+GROUP_PERTURBATIONS = {
+    "GroupOrder": lambda p: [{**p, "order": n} for n in (p["order"] + 1, p["order"] - 1) if n],
+    "NormalSubgroups": _each_subgroup_dropped,
+    "IsoType": _iso_labels_of_the_same_order,
+    "QReducibility": lambda p: [{**p, "reducible": not p["reducible"]}],
+}
+
+
+def test_every_group_claim_moved_fails():
+    sizes = {}
+    for kind, perturb in GROUP_PERTURBATIONS.items():
+        _, reports = _controls(kind, perturb)
+        sizes[kind] = len(reports)
+        assert [r.case_id for r in reports if r.status != "Fail"] == []
+    assert sizes == {"GroupOrder": 145, "NormalSubgroups": 98, "IsoType": 95,
+                     "QReducibility": 73}
+
+
+@pytest.mark.parametrize("lhs,rhs,witness", [
+    ("2^3000000", "1", "<3000000-bit integer>"),
+    ("x1/3^10000", "x1", "-<15850-bit integer>/<15850-bit integer>*x1"),
+], ids=["int", "fraction"])
+def test_a_coefficient_past_the_str_limit_still_fails(lhs, rhs, witness):
+    # str() refuses an integer of more than 4300 digits, so the witness
+    # writes such a coefficient by its size: the false claim is a Fail.
+    control = CaseRecord("huge_identity", "Identity", "test", "test",
+                         {"context": {"variables": ["x1"]}, "lhs": lhs, "rhs": rhs})
+    catalog = Catalog(builtin_catalog().groups, [control])
+    reports = run_all(catalog)
+    assert [(r.status, r.witness) for r in reports] == [("Fail", witness)]
+    assert to_jsonl(run_all(catalog, jobs=2)) == to_jsonl(reports)
 
 
 def test_iso_label_of_the_right_order_names_the_group_found():
