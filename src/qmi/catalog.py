@@ -1,12 +1,16 @@
 """Claim catalog: verification targets stored as data.
 
 A Catalog holds two things. First, a table of named integer matrix
-groups (generators given as words over a fixed alphabet of named 3x3
-matrices) with their expected structure labels. Second, an ordered list
-of CaseRecords, each a self-contained verifiable claim: an invariance
-statement, an induced-action table, a mutually-inverse substitution
-pair, a plain identity, a group fact, or a rationality-criterion
-instance.
+groups (generators given as words over MATRICES, a fixed alphabet of
+named 3x3 matrices) with their expected structure labels. Second, an
+ordered list of CaseRecords, each a self-contained verifiable claim: an
+invariance statement, an induced-action table, a mutually-inverse
+substitution pair, a plain identity, a group fact, or a
+rationality-criterion instance.
+
+word_matrix is the one reader of word notation, and caches by word. The
+schema check evaluates every word with it, so once a catalog is loaded
+each use of one of its words is a cache lookup.
 
 Expressions are stored as strings in the toolkit grammar rather than as
 trees, so a catalog file can be audited line by line against its source
@@ -155,36 +159,20 @@ _FILTERS = {
 # -- matrix words ------------------------------------------------------------
 
 
-def word_matrix(word: str, alphabet: Mapping[str, Matrix]) -> Matrix:
-    """Evaluate a generator word over named matrices (see _word_factors)."""
-    acc: Matrix | None = None
-    for neg, base, k in _word_factors(word, alphabet):
-        if base == "1":
-            m = identity(len(next(iter(alphabet.values()), ())))
-        else:
-            m = mat(alphabet[base])
-        step = m
-        for _ in range(k - 1):
-            step = mat_mul(step, m)
-        if neg:
-            step = mat_neg(step)
-        acc = step if acc is None else mat_mul(acc, step)
-    return acc
-
-
-def _word_factors(word: str, alphabet: Mapping[str, Matrix]) -> list[tuple[bool, str, int]]:
-    """The factors (negate, name, power) of a generator word.
+@lru_cache(maxsize=1024)
+def word_matrix(word: str) -> Matrix:
+    """The matrix of a generator word over MATRICES; the only reader of words.
 
     Grammar: factors joined by '*'; each factor is [-]name[^k] with k a
-    positive integer, and the name "1" is the identity of the alphabet's
-    size. The leading '-' negates the powered factor, so "-x^2" means
-    -(x^2), not (-x)^2. Raises ValueError for a word that word_matrix
-    cannot evaluate.
+    positive integer, and the name "1" is the 3x3 identity. The leading
+    '-' negates the powered factor, so "-x^2" means -(x^2), not (-x)^2.
+    Raises ValueError for a word it cannot evaluate. Cached by word (the
+    builtin catalog states 449 words, 31 distinct); a Matrix is immutable.
     """
     word = word.strip()
     if not word:
         raise ValueError("empty word")
-    factors = []
+    acc: Matrix | None = None
     for factor in word.split("*"):
         factor = factor.strip()
         neg = factor.startswith("-")
@@ -197,10 +185,16 @@ def _word_factors(word: str, alphabet: Mapping[str, Matrix]) -> list[tuple[bool,
                 raise ValueError(f"bad exponent in word factor {factor!r}")
         else:
             base, k = factor, 1
-        if base != "1" and base not in alphabet:
+        if base != "1" and base not in MATRICES:
             raise ValueError(f"unknown matrix name {base!r}")
-        factors.append((neg, base, k))
-    return factors
+        m = identity(3) if base == "1" else mat(MATRICES[base])
+        step = m
+        for _ in range(k - 1):
+            step = mat_mul(step, m)
+        if neg:
+            step = mat_neg(step)
+        acc = step if acc is None else mat_mul(acc, step)
+    return acc
 
 
 # -- construction helpers (used by the runner) --------------------------------
@@ -226,7 +220,7 @@ def build_env(ctx: Context, where: Sequence[Sequence[str]] | None) -> dict:
     return env
 
 
-def build_action(ctx: Context, spec: Mapping[str, Any], alphabet: Mapping[str, Matrix]):
+def build_action(ctx: Context, spec: Mapping[str, Any]):
     """An actionspec is either {"word": w} or {"bindings": {var: expr}},
     optionally with {"signs": {rooted param: -1}}."""
     from .actions import Automorphism
@@ -234,7 +228,7 @@ def build_action(ctx: Context, spec: Mapping[str, Any], alphabet: Mapping[str, M
 
     signs = spec.get("signs")
     if "word" in spec:
-        return Automorphism.monomial(ctx, word_matrix(spec["word"], alphabet), signs=signs)
+        return Automorphism.monomial(ctx, word_matrix(spec["word"]), signs=signs)
     bindings = {v: parse(ctx, text) for v, text in spec["bindings"].items()}
     return Automorphism(ctx, bindings, signs=signs)
 
@@ -336,9 +330,7 @@ def _check_actionspec(spec: Any, path: str, context: Mapping) -> None:
         raise SchemaError("action needs exactly one of word/bindings", path)
     variables = context.get("variables", ())
     if "word" in spec:
-        _check_matrix_word(spec["word"], path + "/word")
-        # Every word over MATRICES, "1" included, has the alphabet's size.
-        size = len(next(iter(MATRICES.values())))
+        size = len(_check_matrix_word(spec["word"], path + "/word"))
         if size != len(variables):
             raise SchemaError(
                 f"word gives a {size}x{size} matrix, the context has {len(variables)} variables",
@@ -370,32 +362,19 @@ def _check_word_list(value: Any, path: str) -> None:
         raise SchemaError("expected a nonempty list of words", path)
 
 
-def _check_matrix_word(word: Any, path: str) -> None:
-    """A generator word that word_matrix evaluates over MATRICES."""
+def _check_matrix_word(word: Any, path: str) -> Matrix:
+    """word_matrix(word), its complaint raised as the SchemaError at path."""
     _check_str(word, path)
-    error = _word_error(word)
-    if error is not None:
-        raise SchemaError(error, path)
+    try:
+        return word_matrix(word)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def _check_matrix_words(value: Any, path: str) -> None:
     _check_word_list(value, path)
     for i, word in enumerate(value):
         _check_matrix_word(word, f"{path}/{i}")
-
-
-@lru_cache(maxsize=1024)
-def _word_error(word: str) -> str | None:
-    """Why word_matrix cannot evaluate word over MATRICES, or None.
-
-    Cached because a catalog repeats few words many times: the builtin
-    one checks 449 words, 31 of them distinct, when it is built.
-    """
-    try:
-        _word_factors(word, MATRICES)
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: set) -> None:

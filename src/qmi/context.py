@@ -32,6 +32,11 @@ from .field import BaseField
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 
+def mono_key(exps: tuple[int, ...]) -> tuple:
+    """Sort key realizing the monomial order described in the module doc."""
+    return (sum(exps), exps[::-1])
+
+
 def _is_square(field: BaseField, value: Any) -> bool:
     """Is the nonzero field element a square (Euler's criterion mod p)?"""
     if field.char:
@@ -196,10 +201,6 @@ class Context:
 
     def is_variable(self, idx: int) -> bool:
         return idx >= self.var_start
-
-    def mono_key(self, exps: tuple[int, ...]):
-        """Sort key realizing the graded order described in the module doc."""
-        return (sum(exps), exps[::-1])
 
     # -- compatibility ---------------------------------------------------
 

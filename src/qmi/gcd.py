@@ -95,7 +95,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Any
 
-from .context import Context
+from .context import Context, mono_key
 from .errors import DivisionByZero, NotDivisible
 from .field import BaseField
 from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product, _over
@@ -254,12 +254,8 @@ class _Field(_Domain):
 # -- arithmetic on eliminated dicts --------------------------------------
 
 
-def _ekey(e: tuple[int, ...]):
-    return (sum(e), e[::-1])
-
-
 def _elead(d: EDict) -> tuple[tuple[int, ...], Any]:
-    e = max(d, key=_ekey)
+    e = max(d, key=mono_key)
     return e, d[e]
 
 
@@ -351,7 +347,7 @@ def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
 
 
 def _heap_key(e: tuple[int, ...]) -> tuple:
-    """Sorts as _ekey in reverse, so heapq pops the leading monomial."""
+    """Sorts as mono_key in reverse, so heapq pops the leading monomial."""
     return (-sum(e), tuple(-x for x in reversed(e)))
 
 
@@ -577,7 +573,7 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
     E = _elim_info(ctx)
     d = _to_elim(E, p)
     bare = {e: tuple(0 if i in E.croot_slots else k for i, k in enumerate(e)) for e in d}
-    lm = max(bare.values(), key=_ekey)
+    lm = max(bare.values(), key=mono_key)
     lead = {tuple(map(sub, e, lm)): c for e, c in d.items() if bare[e] == lm}
     if lead == E.field.unit:
         return (p, *rest)

@@ -36,7 +36,7 @@ from itertools import compress, count
 from operator import add, mul
 from typing import Any
 
-from .context import Context
+from .context import Context, mono_key
 from .field import rational
 
 
@@ -386,11 +386,11 @@ class Poly:
         return max(e[idx] for e in self.terms)
 
     def leading(self) -> tuple[tuple[int, ...], Any]:
-        exps = max(self.terms, key=self.ctx.mono_key)
+        exps = max(self.terms, key=mono_key)
         return exps, self.terms[exps]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Any]]:
-        return sorted(self.terms.items(), key=lambda kv: self.ctx.mono_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
 
     def uses(self) -> set[int]:
         """Indices of symbols that actually occur."""

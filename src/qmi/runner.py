@@ -21,6 +21,8 @@ This is sound because each value is a pure function of its key and is
 never mutated: no code in qmi writes to a Context, RatFunc,
 Automorphism or MatrixGroup after building it. A pool worker gets the
 catalog by fork, memo included, or by pickle, with a memo of its own.
+Generator words have no memo entry: catalog.word_matrix caches them,
+and validating the catalog evaluated each.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import signal
+import threading
 import time
 import weakref
 from itertools import accumulate
@@ -48,7 +51,6 @@ from .catalog import (
     build_env,
     word_matrix,
 )
-from .catalog_data import MATRICES
 from .context import Context
 from .errors import UnknownCase
 from .hilbert import decide_rationality
@@ -147,7 +149,7 @@ def build_group(catalog: Catalog, gid: str):
 
     def build():
         words = catalog.group(gid)["generators"]
-        return close_group([word_matrix(w, MATRICES) for w in words])
+        return close_group([word_matrix(w) for w in words])
 
     return _memoized(catalog, ("group", gid), build)
 
@@ -164,11 +166,11 @@ def _expr(catalog: Catalog, ctx: Context, text: str, env: dict | None = None) ->
 
 
 def _action(catalog: Catalog, ctx: Context, spec: Mapping) -> Automorphism:
-    """build_action(ctx, spec, MATRICES), with binding texts parsed by _expr."""
+    """build_action(ctx, spec), with binding texts parsed by _expr."""
 
     def build():
         if "word" in spec:
-            return build_action(ctx, spec, MATRICES)
+            return build_action(ctx, spec)
         bindings = {v: _expr(catalog, ctx, text) for v, text in spec["bindings"].items()}
         return Automorphism(ctx, bindings, signs=spec.get("signs"))
 
@@ -256,7 +258,7 @@ def _run_normal_subgroups(catalog: Catalog, p: Mapping) -> list[dict]:
     computed = [s for s in g.normal_subgroups() if 1 < len(s) < g.order]
     expected = []
     for words in p["subgroups"]:
-        mats = [word_matrix(w, MATRICES) for w in words]
+        mats = [word_matrix(w) for w in words]
         for w, m in zip(words, mats):
             if m not in g:
                 # A subgroup of g lies in g: the claim is false, not undecided.
@@ -277,7 +279,7 @@ def _run_conjugacy(catalog: Catalog, p: Mapping) -> list[dict]:
     left = build_group(catalog, p["left"])
     right = build_group(catalog, p["right"])
     via = p["via"]
-    m = mat(via) if isinstance(via, list) else word_matrix(via, MATRICES)
+    m = mat(via) if isinstance(via, list) else word_matrix(via)
     return _mismatch(
         not verify_conjugation(left, right, m),
         f"conjugation by {via} does not carry {p['left']} onto {p['right']}",
@@ -363,26 +365,26 @@ class _Timeout(Exception):
 
 def _check_limits(timeout: float | None, jobs: int = 1) -> None:
     """ValueError unless timeout is None or a finite number of seconds >= 0
-    (None and 0 mean no limit) and jobs is at least 1."""
+    (None and 0 mean no limit), jobs is at least 1, and a nonzero timeout
+    with jobs == 1 runs on the main thread, the only one that can arm the
+    alarm."""
     if timeout is not None and not 0 <= timeout < math.inf:
         raise ValueError(f"timeout must be a finite number of seconds >= 0, got {timeout:g}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if timeout and jobs == 1 and threading.current_thread() is not threading.main_thread():
+        raise ValueError("a timeout is armed by an alarm, which only the main thread can set")
 
 
 def _call_with_timeout(fn, seconds: float | None):
-    """Run fn under a real-time alarm. Falls back to no limit when alarms
-    are unavailable (non-main thread)."""
+    """Run fn under a real-time alarm (the main thread's; see _check_limits)."""
     if not seconds:
         return fn()
 
     def on_alarm(signum, frame):
         raise _Timeout()
 
-    try:
-        old = signal.signal(signal.SIGALRM, on_alarm)
-    except ValueError:
-        return fn()
+    old = signal.signal(signal.SIGALRM, on_alarm)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         return fn()
@@ -396,8 +398,9 @@ def run_case(
 ) -> VerificationReport:
     """Run one case by id.
 
-    Raises UnknownCase for an id not in the catalog and ValueError for a
-    negative or non-finite timeout.
+    Raises UnknownCase for an id not in the catalog, and ValueError for a
+    negative or non-finite timeout and for a nonzero timeout off the main
+    thread, where no alarm can be armed.
     """
     _check_limits(timeout)
     case = catalog.case(case_id)
@@ -439,8 +442,9 @@ def run_all(
     """Run every case matching the filters, reports in catalog order.
 
     The report list is the same for any jobs value; only wall-clock
-    times differ. Raises ValueError for jobs < 1 and for a negative or
-    non-finite timeout.
+    times differ. Raises ValueError for jobs < 1, for a negative or
+    non-finite timeout, and for a nonzero timeout with jobs == 1 off the
+    main thread; pool workers arm the alarm on their own main threads.
     """
     _check_limits(timeout, jobs)
     cases = catalog.select(filters)

@@ -42,7 +42,6 @@ import pytest
 from qmi import actions, parse
 from qmi.actions import close_action
 from qmi.catalog import build_action, build_context, build_env, builtin_catalog
-from qmi.catalog_data import MATRICES
 from qmi.runner import run_case
 
 
@@ -60,7 +59,7 @@ def actg_orbit():
     payload = builtin_catalog().case("sys7iii_case1_actg").payload
     ctx = build_context(payload["context"])
     spec = payload["forward"]["p1"]["orbit_sum"]
-    actions = {n: build_action(ctx, payload["actions"][n], MATRICES) for n in spec["group"]}
+    actions = {n: build_action(ctx, payload["actions"][n]) for n in spec["group"]}
     seed = parse(ctx, spec["of"])
     return seed, tuple(sigma.apply(seed) for sigma in close_action(list(actions.values())))
 

@@ -26,7 +26,6 @@ import pytest
 from qmi import QQ, Context, parse
 from qmi.actions import Automorphism, close_action, orbit_sum
 from qmi.catalog import build_action, build_context, builtin_catalog, word_matrix
-from qmi.catalog_data import MATRICES
 
 
 def actg_orbit_sum():
@@ -34,7 +33,7 @@ def actg_orbit_sum():
     payload = builtin_catalog().case("sys7iii_case1_actg").payload
     ctx = build_context(payload["context"])
     spec = payload["forward"]["p1"]["orbit_sum"]
-    gens = [build_action(ctx, payload["actions"][n], MATRICES) for n in spec["group"]]
+    gens = [build_action(ctx, payload["actions"][n]) for n in spec["group"]]
     return parse(ctx, spec["of"]), gens
 
 
@@ -42,7 +41,7 @@ def catalog_generators():
     ctx = Context(QQ, variables=["x1", "x2", "x3"])
     catalog = builtin_catalog()
     return [
-        [Automorphism.monomial(ctx, word_matrix(w, MATRICES)) for w in catalog.group(gid)["generators"]]
+        [Automorphism.monomial(ctx, word_matrix(w)) for w in catalog.group(gid)["generators"]]
         for gid in sorted(catalog.groups)
     ]
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import pytest
 
 from qmi.catalog import builtin_catalog, word_matrix
-from qmi.catalog_data import MATRICES
 from qmi.matgroup import (
     _MODEL_GENERATORS,
     MatrixGroup,
@@ -49,7 +48,7 @@ def generators(name: str) -> list:
     if name in _MODEL_GENERATORS:
         return list(_MODEL_GENERATORS[name])
     words = builtin_catalog().group(name)["generators"]
-    return [word_matrix(w, MATRICES) for w in words]
+    return [word_matrix(w) for w in words]
 
 
 def test_close_group(benchmark):
@@ -66,7 +65,7 @@ def test_verify_conjugation(benchmark):
         if case.kind == "Conjugacy":
             p = case.payload
             via = p["via"]
-            m = mat(via) if isinstance(via, list) else word_matrix(via, MATRICES)
+            m = mat(via) if isinstance(via, list) else word_matrix(via)
             cases.append((build_group(catalog, p["left"]), build_group(catalog, p["right"]), m))
     verdicts = benchmark(lambda: [verify_conjugation(*case) for case in cases])
     assert len(verdicts) == 19 and all(verdicts)
@@ -79,7 +78,7 @@ def test_subgroups(benchmark):
         if case.kind == "NormalSubgroups":
             g = build_group(catalog, case.payload["group"])
             g._table()
-            listed += [(g, [word_matrix(w, MATRICES) for w in words]) for words in case.payload["subgroups"]]
+            listed += [(g, [word_matrix(w) for w in words]) for words in case.payload["subgroups"]]
     subgroups = benchmark(lambda: [g.subgroup(mats) for g, mats in listed])
     assert len(subgroups) == 98
 

@@ -40,7 +40,6 @@ import pytest
 
 from qmi import actions, ratfunc
 from qmi.catalog import build_action, build_context, build_env, builtin_catalog
-from qmi.catalog_data import MATRICES
 from qmi.parser import parse
 from qmi.ratfunc import RatFunc, substitute_raw
 from qmi.runner import run_case
@@ -49,7 +48,7 @@ from qmi.runner import run_case
 def compose_step():
     p = builtin_catalog().case("sys7iii_case1_actg").payload
     ctx = build_context(p["context"])
-    cb, mbe3 = (build_action(ctx, p["actions"][n], MATRICES) for n in ("cb", "mbe3"))
+    cb, mbe3 = (build_action(ctx, p["actions"][n]) for n in ("cb", "mbe3"))
     image = mbe3.bindings[2]
     return (image.num, image.den), dict(zip(ctx.variables, cb.bindings)), None
 
@@ -68,7 +67,7 @@ def monomial_step():
     p = builtin_catalog().case("sys7iii_case1_tact").payload
     ctx = build_context(p["context"])
     env = build_env(ctx, p.get("where"))
-    cb, ta3 = (build_action(ctx, p["actions"][n], MATRICES) for n in ("cb", "ta3"))
+    cb, ta3 = (build_action(ctx, p["actions"][n]) for n in ("cb", "ta3"))
     t1 = parse(ctx, p["forward"]["t1"], env)
     image = ta3.apply_raw((t1.num, t1.den))
     return image, dict(zip(ctx.variables, cb.bindings)), None

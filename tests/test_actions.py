@@ -17,7 +17,6 @@ from qmi.actions import (
     orbit_sum,
 )
 from qmi.catalog import build_action, build_context, builtin_catalog, word_matrix
-from qmi.catalog_data import MATRICES
 from qmi.matgroup import _closure, close_group, mat, mat_mul
 from qmi.ratfunc import substitute_raw
 
@@ -178,7 +177,7 @@ class TestClosure:
 
         monkeypatch.setattr(actions, "_pair_product", counting_pair)
         monkeypatch.setattr(Automorphism, "compose", counting_symbolic)
-        mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
+        mats = [word_matrix(w) for w in builtin_catalog().group(gid)["generators"]]
         gens = [Automorphism.monomial(CTX3, m) for m in mats]
         got = close_action(gens)
         assert len(got) == close_group(mats).order
@@ -186,7 +185,7 @@ class TestClosure:
 
     @pytest.mark.parametrize("gid", sorted(builtin_catalog().groups))
     def test_builtin_groups_close_without_compose(self, gid, monkeypatch):
-        mats = [word_matrix(w, MATRICES) for w in builtin_catalog().group(gid)["generators"]]
+        mats = [word_matrix(w) for w in builtin_catalog().group(gid)["generators"]]
         gens = [Automorphism.monomial(CTX3, m) for m in mats]
         ident = Automorphism.identity(CTX3)
         reference, _, _ = _closure(ident, gens, Automorphism.compose, 10000)
@@ -216,7 +215,7 @@ def actg_orbit_sum_spec():
     payload = builtin_catalog().case("sys7iii_case1_actg").payload
     ctx = build_context(payload["context"])
     spec = payload["forward"]["p1"]["orbit_sum"]
-    gens = [build_action(ctx, payload["actions"][n], MATRICES) for n in spec["group"]]
+    gens = [build_action(ctx, payload["actions"][n]) for n in spec["group"]]
     return parse(ctx, spec["of"]), gens
 
 
@@ -424,7 +423,7 @@ class TestChecks:
         forward = {u: parse(ctx, t) for u, t in p["forward"].items()}
         images = {}
         for name, table in p["claimed"].items():
-            sigma = build_action(ctx, p["actions"][name], MATRICES)
+            sigma = build_action(ctx, p["actions"][name])
             claimed = {u: parse(new, t) for u, t in table.items()}
             alone = check_induced_action(sigma, forward, claimed)
             assert check_induced_action(sigma, forward, claimed, images) == alone

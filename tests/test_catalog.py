@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import math
+import threading
 import time
 from collections import Counter
 from itertools import product
@@ -30,7 +31,6 @@ from qmi.catalog import (
     validate_catalog,
     word_matrix,
 )
-from qmi.catalog_data import MATRICES
 from qmi.errors import SchemaError
 from qmi.hilbert import CRITERIA
 from qmi.matgroup import _models, mat, mat_det
@@ -99,7 +99,7 @@ def test_every_action_is_an_automorphism():
     orders = Counter()
     for ctx_spec, spec in specs.values():
         ctx = build_context(ctx_spec)
-        orders[len(close_action([build_action(ctx, spec, MATRICES)]))] += 1
+        orders[len(close_action([build_action(ctx, spec)]))] += 1
     assert orders == {2: 103, 3: 10, 4: 4}
 
 
@@ -206,7 +206,7 @@ def _backward_plus_one(p: dict):
 def _moved_variable(p: dict) -> str:
     """The first variable of the context that some action of the case moves."""
     ctx = build_context(p["context"])
-    actions = [build_action(ctx, spec, MATRICES) for spec in p["actions"].values()]
+    actions = [build_action(ctx, spec) for spec in p["actions"].values()]
     for v in ctx.variables:
         x = RatFunc.named(ctx, v)
         if any(sigma.apply(x) != x for sigma in actions):
@@ -339,6 +339,42 @@ def test_zero_or_no_timeout_means_no_limit(timeout):
     assert run_case(builtin_catalog(), "order_G_2_1_1", timeout=timeout).status == "Pass"
 
 
+def _on_another_thread(call):
+    """call() run on a thread other than the main one: its result, or what it raised."""
+    out = []
+
+    def target():
+        try:
+            out.append(call())
+        except Exception as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def _run_both_ways(catalog, timeout):
+    """run_case and run_all(jobs=1) of one case, each on another thread."""
+    return [
+        _on_another_thread(lambda: run_case(catalog, "order_G_2_1_1", timeout=timeout)),
+        _on_another_thread(lambda: run_all(catalog, {"id": "order_G_2_1_1"}, jobs=1, timeout=timeout)[0]),
+    ]
+
+
+def test_a_timeout_off_the_main_thread_is_a_value_error():
+    """Only the main thread can arm the alarm, so a limit there would not hold."""
+    for got in _run_both_ways(builtin_catalog(), 0.2):
+        assert isinstance(got, ValueError) and "main thread" in str(got)
+
+
+@pytest.mark.parametrize("timeout", [None, 0])
+def test_no_limit_runs_off_the_main_thread(timeout):
+    assert [r.status for r in _run_both_ways(builtin_catalog(), timeout)] == ["Pass", "Pass"]
+
+
 # -- the per-catalog memo of the runner ---------------------------------------
 
 
@@ -370,6 +406,14 @@ def test_timed_out_case_leaves_nothing_half_built():
     assert run_case(catalog, "sys7iii_case1_actg", timeout=None).status == "Pass"
 
 
+def test_a_run_after_loading_evaluates_no_word():
+    """Validation evaluated every word of the catalog; the run only looks them up."""
+    catalog = builtin_catalog()
+    misses = word_matrix.cache_info().misses
+    assert summarize(run_all(catalog))["Pass"] == len(catalog.cases)
+    assert word_matrix.cache_info().misses == misses
+
+
 def test_group_is_built_once_per_catalog():
     catalog = builtin_catalog()
     group = runner.build_group(catalog, "G_4_3_1")
@@ -387,7 +431,7 @@ def test_listed_normal_subgroups_close_in_the_groups_table(monkeypatch):
     for case in cases:
         g = runner.build_group(catalog, case.payload["group"])
         for words in case.payload["subgroups"]:
-            mats = [word_matrix(w, MATRICES) for w in words]
+            mats = [word_matrix(w) for w in words]
             assert g.subgroup(mats) == matgroup.close_group(mats).elements
     products = []
     mat_mul = matgroup.mat_mul
@@ -558,6 +602,8 @@ MALFORMED = [
     ("unknown-orbit-sum-generator-word", _set(("cases", 1, "payload", "actions", "swap"), {"word": "cb^x"}),
      "/cases/1/payload/actions/swap/word"),
     ("unknown-via-word", _set(("cases", 3, "payload", "via"), "zz"), "/cases/3/payload/via"),
+    ("blank-generator-word", _set(("groups", "G", "generators"), ["la1", " "]), "/groups/G/generators/1"),
+    ("empty-word-factor", _set(("cases", 3, "payload", "via"), "la1*"), "/cases/3/payload/via"),
     # A 3x3 word in a one-variable context, and a binding of an undeclared variable.
     ("word-does-not-fit-context", _set(("cases", 4, "payload", "actions", "s"), {"word": "cb"}),
      "/cases/4/payload/actions/s/word"),

@@ -23,7 +23,7 @@ from sympy.combinatorics.named_groups import (
 )
 
 from qmi import NotFiniteOrder, OrderCapExceeded
-from qmi import runner
+import qmi.catalog
 from qmi.catalog import Catalog, CaseRecord, builtin_catalog, word_matrix
 from qmi.catalog_data import MATRICES
 from qmi.matgroup import (
@@ -83,7 +83,7 @@ def group_for(name: str):
 def generators_for(name: str) -> list:
     if name in _MODEL_GENERATORS:
         return list(_MODEL_GENERATORS[name])
-    return [word_matrix(w, MATRICES) for w in catalog().group(name)["generators"]]
+    return [word_matrix(w) for w in catalog().group(name)["generators"]]
 
 
 def regular_permutations(g) -> PermutationGroup:
@@ -206,10 +206,12 @@ class TestRecognition:
         g = close_group([c5_permutation_matrix()], cap=200)
         assert identify_iso_type(g) is None
         assert all(isomorphism(group_for(label), g) is None for label in _MODEL_GENERATORS)
-        monkeypatch.setitem(runner.MATRICES, "p5", c5_permutation_matrix())
+        word_matrix.cache_clear()
+        monkeypatch.setitem(qmi.catalog.MATRICES, "p5", c5_permutation_matrix())
         groups = {"G_C5": {"generators": ["p5"], "label": "C5"}}
         case = CaseRecord("iso_G_C5", "IsoType", "test", "a 5-cycle", {"group": "G_C5", "label": "C5"})
         report = run_case(Catalog(groups, [case]), case.id)
+        word_matrix.cache_clear()
         assert report.status == "Fail"
         assert report.witness == "no built-in model is isomorphic, catalog says C5"
 
