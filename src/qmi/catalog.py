@@ -39,7 +39,7 @@ from .context import _NAME_RE, Context, ContextError, check_symbols
 from .errors import SchemaError, UnknownCase
 from .field import field_from_name
 from .hilbert import CRITERIA
-from .matgroup import Matrix, identity, mat, mat_mul, mat_neg
+from .matgroup import MAX_ORDER, Matrix, identity, mat, mat_mul, mat_neg
 
 _PAYLOAD_KEYS = {
     "Invariance": {"context", "actions", "exprs", "where"},
@@ -163,8 +163,9 @@ _FILTERS = {
 def word_matrix(word: str) -> Matrix:
     """The matrix of a generator word over MATRICES; the only reader of words.
 
-    Grammar: factors joined by '*'; each factor is [-]name[^k] with k a
-    positive integer, and the name "1" is the 3x3 identity. The leading
+    Grammar: factors joined by '*'; each factor is [-]name[^k] with k an
+    integer from 1 to MAX_ORDER (a higher power of a finite-order name
+    repeats a lower one), and the name "1" is the 3x3 identity. The leading
     '-' negates the powered factor, so "-x^2" means -(x^2), not (-x)^2.
     Raises ValueError for a word it cannot evaluate. Cached by word (the
     builtin catalog states 449 words, 31 distinct); a Matrix is immutable.
@@ -181,7 +182,7 @@ def word_matrix(word: str) -> Matrix:
         if "^" in factor:
             base, _, exp = factor.partition("^")
             k = int(exp)
-            if k < 1:
+            if not 1 <= k <= MAX_ORDER:
                 raise ValueError(f"bad exponent in word factor {factor!r}")
         else:
             base, k = factor, 1

@@ -22,12 +22,14 @@ k(sqrt(c_1), ...), a field because Context rejects constant roots whose
 product over any nonempty subset is a square.
 
 cancel yields the gcd g of two polynomials and both cofactors a/g and
-b/g; poly_gcd keeps g. It has two algorithms. The coefficient domain
-is picked once per context: the integers (_Integers) for Q without
-constant roots, rooted parameters included (each part is lifted to
-integers once, which avoids per-operation Fraction normalization, and
-each cofactor goes back over its own part's scale), and otherwise the
-context's field (_Field: F_p, or Q with constant roots).
+b/g; poly_gcd keeps g. It has two algorithms. The PRS (_gcd) is one
+primitive pseudo-remainder sequence over the context's field (F_p, or Q
+with or without constant roots), in the field's stored form, made monic
+at each step. The heuristic is the only code over the integers. It
+runs in integral contexts (Q without constant roots, rooted parameters
+included), where each part is lifted to integers once, which avoids
+per-operation Fraction normalization, and each cofactor goes back over
+its own part's scale.
 
 Over the integers the heuristic gcd runs first (_heu_gcd, GCDHEU: Char,
 Geddes & Gonnet 1989, in the recursive form of Liao & Fateman 1995). It
@@ -58,22 +60,17 @@ that h = H/k leads positive, h(xi) = gamma/k, so a/h takes the value
 alpha*k at xi, and its interpolant qa is a/h whenever h divides a and
 a/h has no coefficient beyond xi/2; likewise qb for b. The check is one
 product each: h*qa == a proves that h divides a. Where a product
-differs, the exact division (_div) decides at the same xi, so the
-heuristic accepts exactly where division alone would. The checked
+differs, the exact division (_div, over Q) decides at the same xi. As h
+is primitive, Gauss's lemma makes h divide an integer polynomial over Q
+exactly when it does over Z, with an integral quotient, so the
+heuristic accepts exactly where division over Z would. The checked
 quotients, scaled by the contents, are the cofactors, so the heuristic
 returns (g, a/g, b/g) with nothing left to divide, and checks nothing
 when h is the unit. It grows xi after a failed check, and after
 _HEU_ATTEMPTS points in one slot it gives up; the PRS then runs on the
-same inputs, which is the only path for _Field domains, and one _div of
-each input by its gcd gives the cofactors. The choice follows from the
-context alone: no parameter or setting selects it.
-
-The PRS (_gcd) is one primitive pseudo-remainder sequence over either
-domain. The domain supplies only what differs: how a product or
-difference is reduced, the gcd when no main symbol is left (the integer
-content over Z, 1 over a field), the exact quotient of two coefficients,
-and the unit normalization (sign over Z, monic over a field). Products
-go through poly._convolve_ints.
+unlifted parts, and one _div of each part by its gcd gives the
+cofactors. The choice follows from the context alone: no parameter or
+setting selects it. Products go through poly._convolve_ints.
 
 _div is the only long division. A divisor d that uses a constant root r
 is first replaced by its norm d * conj_r(d) (conj_r flips the sign of r),
@@ -97,17 +94,17 @@ from typing import Any
 
 from .context import Context, mono_key
 from .errors import DivisionByZero, NotDivisible
-from .field import BaseField
 from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product, _over
 
 EDict = dict[tuple[int, ...], Any]
 
 
 class _ElimInfo:
-    """Per-context tables for the eliminated form, and its domains."""
+    """Per-context tables for the eliminated form, and its field arithmetic."""
 
     __slots__ = (
-        "ctx", "nslots", "root_pairs", "folds", "croot_slots", "eligible", "field", "prs",
+        "ctx", "nslots", "root_pairs", "folds", "croot_slots", "eligible",
+        "f", "modulus", "unit", "integral",
     )
 
     def __init__(self, ctx: Context) -> None:
@@ -119,11 +116,11 @@ class _ElimInfo:
         self.folds = [f for f in ctx.folds if f[1] is None]
         self.croot_slots = tuple(r for r, _, _ in self.folds)
         self.eligible = tuple(i for i in range(self.nslots) if i not in self.croot_slots)
-        self.field = _Field(self, ctx.field)
-        if ctx.field.char == 0 and not self.croot_slots:
-            self.prs: _Domain = _Integers(self)
-        else:
-            self.prs = self.field
+        self.f = ctx.field
+        self.modulus = ctx.field.char  # p over F_p: sums are reduced mod p
+        self.unit: EDict = {(0,) * self.nslots: 1}
+        # Q without constant roots: cancel runs the heuristic over Z first.
+        self.integral = not self.modulus and not self.croot_slots
 
 
 _ELIM_CACHE: dict[Context, _ElimInfo] = {}
@@ -164,93 +161,6 @@ def _from_elim(E: _ElimInfo, d: EDict) -> Poly:
     return Poly(E.ctx, out)
 
 
-# -- coefficient domains ------------------------------------------------------
-
-
-class _Domain:
-    """Coefficient arithmetic of the PRS over one context's eliminated form."""
-
-    modulus = 0  # p over F_p: sums are reduced mod p
-
-    def __init__(self, E: _ElimInfo) -> None:
-        self.E = E
-        self.folds = E.folds
-        self.unit: EDict = {(0,) * E.nslots: 1}
-
-    def reduce(self, d: EDict) -> EDict:
-        """Canonical terms of an unreduced sum or product."""
-        return {e: c for e, c in d.items() if c}
-
-
-class _Integers(_Domain):
-    """Z; entered from Q by clearing denominators into one scale per dict.
-
-    A gcd ignores the scale; a cofactor leaves over its dividend's scale.
-    Coefficients leave in Q's stored form (field.rational): an int where
-    the quotient by the scale is integral, else a Fraction.
-    """
-
-    def enter(self, d: EDict) -> tuple[int, EDict]:
-        return _lift_ints(d)
-
-    def leave(self, d: EDict, scale: int = 1) -> EDict:
-        return _over(scale, d)
-
-    def const_gcd(self, a: EDict, b: EDict) -> EDict:
-        return {(0,) * self.E.nslots: math.gcd(*a.values(), *b.values())}
-
-    def quo(self, a: int, b: int) -> int:
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisible("integer division left a remainder")
-        return q
-
-    def normal(self, d: EDict) -> EDict:
-        if _elead(d)[1] < 0:
-            return {e: -c for e, c in d.items()}
-        return d
-
-
-class _Field(_Domain):
-    """The context's field: Q or F_p, in the field's stored form.
-
-    Over Q a coefficient is an int when integral, else a Fraction
-    (field.rational): the field's operations keep that form, and reduce
-    restores it after the raw sums of _sub, where Fractions can meet in
-    an integer. Over F_p coefficients are ints reduced mod p.
-    """
-
-    def __init__(self, E: _ElimInfo, field: BaseField) -> None:
-        super().__init__(E)
-        self.f = field
-        self.modulus = field.char
-
-    def enter(self, d: EDict) -> tuple[int, EDict]:
-        return 1, d
-
-    def leave(self, d: EDict, scale: int = 1) -> EDict:
-        return d
-
-    def reduce(self, d: EDict) -> EDict:
-        p = self.modulus
-        if not p:
-            return _over(1, d)
-        return {e: c % p for e, c in d.items() if c % p}
-
-    def const_gcd(self, a: EDict, b: EDict) -> EDict:
-        return self.unit
-
-    def quo(self, a: Any, b: Any) -> Any:
-        return self.f.mul(a, self.f.inv(b))
-
-    def normal(self, d: EDict) -> EDict:
-        lc = _elead(d)[1]
-        if lc == 1:
-            return d
-        inv = self.f.inv(lc)
-        return {e: self.f.mul(c, inv) for e, c in d.items()}
-
-
 # -- arithmetic on eliminated dicts --------------------------------------
 
 
@@ -259,19 +169,41 @@ def _elead(d: EDict) -> tuple[tuple[int, ...], Any]:
     return e, d[e]
 
 
-def _mul(D: _Domain, a: EDict, b: EDict) -> EDict:
+def _reduce(E: _ElimInfo, d: EDict) -> EDict:
+    """Canonical terms of an unreduced sum or product, in the field's stored form.
+
+    Over Q a coefficient is an int when integral, else a Fraction
+    (field.rational); the raw sums of _sub can make Fractions meet in an
+    integer. Over F_p coefficients are ints reduced mod p.
+    """
+    p = E.modulus
+    if not p:
+        return _over(1, d)
+    return {e: c % p for e, c in d.items() if c % p}
+
+
+def _normal(E: _ElimInfo, d: EDict) -> EDict:
+    """d divided by its leading coefficient."""
+    lc = _elead(d)[1]
+    if lc == 1:
+        return d
+    inv = E.f.inv(lc)
+    return {e: E.f.mul(c, inv) for e, c in d.items()}
+
+
+def _mul(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
     """a * b, reduced; over Q through integers, as in Poly.__mul__."""
-    if D.modulus or isinstance(D, _Integers):
-        return D.reduce(_convolve_ints(a, b, D.folds))
-    return _over(*_lifted_product(a, b, D.folds))
+    if E.modulus:
+        return _reduce(E, _convolve_ints(a, b, E.folds))
+    return _over(*_lifted_product(a, b, E.folds))
 
 
-def _sub(D: _Domain, a: EDict, b: EDict) -> EDict:
+def _sub(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
     """a - b, reduced. a must be a fresh dict: it is consumed."""
     get = a.get
     for e, c in b.items():
         a[e] = get(e, 0) - c
-    return D.reduce(a)
+    return _reduce(E, a)
 
 
 def _edeg_in(d: EDict, m: int) -> int:
@@ -300,7 +232,7 @@ def _eshift(d: EDict, m: int, k: int) -> EDict:
     return out
 
 
-def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
+def _div(E: _ElimInfo, num: EDict, den: EDict) -> EDict:
     """Exact long division in eliminated form; raises NotDivisible.
 
     A den that uses constant roots is first made free of them by its
@@ -308,14 +240,15 @@ def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
     in a product, so a quotient term above deg(num) - deg(den) in some
     slot proves a remainder; this stops a failed division early.
     """
-    for s in D.E.croot_slots:
+    for s in E.croot_slots:
         if any(e[s] for e in den):
             conj = {e: -c if e[s] else c for e, c in den.items()}
-            num, den = _mul(D, num, conj), _mul(D, den, conj)
+            num, den = _mul(E, num, conj), _mul(E, den, conj)
     le, lc = _elead(den)
+    inv, mul = E.f.inv(lc), E.f.mul
     rest = [(e, c) for e, c in den.items() if e != le]
     room = [x - y for x, y in zip(map(max, zip(*num)), map(max, zip(*den)))]
-    p = D.modulus
+    p = E.modulus
     quot: EDict = {}
     rem = dict(num)
     # The remainder's monomials in a heap, largest first; an entry whose
@@ -330,7 +263,7 @@ def _div(D: _Domain, num: EDict, den: EDict) -> EDict:
         qe = tuple(map(sub, re, le))
         if any(x < 0 or x > r for x, r in zip(qe, room)):
             raise NotDivisible("leading monomial not divisible")
-        qc = D.quo(rc, lc)
+        qc = mul(rc, inv)
         quot[qe] = qc
         for e, c in rest:
             key = tuple(map(add, qe, e))
@@ -354,18 +287,18 @@ def _heap_key(e: tuple[int, ...]) -> tuple:
 # -- the primitive PRS --------------------------------------------------------
 
 
-def _content_prim(D: _Domain, d: EDict, m: int) -> tuple[EDict, EDict]:
+def _content_prim(E: _ElimInfo, d: EDict, m: int) -> tuple[EDict, EDict]:
     """Content w.r.t. m (the gcd of the coefficients) and primitive part."""
     coeffs = [c for k in range(_edeg_in(d, m) + 1) if (c := _ecoeff_of(d, m, k))]
-    cont = _gcd_list(D, coeffs)
-    return cont, (d if cont == D.unit else _div(D, d, cont))
+    cont = _gcd_list(E, coeffs)
+    return cont, (d if cont == E.unit else _div(E, d, cont))
 
 
-def _prim(D: _Domain, d: EDict, m: int) -> EDict:
-    return D.normal(_content_prim(D, d, m)[1])
+def _prim(E: _ElimInfo, d: EDict, m: int) -> EDict:
+    return _normal(E, _content_prim(E, d, m)[1])
 
 
-def _pseudo_rem(D: _Domain, f: EDict, g: EDict, m: int) -> EDict:
+def _pseudo_rem(E: _ElimInfo, f: EDict, g: EDict, m: int) -> EDict:
     dg = _edeg_in(g, m)
     lcg = _ecoeff_of(g, m, dg)
     r = f
@@ -375,46 +308,46 @@ def _pseudo_rem(D: _Domain, f: EDict, g: EDict, m: int) -> EDict:
             break
         lcr = _ecoeff_of(r, m, dr)
         r = _sub(
-            D,
-            _convolve_ints(lcg, r, D.folds),
-            _convolve_ints(lcr, _eshift(g, m, dr - dg), D.folds),
+            E,
+            _convolve_ints(lcg, r, E.folds),
+            _convolve_ints(lcr, _eshift(g, m, dr - dg), E.folds),
         )
     return r
 
 
-def _gcd(D: _Domain, a: EDict, b: EDict) -> EDict:
-    """Gcd of two nonzero dicts, up to a unit of D."""
+def _gcd(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
+    """Gcd of two nonzero dicts over the context's field, up to a unit."""
     used: set[int] = set()
     for d in (a, b):
         for e in d:
             for i, k in enumerate(e):
                 if k:
                     used.add(i)
-    slots = [m for m in D.E.eligible if m in used]
+    slots = [m for m in E.eligible if m in used]
     if not slots:
-        return D.const_gcd(a, b)
+        return E.unit
     m = min(slots, key=lambda s: (max(_edeg_in(a, s), _edeg_in(b, s)), s))
 
-    ca, pa = _content_prim(D, a, m)
-    cb, pb = _content_prim(D, b, m)
-    cont = _gcd(D, ca, cb)
+    ca, pa = _content_prim(E, a, m)
+    cb, pb = _content_prim(E, b, m)
+    cont = _gcd(E, ca, cb)
 
     if _edeg_in(pa, m) < _edeg_in(pb, m):
         pa, pb = pb, pa
     f, g = pa, pb
     while True:
-        r = _pseudo_rem(D, f, g, m)
+        r = _pseudo_rem(E, f, g, m)
         if not r:
-            main = _prim(D, g, m)
+            main = _prim(E, g, m)
             break
         if _edeg_in(r, m) == 0:
             return cont
-        f, g = g, _prim(D, r, m)
-    if main == D.unit:
+        f, g = g, _prim(E, r, m)
+    if main == E.unit:
         return cont
-    if cont == D.unit:
+    if cont == E.unit:
         return main
-    return _mul(D, cont, main)
+    return _mul(E, cont, main)
 
 
 # -- the heuristic gcd over Z -------------------------------------------------
@@ -423,7 +356,7 @@ def _gcd(D: _Domain, a: EDict, b: EDict) -> EDict:
 _HEU_ATTEMPTS = 6
 
 
-def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | None:
+def _heu_gcd(E: _ElimInfo, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | None:
     """GCDHEU: (g, a/g, b/g) for two nonzero integer dicts, or None.
 
     g is the gcd of a and b, with a positive leading coefficient; None
@@ -441,7 +374,7 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
     cofactors. A unit h divides with no check: the quotients are the
     primitive parts. Otherwise xi grows, _HEU_ATTEMPTS times at most.
     """
-    zero = (0,) * D.E.nslots
+    zero = (0,) * E.nslots
     ca = math.gcd(*a.values())
     cb = math.gcd(*b.values())
     c = math.gcd(ca, cb)
@@ -455,7 +388,7 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
         ea = _eval_slot(a, m, xi)
         eb = _eval_slot(b, m, xi)
         if ea and eb:
-            found = _heu_gcd(D, ea, eb)
+            found = _heu_gcd(E, ea, eb)
             if found is None:
                 return None
             gamma, alpha, beta = found
@@ -464,13 +397,13 @@ def _heu_gcd(D: _Integers, a: EDict, b: EDict) -> tuple[EDict, EDict, EDict] | N
             if _elead(H)[1] < 0:
                 k = -k
             h = _scale_down(H, k)
-            if h == D.unit:
+            if h == E.unit:
                 qa, qb = a, b
             else:
                 # h(xi) = gamma/k, so a/h and b/h take alpha*k and beta*k at xi.
                 qa, qb = (_interpolate(_scale_up(q, k), m, xi) for q in (alpha, beta))
-                qa = _cofactor(D, a, h, qa)
-                qb = None if qa is None else _cofactor(D, b, h, qb)
+                qa = _cofactor(E, a, h, qa)
+                qb = None if qa is None else _cofactor(E, b, h, qb)
             if qb is not None:
                 return _scale_up(h, c), _scale_up(qa, ca // c), _scale_up(qb, cb // c)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -520,33 +453,33 @@ def _interpolate(g: EDict, m: int, xi: int) -> EDict:
     return out
 
 
-def _cofactor(D: _Domain, d: EDict, h: EDict, guess: EDict) -> EDict | None:
+def _cofactor(E: _ElimInfo, d: EDict, h: EDict, guess: EDict) -> EDict | None:
     """d / h if h divides d exactly, else None; guess is tried first.
 
     One product checks the guess; only when it fails does _quotient
     divide, since a wrong guess does not show that h fails to divide.
     """
-    if _mul(D, h, guess) == d:
+    if _mul(E, h, guess) == d:
         return guess
-    return _quotient(D, d, h)
+    return _quotient(E, d, h)
 
 
-def _quotient(D: _Domain, d: EDict, h: EDict) -> EDict | None:
+def _quotient(E: _ElimInfo, d: EDict, h: EDict) -> EDict | None:
     """d / h if h divides d exactly, else None."""
     try:
-        return _div(D, d, h)
+        return _div(E, d, h)
     except NotDivisible:
         return None
 
 
-def _gcd_list(D: _Domain, items: list[EDict]) -> EDict:
+def _gcd_list(E: _ElimInfo, items: list[EDict]) -> EDict:
     if not items:
-        return D.unit
+        return E.unit
     acc = items[0]
     for d in items[1:]:
-        if acc == D.unit:
+        if acc == E.unit:
             return acc
-        acc = _gcd(D, acc, d)
+        acc = _gcd(E, acc, d)
     return acc
 
 
@@ -575,9 +508,9 @@ def unit_normal(p: Poly, *rest: Poly) -> tuple[Poly, ...]:
     bare = {e: tuple(0 if i in E.croot_slots else k for i, k in enumerate(e)) for e in d}
     lm = max(bare.values(), key=mono_key)
     lead = {tuple(map(sub, e, lm)): c for e, c in d.items() if bare[e] == lm}
-    if lead == E.field.unit:
+    if lead == E.unit:
         return (p, *rest)
-    inv = _from_elim(E, _div(E.field, E.field.unit, lead))
+    inv = _from_elim(E, _div(E, E.unit, lead))
     return tuple(q * inv for q in (p, *rest))
 
 
@@ -598,11 +531,11 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
     The quotients are exact for the g returned: num/den equals their
     ratio, and they are coprime. A zero num gives (den, num, 1). When
     either part is a nonzero constant, g is a unit: (1, num, den) comes
-    back with no gcd computed. Otherwise each part enters the PRS domain
-    once (over the integers: one lift that clears its denominators).
-    There the heuristic gives all three; if it gives up, or the domain
-    is a field, the PRS gives g and one _div each gives the cofactors
-    (none for a unit g). Each result leaves the domain once.
+    back with no gcd computed. Otherwise, in an integral context, each
+    part is lifted to integers once (one lift that clears its
+    denominators) and the heuristic gives all three. If it gives up, or
+    the context is not integral, the PRS over the field gives g and one
+    _div of each part gives the cofactors (none for a unit g).
     """
     if num.ctx != den.ctx:
         raise ValueError("mixed contexts")
@@ -613,18 +546,21 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
     if num.is_constant() or den.is_constant():
         return Poly.const(num.ctx, 1), num, den
     E = _elim_info(num.ctx)
-    D = E.prs
-    (sa, ea), (sb, eb) = D.enter(_to_elim(E, num)), D.enter(_to_elim(E, den))
-    found = _heu_gcd(D, ea, eb) if isinstance(D, _Integers) else None
-    if found is None:
-        g = _gcd(D, ea, eb)
-        found = (g, ea, eb) if g == D.unit else (g, _div(D, ea, g), _div(D, eb, g))
-    g, qa, qb = found
-    return (
-        _from_elim(E, D.leave(g)),
-        _from_elim(E, D.leave(qa, sa)),
-        _from_elim(E, D.leave(qb, sb)),
-    )
+    a, b = _to_elim(E, num), _to_elim(E, den)
+    if E.integral:
+        (sa, ia), (sb, ib) = _lift_ints(a), _lift_ints(b)
+        found = _heu_gcd(E, ia, ib)
+        if found is not None:
+            g, qa, qb = found
+            return (
+                _from_elim(E, _over(1, g)),
+                _from_elim(E, _over(sa, qa)),
+                _from_elim(E, _over(sb, qb)),
+            )
+    g = _gcd(E, a, b)
+    if g == E.unit:
+        return Poly.const(num.ctx, 1), num, den
+    return _from_elim(E, g), _from_elim(E, _div(E, a, g)), _from_elim(E, _div(E, b, g))
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:
@@ -636,4 +572,4 @@ def exact_div(num: Poly, den: Poly) -> Poly:
     if num.is_zero():
         return num
     E = _elim_info(num.ctx)
-    return _from_elim(E, _div(E.field, _to_elim(E, num), _to_elim(E, den)))
+    return _from_elim(E, _div(E, _to_elim(E, num), _to_elim(E, den)))

@@ -114,13 +114,13 @@ def mat_det(a: Matrix) -> int:
     return det if len(pivots) == len(a) else 0
 
 
-def element_order(m: Matrix, guard: int = 12) -> int:
-    """Multiplicative order; NotFiniteOrder if it exceeds the guard.
+# Finite-order integer matrices in dimension 3 have order in {1,2,3,4,6}:
+# this bound leaves slack without looping long on an infinite-order one.
+MAX_ORDER = 12
 
-    Finite-order integer matrices in dimension 3 have order in
-    {1,2,3,4,6}, so the default guard leaves slack without looping long
-    on an infinite-order generator.
-    """
+
+def element_order(m: Matrix, guard: int = MAX_ORDER) -> int:
+    """Multiplicative order; NotFiniteOrder if it exceeds the guard."""
     e = identity(len(m))
     acc = m
     for k in range(1, guard + 1):

@@ -5,9 +5,9 @@ Run from the root of a checkout:
     PYTHONPATH=src python -m pytest tests/bench_gcd.py --benchmark-only
 
 Both algorithms take the eliminated integer form that the gcd path hands
-them and give (g, a/g, b/g): gcd._heu_gcd directly, and gcd._gcd over the
-context's _Integers domain followed by one _div of each input, as when
-the heuristic gives up.
+the heuristic and give (g, a/g, b/g): gcd._heu_gcd directly, and gcd._gcd
+over the context's field followed by one _div of each input, as when the
+heuristic gives up.
 actg-largest: the largest reduction of sys7iii_case1_actg, by the sum of
 the term counts, whose gcd is nonconstant (27 and 24 terms, gcd 9 terms).
 actg-trivial: the largest reduction of that case, by the sum of the term
@@ -37,6 +37,7 @@ import pytest
 
 from qmi import QQ, Context, Poly, exact_div, gcd, parse, poly_gcd, ratfunc
 from qmi.catalog import builtin_catalog
+from qmi.poly import _lift_ints, _over
 from qmi.ratfunc import substitute_raw
 from qmi.runner import run_case
 
@@ -95,9 +96,9 @@ INPUTS = {
     "actg-trivial": actg_trivial,
     "fifty": fifty_pair,
 }
-def prs_cofactors(D, a, b):
-    g = gcd._gcd(D, a, b)
-    return g, gcd._div(D, a, g), gcd._div(D, b, g)
+def prs_cofactors(E, a, b):
+    g = gcd._gcd(E, a, b)
+    return g, gcd._div(E, a, g), gcd._div(E, b, g)
 
 
 ALGORITHMS = {"heuristic": gcd._heu_gcd, "prs": prs_cofactors}
@@ -110,11 +111,10 @@ ALGORITHMS = {"heuristic": gcd._heu_gcd, "prs": prs_cofactors}
 def test_gcd(benchmark, name, algorithm):
     a, b, expected = INPUTS[name]()
     E = gcd._elim_info(a.ctx)
-    D = E.prs
-    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
-    g, qa, qb = benchmark(ALGORITHMS[algorithm], D, ea, eb)
-    assert gcd.unit_normal(gcd._from_elim(E, D.leave(g)))[0] == expected
-    assert gcd._mul(D, g, qa) == ea and gcd._mul(D, g, qb) == eb
+    (_, ea), (_, eb) = _lift_ints(gcd._to_elim(E, a)), _lift_ints(gcd._to_elim(E, b))
+    g, qa, qb = benchmark(ALGORITHMS[algorithm], E, ea, eb)
+    assert gcd.unit_normal(gcd._from_elim(E, _over(1, g)))[0] == expected
+    assert gcd._mul(E, g, qa) == ea and gcd._mul(E, g, qb) == eb
 
 
 def test_reduce(benchmark):

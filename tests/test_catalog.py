@@ -594,6 +594,9 @@ MALFORMED = [
     ("unknown-generator-name", _set(("groups", "G", "generators"), ["la1", "zz"]),
      "/groups/G/generators/1"),
     ("zero-generator-exponent", _set(("groups", "G", "generators"), ["la1^0"]), "/groups/G/generators/0"),
+    # Every finite order in GL_3(Z) is at most 6; powers above MAX_ORDER are refused.
+    ("generator-exponent-above-the-order-bound", _set(("groups", "G", "generators"), ["cb^13"]),
+     "/groups/G/generators/0"),
     ("unknown-subgroup-word",
      _set(("cases", 0), _case("order", "NormalSubgroups", {"group": "G", "subgroups": [["la1"], ["zz"]]})),
      "/cases/0/payload/subgroups/1/0"),

@@ -574,17 +574,17 @@ class TestKernelDispatch:
         assert calls == {"packed": 0, "loop": 1}
 
     def test_fraction_coefficients_stay_on_the_loop(self, calls):
-        # The PRS over Q with constant roots runs over Fractions (gcd._Field):
+        # The PRS over Q with constant roots runs over Fractions (not integral):
         # its pseudo-remainders call the kernel on Fraction coefficients.
         from qmi import gcd, poly
 
         ctx = Context(QQ, variables=["x", "y"], parameters=["m"], roots=["m"], specialize={"m": -3})
-        D = gcd._elim_info(ctx).prs
-        assert isinstance(D, gcd._Field)
+        E = gcd._elim_info(ctx)
+        assert not E.integral
         f = self.box(ctx, (2, 6, 6), lambda i: Fraction(i + 1, 2))
         g = self.box(ctx, (2, 6, 6), lambda i: Fraction(1, i + 1))
         assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
-        terms = D.reduce(poly._convolve_ints(f.terms, g.terms, D.folds))
+        terms = gcd._reduce(E, poly._convolve_ints(f.terms, g.terms, E.folds))
         assert calls == {"packed": 0, "loop": 1}
         assert Poly(ctx, terms) == f * g
 

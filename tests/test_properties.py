@@ -7,6 +7,7 @@ every test invocation. The sympy oracle file covers bigger inputs.
 from __future__ import annotations
 
 import contextlib
+import math
 import operator
 from fractions import Fraction
 from unittest import mock
@@ -20,6 +21,7 @@ from qmi.errors import DivisionByZero
 from qmi.actions import Automorphism
 from qmi.catalog import builtin_catalog
 from qmi.gcd import unit_normal
+from qmi.poly import _lift_ints, _over
 from qmi.runner import run_case
 
 CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
@@ -153,7 +155,7 @@ def test_canonical_parts_match_gcd_and_division(ctx, data):
     assume(not p.is_zero() and not q.is_zero() and not h.is_zero())
     f = RatFunc(p * h, q * h)
     assert (f.num, f.den) == _reduce_by_gcd(p * h, q * h)
-    # Over the integers, the PRS and its two divisions give the same parts.
+    # Over the field, the PRS and its two divisions give the same parts.
     with mock.patch.object(gcd, "_HEU_ATTEMPTS", 0):
         g = RatFunc(p * h, q * h)
     assert (g.num, g.den) == (f.num, f.den)
@@ -838,7 +840,7 @@ def _normal_gcd(ctx, g):
     from qmi.gcd import _elim_info, _from_elim, unit_normal
 
     E = _elim_info(ctx)
-    return unit_normal(_from_elim(E, E.prs.leave(g)))[0]
+    return unit_normal(_from_elim(E, _over(1, g)))[0]
 
 
 @pytest.mark.parametrize("ctx", [ZCTX, CTX], ids=["Z", "rooted-parameter"])
@@ -848,15 +850,14 @@ def test_heuristic_gcd_matches_prs(ctx, data):
     f, g, h = (data.draw(gcd_factors(ctx)) for _ in range(3))
     a, b = f * g, f * h
     E = gcd._elim_info(ctx)
-    D = E.prs
-    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
-    heu = gcd._heu_gcd(D, ea, eb)
+    (_, ea), (_, eb) = _lift_ints(gcd._to_elim(E, a)), _lift_ints(gcd._to_elim(E, b))
+    heu = gcd._heu_gcd(E, ea, eb)
     assert heu is not None
     eg, qa, qb = heu
     # The cofactors are exact over Z: g * (a/g) is a, term for term.
-    assert gcd._mul(D, eg, qa) == ea and gcd._mul(D, eg, qb) == eb
+    assert gcd._mul(E, eg, qa) == ea and gcd._mul(E, eg, qb) == eb
     common = _normal_gcd(ctx, eg)
-    assert common == _normal_gcd(ctx, gcd._gcd(D, ea, eb))
+    assert common == _normal_gcd(ctx, gcd._gcd(E, ea, eb))
     exact_div(common, f)  # the built-in common factor divides the gcd
     assert poly_gcd(a, b) == common
     with mock.patch.object(gcd, "_HEU_ATTEMPTS", 0):
@@ -891,26 +892,30 @@ def test_heuristic_gcd_accepts_actg_pair_by_products(monkeypatch):
     )
     assert not common.is_constant()
     E = gcd._elim_info(a.ctx)
-    D = E.prs
-    (_, ea), (_, eb) = D.enter(gcd._to_elim(E, a)), D.enter(gcd._to_elim(E, b))
+    (_, ea), (_, eb) = _lift_ints(gcd._to_elim(E, a)), _lift_ints(gcd._to_elim(E, b))
 
     def no_division(*args):
         raise AssertionError("the heuristic gcd ran a long division")
 
     monkeypatch.setattr(gcd, "_div", no_division)
-    eg, qa, qb = gcd._heu_gcd(D, ea, eb)
-    assert gcd._mul(D, eg, qa) == ea and gcd._mul(D, eg, qb) == eb
+    eg, qa, qb = gcd._heu_gcd(E, ea, eb)
+    assert gcd._mul(E, eg, qa) == ea and gcd._mul(E, eg, qb) == eb
     assert len(eg) == len(common.terms)
+
+
+def _outgrowing_pair():
+    """(f, f*g, f*h): the cofactor h has a 2**80 coefficient, g does not."""
+    f = Poly(QCTX, {(2, 1): 3, (0, 1): -5, (0, 0): 2})
+    g = Poly(QCTX, {(1, 0): 1, (0, 2): -6, (0, 0): 4})
+    h = Poly(QCTX, {(1, 1): 1, (0, 1): 2**80, (0, 0): -1})
+    return f, f * g, f * h
 
 
 def test_heuristic_gcd_divides_when_a_cofactor_outgrows_xi(monkeypatch):
     # xi follows the smaller norm, that of a = f*g, so the 2**80
     # coefficient of b's cofactor h has no balanced digit at xi: the
     # product check fails for b and the exact division accepts instead.
-    f = Poly(QCTX, {(2, 1): 3, (0, 1): -5, (0, 0): 2})
-    g = Poly(QCTX, {(1, 0): 1, (0, 2): -6, (0, 0): 4})
-    h = Poly(QCTX, {(1, 1): 1, (0, 1): 2**80, (0, 0): -1})
-    a, b = f * g, f * h
+    f, a, b = _outgrowing_pair()
 
     def no_prs(*args):
         raise AssertionError("the heuristic gcd fell back to the PRS")
@@ -921,6 +926,35 @@ def test_heuristic_gcd_divides_when_a_cofactor_outgrows_xi(monkeypatch):
     assert common * qa == a and common * qb == b
     assert unit_normal(common)[0] == unit_normal(f)[0]
     assert spy.called
+
+
+# The heuristic's exact division runs over Q. Gauss's lemma makes it agree
+# with division over Z only for a divisor of integer content 1.
+
+
+def _divisor_contents(spy) -> set[int]:
+    """The integer content of every divisor the spy on gcd._quotient saw."""
+    return {math.gcd(*call.args[2].values()) for call in spy.call_args_list}
+
+
+@pytest.mark.parametrize("ctx", [ZCTX, CTX], ids=["Z", "rooted-parameter"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+def test_heuristic_divides_only_by_primitive_divisors_on_drawn_pairs(ctx, data):
+    f, g, h = (data.draw(gcd_factors(ctx)) for _ in range(3))
+    with mock.patch.object(gcd, "_quotient", wraps=gcd._quotient) as spy:
+        gcd.cancel(f * g, f * h)
+    assert _divisor_contents(spy) <= {1}
+
+
+@pytest.mark.parametrize("source", ["outgrowing-pair", "actg"])
+def test_heuristic_divides_only_by_primitive_divisors(source):
+    with mock.patch.object(gcd, "_quotient", wraps=gcd._quotient) as spy:
+        if source == "actg":
+            assert run_case(builtin_catalog(), "sys7iii_case1_actg").status == "Pass"
+        else:
+            gcd.cancel(*_outgrowing_pair()[1:])
+    assert _divisor_contents(spy) == {1}
 
 
 # -- Henrici arithmetic against the product-then-cancel pair ------------------
