@@ -30,14 +30,15 @@ and reports a JSON-pointer-ish path with every complaint.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .catalog_data import MATRICES
-from .context import _NAME_RE, Context, ContextError, check_symbols
+from .context import _NAME_RE, NAME, Context, ContextError, check_symbols
 from .errors import SchemaError, UnknownCase
-from .field import field_from_name
+from .field import INT, field_from_name
 from .hilbert import CRITERIA
 from .matgroup import MAX_ORDER, Matrix, identity, mat, mat_mul, mat_neg
 
@@ -158,34 +159,30 @@ _FILTERS = {
 
 # -- matrix words ------------------------------------------------------------
 
+_FACTOR_RE = re.compile(rf"(-?)({NAME}|1)(?:\^({INT}))?")
+
 
 @lru_cache(maxsize=1024)
 def word_matrix(word: str) -> Matrix:
     """The matrix of a generator word over MATRICES; the only reader of words.
 
-    Grammar: factors joined by '*'; each factor is [-]name[^k] with k an
-    integer from 1 to MAX_ORDER (a higher power of a finite-order name
-    repeats a lower one), and the name "1" is the 3x3 identity. The leading
-    '-' negates the powered factor, so "-x^2" means -(x^2), not (-x)^2.
-    Raises ValueError for a word it cannot evaluate. Cached by word (the
-    builtin catalog states 449 words, 31 distinct); a Matrix is immutable.
+    Grammar: '*'-joined factors, each [-](NAME|1)[^k] matched whole, with
+    NAME and the integer k the parser's tokens (context.NAME, field.INT)
+    and 1 <= k <= MAX_ORDER (a higher power of a finite-order name repeats
+    a lower one); "1" is the 3x3 identity. The leading '-' negates the
+    powered factor: "-x^2" is -(x^2), not (-x)^2. Raises ValueError for a
+    word it cannot evaluate. Cached by word (the builtin catalog states
+    449 words, 31 distinct); a Matrix is immutable.
     """
-    word = word.strip()
-    if not word:
-        raise ValueError("empty word")
     acc: Matrix | None = None
-    for factor in word.split("*"):
-        factor = factor.strip()
-        neg = factor.startswith("-")
-        if neg:
-            factor = factor[1:]
-        if "^" in factor:
-            base, _, exp = factor.partition("^")
-            k = int(exp)
-            if not 1 <= k <= MAX_ORDER:
-                raise ValueError(f"bad exponent in word factor {factor!r}")
-        else:
-            base, k = factor, 1
+    for factor in map(str.strip, word.split("*")):
+        match = _FACTOR_RE.fullmatch(factor)
+        if match is None:
+            raise ValueError(f"bad word factor {factor!r}")
+        neg, base, exp = match.groups()
+        k = int(exp or 1)
+        if not 1 <= k <= MAX_ORDER:
+            raise ValueError(f"bad exponent in word factor {factor!r}")
         if base != "1" and base not in MATRICES:
             raise ValueError(f"unknown matrix name {base!r}")
         m = identity(3) if base == "1" else mat(MATRICES[base])
@@ -313,8 +310,8 @@ def _check_where(value: Any, path: str, context: Mapping) -> None:
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(s, str) for s in item)):
             raise SchemaError("where entry must be [name, expr]", f"{path}/{i}")
         name = item[0]
-        if not _NAME_RE.match(name):
-            raise SchemaError(f"where name {name!r} is not of the form [a-z][a-z0-9]*", f"{path}/{i}")
+        if not _NAME_RE.fullmatch(name):
+            raise SchemaError(f"where name {name!r} is not of the form {NAME}", f"{path}/{i}")
         if name == "sqrt" or name in symbols:
             raise SchemaError(f"where name {name!r} shadows sqrt or a symbol of the context", f"{path}/{i}")
         if name in seen:

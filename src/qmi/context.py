@@ -29,7 +29,8 @@ from typing import Any, Mapping, Sequence
 from .errors import UnknownSymbol
 from .field import BaseField
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+NAME = "[a-z][a-z0-9]*"  # a symbol or where name; the parser's name token
+_NAME_RE = re.compile(NAME)
 
 
 def mono_key(exps: tuple[int, ...]) -> tuple:
@@ -67,7 +68,7 @@ def check_symbols(
 ) -> tuple[dict[str, Fraction], dict[str, Any]]:
     """The symbol rules of a Context; (values as Fractions, field values), by name.
 
-    Variable and parameter names are of the form [a-z][a-z0-9]* and no
+    Variable and parameter names are of the form NAME and no
     name is declared twice; roots and specializations name declared
     parameters; a specialized value is a rational number that Fraction
     reads, and its denominator is not 0 in the field. A rooted
@@ -80,8 +81,8 @@ def check_symbols(
     seen: set[str] = set()
     for key, names in (("variables", variables), ("parameters", parameters)):
         for i, name in enumerate(names):
-            if not _NAME_RE.match(name):
-                raise ContextError(key, i, f"name {name!r} is not of the form [a-z][a-z0-9]*")
+            if not _NAME_RE.fullmatch(name):
+                raise ContextError(key, i, f"name {name!r} is not of the form {NAME}")
             if name in seen:
                 raise ContextError(key, i, f"duplicate symbol name {name!r}")
             seen.add(name)

@@ -70,5 +70,5 @@ class UnknownCase(QmiError):
     """A case id was requested that the catalog does not contain."""
 
 
-class FactorizationLimit(QmiError):
-    """Trial division gave up; input exceeds the factoring bound."""
+class FactorizationLimit(QmiError, ValueError):
+    """Trial division gave up; input exceeds the factoring bound (a ValueError too)."""

@@ -15,8 +15,16 @@ need 2 to be invertible.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Callable
+
+from .errors import FactorizationLimit
+
+# The integer token of every reader of text (parser, matrix words, field
+# names): ASCII digits only, though int() also reads other scripts' digits.
+INT = "[0-9]+"
+_PRIME_FIELD_RE = re.compile(f"F({INT})")
 
 
 class BaseField:
@@ -80,11 +88,11 @@ def least_prime_factor(n: int) -> int:
     """The least prime factor of the integer n >= 2, by trial division.
 
     The divisors tried are 2 and the odd d up to sqrt(n). An n above
-    FACTOR_BOUND is a ValueError, so no call runs longer than the bound
-    allows.
+    FACTOR_BOUND raises FactorizationLimit (a ValueError), so no call
+    runs longer than the bound allows.
     """
     if n > FACTOR_BOUND:
-        raise ValueError(f"{n} exceeds the factoring bound {FACTOR_BOUND}")
+        raise FactorizationLimit(f"{n} exceeds the factoring bound {FACTOR_BOUND}")
     if n % 2 == 0:
         return 2
     d = 3
@@ -96,7 +104,7 @@ def least_prime_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime; a ValueError above FACTOR_BOUND."""
+    """Whether n is prime; FactorizationLimit above FACTOR_BOUND."""
     return n >= 2 and least_prime_factor(n) == n
 
 
@@ -132,9 +140,9 @@ QQ = Rationals()
 
 
 def field_from_name(name: str) -> BaseField:
-    """Resolve "Q" or "F<p>" (e.g. "F3") to a field object."""
+    """Resolve "Q", or "F" and an INT p (e.g. "F3"), to a field; else ValueError."""
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
+    if match := _PRIME_FIELD_RE.fullmatch(name):
+        return PrimeField(int(match[1]))
     raise ValueError(f"unknown field name {name!r}")

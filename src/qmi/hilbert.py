@@ -10,8 +10,8 @@ Only finitely many places can give -1: the prime 2, the real place, and
 the odd primes dividing a numerator or denominator of either argument.
 Factoring, and the primality test of a given place, are plain trial
 division (field.least_prime_factor) up to FACTOR_BOUND, so desk-scale
-inputs stay cheap and oversized ones fail loudly: FactorizationLimit
-for an argument, ValueError for a place.
+inputs stay cheap and oversized ones, an argument or a place, fail
+loudly with FactorizationLimit, which is also a ValueError.
 
 CRITERIA names the arguments each case of decide_rationality reads; the
 catalog's schema check reads the same table.
@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import FactorizationLimit
 from .field import FACTOR_BOUND, is_prime, least_prime_factor
 
 CRITERIA = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
@@ -113,13 +112,11 @@ def _symbol(a, b, p):
 def prime_support(n):
     """Set of primes dividing the positive integer n, by trial division.
 
-    Raises FactorizationLimit when n exceeds FACTOR_BOUND; below it each
-    least prime factor is found and divided out in turn.
+    Each least prime factor is found and divided out in turn;
+    least_prime_factor raises FactorizationLimit when n exceeds FACTOR_BOUND.
     """
     if n <= 0:
         raise ValueError("need a positive integer")
-    if n > FACTOR_BOUND:
-        raise FactorizationLimit(f"{n} exceeds the factoring bound {FACTOR_BOUND}")
     found = set()
     while n > 1:
         d = least_prime_factor(n)

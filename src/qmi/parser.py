@@ -7,8 +7,8 @@ Grammar (whitespace insignificant, '*' always explicit):
     unary    := ('+' | '-')* power
     power    := atom ('^' ['-'] INT)?
     atom     := INT | NAME | 'sqrt' '(' NAME ')' | '(' expr ')'
-    INT      := [0-9]+
-    NAME     := [a-z][a-z0-9]*
+    INT      := [0-9]+ (ASCII; field.INT)
+    NAME     := [a-z][a-z0-9]* (context.NAME)
 
 Exponents bind tighter than unary minus, so -x1^2 is -(x1^2), and may be
 negative ("x1^-1" is 1/x1). Undeclared names raise UnknownSymbol; all
@@ -35,14 +35,17 @@ abbreviations through long expressions.
 
 from __future__ import annotations
 
+import re
 from operator import add, mul, sub
 
-from .context import Context
+from .context import NAME, Context
 from .errors import DivisionByZero, ParseError, UnknownSymbol
+from .field import INT
 from .poly import Poly
 from .ratfunc import RatFunc
 
-_OPS = set("+-*/^()")
+# One token per match; finditer skips whitespace (\s is exactly str.isspace).
+_TOKEN_RE = re.compile(rf"(?P<int>{INT})|(?P<name>{NAME})|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 Value = Poly | RatFunc
 
@@ -96,32 +99,11 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if "a" <= ch <= "z":
-            j = i
-            while j < n and (text[j].isdigit() or "a" <= text[j] <= "z"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        out.append(_Token(m.lastgroup, m[0], m.start()))
+    out.append(_Token("end", "", len(text)))
     return out
 
 

@@ -26,10 +26,15 @@ sys7iii_case1_vt and one of _tact make, recorded once outside the
 timing, replayed in order by one call. It times the cross-multiplied
 zero test alone, equal pairs, products and decode included.
 
-All of these use only build_context, build_env, parse, close_action,
-Automorphism.apply, RatFunc.__add__, run_case and actions._witness, so
-the file runs on older checkouts too. The file name keeps these out of the tier-1 run, which
-collects test_*.py.
+lex-catalog: one call runs parser._lex over every expression text of the
+builtin catalog (bindings, claimed images, exprs, lhs and rhs, forward
+and backward maps, orbit-sum seeds and where-list entries), repeats
+included: 1547 texts. It times the lexer alone.
+
+All of these use only build_context, build_env, parse, parser._lex,
+close_action, Automorphism.apply, RatFunc.__add__, run_case and
+actions._witness, so the file runs on older checkouts too. The file name
+keeps these out of the tier-1 run, which collects test_*.py.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from operator import add
 
 import pytest
 
-from qmi import actions, parse
+from qmi import actions, parse, parser
 from qmi.actions import close_action
 from qmi.catalog import build_action, build_context, build_env, builtin_catalog
 from qmi.runner import run_case
@@ -120,6 +125,32 @@ def test_parse_light(benchmark):
     parsed = benchmark(parse_all, items)
     assert len(parsed) == len(items) > 300
     assert all(f.ctx == ctx for f, (ctx, _) in zip(parsed, items))
+
+
+def _expression_texts(p: dict):
+    """Every expression text of a payload, where-list entries included."""
+    for spec in p.get("actions", {}).values():
+        yield from spec.get("bindings", {}).values()
+    for table in p.get("claimed", {}).values():
+        yield from table.values()
+    yield from p.get("exprs", {}).values()
+    yield from (p[k] for k in ("lhs", "rhs") if k in p)
+    for key in ("forward", "backward"):
+        for entry in (p.get(key) or {}).values():
+            yield entry if isinstance(entry, str) else entry["orbit_sum"]["of"]
+    for key in ("where", "where_forward", "where_backward"):
+        yield from (text for _, text in p.get(key) or ())
+
+
+def lex_all(texts) -> list:
+    return [parser._lex(text) for text in texts]
+
+
+def test_lex_catalog(benchmark):
+    texts = [t for case in builtin_catalog().cases for t in _expression_texts(case.payload)]
+    tokens = benchmark(lex_all, texts)
+    assert len(tokens) == len(texts) > 1500
+    assert all(toks[-1].kind == "end" for toks in tokens)
 
 
 @cache

@@ -474,6 +474,15 @@ def test_non_injective_orbit_sum_group_is_an_error():
     assert "InconsistentAction" in report.witness
 
 
+def test_identity_with_a_digit_of_another_script_is_an_error():
+    # "\u0663" is an Arabic-Indic 3; read as 3, the claim x1 + 3 = x1 + 3 would Pass.
+    payload = {"context": {"variables": ["x1"]}, "lhs": "x1 + \u0663", "rhs": "x1 + 3"}
+    case = CaseRecord("arabic_indic_three", "Identity", "test", "a digit outside INT", payload)
+    report = run_case(Catalog({}, [case]), case.id)
+    assert report.status == "Error"
+    assert report.witness.startswith("ParseError: unexpected character")
+
+
 # -- schema validation of catalog files ---------------------------------------
 
 
@@ -597,6 +606,14 @@ MALFORMED = [
     # Every finite order in GL_3(Z) is at most 6; powers above MAX_ORDER are refused.
     ("generator-exponent-above-the-order-bound", _set(("groups", "G", "generators"), ["cb^13"]),
      "/groups/G/generators/0"),
+    # A power is ASCII digits only (field.INT), which int() alone does not check:
+    # these would load as cb^12, cb^2 and cb^2 ("\u0662" is an Arabic-Indic 2).
+    ("generator-exponent-with-an-underscore", _set(("groups", "G", "generators"), ["cb^1_2"]),
+     "/groups/G/generators/0"),
+    ("generator-exponent-with-a-sign", _set(("groups", "G", "generators"), ["cb^+2"]),
+     "/groups/G/generators/0"),
+    ("generator-exponent-in-another-script", _set(("groups", "G", "generators"), ["cb^\u0662"]),
+     "/groups/G/generators/0"),
     ("unknown-subgroup-word",
      _set(("cases", 0), _case("order", "NormalSubgroups", {"group": "G", "subgroups": [["la1"], ["zz"]]})),
      "/cases/0/payload/subgroups/1/0"),
@@ -651,6 +668,9 @@ MALFORMED = [
     ("specialization-of-undeclared-parameter", _set(("cases", 4, "payload", "context", "specialize"), {"e": 2}),
      "/cases/4/payload/context/specialize/e"),
     ("field-of-composite-order", _set(("cases", 4, "payload", "context", "field"), "F4"),
+     "/cases/4/payload/context/field"),
+    # "\u0663" is an Arabic-Indic 3, which str.isdigit accepts.
+    ("field-order-in-another-script", _set(("cases", 4, "payload", "context", "field"), "F\u0663"),
      "/cases/4/payload/context/field"),
     ("field-of-characteristic-two", _set(("cases", 4, "payload", "context", "field"), "F2"),
      "/cases/4/payload/context/field"),

@@ -402,10 +402,17 @@ class TestRootSigns:
 
 
 class TestParsing:
-    def test_position_in_errors(self, ctx):
+    # Digits of other scripts are not INT tokens: "\u0663" is an Arabic-Indic
+    # 3 and "\u00b2" a superscript 2, both str.isdigit.
+    @pytest.mark.parametrize(
+        "text,position",
+        [("x1 + @", 5), ("x1 + \u0663", 5), ("x1^\u00b2", 3)],
+        ids=["ascii-symbol", "arabic-indic-digit", "superscript-digit"],
+    )
+    def test_position_in_errors(self, ctx, text, position):
         with pytest.raises(ParseError) as err:
-            parse(ctx, "x1 + @")
-        assert err.value.position == 5
+            parse(ctx, text)
+        assert err.value.position == position
 
     def test_unexpected_end(self, ctx):
         with pytest.raises(ParseError):

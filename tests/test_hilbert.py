@@ -16,7 +16,7 @@ from math import isqrt
 import pytest
 
 from qmi.errors import FactorizationLimit
-from qmi.field import is_prime, least_prime_factor
+from qmi.field import PrimeField, is_prime, least_prime_factor
 from qmi.hilbert import (
     CRITERIA,
     FACTOR_BOUND,
@@ -284,6 +284,14 @@ class TestSupportAndBounds:
             hilbert_global_trivial(10 ** 9 + 7, 3)
         with pytest.raises(FactorizationLimit):
             decide_rationality("c4", a=Fraction(1, 10 ** 9 + 7))
+
+    def test_one_error_past_the_bound(self):
+        # least_prime_factor alone checks the bound; a place and a prime
+        # field's order meet the same FactorizationLimit, a ValueError too.
+        assert issubclass(FactorizationLimit, ValueError)
+        for call in (least_prime_factor, is_prime, PrimeField, lambda n: hilbert_local(2, 3, n)):
+            with pytest.raises(FactorizationLimit, match="exceeds the factoring bound"):
+                call(FACTOR_BOUND + 1)
 
     def test_places_order(self):
         assert places((Fraction(15, 2), Fraction(-7))) == [2, 3, 5, 7, INF]

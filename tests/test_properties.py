@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd, ratfunc
-from qmi.errors import DivisionByZero
+from qmi.errors import DivisionByZero, QmiError
 from qmi.actions import Automorphism
 from qmi.catalog import builtin_catalog
 from qmi.gcd import unit_normal
@@ -197,6 +197,18 @@ def test_print_parse_roundtrip(data):
     again = parse(ctx, str(f))
     assert again.num == f.num and again.den == f.den
     assert _parts(again) == _parts(f)
+
+
+# ASCII tokens, and three characters that str.isdigit accepts but INT does
+# not: an Arabic-Indic 3, a superscript 2 and a circled 1. Ten characters
+# keep every power small enough to compute.
+@given(st.text(alphabet="x1 2+-*/^()\u0663\u00b2\u2460", max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_parse_returns_a_value_or_raises_a_qmi_error(text):
+    try:
+        assert parse(QCTX, text).ctx == QCTX
+    except QmiError:
+        pass
 
 
 @pytest.mark.parametrize("ctx", [QCTX, MHALFCTX], ids=["Q", "root-of-half"])
