@@ -411,7 +411,7 @@ def _converse_follows(backward: Mapping[str, RatFunc], source: Context, target: 
 
 
 def _constants(ctx: Context) -> tuple:
-    return ctx.field, ctx.parameters, ctx.rooted, ctx.specializations
+    return ctx.field, ctx.parameters, ctx.rooted, ctx.constants
 
 
 def check_identity(lhs: RatFunc, rhs: RatFunc) -> list[dict]:

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .catalog_data import MATRICES
 from .context import _NAME_RE, NAME, Context, ContextError, check_symbols
 from .errors import SchemaError, UnknownCase
-from .field import INT, field_from_name
+from .field import INT, field_from_name, read_rational
 from .hilbert import CRITERIA
 from .matgroup import MAX_ORDER, Matrix, identity, mat, mat_mul, mat_neg
 
@@ -109,6 +108,7 @@ class Catalog:
         self.groups = dict(groups)
         self.cases = list(cases)
         self.by_id = {c.id: c for c in self.cases}
+        self.memo: dict = {}  # runner._memoized's; not part of equality
 
     def case(self, case_id: str) -> CaseRecord:
         try:
@@ -255,8 +255,8 @@ def _check_context(spec: Any, path: str) -> None:
     """A context spec that Context accepts, checked without building one.
 
     The JSON shape is checked here: an object with known keys, a field
-    that resolves, lists of names, and specialized values that are ints
-    or strings. The symbol rules are context.check_symbols, Context's own.
+    that resolves, and lists of names. The symbol rules, and the reading
+    of specialized values, are context.check_symbols, Context's own.
     """
     if not isinstance(spec, dict):
         raise SchemaError("context must be an object", path)
@@ -276,9 +276,6 @@ def _check_context(spec: Any, path: str) -> None:
     specialize = spec.get("specialize", {})
     if not isinstance(specialize, dict):
         raise SchemaError("specialize must map parameter to value", path + "/specialize")
-    for k, v in specialize.items():
-        if type(v) is bool or not isinstance(v, (int, str)):
-            raise SchemaError("specialized value must be int or string", f"{path}/specialize/{k}")
     try:
         check_symbols(
             base, spec.get("variables", ()), spec.get("parameters", ()), spec.get("roots", ()), specialize
@@ -515,14 +512,12 @@ def _check_payload(kind: str, p: Any, path: str, group_ids: set[str], contexts: 
                     raise SchemaError(f"{key} must be nonzero", f"{path}/{key}")
 
 
-def _rational(value: Any, path: str) -> Fraction:
-    """value as a Fraction: an int that is not a bool, or a string Fraction reads."""
-    if type(value) is bool or not isinstance(value, (int, str)):
-        raise SchemaError("expected a rational: an integer or a string such as \"3/4\"", path)
+def _rational(value: Any, path: str) -> Any:
+    """read_rational(value), its complaint a SchemaError at path."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{value!r} is not a rational number", path) from None
+        return read_rational(value)
+    except (ValueError, ZeroDivisionError) as err:
+        raise SchemaError(str(err), path) from None
 
 
 def validate_catalog(data: Any) -> None:

@@ -17,17 +17,19 @@ A specialized parameter is not a symbol: occurrences of its name parse to
 the constant. Its declared root, however, stays a formal symbol whose
 square rewrites to the constant, so e.g. a root of 5 squares to 5 while
 remaining exact.
+
+Specialized values are read by field.of (field.read_rational) into one
+table, `constants`; contexts with equal fields, names, roots and
+constants are equal, so over F_7, m = 3 and m = 10 give equal contexts.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .errors import UnknownSymbol
-from .field import BaseField
+from .field import BaseField, is_square
 
 NAME = "[a-z][a-z0-9]*"  # a symbol or where name; the parser's name token
 _NAME_RE = re.compile(NAME)
@@ -36,14 +38,6 @@ _NAME_RE = re.compile(NAME)
 def mono_key(exps: tuple[int, ...]) -> tuple:
     """Sort key realizing the monomial order described in the module doc."""
     return (sum(exps), exps[::-1])
-
-
-def _is_square(field: BaseField, value: Any) -> bool:
-    """Is the nonzero field element a square (Euler's criterion mod p)?"""
-    if field.char:
-        return pow(value, (field.char - 1) // 2, field.char) == 1
-    num, den = value.numerator, value.denominator
-    return num > 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
 class ContextError(ValueError):
@@ -65,18 +59,17 @@ def check_symbols(
     parameters: Sequence[str],
     roots: Sequence[str],
     specialize: Mapping[str, Any],
-) -> tuple[dict[str, Fraction], dict[str, Any]]:
-    """The symbol rules of a Context; (values as Fractions, field values), by name.
+) -> dict[str, Any]:
+    """The symbol rules of a Context; the specialized values in the field, by name.
 
-    Variable and parameter names are of the form NAME and no
-    name is declared twice; roots and specializations name declared
-    parameters; a specialized value is a rational number that Fraction
-    reads, and its denominator is not 0 in the field. A rooted
-    parameter's value must not be 0 or a square, alone or times the
-    values of other rooted parameters: every nonempty subset of the
-    rooted values must multiply to a nonsquare, because if c*d = s^2,
-    sqrt(c)*sqrt(d) - s is a zero divisor. Over F_p this allows at most
-    one specialized root. Raises ContextError.
+    Variable and parameter names are of the form NAME and no name is
+    declared twice; roots and specializations name declared parameters; a
+    specialized value is one that field.of reads, with a denominator that
+    is not 0 in the field. A rooted parameter's value must not be 0 or a
+    square, alone or times the values of other rooted parameters: every
+    nonempty subset of the rooted values must multiply to a nonsquare,
+    because if c*d = s^2, sqrt(c)*sqrt(d) - s is a zero divisor. Over F_p
+    this allows at most one specialized root. Raises ContextError.
     """
     seen: set[str] = set()
     for key, names in (("variables", variables), ("parameters", parameters)):
@@ -89,18 +82,13 @@ def check_symbols(
     for i, name in enumerate(roots):
         if name not in parameters:
             raise ContextError("roots", i, f"root of {name!r}, which is not a parameter")
-    spec = {}
     values = {}
     for name, v in specialize.items():
         if name not in parameters:
             raise ContextError("specialize", name, f"{name!r} is not a parameter")
         try:
-            spec[name] = Fraction(v)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ContextError("specialize", name, f"{v!r} is not a rational number") from None
-        try:
-            values[name] = field.of(spec[name])
-        except ZeroDivisionError as err:
+            values[name] = field.of(v)
+        except (ValueError, ZeroDivisionError) as err:
             raise ContextError("specialize", name, f"value of {name!r}: {err}") from None
     subset_products: list[Any] = []
     for p in parameters:
@@ -110,7 +98,7 @@ def check_symbols(
         if value == field.zero:
             raise ContextError("specialize", p, f"rooted parameter {p!r} specialized to 0 in {field.name}")
         new = [value] + [field.mul(value, q) for q in subset_products]
-        if any(_is_square(field, v) for v in new):
+        if any(is_square(field, v) for v in new):
             raise ContextError(
                 "specialize",
                 p,
@@ -118,7 +106,7 @@ def check_symbols(
                 "alone or times other specialized roots; its root ring has zero divisors",
             )
         subset_products += new
-    return spec, values
+    return values
 
 
 class Context:
@@ -127,7 +115,6 @@ class Context:
         "variables",
         "parameters",
         "rooted",
-        "specializations",
         "symbols",
         "nsym",
         "index",
@@ -146,16 +133,14 @@ class Context:
         roots: Sequence[str] = (),
         specialize: Mapping[str, Any] | None = None,
     ) -> None:
-        spec, constants = check_symbols(field, variables, parameters, roots, specialize or {})
         self.field = field
         self.variables = tuple(variables)
         self.parameters = tuple(parameters)
         self.rooted = tuple(name for name in parameters if name in set(roots))
-        self.specializations = spec
         # Bare names of specialized parameters resolve to field constants.
-        self.constants = constants
+        self.constants = check_symbols(field, variables, parameters, roots, specialize or {})
 
-        live_params = tuple(p for p in parameters if p not in spec)
+        live_params = tuple(p for p in parameters if p not in self.constants)
         names: list[str] = [f"sqrt({p})" for p in self.rooted]
         names += list(live_params)
         self.var_start = len(names)
@@ -173,7 +158,7 @@ class Context:
         # integral.
         self.folds: list[tuple[int, int | None, Any]] = []
         for i, p in enumerate(self.rooted):
-            if p in spec:
+            if p in self.constants:
                 self.folds.append((i, None, self.constants[p]))
             else:
                 self.folds.append((i, self.index[p], None))
@@ -183,7 +168,7 @@ class Context:
             self.variables,
             self.parameters,
             self.rooted,
-            tuple(sorted(spec.items())),
+            tuple(sorted(self.constants.items())),
         )
 
     # -- lookups ---------------------------------------------------------

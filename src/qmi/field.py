@@ -9,6 +9,11 @@ rule changes no equality or hash of a coefficient, term dict, Poly or
 RatFunc; it makes each canonical value unique in type as well, and lets
 most rational coefficients skip `Fraction` arithmetic.
 
+Every number qmi reads goes through `read_rational`, which takes an int
+(not a bool), a Fraction, or text matching the token RATIONAL whole; it
+refuses floats, other scripts' digits, underscores, blanks and exponents.
+`is_square` is the one square test, over Q and over F_p.
+
 Characteristic 2 is rejected: root signs and the quadratic rewrite both
 need 2 to be invertible.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 from typing import Any, Callable
 
 from .errors import FactorizationLimit
@@ -24,6 +30,8 @@ from .errors import FactorizationLimit
 # The integer token of every reader of text (parser, matrix words, field
 # names): ASCII digits only, though int() also reads other scripts' digits.
 INT = "[0-9]+"
+# Compiled by re.fullmatch at the first text read_rational reads, not at import.
+RATIONAL = rf"-?{INT}(?:/{INT})?"
 _PRIME_FIELD_RE = re.compile(f"F({INT})")
 
 
@@ -48,6 +56,10 @@ class BaseField:
     def __hash__(self) -> int:
         return hash(self.name)
 
+    def __reduce__(self) -> tuple:
+        # By name: the arithmetic is lambdas, which pickle cannot write.
+        return field_from_name, (self.name,)
+
     def __repr__(self) -> str:
         return self.name
 
@@ -55,6 +67,28 @@ class BaseField:
 def rational(c: int | Fraction) -> int | Fraction:
     """The stored form of a rational number: an integral Fraction becomes its numerator."""
     return c.numerator if c.denominator == 1 else c
+
+
+def read_rational(value: Any) -> int | Fraction:
+    """An int that is not a bool, a Fraction, or text that RATIONAL matches
+    whole ("-3/4"), in rational's stored form. Anything else raises
+    ValueError, and a zero denominator ZeroDivisionError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return rational(value)
+    if isinstance(value, str) and re.fullmatch(RATIONAL, value):
+        return rational(Fraction(value))
+    raise ValueError(f"{value!r} is not a rational number: an int, a Fraction or text such as \"-3/4\"")
+
+
+def is_square(field: BaseField, value: Any) -> bool:
+    """Whether the field value is a square: over F_p when value^((p-1)/2) is
+    not -1 (Euler), over Q when n/d has n >= 0 and n and d squares."""
+    if field.char:
+        return pow(value, (field.char - 1) // 2, field.char) != field.char - 1
+    n, d = value.numerator, value.denominator
+    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 class Rationals(BaseField):
@@ -75,7 +109,7 @@ class Rationals(BaseField):
     def of(self, value: Any) -> int | Fraction:
         if type(value) is int:
             return value
-        return rational(Fraction(value))
+        return read_rational(value)
 
 
 # The largest integer that trial division factors or tests: at most about
@@ -129,11 +163,12 @@ class PrimeField(BaseField):
         return pow(a, self.p - 2, self.p)
 
     def of(self, value: Any) -> int:
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
-            return value.numerator * self.inv(value.denominator % self.p) % self.p
-        return int(value) % self.p
+        value = value if type(value) is int else read_rational(value)
+        if type(value) is int:
+            return value % self.p
+        if value.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
+        return value.numerator * self.inv(value.denominator % self.p) % self.p
 
 
 QQ = Rationals()

@@ -13,15 +13,16 @@ division (field.least_prime_factor) up to FACTOR_BOUND, so desk-scale
 inputs stay cheap and oversized ones, an argument or a place, fail
 loudly with FactorizationLimit, which is also a ValueError.
 
+Each public function reads its numbers through field.read_rational, the
+rule of the catalog's schema check; the helpers take values already read.
+
 CRITERIA names the arguments each case of decide_rationality reads; the
 catalog's schema check reads the same table.
 """
 
-from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
-from .field import FACTOR_BOUND, is_prime, least_prime_factor
+from .field import FACTOR_BOUND, QQ, is_prime, is_square, least_prime_factor, read_rational
 
 CRITERIA = {"c4": ("a",), "d4": ("a", "b"), "quadric": ("coeffs",)}
 
@@ -30,7 +31,7 @@ def valuation(x, p):
     """Exponent of the prime p in the nonzero rational x."""
     if p < 2:
         raise ValueError(f"valuation needs a prime, not {p!r}")
-    x = Fraction(x)
+    x = read_rational(x)
     if x == 0:
         raise ValueError("valuation of zero")
     n, d = abs(x.numerator), x.denominator
@@ -45,7 +46,9 @@ def valuation(x, p):
 
 
 def _unit_part(x, p, v):
-    return Fraction(x) / Fraction(p) ** v
+    # The unit u = x/p^v = n/d, v the valuation, as n*d = u*d^2: the same
+    # square class. p^|v| divides one of x's numerator and denominator.
+    return x.numerator * x.denominator // p ** abs(v)
 
 
 def _legendre(n, p):
@@ -53,22 +56,13 @@ def _legendre(n, p):
     return 1 if pow(n % p, (p - 1) // 2, p) == 1 else -1
 
 
-def _legendre_unit(u, p):
-    # quadratic class of a p-adic unit written as a fraction;
-    # 1/d and d agree up to squares, so numerator*denominator works
-    return _legendre(u.numerator * u.denominator, p)
-
-
-def _eps(u):
-    # class of (u-1)/2 mod 2 for an odd unit; multiplicative in u,
-    # so a fraction n/d reduces to the odd integer n*d
-    t = u.numerator * u.denominator
+def _eps(t):
+    # class of (u-1)/2 mod 2 of an odd unit u = n/d, multiplicative: t = n*d
     return ((t - 1) // 2) % 2
 
 
-def _omega(u):
-    # class of (u^2-1)/8 mod 2 for an odd unit
-    t = u.numerator * u.denominator
+def _omega(t):
+    # class of (u^2-1)/8 mod 2 of an odd unit u = n/d, multiplicative: t = n*d
     return ((t * t - 1) // 8) % 2
 
 
@@ -84,12 +78,11 @@ def hilbert_local(a, b, p):
     or exceeds FACTOR_BOUND, is a ValueError.
     """
     _check_place(p)
-    return _symbol(a, b, p)
+    return _symbol(read_rational(a), read_rational(b), p)
 
 
 def _symbol(a, b, p):
-    # hilbert_local without the primality check, for places from places()
-    a, b = Fraction(a), Fraction(b)
+    # hilbert_local on read values, unchecked places from places()
     if a == 0 or b == 0:
         raise ValueError("symbol arguments must be nonzero")
     if p is None:
@@ -103,9 +96,9 @@ def _symbol(a, b, p):
         return -1 if e % 2 else 1
     s = -1 if (al * be * ((p - 1) // 2)) % 2 else 1
     if be % 2:
-        s *= _legendre_unit(u, p)
+        s *= _legendre(u, p)
     if al % 2:
-        s *= _legendre_unit(w, p)
+        s *= _legendre(w, p)
     return s
 
 
@@ -115,7 +108,8 @@ def prime_support(n):
     Each least prime factor is found and divided out in turn;
     least_prime_factor raises FactorizationLimit when n exceeds FACTOR_BOUND.
     """
-    if n <= 0:
+    n = read_rational(n)
+    if type(n) is not int or n <= 0:
         raise ValueError("need a positive integer")
     found = set()
     while n > 1:
@@ -129,7 +123,7 @@ def prime_support(n):
 def places(numbers):
     """2, the odd primes of the numerators and denominators, then None."""
     odd = set()
-    for x in numbers:
+    for x in map(read_rational, numbers):
         for n in (abs(x.numerator), x.denominator):
             if n > 1:
                 odd |= prime_support(n)
@@ -139,7 +133,7 @@ def places(numbers):
 
 def hilbert_profile(a, b):
     """List of (place, local symbol) over the places where it can be -1."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = read_rational(a), read_rational(b)
     return [(p, _symbol(a, b, p)) for p in places((a, b))]
 
 
@@ -149,11 +143,7 @@ def hilbert_global_trivial(a, b):
 
 
 def is_rational_square(x):
-    x = Fraction(x)
-    if x < 0:
-        return False
-    n, d = x.numerator, x.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    return is_square(QQ, read_rational(x))
 
 
 def is_local_square(x, p):
@@ -162,7 +152,7 @@ def is_local_square(x, p):
     p is a prime, or None for the real place, as in hilbert_local.
     """
     _check_place(p)
-    x = Fraction(x)
+    x = read_rational(x)
     if x == 0:
         raise ValueError("need a nonzero rational")
     if p is None:
@@ -172,8 +162,8 @@ def is_local_square(x, p):
         return False
     u = _unit_part(x, p, val)
     if p == 2:
-        return (u.numerator * u.denominator) % 8 == 1
-    return _legendre_unit(u, p) == 1
+        return u % 8 == 1
+    return _legendre(u, p) == 1
 
 
 def _hasse_invariant(coeffs, p):
@@ -193,7 +183,7 @@ def quadric_isotropic(coeffs):
     and Hasse-invariant comparison at the candidate places, and rank 5 or
     more by indefiniteness alone (every finite place is automatic there).
     """
-    cs = [Fraction(c) for c in coeffs]
+    cs = [read_rational(c) for c in coeffs]
     if not cs:
         return False
     if any(c == 0 for c in cs):
@@ -202,9 +192,10 @@ def quadric_isotropic(coeffs):
     if n == 1:
         return False
     if n == 2:
-        return is_rational_square(-cs[1] / cs[0])
+        return is_square(QQ, QQ.mul(-cs[1], QQ.inv(cs[0])))
     if n == 3:
-        return hilbert_global_trivial(-cs[0] / cs[2], -cs[1] / cs[2])
+        inv = QQ.inv(cs[2])
+        return hilbert_global_trivial(QQ.mul(-cs[0], inv), QQ.mul(-cs[1], inv))
     if n == 4:
         d = cs[0] * cs[1] * cs[2] * cs[3]
         for p in places(cs):
@@ -253,16 +244,16 @@ def decide_rationality(case, a=None, b=None, coeffs=None):
     if missing:
         raise ValueError(f"case {case} needs {' and '.join(missing)}")
     if case == "quadric":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [read_rational(c) for c in coeffs]
         regime = _QUADRIC_REGIME.get(
             len(cs), "rank 5 or more: indefinite forms are isotropic over Q")
         shape = " + ".join(f"({c})*x{i}^2" for i, c in enumerate(cs))
         return Verdict(quadric_isotropic(cs), f"diagonal form {shape}; {regime}")
-    a = Fraction(a)
+    a = read_rational(a)
     if case == "c4":
-        label, b = "order-4 cyclic case", Fraction(-1)
+        label, b = "order-4 cyclic case", -1
     else:
-        label, b = "order-8 dihedral case", -Fraction(b)
+        label, b = "order-8 dihedral case", -read_rational(b)
     failing = ["inf" if p is None else str(p)
                for p, s in hilbert_profile(a, b) if s == -1]
     if failing:

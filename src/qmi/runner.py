@@ -8,21 +8,20 @@ Reports keep wall-clock time for humans, but the machine-readable form
 omits it so that identical runs serialize to identical bytes no matter
 how many workers produced them.
 
-Each catalog has one memo, kept here and dropped when the catalog is
-collected. It holds the closed MatrixGroup of each group id, the
-Context of each context spec, the RatFunc of each (context, text)
-parsed without a where-list, and the Automorphism of each (context,
-action spec); the binding texts of an action go through the same
-expression entries, so a chain step that re-declares its predecessor's
-claimed tables as actions reuses their parses. Keys are built from the
-payload's own strings and numbers. Where-list parses are not memoized,
-and a build that raises, or that a timeout interrupts, stores nothing.
-This is sound because each value is a pure function of its key and is
-never mutated: no code in qmi writes to a Context, RatFunc,
-Automorphism or MatrixGroup after building it. A pool worker gets the
-catalog by fork, memo included, or by pickle, with a memo of its own.
-Generator words have no memo entry: catalog.word_matrix caches them,
-and validating the catalog evaluated each.
+Each catalog has one memo, its attribute `memo`, which goes with it. It
+holds the closed MatrixGroup of each group id, the Context of each
+context spec, the RatFunc of each (context, text) parsed without a
+where-list, and the Automorphism of each (context, action spec); the
+binding texts of an action go through the same expression entries, so a
+chain step that re-declares its predecessor's claimed tables as actions
+reuses their parses. Keys are built from the payload's own strings and
+numbers. Where-list parses are not memoized, and a build that raises, or
+that a timeout interrupts, stores nothing. This is sound because each
+value is a pure function of its key and is never mutated: no code in qmi
+writes to a Context, RatFunc, Automorphism or MatrixGroup after building
+it. A pool worker gets the catalog by fork or by pickle, memo included
+either way. Generator words have no memo entry: catalog.word_matrix
+caches them, and validating the catalog evaluated each.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import math
 import signal
 import threading
 import time
-import weakref
 from itertools import accumulate
 from typing import Any, Callable, Mapping, Sequence
 
@@ -107,23 +105,16 @@ class VerificationReport:
 
 # -- shared construction helpers ---------------------------------------------
 
-# id(catalog) -> that catalog's memo; an entry goes when its catalog does.
-_MEMOS: dict[int, dict] = {}
-
 
 def _memoized(catalog: Catalog, key: tuple, build: Callable[[], Any]) -> Any:
     """The catalog's memo entry for key, made by build() on the first call.
 
     Nothing is stored when build raises, a timeout included.
     """
-    memo = _MEMOS.get(id(catalog))
-    if memo is None:
-        memo = _MEMOS[id(catalog)] = {}
-        weakref.finalize(catalog, _MEMOS.pop, id(catalog), None)
-    if key in memo:
-        return memo[key]
-    value = memo[key] = build()
-    return value
+    memo = catalog.memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _frozen(value: Any) -> Any:

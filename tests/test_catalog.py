@@ -11,12 +11,15 @@ import copy
 import hashlib
 import json
 import math
+import pickle
 import threading
 import time
 from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from qmi import runner
 from qmi.actions import close_action
@@ -35,7 +38,7 @@ from qmi.errors import SchemaError
 from qmi.hilbert import CRITERIA
 from qmi.matgroup import _models, mat, mat_det
 from qmi.ratfunc import RatFunc
-from qmi.runner import run_all, run_case, summarize, to_jsonl
+from qmi.runner import STATUSES, run_all, run_case, summarize, to_jsonl
 
 
 def test_every_builtin_case_passes():
@@ -399,6 +402,15 @@ def test_pool_run_after_a_serial_run_gives_the_serial_bytes():
     assert to_jsonl(run_all(catalog, filters, jobs=2)) == serial
 
 
+def test_a_catalog_pickles_with_its_memo():
+    catalog = builtin_catalog()
+    filters = {"kind": "InducedAction"}
+    serial = to_jsonl(run_all(catalog, filters))
+    copied = pickle.loads(pickle.dumps(catalog))
+    assert copied == catalog and copied.memo.keys() == catalog.memo.keys()
+    assert to_jsonl(run_all(copied, filters)) == serial
+
+
 def test_timed_out_case_leaves_nothing_half_built():
     catalog = builtin_catalog()
     report = run_case(catalog, "sys7iii_case1_actg", timeout=0.005)
@@ -563,6 +575,15 @@ def _claim_x3_without_forward(doc):
     p["claimed"]["swap"] = {"x1": "x2", "x2": "x1", "x3": "x3"}
 
 
+def _specialize_e(value):
+    """Give case 4 a second, unrooted parameter e specialized to value."""
+    def change(doc):
+        context = doc["cases"][4]["payload"]["context"]
+        context["parameters"] = ["d", "e"]
+        context["specialize"] = {"e": value}
+    return change
+
+
 def _criterion(payload: dict):
     """Replace case 0 by a RationalityCriterion case with this payload."""
     return _set(("cases", 0), _case("order", "RationalityCriterion", {**payload, "expect_rational": True}))
@@ -688,7 +709,17 @@ MALFORMED = [
      "/cases/4/payload/context/specialize/d"),
     # Each context spec object is checked once; the e = true twin is another object.
     ("boolean-twin-of-a-checked-context", _flip_twins, "/cases/5/payload/context/specialize/e"),
-    # Criterion numbers: an int that is not a bool, or a string Fraction reads; a and b nonzero.
+    # Numbers are ints or field.RATIONAL text. Fraction reads these as 3, 10, 3,
+    # 100, 20 and 3/2 ("\u0663" is an Arabic-Indic 3, "\u0662" a 2).
+    ("specialized-value-in-another-script", _specialize_e("\u0663"), "/cases/4/payload/context/specialize/e"),
+    ("specialized-value-with-an-underscore", _specialize_e("1_0"), "/cases/4/payload/context/specialize/e"),
+    ("specialized-value-with-a-blank", _specialize_e(" 3"), "/cases/4/payload/context/specialize/e"),
+    ("specialized-value-with-an-exponent", _specialize_e("1e2"), "/cases/4/payload/context/specialize/e"),
+    ("criterion-a-in-another-script-with-an-underscore", _criterion({"case": "c4", "a": "\u0662_0"}),
+     "/cases/0/payload/a"),
+    ("criterion-coefficient-with-a-decimal-point", _criterion({"case": "quadric", "coeffs": [1, "1.5", -1]}),
+     "/cases/0/payload/coeffs/1"),
+    # Criterion numbers: an int that is not a bool, or RATIONAL text; a and b nonzero.
     ("criterion-quadric-without-coefficients", _criterion({"case": "quadric", "coeffs": []}),
      "/cases/0/payload/coeffs"),
     ("criterion-a-is-a-boolean", _criterion({"case": "c4", "a": True}), "/cases/0/payload/a"),
@@ -777,3 +808,66 @@ def test_malformed_document_is_a_schema_error(tmp_path, change, path):
     with pytest.raises(SchemaError) as err:
         load_catalog(_write(tmp_path, doc))
     assert err.value.path == path
+
+
+# VALID_DOCUMENT and a criterion case with a number as text; mutated below.
+FUZZ_DOCUMENT = {
+    "groups": VALID_DOCUMENT["groups"],
+    "cases": [*VALID_DOCUMENT["cases"], _case("criterion", "RationalityCriterion", {
+        "case": "d4", "a": "-3/4", "b": 5, "expect_rational": False})],
+}
+# Numbers that Fraction reads and field.RATIONAL does not, and other bad leaves.
+FUZZ_POOL = ["\u0663", " 3", "1_0", "1.5", "1e2", True, 2.5, "\u0662_0", " 1.5e1 ", 0.1, 2.9,
+             None, [], {}, "", 10**40, "cb^13", "1/0"]
+FUZZ_KEYS = ["extra", "a", "b", "coeffs", "roots", "specialize", "e", "x1"]
+
+
+def _slots(node):
+    """(container, key) of every leaf below node: a scalar or an empty container."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        if isinstance(node[key], (dict, list)) and node[key]:
+            yield from _slots(node[key])
+        else:
+            yield node, key
+
+
+def _dicts(node):
+    """node and every object below it, depth first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    for value in node if isinstance(node, list) else ():
+        yield from _dicts(value)
+
+
+# Generation only: shrinking dense failing examples can run for many minutes.
+@settings(max_examples=200, deadline=None, phases=[Phase.generate], derandomize=True)
+@given(data=st.data())
+def test_a_mutated_document_loads_or_is_a_schema_error(tmp_path_factory, data):
+    """One to three leaves deleted, added or replaced from FUZZ_POOL: the
+    document loads or raises SchemaError, and each case of a loaded one
+    ends in a status within its timeout."""
+    doc = copy.deepcopy(FUZZ_DOCUMENT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        op = data.draw(st.sampled_from(["add", "delete", "replace"] if slots else ["add"]))
+        value = copy.deepcopy(data.draw(st.sampled_from(FUZZ_POOL)))
+        if op == "add":
+            node = data.draw(st.sampled_from(list(_dicts(doc))))
+            node[data.draw(st.sampled_from(FUZZ_KEYS))] = value
+            continue
+        node, key = data.draw(st.sampled_from(slots))
+        if op == "delete":
+            del node[key]
+        else:
+            node[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        catalog = load_catalog(str(path))
+    except SchemaError:
+        return
+    for case in catalog.cases:
+        start = time.perf_counter()
+        assert run_case(catalog, case.id, timeout=2).status in STATUSES
+        assert time.perf_counter() - start < 3

@@ -26,7 +26,7 @@ from qmi import (
 )
 from qmi import gcd, ratfunc
 from qmi.actions import Automorphism
-from qmi.field import field_from_name
+from qmi.field import field_from_name, is_square, read_rational
 from qmi.ratfunc import substitute_raw
 
 
@@ -98,7 +98,12 @@ class TestContext:
         ({"parameters": ["a"], "specialize": {"b": 2}}, "specialize", "b"),
         ({"parameters": ["a"], "specialize": {"a": "1/0"}}, "specialize", "a"),
         ({"parameters": ["a"], "roots": ["a"], "specialize": {"a": "9/4"}}, "specialize", "a"),
-    ], ids=["name", "repeat", "root", "specialization", "value", "square"])
+        # Values outside field.RATIONAL; Fraction reads each ("٣" is an Arabic-Indic 3).
+        *[({"parameters": ["a"], "specialize": {"a": v}}, "specialize", "a")
+          for v in ["٣", " 3", "3 ", "1_0", "1.5", "1e2", "+3", True, 2.5]],
+    ], ids=["name", "repeat", "root", "specialization", "value", "square", "other-script",
+            "leading-blank", "trailing-blank", "underscore", "decimal-point", "exponent",
+            "plus-sign", "boolean", "float"])
     def test_rejected_spec_names_its_place(self, kwargs, key, where):
         # The catalog reports the same place as the path .../key/where.
         from qmi.context import ContextError
@@ -124,6 +129,48 @@ class TestContext:
     def test_rational_inverse_of_int_is_exact(self):
         inv = QQ.inv(2)
         assert inv == Fraction(1, 2) and isinstance(inv, Fraction)
+
+    def test_congruent_specializations_give_equal_contexts(self):
+        def spec(m):
+            return Context(PrimeField(7), variables=["x"], parameters=["m"], roots=["m"], specialize={"m": m})
+
+        assert spec(3) == spec(10) and hash(spec(3)) == hash(spec(10))
+        assert spec(3) == spec("-4") and spec(3) != spec(5)
+        assert spec(3).constants == {"m": 3}
+
+
+class TestReadRational:
+    @pytest.mark.parametrize("value", [2.9, 0.1, True, "3 ", "٣", "1_0", "1e2", "3/-4", "", None, [1]])
+    def test_anything_but_an_int_a_fraction_or_the_token_is_refused(self, value):
+        for read in (read_rational, QQ.of, PrimeField(7).of):
+            with pytest.raises(ValueError):
+                read(value)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("-3/4", Fraction(-3, 4)), ("0/3", 0), ("6/3", 2), ("-0", 0), ("007", 7),
+        (Fraction(6, 3), 2), (Fraction(1, 2), Fraction(1, 2)), (-5, -5), (10**40, 10**40),
+    ])
+    def test_a_number_reads_in_its_stored_form(self, value, expected):
+        got = read_rational(value)
+        assert got == expected and type(got) is type(expected)
+        assert QQ.of(value) == got and type(QQ.of(value)) is type(got)
+
+    def test_a_prime_field_reads_through_the_same_rule(self):
+        f = PrimeField(7)
+        assert [f.of(v) for v in (10, -4, "10", "-3/4", Fraction(1, 2))] == [3, 3, 3, 1, 4]
+        with pytest.raises(ZeroDivisionError):
+            f.of("1/7")
+        for read in (read_rational, QQ.of, f.of):
+            with pytest.raises(ZeroDivisionError):
+                read("1/0")
+
+    @pytest.mark.parametrize("field,squares,nonsquares", [
+        (QQ, [0, 1, 4, Fraction(9, 4)], [-1, 2, Fraction(1, 2), Fraction(-4, 9)]),
+        (PrimeField(7), [0, 1, 2, 4], [3, 5, 6]),
+    ], ids=["Q", "F7"])
+    def test_one_square_test(self, field, squares, nonsquares):
+        assert all(is_square(field, v) for v in squares)
+        assert not any(is_square(field, v) for v in nonsquares)
 
 
 class TestArithmetic:

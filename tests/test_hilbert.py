@@ -449,3 +449,42 @@ class TestVerdicts:
             with pytest.raises(ValueError, match=f"needs {key}"):
                 decide_rationality(case, **{k: v for k, v in given.items() if k != key})
         assert decide_rationality(case, **{k: given[k] for k in CRITERIA[case]}).rational
+
+
+class TestNumbers:
+    """Every public function reads its numbers by field.read_rational."""
+
+    CALLS = {
+        "valuation": lambda v: valuation(v, 2),
+        "hilbert_local": lambda v: hilbert_local(v, 3, 2),
+        "hilbert_profile": lambda v: hilbert_profile(3, v),
+        "hilbert_global_trivial": lambda v: hilbert_global_trivial(v, 3),
+        "is_rational_square": is_rational_square,
+        "is_local_square": lambda v: is_local_square(v, 3),
+        "places": lambda v: places([v]),
+        "prime_support": prime_support,
+        "quadric_isotropic": lambda v: quadric_isotropic([1, v, -1]),
+        "c4": lambda v: decide_rationality("c4", a=v),
+        "d4": lambda v: decide_rationality("d4", a=2, b=v),
+    }
+
+    # "٣" is an Arabic-Indic 3 and "٢" a 2: Fraction reads both.
+    @pytest.mark.parametrize("value", ["٣", " 3", "1_0", "1.5", "1e2", True, 2.5, "٢_0", 0.1])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_a_number_outside_the_rational_token_is_refused(self, call, value):
+        with pytest.raises(ValueError):
+            self.CALLS[call](value)
+
+    def test_prime_support_needs_an_integer(self):
+        assert prime_support("360") == {2, 3, 5}
+        with pytest.raises(ValueError, match="positive integer"):
+            prime_support("7/2")
+
+    @pytest.mark.parametrize("case,text,values", [
+        ("c4", {"a": "-3/4"}, {"a": Fraction(-3, 4)}),
+        ("d4", {"a": "2", "b": "-7/3"}, {"a": 2, "b": Fraction(-7, 3)}),
+        ("quadric", {"coeffs": ["1", "1/2", "-3"]}, {"coeffs": [1, Fraction(1, 2), -3]}),
+        ("quadric", {"coeffs": ["1", "-2"]}, {"coeffs": [1, -2]}),
+    ], ids=["c4", "d4", "quadric-rank-3", "quadric-rank-2"])
+    def test_text_decides_as_its_value(self, case, text, values):
+        assert decide_rationality(case, **text) == decide_rationality(case, **values)
