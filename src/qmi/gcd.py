@@ -29,7 +29,8 @@ at each step. The heuristic is the only code over the integers. It
 runs in integral contexts (Q without constant roots, rooted parameters
 included), where each part is lifted to integers once, which avoids
 per-operation Fraction normalization, and each cofactor goes back over
-its own part's scale.
+its own part's scale. When either part is one term, the gcd is a
+monomial and neither algorithm runs (_monomial_gcd).
 
 Over the integers the heuristic gcd runs first (_heu_gcd, GCDHEU: Char,
 Geddes & Gonnet 1989, in the recursive form of Liao & Fateman 1995). It
@@ -535,7 +536,9 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
     part is lifted to integers once (one lift that clears its
     denominators) and the heuristic gives all three. If it gives up, or
     the context is not integral, the PRS over the field gives g and one
-    _div of each part gives the cofactors (none for a unit g).
+    _div of each part gives the cofactors (none for a unit g). When
+    either part is one term, the gcd is a monomial and neither runs
+    (_monomial_gcd).
     """
     if num.ctx != den.ctx:
         raise ValueError("mixed contexts")
@@ -547,6 +550,9 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
         return Poly.const(num.ctx, 1), num, den
     E = _elim_info(num.ctx)
     a, b = _to_elim(E, num), _to_elim(E, den)
+    found = _monomial_gcd(E, a, b)
+    if found is not None:
+        return found
     if E.integral:
         (sa, ia), (sb, ib) = _lift_ints(a), _lift_ints(b)
         found = _heu_gcd(E, ia, ib)
@@ -561,6 +567,31 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
     if g == E.unit:
         return Poly.const(num.ctx, 1), num, den
     return _from_elim(E, g), _from_elim(E, _div(E, a, g)), _from_elim(E, _div(E, b, g))
+
+
+def _monomial_gcd(E: _ElimInfo, a: EDict, b: EDict) -> tuple[Poly, Poly, Poly] | None:
+    """cancel's (g, a/g, b/g) for eliminated parts a and b when one of them
+    is one term; None when neither is.
+
+    In eliminated form the ring is a polynomial ring over a field K (k,
+    or k with the constant roots adjoined), so the divisors of a monomial
+    c * x^m are the monomials x^j, j <= m slot-wise, up to a unit. So g
+    is x^k, with k the slot-wise minimum over the terms of both parts;
+    a constant-root slot is part of the coefficient in K, and its k is 0.
+    The cofactors are the parts with every exponent shifted down by k.
+    """
+    if len(a) > 1 and len(b) > 1:
+        return None
+    k = [min(col) for col in zip(*a, *b)]
+    for r in E.croot_slots:
+        k[r] = 0
+    if not any(k):
+        return Poly.const(E.ctx, 1), _from_elim(E, a), _from_elim(E, b)
+    return (
+        _from_elim(E, {tuple(k): E.f.one}),
+        _from_elim(E, {tuple(map(sub, e, k)): c for e, c in a.items()}),
+        _from_elim(E, {tuple(map(sub, e, k)): c for e, c in b.items()}),
+    )
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:

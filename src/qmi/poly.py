@@ -10,12 +10,17 @@ to the specialized constant).
 Every large dense integer product goes through one routine, _packed
 (Kronecker substitution: one big-int multiply per product, in one
 byte-aligned slot per exponent word), which states the packing rule once
-and declines where a loop over term pairs is cheaper. It sums m*a*b over
-products of int term dicts keyed by exponent words. Its callers are
-_convolve_words (ratfunc.substitute_raw, whose words it lays out per
-call), and, through _packed_tuples, which reads exponent tuples as words
-of the products' exponent box, _convolve_ints (Poly.__mul__ and the gcd
-layer) and _difference_ints (ratfunc's zero test, ml*A0*B1 - mr*B0*A1).
+and declines where a loop over term pairs is cheaper, for the whole sum
+or for any one product in it. It sums m*a*b over products of int term
+dicts keyed by exponent words. Its callers are _word_sum, the one
+word-product routine of ratfunc.substitute_raw (whose words it lays out
+per call): one sum per level of ratfunc._horner, and one product per
+power-table entry (_convolve_words); and, through _packed_tuples, which
+reads exponent tuples as words of the products' exponent box,
+_convolve_ints (Poly.__mul__ and the gcd layer) and _difference_ints
+(ratfunc's zero test, ml*A0*B1 - mr*B0*A1). _decode turns summed words
+back into exponent tuples, column by column, for _packed_tuples and
+ratfunc.
 
 Coefficients are stored as the field stores them (field.py): over Q an
 int when integral, else a Fraction with denominator above 1; over F_p an
@@ -199,10 +204,13 @@ def _packed_tuples(products) -> dict[tuple[int, ...], int] | None:
         )
         for m, a, b in products
     ])
-    if not out:
-        return out
-    exps = zip(*[[k // w % r for k in out] for w, r in zip(weights, radices)])
-    return dict(zip(exps, out.values()))
+    return out if out is None else _decode(out, weights, radices)
+
+
+def _decode(words: dict[int, int], weights: list[int], radices: list[int]) -> dict:
+    """words keyed by exponent tuples instead: decoded column by column."""
+    exps = zip(*[[k // w % r for k in words] for w, r in zip(weights, radices)])
+    return dict(zip(exps, words.values()))
 
 
 def _weights(radices: list[int]) -> list[int]:
@@ -214,24 +222,33 @@ def _weights(radices: list[int]) -> list[int]:
 
 
 def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two int term dicts keyed by exponent words.
+    """The product of two int term dicts keyed by exponent words: the
+    one-product case of _word_sum."""
+    return _word_sum(((a, b),))
+
+
+def _word_sum(products) -> dict[int, int]:
+    """The sum of a*b over products (a, b) of int term dicts keyed by
+    exponent words.
 
     A word is an exponent vector read in a mixed-radix layout that no
-    sum of exponents in the product overflows, so the word of a product
-    monomial is the sum of its factors' words; nothing is folded. Large
-    products go through _packed, every other product is a loop over
-    term pairs.
+    sum of exponents in the sum overflows, so the word of a product
+    monomial is the sum of its factors' words; nothing is folded. The
+    sum goes through _packed where it takes the whole sum; otherwise
+    each product is a loop over term pairs, added into one dict. Zeros
+    may remain.
     """
-    if len(a) * len(b) >= _PACK_MIN_PAIRS:
-        out = _packed(((1, a, b),))
+    if sum(len(a) * len(b) for a, b in products) >= _PACK_MIN_PAIRS:
+        out = _packed([(1, a, b) for a, b in products])
         if out is not None:
             return out
     out: dict[int, int] = {}
     get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            key = k1 + k2
-            out[key] = get(key, 0) + c1 * c2
+    for a, b in products:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
     return out
 
 
@@ -241,10 +258,12 @@ def _packed(products) -> dict[int, int] | None:
 
     This is Kronecker substitution, and the only packing rule: it packs
     when every operand has at least 2 terms, the products have at least
-    _PACK_MIN_PAIRS term pairs together, and the packed sum has at most
-    _PACK_MAX_BYTES_PER_PAIR bytes per pair. The sum has one slot per
-    word from its smallest to its largest, the span, of w bytes each.
-    A slot holds sum |m| * _coeff_bound(a, b), which bounds every
+    _PACK_MIN_PAIRS term pairs together, and span * w is at most
+    _PACK_MAX_BYTES_PER_PAIR times the term pairs, both for the whole sum
+    and for each product alone, so that no sparse product rides on the
+    density of the others. The sum has one slot per word from its
+    smallest to its largest, the span, of w bytes each; a product's own
+    span runs from its smallest word to its largest. A slot holds sum |m| * _coeff_bound(a, b), which bounds every
     coefficient of the sum and of every operand, plus a sign bit
     (_slot_bytes): no slot spills into the next. Each operand packs
     once (_pack) with slot index its word minus its smallest word; a
@@ -259,10 +278,14 @@ def _packed(products) -> dict[int, int] | None:
     if pairs < _PACK_MIN_PAIRS:
         return None
     lows = [(min(a), min(b)) for _, a, b in products]
+    spans = [max(a) + max(b) - la - lb + 1 for (_, a, b), (la, lb) in zip(products, lows)]
     lo = min(map(sum, lows))
-    span = max(max(a) + max(b) for _, a, b in products) - lo + 1
+    span = max([la + lb + s for (la, lb), s in zip(lows, spans)]) - lo
     w = _slot_bytes(sum(abs(m) * _coeff_bound(a.values(), b.values()) for m, a, b in products))
-    if span * w > _PACK_MAX_BYTES_PER_PAIR * pairs:
+    limit = _PACK_MAX_BYTES_PER_PAIR
+    if span * w > limit * pairs or any(
+        s * w > limit * len(a) * len(b) for s, (_, a, b) in zip(spans, products)
+    ):
         return None
     total = 0
     for (m, a, b), (la, lb) in zip(products, lows):

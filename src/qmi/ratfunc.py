@@ -68,7 +68,10 @@ power of n_v or d_g, and every partial product, that a table needs
 divides some table entry, so every such factor, every table entry and
 every partial sum of a part's expansion stays within B_j in slot j,
 and the word of a product monomial is the sum of its factors' words:
-no slot carries into the next. The products are unfolded (a root
+no slot carries into the next. A part's expansion is nested by group
+(_horner): each level is one sum over its keys of the table entry times
+the key's sum over the later levels, added in one big integer where
+poly._packed takes the sum. The products are unfolded (a root
 exponent may exceed 1). A root fold is the ring map r^2 -> a (or
 r^2 -> a constant), so folding a part's sum once gives what folding
 every product would: each part's sum is decoded into exponent tuples
@@ -113,7 +116,9 @@ from typing import Any, Callable, Mapping, Sequence
 from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
-from .poly import Poly, _convolve_words, _difference_ints, _fold, _from_ints, _lift_ints, _weights
+from .poly import (
+    Poly, _convolve_words, _decode, _difference_ints, _fold, _from_ints, _lift_ints, _weights, _word_sum,
+)
 
 Pair = tuple[Poly, Poly]
 # One level (key, table) per group of bound variables: key, an itemgetter
@@ -614,9 +619,10 @@ def _expand(
     parameters of e (mapped by const_map). Every level reads its key
     from the exponent tuple. One common scale is taken up front from the
     term exponents, so every term becomes an integer leaf; the leaves
-    accumulate in place over the integers (_horner). The sum's root
-    folds are applied once, after each surviving word is decoded into an
-    exponent tuple, and each surviving coefficient is normalized once.
+    are summed over the integers, one sum per level (_horner). The
+    sum's words are decoded into exponent tuples column by column
+    (poly._decode), its root folds are applied once, and each surviving
+    coefficient is normalized once.
     """
     terms = p.terms.items()
     scales = []
@@ -630,12 +636,7 @@ def _expand(
         (e, sum(e[i] * weights[j] for i, j in const_map.items()), c.numerator * (common // s))
         for (e, c), s in zip(terms, scales)
     ]
-    words = _horner(leaves, tables)
-    decoded = {
-        tuple([k // w % r for w, r in zip(weights, radices)]): c
-        for k, c in words.items()
-        if c
-    }
+    decoded = _decode(_horner(leaves, tables), weights, radices)
     return _from_ints(target, common, _fold(decoded, target.folds))
 
 
@@ -643,12 +644,13 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
     """Sum of k * x^word * prod of table[key(e)] over the leaves (e, word, k).
 
     The sum is nested by level: the leaves are grouped by the first
-    level's key, and each group's sum over the other
-    levels is multiplied by that level's table entry once. Products are
-    added into the first product; nothing is normalized or folded.
+    level's key, and the level is one sum (poly._word_sum) over its keys
+    of the table entry times the group's sum over the other levels, so
+    where poly._packed takes it, a level is one big-int sum. Nothing is
+    normalized or folded, and zeros may remain.
     """
-    acc: dict[int, int] = {}
     if not levels:
+        acc: dict[int, int] = {}
         get = acc.get
         for _, word, k in leaves:
             acc[word] = get(word, 0) + k
@@ -657,15 +659,7 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
     groups: dict[Any, list] = {}
     for leaf in leaves:
         groups.setdefault(key(leaf[0]), []).append(leaf)
-    for ev, group in groups.items():
-        term = _convolve_words(table[ev][1], _horner(group, rest))
-        if not acc:
-            acc = term
-            continue
-        get = acc.get
-        for key, val in term.items():
-            acc[key] = get(key, 0) + val
-    return acc
+    return _word_sum([(table[ev][1], _horner(group, rest)) for ev, group in groups.items()])
 
 
 def _raw_difference(a: Pair, b: Pair) -> Poly:

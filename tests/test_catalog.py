@@ -495,6 +495,23 @@ def test_identity_with_a_digit_of_another_script_is_an_error():
     assert report.witness.startswith("ParseError: unexpected character")
 
 
+@pytest.mark.parametrize("lhs,status", [
+    ("(v-w)/(v-w)", "Error"),
+    ("(v-w)^-1*(v-w)", "Error"),
+    ("v/w", "Pass"),
+], ids=["quotient", "inverse", "ratio"])
+def test_where_names_with_equal_values_divide_as_those_values(lhs, status):
+    # v and w name one value, so v - w is zero and dividing by it is an
+    # Error, whichever way the quotient is written; v / w is 1.
+    where = [["v", "(x1+1)/(x2-1)"], ["w", "(x1+1)/(x2-1)"]]
+    payload = {"context": {"variables": ["x1", "x2"]}, "where": where, "lhs": lhs, "rhs": "1"}
+    case = CaseRecord("where_division", "Identity", "test", "where-list division", payload)
+    report = run_case(Catalog({}, [case]), case.id)
+    assert report.status == status
+    if status == "Error":
+        assert report.witness.startswith("DivisionByZero")
+
+
 # -- schema validation of catalog files ---------------------------------------
 
 

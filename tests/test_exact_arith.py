@@ -672,3 +672,28 @@ class TestWordKernelDispatch:
         assert len(big) >= poly._PACK_MIN_PAIRS
         assert poly._convolve_words({7: -2}, big) == {w + 7: -2 * c for w, c in big.items()}
         assert packed["packed"] == 0
+
+    def test_a_tact_level_is_one_packed_sum(self, monkeypatch):
+        """la3 of sys7iii_case1_tact on the forward expression of t1: v1 and
+        v2 share one binding denominator, so each part expands in one level
+        of four products, and each level is one packed sum."""
+        from qmi import poly
+        from qmi.catalog import build_action, build_context, build_env, builtin_catalog
+
+        p = builtin_catalog().case("sys7iii_case1_tact").payload
+        c = build_context(p["context"])
+        la3 = build_action(c, p["actions"]["la3"])
+        t1 = parse(c, p["forward"]["t1"], build_env(c, p.get("where")))
+        sums = []
+        packed = poly._packed
+
+        def counted(products):
+            out = packed(products)
+            sums.append((len(products), out is not None))
+            return out
+
+        monkeypatch.setattr(poly, "_packed", counted)
+        image = la3.apply_raw((t1.num, t1.den))
+        assert sums == [(4, True), (4, True)]
+        monkeypatch.setattr(poly, "_PACK_MIN_PAIRS", float("inf"))
+        assert la3.apply_raw((t1.num, t1.den)) == image

@@ -13,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import HealthCheck, Phase, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qmi import QQ, Context, Poly, PrimeField, RatFunc, SubstitutionPole, exact_div, gcd, parse, poly_gcd, ratfunc
@@ -178,6 +178,29 @@ def test_canonical_parts_with_a_constant_part(num, den, parts):
     assert (f.num, f.den) == tuple(map(P, parts))
     if num != "0":
         assert (f.num, f.den) == _reduce_by_gcd(P(num), P(den))
+
+
+@pytest.mark.parametrize("ctx", list(CONTEXTS.values()), ids=list(CONTEXTS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, phases=[Phase.generate], derandomize=True,
+          suppress_health_check=list(HealthCheck))
+def test_one_term_part_cancels_as_the_heuristic_or_the_prs(ctx, data):
+    """gcd.cancel with a one-term part (gcd._monomial_gcd) gives the canonical
+    parts that the heuristic or the PRS gives, and where the PRS runs (over
+    F_p or with constant roots), their very triple. Both parts carry a
+    common monomial h, which may hold a constant root."""
+    m = data.draw(polys(ctx, max_terms=1).filter(lambda p: len(p.terms) == 1))
+    p = data.draw(polys(ctx, max_terms=4).filter(lambda p: not p.is_zero()))
+    h = data.draw(polys(ctx, max_terms=1).filter(lambda p: not p.is_zero()))
+    m, p = m * h, p * h
+    assume(not m.is_constant() and not p.is_constant())
+    for num, den in ((m, p), (p, m)):
+        found = gcd.cancel(num, den)
+        parts = ratfunc._reduce(num, den)
+        with mock.patch.object(gcd, "_monomial_gcd", lambda E, a, b: None):
+            assert ratfunc._reduce(num, den) == parts
+            if not gcd._elim_info(ctx).integral:
+                assert gcd.cancel(num, den) == found
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
@@ -611,6 +634,60 @@ def test_packed_word_product_equals_pair_loop(case):
     with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
         loop = poly._convolve_words(a, b)
     assert _nonzero(packed, p) == _nonzero(loop, p)
+
+
+@st.composite
+def word_sums(draw):
+    """2 to 4 dense word products (a, b), each operand a run of 18 to 30
+    consecutive words from its own offset, with signed coefficients, and
+    a sparse product (2 x 2 terms, 62 words from end to end) inside their
+    span.
+
+    Each dense product has at least 324 term pairs, and it and the sum
+    stay within _PACK_MAX_BYTES_PER_PAIR bytes per pair, so the dense
+    products pack as one sum. The sparse product alone is far above that
+    density; the whole sum with it stays within it.
+    """
+    coeffs = st.integers(-(2**40), 2**40).filter(bool)
+
+    def run():
+        offset, n = draw(st.integers(0, 30)), draw(st.integers(18, 30))
+        return {offset + i: draw(coeffs) for i in range(n)}
+
+    dense = [(run(), run()) for _ in range(draw(st.integers(2, 4)))]
+    lo, hi = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    sparse = ({lo: draw(coeffs), lo + 60: draw(coeffs)}, {hi: draw(coeffs), hi + 1: draw(coeffs)})
+    return dense, sparse
+
+
+@given(word_sums())
+@settings(max_examples=60, deadline=None, phases=[Phase.generate], derandomize=True)
+def test_word_sum_equals_the_loop_and_packs_only_dense_products(case):
+    """poly._word_sum of several products with their own offsets is the loop's
+    sum: one packed sum for dense products, and none once a sparse product
+    joins them, though the whole sum stays dense enough."""
+    from qmi import poly
+
+    dense, sparse = case
+    packs = []
+    packed_fn = poly._packed
+
+    def counted(prods):
+        out = packed_fn(prods)
+        packs.append(out is not None)
+        return out
+
+    for products, packed in ((dense, [True]), ([*dense, sparse], [False])):
+        packs.clear()
+        with mock.patch.object(poly, "_packed", counted):
+            out = poly._word_sum(products)
+        assert packs == packed
+        loop: dict = {}
+        for a, b in products:
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    loop[k1 + k2] = loop.get(k1 + k2, 0) + c1 * c2
+        assert _nonzero(out, 0) == _nonzero(loop, 0)
 
 
 # -- the zero test: equal pairs, then the difference -------------------------------
