@@ -15,12 +15,13 @@ or for any one product in it. It sums m*a*b over products of int term
 dicts keyed by exponent words. Its callers are _word_sum, the one
 word-product routine of ratfunc.substitute_raw (whose words it lays out
 per call): one sum per level of ratfunc._horner, and one product per
-power-table entry (_convolve_words); and, through _packed_tuples, which
-reads exponent tuples as words of the products' exponent box,
-_convolve_ints (Poly.__mul__ and the gcd layer) and _difference_ints
-(ratfunc's zero test, ml*A0*B1 - mr*B0*A1). _decode turns summed words
-back into exponent tuples, column by column, for _packed_tuples and
-ratfunc.
+power-table entry, each product of a level that does not pack as a
+whole also packing alone where _packed takes it; and, through
+_packed_tuples, which reads exponent tuples as words of the products'
+exponent box, _convolve_ints (Poly.__mul__ and the gcd layer) and
+_difference_ints (ratfunc's zero test, ml*A0*B1 - mr*B0*A1). _decode
+turns summed words back into exponent tuples, column by column, for
+_packed_tuples and ratfunc.
 
 Coefficients are stored as the field stores them (field.py): over Q an
 int when integral, else a Fraction with denominator above 1; over F_p an
@@ -208,8 +209,12 @@ def _packed_tuples(products) -> dict[tuple[int, ...], int] | None:
 
 
 def _decode(words: dict[int, int], weights: list[int], radices: list[int]) -> dict:
-    """words keyed by exponent tuples instead: decoded column by column."""
-    exps = zip(*[[k // w % r for k in words] for w, r in zip(weights, radices)])
+    """words keyed by exponent tuples instead: decoded column by column.
+
+    With no slots every word is 0, the empty tuple.
+    """
+    cols = [[k // w % r for k in words] for w, r in zip(weights, radices)]
+    exps = zip(*cols) if cols else [()] * len(words)
     return dict(zip(exps, words.values()))
 
 
@@ -221,34 +226,38 @@ def _weights(radices: list[int]) -> list[int]:
     return weights
 
 
-def _convolve_words(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two int term dicts keyed by exponent words: the
-    one-product case of _word_sum."""
-    return _word_sum(((a, b),))
-
-
 def _word_sum(products) -> dict[int, int]:
     """The sum of a*b over products (a, b) of int term dicts keyed by
     exponent words.
 
     A word is an exponent vector read in a mixed-radix layout that no
     sum of exponents in the sum overflows, so the word of a product
-    monomial is the sum of its factors' words; nothing is folded. The
-    sum goes through _packed where it takes the whole sum; otherwise
-    each product is a loop over term pairs, added into one dict. Zeros
-    may remain.
+    monomial is the sum of its factors' words; nothing is folded. A sum
+    of several products goes through _packed where it takes the whole
+    sum. Otherwise each product goes through _packed alone where it has
+    _PACK_MIN_PAIRS term pairs and _packed takes it, else through a loop
+    over its term pairs, and the products are added into one dict.
+    Zeros may remain.
     """
-    if sum(len(a) * len(b) for a, b in products) >= _PACK_MIN_PAIRS:
+    if len(products) > 1 and sum(len(a) * len(b) for a, b in products) >= _PACK_MIN_PAIRS:
         out = _packed([(1, a, b) for a, b in products])
         if out is not None:
             return out
     out: dict[int, int] = {}
-    get = out.get
     for a, b in products:
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
+        term = _packed(((1, a, b),)) if len(a) * len(b) >= _PACK_MIN_PAIRS else None
+        if term is None:
+            get = out.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        elif not out:
+            out = term
+        else:
+            get = out.get
+            for key, val in term.items():
+                out[key] = get(key, 0) + val
     return out
 
 
@@ -263,9 +272,10 @@ def _packed(products) -> dict[int, int] | None:
     and for each product alone, so that no sparse product rides on the
     density of the others. The sum has one slot per word from its
     smallest to its largest, the span, of w bytes each; a product's own
-    span runs from its smallest word to its largest. A slot holds sum |m| * _coeff_bound(a, b), which bounds every
-    coefficient of the sum and of every operand, plus a sign bit
-    (_slot_bytes): no slot spills into the next. Each operand packs
+    span runs from its smallest word to its largest. A slot holds
+    sum |m| * _coeff_bound(a, b), which bounds every coefficient of the
+    sum and of every operand, plus a sign bit (_slot_bytes): no slot
+    spills into the next. Each operand packs
     once (_pack) with slot index its word minus its smallest word; a
     product is shifted by the offset of its smallest word against the
     sum's, and a nonzero sum decodes once (_unpack).

@@ -117,7 +117,7 @@ from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
 from .poly import (
-    Poly, _convolve_words, _decode, _difference_ints, _fold, _from_ints, _lift_ints, _weights, _word_sum,
+    Poly, _decode, _difference_ints, _fold, _from_ints, _lift_ints, _weights, _word_sum,
 )
 
 Pair = tuple[Poly, Poly]
@@ -464,7 +464,7 @@ def _word_tables(
             row = [(1, {0: 1}), (scale, base)][: upto + 1]
             for _ in range(upto - 1):
                 s, t = row[-1]
-                row.append((s * scale, _reduced(_convolve_words(t, base), char)))
+                row.append((s * scale, _reduced(_word_sum(((t, base),)), char)))
             rows.append(row)
         table = {}
         for k, x in zip(used, powers):
@@ -473,7 +473,7 @@ def _word_tables(
                 if e:
                     s, t = row[e]
                     scale *= s
-                    words = t if words is None else _reduced(_convolve_words(words, t), char)
+                    words = t if words is None else _reduced(_word_sum(((words, t),)), char)
             table[k] = (scale, words)
         levels.append((key, table))
     return radices, weights, levels
@@ -646,8 +646,9 @@ def _horner(leaves: list, levels: list) -> dict[int, int]:
     The sum is nested by level: the leaves are grouped by the first
     level's key, and the level is one sum (poly._word_sum) over its keys
     of the table entry times the group's sum over the other levels, so
-    where poly._packed takes it, a level is one big-int sum. Nothing is
-    normalized or folded, and zeros may remain.
+    where poly._packed takes it, a level is one big-int sum; else its
+    products pack or loop one by one. Nothing is normalized or folded,
+    and zeros may remain.
     """
     if not levels:
         acc: dict[int, int] = {}

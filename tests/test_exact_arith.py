@@ -322,6 +322,14 @@ class TestRatFunc:
         with pytest.raises(UnknownSymbol):
             parse(ctx, "a*x1").substitute({"x1": parse(tgt, "y1")}, tgt)
 
+    def test_substitute_zero_into_symbol_free_context(self, ctx):
+        """A zero binding into a target with no symbols: the one word is the
+        empty exponent tuple."""
+        src, tgt = Context(QQ, variables=["x"]), Context(QQ)
+        zero = {"x": parse(tgt, "0")}
+        assert parse(src, "x+1").substitute(zero, tgt) == parse(tgt, "1")
+        assert parse(src, "(x+2)/(x-1)").substitute(zero, tgt) == parse(tgt, "-2")
+
     def test_binding_non_variable_rejected(self, ctx):
         with pytest.raises(ValueError):
             parse(ctx, "x1").substitute({"a": parse(ctx, "1")})
@@ -644,7 +652,7 @@ class TestKernelDispatch:
 
 
 class TestWordKernelDispatch:
-    """Which path of poly._convolve_words a product takes, counted at poly._packed."""
+    """Which path of poly._word_sum a product takes, counted at poly._packed."""
 
     @pytest.fixture()
     def packed(self, monkeypatch):
@@ -670,7 +678,7 @@ class TestWordKernelDispatch:
 
         big = {w: w % 5 - 2 or 1 for w in range(3, 1000, 3)}
         assert len(big) >= poly._PACK_MIN_PAIRS
-        assert poly._convolve_words({7: -2}, big) == {w + 7: -2 * c for w, c in big.items()}
+        assert poly._word_sum((({7: -2}, big),)) == {w + 7: -2 * c for w, c in big.items()}
         assert packed["packed"] == 0
 
     def test_a_tact_level_is_one_packed_sum(self, monkeypatch):

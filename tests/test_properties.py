@@ -548,7 +548,7 @@ def packed_sums(draw, nsym=st.integers(1, 4)):
     """A product (1, a, b), or a difference (ml, a0, b1), (-mr, b0, a1),
     of int term dicts keyed by exponent tuples; the root folds; a modulus.
 
-    With one slot the exponents are the words of poly._convolve_words:
+    With one slot the exponents are the words of poly._word_sum:
     each operand's in its own range above 0. Otherwise slot 0 is a root.
     """
     folds, p = draw(st.sampled_from(KERNEL_CASES))
@@ -613,7 +613,8 @@ def test_packed_product_equals_pair_loop(case):
 @given(packed_sums(nsym=st.just(1)))
 @settings(max_examples=200, deadline=None)
 def test_packed_word_product_equals_pair_loop(case):
-    """poly._convolve_words packs through poly._packed, and agrees with its pair loop."""
+    """poly._word_sum of one product packs through poly._packed, and agrees
+    with its pair loop."""
     from qmi import poly
 
     products, _, p = case
@@ -629,10 +630,10 @@ def test_packed_word_product_equals_pair_loop(case):
     with mock.patch.object(poly, "_PACK_MIN_PAIRS", 0), \
             mock.patch.object(poly, "_PACK_MAX_BYTES_PER_PAIR", float("inf")), \
             mock.patch.object(poly, "_packed", counted):
-        packed = poly._convolve_words(a, b)
+        packed = poly._word_sum(((a, b),))
     assert packs[0] == (len(a) >= 2 and len(b) >= 2)
     with mock.patch.object(poly, "_PACK_MIN_PAIRS", float("inf")):
-        loop = poly._convolve_words(a, b)
+        loop = poly._word_sum(((a, b),))
     assert _nonzero(packed, p) == _nonzero(loop, p)
 
 
@@ -664,8 +665,9 @@ def word_sums(draw):
 @settings(max_examples=60, deadline=None, phases=[Phase.generate], derandomize=True)
 def test_word_sum_equals_the_loop_and_packs_only_dense_products(case):
     """poly._word_sum of several products with their own offsets is the loop's
-    sum: one packed sum for dense products, and none once a sparse product
-    joins them, though the whole sum stays dense enough."""
+    sum: one packed sum for dense products. Once a sparse product joins
+    them, though the whole sum stays dense enough, the sum declines, each
+    dense product packs alone and the sparse one loops."""
     from qmi import poly
 
     dense, sparse = case
@@ -677,7 +679,7 @@ def test_word_sum_equals_the_loop_and_packs_only_dense_products(case):
         packs.append(out is not None)
         return out
 
-    for products, packed in ((dense, [True]), ([*dense, sparse], [False])):
+    for products, packed in ((dense, [True]), ([*dense, sparse], [False] + [True] * len(dense))):
         packs.clear()
         with mock.patch.object(poly, "_packed", counted):
             out = poly._word_sum(products)
