@@ -9,6 +9,12 @@ rule changes no equality or hash of a coefficient, term dict, Poly or
 RatFunc; it makes each canonical value unique in type as well, and lets
 most rational coefficients skip `Fraction` arithmetic.
 
+A sum of integers over a positive scale becomes stored coefficients by
+one rule, the field's `stored(scale, terms)`, so poly, gcd and ratfunc
+read no characteristic but twice in gcd: `_div` reduces its remainder
+mod p, and `_ElimInfo.integral` sends only Q without constant roots to
+the heuristic gcd over Z.
+
 Every number qmi reads goes through `read_rational`, which takes an int
 (not a bool), a Fraction, or text matching the token RATIONAL whole; it
 refuses floats, other scripts' digits, underscores, blanks and exponents.
@@ -46,6 +52,7 @@ class BaseField:
     mul: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     inv: Callable[[Any], Any]
+    stored: Callable[[int, dict], dict]  # the nonzero terms / scale, stored
 
     def of(self, value: Any) -> Any:
         raise NotImplementedError
@@ -111,6 +118,14 @@ class Rationals(BaseField):
             return value
         return read_rational(value)
 
+    def stored(self, scale: int, terms: dict) -> dict:
+        """The nonzero terms / scale by rational's rule. The terms are ints,
+        or Fractions, possibly integral, from a root fold by a
+        non-integral constant (sqrt(1/2)^2 = 1/2)."""
+        if scale == 1:
+            return {e: v if type(v) is int else rational(v) for e, v in terms.items() if v}
+        return {e: v // scale if not v % scale else Fraction(v, scale) for e, v in terms.items() if v}
+
 
 # The largest integer that trial division factors or tests: at most about
 # 16,000 odd divisors, a few milliseconds. PrimeField, the places of
@@ -169,6 +184,12 @@ class PrimeField(BaseField):
         if value.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
         return value.numerator * self.inv(value.denominator % self.p) % self.p
+
+    def stored(self, scale: int, terms: dict) -> dict:
+        """The int terms mod p, zeros dropped. The scale is 1: every lift of
+        residues by poly._lift_ints has scale 1."""
+        p = self.p
+        return {e: v % p for e, v in terms.items() if v % p}
 
 
 QQ = Rationals()

@@ -27,8 +27,8 @@ primitive pseudo-remainder sequence over the context's field (F_p, or Q
 with or without constant roots), in the field's stored form, made monic
 at each step. The heuristic is the only code over the integers. It
 runs in integral contexts (Q without constant roots, rooted parameters
-included), where each part is lifted to integers once, which avoids
-per-operation Fraction normalization, and each cofactor goes back over
+included; _ElimInfo.integral), where each part is lifted to integers
+once, which avoids per-operation Fraction normalization, and each cofactor goes back over
 its own part's scale. When either part is one term, the gcd is a
 monomial and neither algorithm runs (_monomial_gcd).
 
@@ -77,7 +77,9 @@ _div is the only long division. A divisor d that uses a constant root r
 is first replaced by its norm d * conj_r(d) (conj_r flips the sign of r),
 and the dividend is multiplied by the same conjugate: as the extension is
 a field, conj_r(d) != 0, so the quotient is unchanged. The norm is free
-of r and of every root done before it.
+of r and of every root done before it. Over F_p its running remainder
+is reduced mod p, so that a zero shows as zero: with integral, the only
+reads of the characteristic outside field (field.stored does the rest).
 
 unit_normal fixes the one free unit of a canonical form: it divides by
 the leading coefficient, taken with constant roots as the whole element
@@ -95,7 +97,7 @@ from typing import Any
 
 from .context import Context, mono_key
 from .errors import DivisionByZero, NotDivisible
-from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product, _over
+from .poly import Poly, _convolve_ints, _lift_ints, _lifted_product
 
 EDict = dict[tuple[int, ...], Any]
 
@@ -105,7 +107,7 @@ class _ElimInfo:
 
     __slots__ = (
         "ctx", "nslots", "root_pairs", "folds", "croot_slots", "eligible",
-        "f", "modulus", "unit", "integral",
+        "f", "unit", "integral",
     )
 
     def __init__(self, ctx: Context) -> None:
@@ -118,10 +120,9 @@ class _ElimInfo:
         self.croot_slots = tuple(r for r, _, _ in self.folds)
         self.eligible = tuple(i for i in range(self.nslots) if i not in self.croot_slots)
         self.f = ctx.field
-        self.modulus = ctx.field.char  # p over F_p: sums are reduced mod p
         self.unit: EDict = {(0,) * self.nslots: 1}
         # Q without constant roots: cancel runs the heuristic over Z first.
-        self.integral = not self.modulus and not self.croot_slots
+        self.integral = not ctx.field.char and not self.croot_slots
 
 
 _ELIM_CACHE: dict[Context, _ElimInfo] = {}
@@ -170,19 +171,6 @@ def _elead(d: EDict) -> tuple[tuple[int, ...], Any]:
     return e, d[e]
 
 
-def _reduce(E: _ElimInfo, d: EDict) -> EDict:
-    """Canonical terms of an unreduced sum or product, in the field's stored form.
-
-    Over Q a coefficient is an int when integral, else a Fraction
-    (field.rational); the raw sums of _sub can make Fractions meet in an
-    integer. Over F_p coefficients are ints reduced mod p.
-    """
-    p = E.modulus
-    if not p:
-        return _over(1, d)
-    return {e: c % p for e, c in d.items() if c % p}
-
-
 def _normal(E: _ElimInfo, d: EDict) -> EDict:
     """d divided by its leading coefficient."""
     lc = _elead(d)[1]
@@ -193,18 +181,16 @@ def _normal(E: _ElimInfo, d: EDict) -> EDict:
 
 
 def _mul(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
-    """a * b, reduced; over Q through integers, as in Poly.__mul__."""
-    if E.modulus:
-        return _reduce(E, _convolve_ints(a, b, E.folds))
-    return _over(*_lifted_product(a, b, E.folds))
+    """a * b in the field's stored form, through the integers as in Poly.__mul__."""
+    return E.f.stored(*_lifted_product(a, b, E.folds))
 
 
 def _sub(E: _ElimInfo, a: EDict, b: EDict) -> EDict:
-    """a - b, reduced. a must be a fresh dict: it is consumed."""
+    """a - b in the field's stored form. a must be a fresh dict: it is consumed."""
     get = a.get
     for e, c in b.items():
         a[e] = get(e, 0) - c
-    return _reduce(E, a)
+    return E.f.stored(1, a)
 
 
 def _edeg_in(d: EDict, m: int) -> int:
@@ -249,7 +235,7 @@ def _div(E: _ElimInfo, num: EDict, den: EDict) -> EDict:
     inv, mul = E.f.inv(lc), E.f.mul
     rest = [(e, c) for e, c in den.items() if e != le]
     room = [x - y for x, y in zip(map(max, zip(*num)), map(max, zip(*den)))]
-    p = E.modulus
+    p = E.f.char  # the running remainder is reduced mod p over F_p
     quot: EDict = {}
     rem = dict(num)
     # The remainder's monomials in a heap, largest first; an entry whose
@@ -559,9 +545,9 @@ def cancel(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly]:
         if found is not None:
             g, qa, qb = found
             return (
-                _from_elim(E, _over(1, g)),
-                _from_elim(E, _over(sa, qa)),
-                _from_elim(E, _over(sb, qb)),
+                _from_elim(E, E.f.stored(1, g)),
+                _from_elim(E, E.f.stored(sa, qa)),
+                _from_elim(E, E.f.stored(sb, qb)),
             )
     g = _gcd(E, a, b)
     if g == E.unit:

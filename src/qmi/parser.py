@@ -18,9 +18,8 @@ position.
 Parsing evaluates as it reads, and keeps a polynomial subtree a Poly:
 integers, names, specialized constants and sqrt(p) are Poly values, and
 so are the sum, difference and product of two Polys, a Poly to a power
-n >= 0 (a root-free monomial with coefficient one by multiplying its
-exponents by n), and a Poly divided by a nonzero constant (scaled by its
-inverse). A RatFunc is formed only where a quotient needs one: a Poly
+n >= 0 (Poly.__pow__), and a Poly divided by a nonzero constant (scaled
+by its inverse). A RatFunc is formed only where a quotient needs one: a Poly
 divided by a nonconstant Poly is RatFunc(num, den), one gcd.cancel. Any
 operation with a RatFunc operand lifts the Poly operand (RatFunc.from_poly)
 and uses the RatFunc operators, and a RatFunc whose denominator is one
@@ -79,11 +78,6 @@ def _quotient(a: Value, b: Value) -> Value:
 
 def _power(v: Value, n: int) -> Value:
     if isinstance(v, Poly) and n >= 0:
-        if len(v.terms) == 1:
-            ((e, c),) = v.terms.items()
-            if c == v.ctx.field.one and not any(e[: len(v.ctx.rooted)]):
-                # Roots are the first slots; a monomial free of them folds nothing.
-                return Poly(v.ctx, {tuple(k * n for k in e): c})
         return v**n
     return _lowered(_lifted(v) ** n)
 

@@ -25,10 +25,11 @@ _packed_tuples and ratfunc.
 
 Coefficients are stored as the field stores them (field.py): over Q an
 int when integral, else a Fraction with denominator above 1; over F_p an
-int in 0..p-1. Products and sums leave the integers through _from_ints,
-which applies that rule once per surviving term, so integral
-coefficients never pass through Fraction arithmetic. As Fraction(n) == n
-and hash(Fraction(n)) == hash(n), the rule changes no equality or hash.
+int in 0..p-1. Products and sums leave the integers through the
+field's one rule, stored(scale, terms), applied once per surviving
+term, so integral coefficients never pass through Fraction arithmetic.
+As Fraction(n) == n and hash(Fraction(n)) == hash(n), the rule changes
+no equality or hash.
 
 Polynomials are immutable by convention; every operation returns a fresh
 dict. Equality and hashing are structural.
@@ -37,13 +38,11 @@ dict. Equality and hashing are structural.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress, count
 from operator import add, mul
 from typing import Any
 
 from .context import Context, mono_key
-from .field import rational
 
 
 def _lift_ints(terms: dict) -> tuple[int, dict]:
@@ -63,35 +62,11 @@ def _lift_ints(terms: dict) -> tuple[int, dict]:
 
 
 def _lifted_product(a: dict, b: dict, folds) -> tuple[int, dict]:
-    """(scale, integer terms) of a*b: the product is the terms over scale."""
+    """(scale, integer terms) of a*b: the product is the terms over scale,
+    unreduced, for the field's stored(scale, terms)."""
     la, ia = _lift_ints(a)
     lb, ib = _lift_ints(b)
     return la * lb, _convolve_ints(ia, ib, folds)
-
-
-def _from_ints(ctx: Context, scale: int, terms: dict) -> "Poly":
-    """The Poly of terms / scale, each surviving coefficient normalized once.
-
-    Over F_p the terms are integers with scale 1, reduced mod p here.
-    Over Q each coefficient is stored by field.rational's rule: an int
-    when integral, else a Fraction. The terms are ints, except where a
-    root fold by a non-integral constant (sqrt(1/2)^2 = 1/2) made some
-    of them Fractions, which may be integral.
-    """
-    p = ctx.field.char
-    if p:
-        return Poly(ctx, {e: v % p for e, v in terms.items() if v % p})
-    return Poly(ctx, _over(scale, terms))
-
-
-def _over(scale: int, terms: dict) -> dict:
-    """The nonzero terms / scale over Q, stored by field.rational's rule.
-
-    The terms are ints or Fractions, and scale a positive int.
-    """
-    if scale == 1:
-        return {e: v if type(v) is int else rational(v) for e, v in terms.items() if v}
-    return {e: v // scale if not v % scale else Fraction(v, scale) for e, v in terms.items() if v}
 
 
 # The packed path (_packed) pays off from about this many term pairs, and
@@ -480,11 +455,19 @@ class Poly:
         # dominates large products.  Both fields embed in the integers
         # after clearing denominators, so convolve there and normalize
         # once per surviving term.
-        return _from_ints(self.ctx, *_lifted_product(self.terms, other.terms, self.ctx.folds))
+        ctx = self.ctx
+        return Poly(ctx, ctx.field.stored(*_lifted_product(self.terms, other.terms, ctx.folds)))
 
     def __pow__(self, n: int) -> "Poly":
+        """self**n, n >= 0. A root-free one-term Poly with coefficient one
+        (no root slot, the first slots, set) folds nothing: its exponents
+        are multiplied by n. Others square and multiply."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            if c == self.ctx.field.one and not any(e[: len(self.ctx.rooted)]):
+                return Poly(self.ctx, {tuple(k * n for k in e): c})
         result = Poly.const(self.ctx, 1)
         base = self
         while n:

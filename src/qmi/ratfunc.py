@@ -75,7 +75,8 @@ poly._packed takes the sum. The products are unfolded (a root
 exponent may exceed 1). A root fold is the ring map r^2 -> a (or
 r^2 -> a constant), so folding a part's sum once gives what folding
 every product would: each part's sum is decoded into exponent tuples
-once, folded once, and each surviving coefficient is normalized once.
+once, folded once, and each surviving coefficient is normalized once,
+by the field's one rule, stored(scale, terms).
 
 Most calls need none of this. When every bound variable that occurs in
 either part has a one-term numerator and a one-term denominator, as
@@ -103,7 +104,7 @@ whether a[0]*b[1] - b[0]*a[1] is zero in two steps, each exact:
    ml*A0*B1 - mr*B0*A1 (as one packed sum where poly._packed takes the
    pair, which is zero exactly when the difference is). The
    root folds (a ring map) are applied once and each surviving
-   coefficient is normalized once, mod p over F_p; the test reads the
+   coefficient is normalized once (stored); the test reads the
    Poly, which is the witness when it is nonzero.
 """
 
@@ -117,7 +118,7 @@ from .context import Context
 from .errors import DivisionByZero, SubstitutionPole, UnknownRoot
 from .gcd import cancel, unit_normal
 from .poly import (
-    Poly, _decode, _difference_ints, _fold, _from_ints, _lift_ints, _weights, _word_sum,
+    Poly, _decode, _difference_ints, _fold, _lift_ints, _weights, _word_sum,
 )
 
 Pair = tuple[Poly, Poly]
@@ -436,7 +437,8 @@ def _word_tables(
     every table entry and of every partial sum of _expand. A slot in
     which no base of a group has a positive degree adds 0. Each base is
     lifted to integers (_lift_ints) and encoded once; its powers are
-    taken over the integers, reduced mod p over F_p.
+    taken over the integers, each put in the field's stored form
+    (stored at scale 1: the words are the numerators).
     """
     nsym = target.nsym
     bound = [0] * nsym
@@ -455,7 +457,7 @@ def _word_tables(
         lifted.append((key, used, powers, zip(bases, map(max, zip(*powers)))))
     radices = [b + 1 for b in bound]
     weights = _weights(radices)
-    char = target.field.char
+    stored = target.field.stored
     levels = []
     for key, used, powers, bases in lifted:
         rows = []
@@ -464,7 +466,7 @@ def _word_tables(
             row = [(1, {0: 1}), (scale, base)][: upto + 1]
             for _ in range(upto - 1):
                 s, t = row[-1]
-                row.append((s * scale, _reduced(_word_sum(((t, base),)), char)))
+                row.append((s * scale, stored(1, _word_sum(((t, base),)))))
             rows.append(row)
         table = {}
         for k, x in zip(used, powers):
@@ -473,7 +475,7 @@ def _word_tables(
                 if e:
                     s, t = row[e]
                     scale *= s
-                    words = t if words is None else _reduced(_word_sum(((words, t),)), char)
+                    words = t if words is None else stored(1, _word_sum(((words, t),)))
             table[k] = (scale, words)
         levels.append((key, table))
     return radices, weights, levels
@@ -588,19 +590,12 @@ def _termwise(
     get = acc.get
     for key, num, den in leaves:
         acc[key] = get(key, 0) + num * (common // den)
-    return _from_ints(target, common, _fold(acc, target.folds))
+    return Poly(target, target.field.stored(common, _fold(acc, target.folds)))
 
 
 def _slot_degrees(terms: dict, nsym: int) -> list[int]:
     """The largest exponent of each slot in terms (0 for no terms)."""
     return [max(col) for col in zip(*terms)] if terms else [0] * nsym
-
-
-def _reduced(words: dict[int, int], char: int) -> dict[int, int]:
-    """words without zero coefficients, reduced mod char over F_p."""
-    if char:
-        return {k: v % char for k, v in words.items() if v % char}
-    return {k: v for k, v in words.items() if v}
 
 
 def _expand(
@@ -637,7 +632,7 @@ def _expand(
         for (e, c), s in zip(terms, scales)
     ]
     decoded = _decode(_horner(leaves, tables), weights, radices)
-    return _from_ints(target, common, _fold(decoded, target.folds))
+    return Poly(target, target.field.stored(common, _fold(decoded, target.folds)))
 
 
 def _horner(leaves: list, levels: list) -> dict[int, int]:
@@ -676,4 +671,4 @@ def _raw_difference(a: Pair, b: Pair) -> Poly:
     sl, sr = s0 * s1, s2 * s3
     scale = math.lcm(sl, sr)
     diff = _difference_ints(a0, b1, b0, a1, scale // sl, scale // sr)
-    return _from_ints(ctx, scale, _fold(diff, ctx.folds))
+    return Poly(ctx, ctx.field.stored(scale, _fold(diff, ctx.folds)))

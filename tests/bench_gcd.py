@@ -37,7 +37,7 @@ import pytest
 
 from qmi import QQ, Context, Poly, exact_div, gcd, parse, poly_gcd, ratfunc
 from qmi.catalog import builtin_catalog
-from qmi.poly import _lift_ints, _over
+from qmi.poly import _lift_ints
 from qmi.ratfunc import substitute_raw
 from qmi.runner import run_case
 
@@ -113,7 +113,7 @@ def test_gcd(benchmark, name, algorithm):
     E = gcd._elim_info(a.ctx)
     (_, ea), (_, eb) = _lift_ints(gcd._to_elim(E, a)), _lift_ints(gcd._to_elim(E, b))
     g, qa, qb = benchmark(ALGORITHMS[algorithm], E, ea, eb)
-    assert gcd.unit_normal(gcd._from_elim(E, _over(1, g)))[0] == expected
+    assert gcd.unit_normal(gcd._from_elim(E, QQ.stored(1, g)))[0] == expected
     assert gcd._mul(E, g, qa) == ea and gcd._mul(E, g, qb) == eb
 
 

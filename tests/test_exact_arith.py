@@ -646,7 +646,7 @@ class TestKernelDispatch:
         f = self.box(ctx, (2, 6, 6), lambda i: Fraction(i + 1, 2))
         g = self.box(ctx, (2, 6, 6), lambda i: Fraction(1, i + 1))
         assert len(f.terms) * len(g.terms) >= poly._PACK_MIN_PAIRS
-        terms = gcd._reduce(E, poly._convolve_ints(f.terms, g.terms, E.folds))
+        terms = E.f.stored(1, poly._convolve_ints(f.terms, g.terms, E.folds))
         assert calls == {"packed": 0, "loop": 1}
         assert Poly(ctx, terms) == f * g
 

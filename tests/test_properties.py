@@ -21,7 +21,7 @@ from qmi.errors import DivisionByZero, QmiError
 from qmi.actions import Automorphism
 from qmi.catalog import builtin_catalog
 from qmi.gcd import unit_normal
-from qmi.poly import _lift_ints, _over
+from qmi.poly import _lift_ints
 from qmi.runner import run_case
 
 CTX = Context(QQ, variables=["x1", "x2"], parameters=["a"], roots=["a"])
@@ -931,7 +931,7 @@ def _normal_gcd(ctx, g):
     from qmi.gcd import _elim_info, _from_elim, unit_normal
 
     E = _elim_info(ctx)
-    return unit_normal(_from_elim(E, _over(1, g)))[0]
+    return unit_normal(_from_elim(E, E.f.stored(1, g)))[0]
 
 
 @pytest.mark.parametrize("ctx", [ZCTX, CTX], ids=["Z", "rooted-parameter"])
